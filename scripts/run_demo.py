@@ -50,7 +50,7 @@ def main() -> int:
         print(
             f"{rep.round:>5} {rep.global_accuracy:>7.4f} {rep.global_loss:>7.4f} "
             f"{rep.blocks_appended:>6} {rep.agreement_rate_mean:>6.3f} "
-            f"{rep.weights_mean[0]:>7.4f}"
+            f"{rep.w_local_mean:>7.4f}"
         )
 
     bad = ledger.verify_chain(sim.chain)

@@ -10,28 +10,22 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import hashlib
 import json
 import secrets
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import ledger
 from .channel import (
     ChannelError,
-    Envelope,
     FreshnessTag,
-    ReplayedError,
-    StaleError,
-    TamperedError,
     UnknownPartyError,
     open_envelope,
     seal,
 )
 from .config import RunConfig
-from .encoding import enc_vec
-from .masking import MaskedUpdate
+from .encoding import enc_vec, hash_vector
 from .orchestrator import CLOUD_ID, LEDGER_ID, RoundTrace, Simulator, WireMessage
 
 ATTACK_KINDS = (
@@ -227,8 +221,6 @@ def _attack_poison(sim, trace, seeds, factor: float = 100.0) -> AttackReport:
             timestamp=sim.clock,
             round=trace.round,
         )
-        from .encoding import hash_vector
-
         meta = ledger.BlockMeta(
             kind="local_update",
             actor_id=node,

@@ -9,7 +9,7 @@ and a freshness window over the simulated clock.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
@@ -86,19 +86,16 @@ def _derive_key(label: str, party: str, seed: int) -> bytes:
 
 @dataclass
 class KeyRegistry:
-    """Pre-shared pairwise keys: per-node edge<->cloud (k_pc), cloud<->ledger (k_bc),
-    and per-node edge<->ledger (k_pb, registered but unused by the message flows)."""
+    """Pre-shared pairwise keys: per-node edge<->cloud (k_pc) and cloud<->ledger (k_bc)."""
 
     k_pc: dict[str, bytes]
     k_bc: bytes
-    k_pb: dict[str, bytes]
 
     @classmethod
     def generate(cls, node_ids: list[str], seed: int) -> "KeyRegistry":
         return cls(
             k_pc={n: _derive_key("k_pc", n, seed) for n in node_ids},
             k_bc=_derive_key("k_bc", "B-C", seed),
-            k_pb={n: _derive_key("k_pb", n, seed) for n in node_ids},
         )
 
     def edge_cloud_key(self, node_id: str) -> bytes:

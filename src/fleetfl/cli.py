@@ -6,7 +6,7 @@ Subcommands:
   ledger  verify --chain <path>      re-verify an exported chain
   explain --run <dir> --node <id>    print a node's explanation records
 
-Exit codes: 0 success, 1 validation failure, 2 bad usage.
+Exit codes: 0 success, 1 validation failure, 2 bad usage or a malformed config.
 """
 
 from __future__ import annotations

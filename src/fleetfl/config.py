@@ -1,7 +1,8 @@
 """Run configuration: JSON-backed dataclasses with unknown-key rejection.
 
 A config fully determines a run. Infinite epsilons are written as the JSON
-string "inf".
+string "inf". Building a RunConfig checks every field's type and bounds and
+raises ConfigError on the first violation.
 """
 
 from __future__ import annotations
@@ -9,6 +10,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
+import types
+import typing
 from dataclasses import dataclass, field
 
 
@@ -22,62 +26,67 @@ def _num(v):
     return v
 
 
+def _field(default, **bounds):
+    """A config field with optional inclusive (ge, le) or exclusive (gt, lt) bounds."""
+    return field(default=default, metadata=bounds)
+
+
 @dataclass
 class FleetConfig:
-    n_nodes: int = 4
-    samples_per_node: int = 100
-    feature_dim: int = 8
-    heterogeneity: float = 0.3
+    n_nodes: int = _field(4, ge=1)
+    samples_per_node: int = _field(100, ge=1)
+    feature_dim: int = _field(8, ge=1)
+    heterogeneity: float = _field(0.3, ge=0.0, le=1.0)
 
 
 @dataclass
 class TrainConfig:
-    lr: float = 0.5
-    epochs: int = 2
-    batch: int = 32
+    lr: float = _field(0.5, gt=0.0)
+    epochs: int = _field(2, ge=1)
+    batch: int = _field(32, ge=1)
 
 
 @dataclass
 class PrivacyConfig:
-    eps_min: float = 0.5
-    eps_max: float = 8.0  # "inf" disables local noise
-    delta: float = 1e-5
-    clip_norm: float = 1.0
-    mask_strength_min: float = 0.1
-    mask_strength_max: float = 2.0
-    budget_cap: float = 20.0
-    eps_global: float = math.inf  # "inf" disables global noise
-    delta_global: float = 1e-5
-    clip_global: float = 1.0
+    eps_min: float = _field(0.5, gt=0.0)
+    eps_max: float = _field(8.0, gt=0.0)  # "inf" disables local noise
+    delta: float = _field(1e-5, gt=0.0, lt=1.0)
+    clip_norm: float = _field(1.0, gt=0.0)
+    mask_strength_min: float = _field(0.1, gt=0.0)
+    mask_strength_max: float = _field(2.0, gt=0.0)
+    budget_cap: float = _field(20.0, gt=0.0)
+    eps_global: float = _field(math.inf, gt=0.0)  # "inf" disables global noise
+    delta_global: float = _field(1e-5, gt=0.0, lt=1.0)
+    clip_global: float = _field(1.0, gt=0.0)
 
 
 @dataclass
 class LedgerConfig:
     stakes: dict[str, float] = field(default_factory=lambda: {"v0": 1.0, "v1": 1.0, "v2": 2.0})
-    quorum_fraction: float = 2.0 / 3.0
-    committee_size: int | None = None  # default min(5, validators)
+    quorum_fraction: float = _field(2.0 / 3.0, gt=0.5, le=1.0)
+    committee_size: int | None = _field(None, ge=1)  # default min(5, validators)
     byzantine_refuse: list[str] = field(default_factory=list)
     byzantine_false: list[str] = field(default_factory=list)
-    max_update_norm: float | None = None  # None -> auto from privacy bounds
-    max_declared_samples: int | None = None
+    max_update_norm: float | None = _field(None, gt=0.0)  # None -> auto from privacy bounds
+    max_declared_samples: int | None = _field(None, ge=1)
 
 
 @dataclass
 class FeedbackConfig:
     enabled: bool = True
-    holdout_fraction: float = 0.3
-    max_validation_samples: int = 8
-    explain_repeats: int = 5
-    correction_lr: float = 0.1
-    correction_steps: int = 5
-    w_min: float = 0.05
-    n_ref: int = 1000
+    holdout_fraction: float = _field(0.3, ge=0.0, le=1.0)
+    max_validation_samples: int = _field(8, ge=1)
+    explain_repeats: int = _field(5, ge=1)
+    correction_lr: float = _field(0.1, gt=0.0)
+    correction_steps: int = _field(5, ge=1)
+    w_min: float = _field(0.05, gt=0.0, lt=0.5)
+    n_ref: int = _field(1000, ge=1)
 
 
 @dataclass
 class RunConfig:
-    seed: int = 0
-    rounds: int = 10
+    seed: int = _field(0, ge=0)
+    rounds: int = _field(10, ge=0)
     fleet: FleetConfig = field(default_factory=FleetConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     privacy: PrivacyConfig = field(default_factory=PrivacyConfig)
@@ -85,20 +94,73 @@ class RunConfig:
     feedback: FeedbackConfig = field(default_factory=FeedbackConfig)
     integration_site: str = "node"  # "node" or "cloud"
     threat_schedule: list[float] | float = 0.1
-    freshness_window: int | None = None  # ticks; None -> two rounds' worth
-    holdout_samples: int = 500
+    freshness_window: int | None = _field(None, ge=1)  # ticks; None -> two rounds' worth
+    holdout_samples: int = _field(500, ge=1)
     output_dir: str | None = None
 
     def __post_init__(self):
-        if self.rounds < 0:
-            raise ConfigError("rounds must be non-negative")
+        _check_fields(self, "")
         if self.integration_site not in ("node", "cloud"):
             raise ConfigError("integration_site must be 'node' or 'cloud'")
+        schedule = self.threat_schedule
+        if not isinstance(schedule, list):
+            schedule = [schedule]
+        if not schedule or not all(0.0 <= t <= 1.0 for t in schedule):
+            raise ConfigError("threat_schedule must be a level in [0, 1] or a non-empty list of them")
+        p = self.privacy
+        if p.eps_min > p.eps_max or p.mask_strength_min > p.mask_strength_max:
+            raise ConfigError("privacy minima must not exceed their maxima")
+        stakes = self.ledger.stakes.values()
+        if any(s < 0 for s in stakes) or not sum(stakes) > 0:
+            raise ConfigError("ledger.stakes must be non-negative with a positive total")
+        if (self.ledger.committee_size or 0) > len(stakes):
+            raise ConfigError("ledger.committee_size must not exceed the number of validators")
 
     def threat_for_round(self, r: int) -> float:
         if isinstance(self.threat_schedule, (int, float)):
             return float(self.threat_schedule)
         return float(self.threat_schedule[r % len(self.threat_schedule)])
+
+
+_BOUNDS = {
+    "ge": (operator.ge, ">="),
+    "gt": (operator.gt, ">"),
+    "le": (operator.le, "<="),
+    "lt": (operator.lt, "<"),
+}
+
+
+def _type_ok(value, hint) -> bool:
+    args = typing.get_args(hint)
+    origin = typing.get_origin(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_type_ok(value, a) for a in args)
+    if origin is list:
+        return isinstance(value, list) and all(_type_ok(v, args[0]) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _type_ok(k, args[0]) and _type_ok(v, args[1]) for k, v in value.items()
+        )
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
+def _check_fields(obj, path: str) -> None:
+    """Check every field's type and bounds, recursing into nested sections."""
+    hints = typing.get_type_hints(type(obj))
+    for f in dataclasses.fields(obj):
+        value, where = getattr(obj, f.name), path + f.name
+        if not _type_ok(value, hints[f.name]):
+            raise ConfigError(f"{where} must be {f.type}, got {value!r}")
+        if dataclasses.is_dataclass(value):
+            _check_fields(value, where + ".")
+        for bound, limit in f.metadata.items():
+            test, word = _BOUNDS[bound]
+            if value is not None and not test(value, limit):
+                raise ConfigError(f"{where} must be {word} {limit}, got {value!r}")
 
 
 _NESTED = {
@@ -111,6 +173,8 @@ _NESTED = {
 
 
 def _build(cls, data: dict, path: str):
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} must be a JSON object")
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = set(data) - names
     if unknown:

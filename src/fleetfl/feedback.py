@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .models import GradientUpdate, ModelParams, evaluate, predict, train_local
+from .models import ModelParams, evaluate, predict, train_local
 from .telemetry import NodePartition
 
 _EPS = 1e-12
@@ -24,7 +24,6 @@ _EPS = 1e-12
 class Explanation:
     sample_id: int
     attributions: np.ndarray
-    method: str  # "permutation" or "local_surrogate"
     stability: float
 
     def __post_init__(self):
@@ -69,7 +68,6 @@ class FeedbackUpdate:
 class ExplainConfig:
     n_repeats: int = 10
     seed: int = 0
-    max_samples: int | None = None
 
 
 def explain(
@@ -105,46 +103,7 @@ def explain(
     scale = attributions.mean() + _EPS
     stability = float(np.clip(1.0 - spread / scale, 0.0, 1.0))
     return Explanation(
-        sample_id=sample_id, attributions=attributions, method="permutation", stability=stability
-    )
-
-
-def explain_surrogate(
-    params: ModelParams,
-    sample: np.ndarray,
-    background: np.ndarray,
-    n_perturb: int,
-    seed: int,
-    sample_id: int = 0,
-) -> Explanation:
-    """Local linear surrogate: least-squares fit of model outputs on Gaussian
-    perturbations around the sample; attributions are |coefficient| x local scale."""
-    sample = np.asarray(sample, dtype=np.float64)
-    background = np.asarray(background, dtype=np.float64)
-    if sample.shape != (params.dim,) or background.shape[1] != params.dim:
-        raise ValueError("feature dimension mismatch")
-    if n_perturb < 2 * (params.dim + 1):
-        n_perturb = 2 * (params.dim + 1)
-    rng = np.random.default_rng(seed)
-    scale = background.std(axis=0) + _EPS
-    Z = sample + rng.normal(0.0, scale, size=(n_perturb, params.dim))
-    preds = np.array([predict(params, z) for z in Z])
-    A = np.column_stack([Z - sample, np.ones(n_perturb)])
-
-    def fit(rows):
-        coef, *_ = np.linalg.lstsq(A[rows], preds[rows], rcond=None)
-        return np.abs(coef[:-1]) * scale
-
-    half = n_perturb // 2
-    a1, a2 = fit(slice(0, half)), fit(slice(half, n_perturb))
-    attributions = fit(slice(0, n_perturb))
-    denom = np.abs(attributions).sum() + _EPS
-    stability = float(np.clip(1.0 - np.abs(a1 - a2).sum() / denom, 0.0, 1.0))
-    return Explanation(
-        sample_id=sample_id,
-        attributions=attributions,
-        method="local_surrogate",
-        stability=stability,
+        sample_id=sample_id, attributions=attributions, stability=stability
     )
 
 
@@ -171,8 +130,6 @@ def validate_predictions(
     X = np.asarray(X, dtype=np.float64)
     if len(X) == 0:
         raise ValueError("empty sample list")
-    if cfg.max_samples is not None:
-        X = X[: cfg.max_samples]
 
     agree = 0
     consistent = 0

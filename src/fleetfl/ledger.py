@@ -17,10 +17,8 @@ import numpy as np
 
 from .channel import FreshnessTag
 from .encoding import (
-    DIGEST_SIZE,
     ZERO_DIGEST,
     canonical_hash,
-    enc_bytes,
     enc_f64,
     enc_str,
     enc_u32,

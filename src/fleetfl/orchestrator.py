@@ -10,6 +10,7 @@ from the config seed, so identical configs produce byte-identical artifacts.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -72,26 +73,8 @@ class RoundReport:
     fpr_global: float
     fpr_integrated: float
     integrated_accuracy_mean: float
-    weights_mean: tuple[float, float]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "round": self.round,
-            "aborted": self.aborted,
-            "global_version": self.global_version,
-            "global_accuracy": self.global_accuracy,
-            "global_loss": self.global_loss,
-            "epsilon_charged": self.epsilon_charged,
-            "epsilon_spent": self.epsilon_spent,
-            "blocks_appended": self.blocks_appended,
-            "rejected": [[n, r] for n, r in self.rejected],
-            "agreement_rate_mean": self.agreement_rate_mean,
-            "fpr_global": self.fpr_global,
-            "fpr_integrated": self.fpr_integrated,
-            "integrated_accuracy_mean": self.integrated_accuracy_mean,
-            "w_local_mean": self.weights_mean[0],
-            "w_global_mean": self.weights_mean[1],
-        }
+    w_local_mean: float
+    w_global_mean: float
 
 
 def _sub_seed(*parts) -> int:
@@ -128,15 +111,6 @@ class Simulator:
             self.fleet, _sub_seed(cfg.seed, "holdout"), cfg.holdout_samples
         )
 
-        self.bounds = privacy.PrivacyBounds(
-            eps_min=cfg.privacy.eps_min,
-            eps_max=cfg.privacy.eps_max,
-            delta=cfg.privacy.delta,
-            clip_norm=cfg.privacy.clip_norm,
-            mask_strength_min=cfg.privacy.mask_strength_min,
-            mask_strength_max=cfg.privacy.mask_strength_max,
-            budget_cap=cfg.privacy.budget_cap,
-        )
         self.budget = privacy.BudgetLedger(budget_cap=cfg.privacy.budget_cap)
 
         self.keys = KeyRegistry.generate(self.node_ids, _sub_seed(cfg.seed, "keys"))
@@ -201,8 +175,9 @@ class Simulator:
             n_hold = max(1, int(round(frac * n))) if n > 1 else 0
             hold, train = order[:n_hold], order[n_hold:]
             if len(train) == 0:
-                train, hold = order, order[:0]
-            splits[node] = (train, hold)
+                train = order
+            # no holdout rows: validate on the train rows
+            splits[node] = (train, hold if len(hold) else train)
         return splits
 
     def _train_view(self, node: str) -> telemetry.NodePartition:
@@ -215,19 +190,13 @@ class Simulator:
     def _holdout_view(self, node: str) -> tuple[np.ndarray, np.ndarray]:
         part = self.fleet.partition(node)
         _, idx = self._splits[node]
-        if len(idx) == 0:
-            tr, _ = self._splits[node]
-            idx = tr
         return part.features[idx], part.labels[idx]
 
-    def _tick(self) -> int:
-        self.clock += 1
-        return self.clock
-
     def _tag(self, party: str, rnd: int) -> FreshnessTag:
-        return FreshnessTag(
-            nonce=self.nonce_sources[party].next(), timestamp=self._tick(), round=rnd
-        )
+        """The party's next nonce, stamped one clock tick later."""
+        nonce = self.nonce_sources[party].next()
+        self.clock += 1
+        return FreshnessTag(nonce=nonce, timestamp=self.clock, round=rnd)
 
     def _send(
         self, trace: RoundTrace | None, sender: str, receiver: str, kind: str, env: Envelope
@@ -235,18 +204,47 @@ class Simulator:
         if trace is not None:
             trace.messages.append(WireMessage(sender, receiver, kind, env))
 
+    def _transmit(
+        self, trace: RoundTrace | None, r: int, sender: str, receiver: str, kind: str,
+        key: bytes, seen: set[bytes], payload: bytes,
+    ) -> tuple[bytes, FreshnessTag]:
+        """Seal one message, put it on the wire, and open it at the receiver.
+
+        Returns the opened payload and the sender's freshness tag.
+        """
+        tag = self._tag(sender, r)
+        env = seal(key, sender, receiver, tag, payload, used_nonces=self.sent_nonces[sender])
+        self._send(trace, sender, receiver, kind, env)
+        return open_envelope(key, env, self.window, seen, self.clock), tag
+
     # -- round pipeline -----------------------------------------------------
 
     def run_round(self, r: int, record: bool = False) -> tuple[RoundReport, RoundTrace | None]:
-        cfg = self.cfg
         trace = RoundTrace(round=r) if record else None
-        participants = list(self.node_ids)
-        threat = cfg.threat_for_round(r)
+        blocks_before = len(self.chain)
+        scaled, ctxs, local_deltas = self._train_and_privatise(r)
+        received = self._mask_and_send(trace, r, scaled, ctxs)
+        admitted, rejected, charged = self._admit(trace, r, received, ctxs)
+        agreement, w_local = 0.0, 0.0
+        if not rejected:
+            prev_global = self.global_params
+            g = self._aggregate(r, admitted)
+            self._distribute(trace, r, g)
+            agreement, w_local = self._feedback_phase(trace, r, prev_global, g, local_deltas)
+        report = self._finish_round(
+            r, rejected, charged, len(self.chain) - blocks_before, agreement, w_local
+        )
+        return report, trace
 
-        # step 1: local training + adaptive privacy tuning
+    def _train_and_privatise(self, r: int):
+        """Local SGD, adaptive clipping and DP noise; returns the sample-scaled
+        updates, the privacy contexts and the raw local deltas, keyed by node."""
+        cfg = self.cfg
+        threat = cfg.threat_for_round(r)
         scaled: dict[str, GradientUpdate] = {}
         ctxs: dict[str, privacy.PrivacyContext] = {}
-        for node in participants:
+        local_deltas: dict[str, np.ndarray] = {}
+        for node in self.node_ids:
             view = self._train_view(node)
             upd = train_local(
                 self.node_params[node],
@@ -256,42 +254,37 @@ class Simulator:
                 batch=cfg.train.batch,
                 seed=_sub_seed(cfg.seed, "train", r, node),
             )
-            ctx = privacy.assess_context(view.sensitivity, threat, upd.loss_trace, self.bounds)
+            ctx = privacy.assess_context(view.sensitivity, threat, upd.loss_trace, cfg.privacy)
             clipped = privacy.clip_update(upd, ctx.clip_norm)
             noised = privacy.add_dp_noise(clipped, ctx, _sub_seed(cfg.seed, "noise", r, node))
             # sender-side sample weighting keeps the aggregator blind to raw updates
-            scaled[node] = GradientUpdate(
-                grad=noised.grad * upd.n_samples,
-                n_samples=upd.n_samples,
-                loss_trace=list(upd.loss_trace),
-            )
+            scaled[node] = GradientUpdate(grad=noised.grad * upd.n_samples, n_samples=upd.n_samples)
             ctxs[node] = ctx
-            self._local_deltas = getattr(self, "_local_deltas", {})
-            self._local_deltas[node] = upd.grad
+            local_deltas[node] = upd.grad
+        return scaled, ctxs, local_deltas
 
+    def _mask_and_send(self, trace, r: int, scaled, ctxs) -> list[masking.MaskedUpdate]:
+        """Mask every update, seal them all to the cloud, then open them all there."""
         strengths = {
             n: ctxs[n].mask_strength * max(1.0, float(np.linalg.norm(scaled[n].grad)))
-            for n in participants
+            for n in self.node_ids
         }
-        round_seed = _sub_seed(cfg.seed, "masks", r)
-        masks = masking.derive_masks(round_seed, participants, self.dim + 1, strengths, round=r)
-
-        # seal and transmit to the aggregator
+        round_seed = _sub_seed(self.cfg.seed, "masks", r)
+        masks = masking.derive_masks(round_seed, self.node_ids, self.dim + 1, strengths, round=r)
         masked: dict[str, masking.MaskedUpdate] = {}
         inbound: list[Envelope] = []
-        for node in participants:
+        for node in self.node_ids:
             tag = self._tag(node, r)
-            mu = masking.apply_mask(scaled[node], masks[node], tag)
-            masked[node] = mu
+            masked[node] = masking.apply_mask(scaled[node], masks[node], tag)
             env = seal(
-                self.keys.edge_cloud_key(node), node, CLOUD_ID, tag, mu.to_bytes(),
+                self.keys.edge_cloud_key(node), node, CLOUD_ID, tag, masked[node].to_bytes(),
                 used_nonces=self.sent_nonces[node],
             )
             self._send(trace, node, CLOUD_ID, "local_update", env)
             inbound.append(env)
         if trace is not None:
-            trace.raw_updates = {n: scaled[n].grad.copy() for n in participants}
-            trace.masked = dict(masked)
+            trace.raw_updates = {n: scaled[n].grad.copy() for n in self.node_ids}
+            trace.masked = masked
 
         # cloud opens and checks integrity (origin + hash beliefs)
         received: list[masking.MaskedUpdate] = []
@@ -305,67 +298,76 @@ class Simulator:
             if mu.node_id != env.sender:
                 raise ProtocolViolation("update origin does not match envelope sender")
             received.append(mu)
+        return received
 
+    def _admit(self, trace, r: int, received, ctxs):
+        """Ledger admission: validate every update before appending any.
+
+        Returns (admitted updates, rejections, epsilon charged per node). Any
+        rejection admits nothing: masks cannot cancel over a partial roster.
+        """
         cleaned, drops = aggregation.preprocess_updates(received, self.dim + 1)
         rejected: list[tuple[str, list[str]]] = [(n, [reason]) for n, reason in drops]
-
-        # ledger admission (validate everything before appending anything)
-        admitted: list[tuple[masking.MaskedUpdate, ledger.BlockMeta]] = []
+        admitted = []
         for mu in cleaned:
-            env2 = seal(
-                self.keys.k_bc, CLOUD_ID, LEDGER_ID, self._tag(CLOUD_ID, r), mu.to_bytes(),
-                used_nonces=self.sent_nonces[CLOUD_ID],
+            payload, _ = self._transmit(
+                trace, r, CLOUD_ID, LEDGER_ID, "ledger_log", self.keys.k_bc, self.seen_ledger,
+                mu.to_bytes(),
             )
-            self._send(trace, CLOUD_ID, LEDGER_ID, "ledger_log", env2)
-            payload = open_envelope(self.keys.k_bc, env2, self.window, self.seen_ledger, self.clock)
-            mu2 = masking.MaskedUpdate.from_bytes(payload)
-            eps = ctxs[mu2.node_id].epsilon
+            mu = masking.MaskedUpdate.from_bytes(payload)
+            eps = ctxs[mu.node_id].epsilon
             meta = ledger.BlockMeta(
                 kind="local_update",
-                actor_id=mu2.node_id,
+                actor_id=mu.node_id,
                 round=r,
-                freshness=mu2.freshness,
+                freshness=mu.freshness,
                 epsilon_charged=0.0 if math.isinf(eps) else eps,
                 model_version=self.global_params.version + 1,
             )
-            state = self._validation_state(mu2)
-            result = ledger.contract_validate(meta, mu2.payload_hash, self.rules, state)
+            # encoded once; both contract checks read it
+            state = ledger.ValidationState(
+                seen_nonces=self.contract_nonces,
+                budget=self.budget,
+                now=self.clock,
+                payload=enc_vec(mu.payload),
+                update_norm=float(np.linalg.norm(mu.payload)),
+                n_samples=mu.n_samples,
+            )
+            result = ledger.contract_validate(meta, mu.payload_hash, self.rules, state)
             if result.accepted:
-                admitted.append((mu2, meta))
+                admitted.append((mu, meta, state))
             else:
-                rejected.append((mu2.node_id, result.reasons))
-
-        charged = {n: 0.0 for n in participants}
+                rejected.append((mu.node_id, result.reasons))
         if rejected:
-            # masks cannot cancel over a partial roster: abort, keep previous model
-            return self._finish_round(r, trace, aborted=True, rejected=rejected,
-                                      charged=charged, blocks=0), trace
+            return [], rejected, {}
 
-        blocks = 0
-        for mu2, meta in admitted:
+        charged: dict[str, float] = {}
+        for mu, meta, state in admitted:
+            # the ledger's own check reads the clock afresh
             ledger.append_block(
                 self.chain,
-                mu2.payload_hash,
+                mu.payload_hash,
                 meta,
                 self.vset,
                 self.rules,
-                self._validation_state(mu2),
-                committee_seed=_sub_seed(cfg.seed, "committee", r, mu2.node_id),
-                committee_size=cfg.ledger.committee_size,
+                dataclasses.replace(state, now=self.clock),
+                committee_seed=_sub_seed(self.cfg.seed, "committee", r, mu.node_id),
+                committee_size=self.cfg.ledger.committee_size,
             )
-            blocks += 1
             if meta.epsilon_charged > 0:
-                privacy.charge_budget(self.budget, mu2.node_id, meta.epsilon_charged)
-                charged[mu2.node_id] = meta.epsilon_charged
+                privacy.charge_budget(self.budget, mu.node_id, meta.epsilon_charged)
+                charged[mu.node_id] = meta.epsilon_charged
+        return [mu for mu, _, _ in admitted], [], charged
 
-        # secure aggregation and global privacy adjustment
-        summed = aggregation.smpc_sum([mu for mu, _ in admitted], participants)
-        total_n = sum(mu.n_samples for mu, _ in admitted)
-        prev_global = self.global_params
+    def _aggregate(self, r: int, admitted) -> aggregation.GlobalUpdate:
+        """Masked-sum FedAvg, then the global privacy adjustment."""
+        cfg = self.cfg
+        summed = aggregation.smpc_sum(admitted, self.node_ids)
+        total_n = sum(mu.n_samples for mu in admitted)
         g = aggregation.fedavg_from_masked_sum(
-            summed, total_n, participants, prev_global, round=r
+            summed, total_n, self.node_ids, self.global_params, round=r
         )
-        g = aggregation.privacy_adjust_global(
+        return aggregation.privacy_adjust_global(
             g,
             cfg.privacy.eps_global,
             cfg.privacy.delta_global,
@@ -373,60 +375,28 @@ class Simulator:
             _sub_seed(cfg.seed, "global-noise", r),
         )
 
+    def _distribute(self, trace, r: int, g: aggregation.GlobalUpdate) -> None:
+        """Log the global model, then send it to every node (freshness verified at open)."""
         gbytes = params_bytes(g.params)
-        blocks += self._log_to_ledger(
-            trace, r, kind="global_model", actor=CLOUD_ID, payload=gbytes,
-            model_version=g.params.version,
-        )
+        self._log_to_ledger(trace, r, "global_model", CLOUD_ID, gbytes, g.params.version)
         self.global_params = g.params
-
-        # global distribution back to the nodes (freshness verified at open)
-        for node in participants:
-            tag = self._tag(CLOUD_ID, r)
-            env = seal(
-                self.keys.edge_cloud_key(node), CLOUD_ID, node, tag, gbytes,
-                used_nonces=self.sent_nonces[CLOUD_ID],
-            )
-            self._send(trace, CLOUD_ID, node, "global_distribution", env)
-            got = open_envelope(
-                self.keys.edge_cloud_key(node), env, self.window, self.seen_node[node], self.clock
+        for node in self.node_ids:
+            got, _ = self._transmit(
+                trace, r, CLOUD_ID, node, "global_distribution",
+                self.keys.edge_cloud_key(node), self.seen_node[node], gbytes,
             )
             if got != gbytes:
                 raise ProtocolViolation("distributed global model corrupted in transit")
 
-        # dual-model feedback and weighted integration
-        agreement, weights_acc, blocks_fb = self._feedback_phase(trace, r, prev_global, g)
-        blocks += blocks_fb
-
-        return self._finish_round(
-            r, trace, aborted=False, rejected=[], charged=charged, blocks=blocks,
-            agreement=agreement, weights=weights_acc,
-        ), trace
-
-    def _validation_state(self, mu: masking.MaskedUpdate) -> ledger.ValidationState:
-        return ledger.ValidationState(
-            seen_nonces=self.contract_nonces,
-            budget=self.budget,
-            now=self.clock,
-            payload=enc_vec(mu.payload),
-            update_norm=float(np.linalg.norm(mu.payload)),
-            n_samples=mu.n_samples,
-        )
-
     def _log_to_ledger(
-        self, trace, r: int, kind: str, actor: str, payload: bytes, model_version: int,
-        epsilon: float = 0.0,
-    ) -> int:
-        tag = self._tag(CLOUD_ID, r)
-        env = seal(
-            self.keys.k_bc, CLOUD_ID, LEDGER_ID, tag, payload,
-            used_nonces=self.sent_nonces[CLOUD_ID],
+        self, trace, r: int, kind: str, actor: str, payload: bytes, model_version: int
+    ) -> None:
+        got, tag = self._transmit(
+            trace, r, CLOUD_ID, LEDGER_ID, "ledger_log", self.keys.k_bc, self.seen_ledger, payload
         )
-        self._send(trace, CLOUD_ID, LEDGER_ID, "ledger_log", env)
-        got = open_envelope(self.keys.k_bc, env, self.window, self.seen_ledger, self.clock)
         meta = ledger.BlockMeta(
             kind=kind, actor_id=actor, round=r, freshness=tag,
-            epsilon_charged=epsilon, model_version=model_version,
+            epsilon_charged=0.0, model_version=model_version,
         )
         state = ledger.ValidationState(
             seen_nonces=self.contract_nonces, budget=self.budget, now=self.clock, payload=got
@@ -436,27 +406,27 @@ class Simulator:
             committee_seed=_sub_seed(self.cfg.seed, "committee", r, kind, actor),
             committee_size=self.cfg.ledger.committee_size,
         )
-        return 1
 
     def _feedback_phase(self, trace, r: int, prev_global: ModelParams,
-                        g: aggregation.GlobalUpdate):
+                        g: aggregation.GlobalUpdate, local_deltas) -> tuple[float, float]:
+        """Dual-model validation and local correction on every node, then fusion
+        at the configured site; returns (mean agreement, mean w_local)."""
         cfg = self.cfg
         fb = cfg.feedback
         if not fb.enabled:
             for node in self.node_ids:
                 self.node_params[node] = g.params
-            return 1.0, (0.0, 1.0), 0
+            return 1.0, 0.0
 
         diversity = _diversity([self.fleet.partition(n).n_samples for n in g.contributing_nodes])
         agreements, w_locals = [], []
-        fused: dict[str, tuple[ModelParams, feedback.FeedbackUpdate]] = {}
         corrections: dict[str, feedback.FeedbackUpdate] = {}
 
         for node in self.node_ids:
             view = self._train_view(node)
             hold_X, hold_y = self._holdout_view(node)
             model1 = ModelParams.from_vector(
-                self.node_params[node].as_vector() + self._local_deltas[node],
+                self.node_params[node].as_vector() + local_deltas[node],
                 version=g.params.version,
             )
             upd2 = train_local(
@@ -504,69 +474,54 @@ class Simulator:
                 explanation_stability=expl.stability,
             )
             corrections[node] = corr
-
             if cfg.integration_site == "node":
-                w = feedback.compute_weights(
-                    corr.quality, g.total_samples, diversity, fb.w_min, fb.n_ref
+                w_locals.append(
+                    self._integrate(trace, r, node, prev_global, g, corr.delta, corr.quality,
+                                    diversity)
                 )
-                final = feedback.integrate(corr.delta, g.delta, w)
-                integrated = ModelParams.from_vector(
-                    prev_global.as_vector() + final, version=g.params.version
-                )
-                fused[node] = (integrated, corr)
-                w_locals.append(w.w_local)
 
-        blocks = 0
-        if cfg.integration_site == "node":
-            for node in self.node_ids:
-                integrated, corr = fused[node]
-                self.node_params[node] = integrated
-                blocks += self._log_integrated(trace, r, node, integrated, corr)
-        else:
+        if cfg.integration_site == "cloud":
             # cloud-side integration: average the feedback deltas and qualities
-            xbar = np.mean([corrections[n].delta for n in self.node_ids], axis=0)
+            xbar = np.mean([c.delta for c in corrections.values()], axis=0)
             quality = feedback.FeedbackQuality(
                 accuracy_gain=float(
-                    np.mean([corrections[n].quality.accuracy_gain for n in self.node_ids])
+                    np.mean([c.quality.accuracy_gain for c in corrections.values()])
                 ),
                 explanation_stability=float(
-                    np.mean([corrections[n].quality.explanation_stability for n in self.node_ids])
+                    np.mean([c.quality.explanation_stability for c in corrections.values()])
                 ),
             )
-            w = feedback.compute_weights(quality, g.total_samples, diversity, fb.w_min, fb.n_ref)
-            final = feedback.integrate(xbar, g.delta, w)
-            integrated = ModelParams.from_vector(
-                prev_global.as_vector() + final, version=g.params.version
+            w_locals.append(
+                self._integrate(trace, r, CLOUD_ID, prev_global, g, xbar, quality, diversity)
             )
-            corr = feedback.FeedbackUpdate(delta=xbar, quality=quality)
+        return float(np.mean(agreements)), float(np.mean(w_locals))
+
+    def _integrate(self, trace, r: int, actor: str, prev_global: ModelParams,
+                   g: aggregation.GlobalUpdate, delta: np.ndarray,
+                   quality: feedback.FeedbackQuality, diversity: float) -> float:
+        """Fuse a feedback delta with the global delta, install the result at
+        the actor (a node, or every node for the cloud) and log it; returns w_local."""
+        fb = self.cfg.feedback
+        w = feedback.compute_weights(quality, g.total_samples, diversity, fb.w_min, fb.n_ref)
+        integrated = ModelParams.from_vector(
+            prev_global.as_vector() + feedback.integrate(delta, g.delta, w),
+            version=g.params.version,
+        )
+        payload = params_bytes(integrated)
+        if actor == CLOUD_ID:
             for node in self.node_ids:
                 self.node_params[node] = integrated
-            blocks += self._log_integrated(trace, r, CLOUD_ID, integrated, corr)
-            w_locals.append(w.w_local)
-
-        w_mean = float(np.mean(w_locals)) if w_locals else 0.0
-        return float(np.mean(agreements)), (w_mean, 1.0 - w_mean), blocks
-
-    def _log_integrated(self, trace, r, actor, integrated, corr) -> int:
-        payload = params_bytes(integrated)
-        if actor != CLOUD_ID:
+        else:
+            self.node_params[actor] = integrated
             # edge node submits its integrated model through the cloud
-            tag = self._tag(actor, r)
-            env = seal(
-                self.keys.edge_cloud_key(actor), actor, CLOUD_ID, tag, payload,
-                used_nonces=self.sent_nonces[actor],
+            payload, _ = self._transmit(
+                trace, r, actor, CLOUD_ID, "feedback", self.keys.edge_cloud_key(actor),
+                self.seen_cloud, payload,
             )
-            self._send(trace, actor, CLOUD_ID, "feedback", env)
-            payload = open_envelope(
-                self.keys.edge_cloud_key(actor), env, self.window, self.seen_cloud, self.clock
-            )
-        return self._log_to_ledger(
-            trace, r, kind="feedback", actor=actor, payload=payload,
-            model_version=integrated.version,
-        )
+        self._log_to_ledger(trace, r, "feedback", actor, payload, integrated.version)
+        return w.w_local
 
-    def _finish_round(self, r, trace, aborted, rejected, charged, blocks,
-                      agreement=0.0, weights=(0.0, 1.0)) -> RoundReport:
+    def _finish_round(self, r, rejected, charged, blocks, agreement, w_local) -> RoundReport:
         acc, loss = evaluate(self.global_params, self.holdout_X, self.holdout_y)
         fpr_g = false_positive_rate(self.global_params, self.holdout_X, self.holdout_y)
         node_fprs, node_accs = [], []
@@ -577,7 +532,7 @@ class Simulator:
             node_accs.append(evaluate(self.node_params[node], self.holdout_X, self.holdout_y)[0])
         return RoundReport(
             round=r,
-            aborted=aborted,
+            aborted=bool(rejected),
             global_version=self.global_params.version,
             global_accuracy=acc,
             global_loss=loss,
@@ -589,7 +544,8 @@ class Simulator:
             fpr_global=fpr_g,
             fpr_integrated=float(np.mean(node_fprs)),
             integrated_accuracy_mean=float(np.mean(node_accs)),
-            weights_mean=weights,
+            w_local_mean=w_local,
+            w_global_mean=1.0 - w_local,
         )
 
     # -- full run -----------------------------------------------------------
@@ -613,7 +569,8 @@ class Simulator:
         os.makedirs(outdir, exist_ok=True)
         with open(os.path.join(outdir, "metrics.jsonl"), "w") as f:
             for rep in reports:
-                f.write(json.dumps(rep.to_json_dict(), sort_keys=True) + "\n")
+                # the report's own field dict: dataclasses.asdict would deep-copy it
+                f.write(json.dumps(vars(rep), sort_keys=True) + "\n")
         with open(os.path.join(outdir, "summary.csv"), "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(

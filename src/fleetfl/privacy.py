@@ -1,8 +1,10 @@
 """Adaptive privacy tuning: context assessment, clipping, Gaussian noise, budget ledger.
 
-Per-round epsilon comes from a conservative max(sensitivity, threat) mapping;
-the Gaussian mechanism uses sigma = clip_norm * sqrt(2 ln(1.25/delta)) / eps
-per coordinate, and budgets compose linearly.
+Per-round epsilon comes from a conservative max(sensitivity, threat) mapping
+between the bounds a ``config.PrivacyConfig`` holds (eps_max=inf disables noise
+entirely); the Gaussian mechanism uses
+sigma = clip_norm * sqrt(2 ln(1.25/delta)) / eps per coordinate, and budgets
+compose linearly.
 """
 
 from __future__ import annotations
@@ -12,24 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import PrivacyConfig
 from .models import GradientUpdate
 
 
 class BudgetExceededError(RuntimeError):
     """Charging this epsilon would push the node over its budget cap."""
-
-
-@dataclass
-class PrivacyBounds:
-    """Tuning bounds; eps_max=inf disables noise entirely."""
-
-    eps_min: float = 0.5
-    eps_max: float = 8.0
-    delta: float = 1e-5
-    clip_norm: float = 1.0
-    mask_strength_min: float = 0.1
-    mask_strength_max: float = 2.0
-    budget_cap: float = 20.0
 
 
 @dataclass
@@ -66,7 +56,7 @@ def assess_context(
     sensitivity: float,
     threat: float,
     loss_trace: list[float],
-    bounds: PrivacyBounds,
+    bounds: PrivacyConfig,
 ) -> PrivacyContext:
     """Map (sensitivity, threat, convergence) to concrete privacy knobs."""
     if not 0.0 <= sensitivity <= 1.0:

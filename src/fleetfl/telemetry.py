@@ -8,7 +8,6 @@ prior whose concentration is controlled by the heterogeneity knob.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,18 +49,15 @@ class FleetDataset:
     true_bias: float = 0.0
 
     def __post_init__(self):
-        ids = [p.node_id for p in self.partitions]
-        if len(set(ids)) != len(ids):
+        self._by_id = {p.node_id: p for p in self.partitions}
+        if len(self._by_id) != len(self.partitions):
             raise ValueError("duplicate node ids in fleet")
         for p in self.partitions:
             if p.features.shape[1] != self.feature_dim:
                 raise ValueError("feature dimension mismatch")
 
     def partition(self, node_id: str) -> NodePartition:
-        for p in self.partitions:
-            if p.node_id == node_id:
-                return p
-        raise KeyError(node_id)
+        return self._by_id[node_id]
 
 
 def _dirichlet_alpha(heterogeneity: float) -> float:
@@ -155,32 +151,3 @@ def sensitivity_score(partition: NodePartition, lo: float = 0.0, hi: float = 1.0
         # degenerate fleet range: all partitions equally variant
         return 0.0 if v <= lo or v == 0.0 else 1.0
     return float(np.clip((v - lo) / (hi - lo), 0.0, 1.0))
-
-
-def dump_jsonl(fleet: FleetDataset, path: str) -> None:
-    """One JSON object per sample: {node_id, features, label}."""
-    with open(path, "w") as f:
-        for p in fleet.partitions:
-            for x, y in zip(p.features, p.labels):
-                rec = {"node_id": p.node_id, "features": [float(v) for v in x], "label": int(y)}
-                f.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
-def load_jsonl(path: str) -> FleetDataset:
-    by_node: dict[str, list[tuple[list[float], int]]] = {}
-    with open(path) as f:
-        for line in f:
-            rec = json.loads(line)
-            by_node.setdefault(rec["node_id"], []).append((rec["features"], rec["label"]))
-    partitions = []
-    dim = None
-    for node_id, rows in by_node.items():
-        feats = np.array([r[0] for r in rows], dtype=np.float64)
-        labels = np.array([r[1] for r in rows], dtype=np.int64)
-        dim = feats.shape[1]
-        partitions.append(NodePartition(node_id, feats, labels))
-    variances = [location_variance(p) for p in partitions]
-    lo, hi = min(variances), max(variances)
-    for p in partitions:
-        p.sensitivity = sensitivity_score(p, lo, hi)
-    return FleetDataset(partitions, dim)

@@ -294,7 +294,7 @@ def test_criterion_09_weighted_integration_and_fpr():
         })
         reports = orchestrator.run(cfg)
         for rep in reports:
-            w_l, w_g = rep.weights_mean
+            w_l, w_g = rep.w_local_mean, rep.w_global_mean
             assert w_l + w_g == pytest.approx(1.0, abs=1e-12)
         fpr_global.append(reports[-1].fpr_global)
         fpr_integrated.append(reports[-1].fpr_integrated)

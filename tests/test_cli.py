@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from conftest import make_cfg
 
 from fleetfl import config, ledger
@@ -29,6 +30,23 @@ def test_run_with_malformed_config_exits_2(tmp_path, capsys):
     unknown = tmp_path / "unknown.json"
     unknown.write_text('{"seed": 1, "wormhole": true}')
     assert main(["run", "--config", str(unknown)]) == 2
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"fleet": 5},
+        {"rounds": "ten"},
+        {"threat_schedule": []},
+        {"fleet": {"n_nodes": 0}},
+        {"privacy": {"eps_min": -1}},
+    ],
+)
+def test_run_with_bad_config_value_exits_2(tmp_path, capsys, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert main(["run", "--config", str(path)]) == 2
+    assert "error: bad config:" in capsys.readouterr().err
 
 
 def test_missing_subcommand_exits_2():

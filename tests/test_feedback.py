@@ -50,16 +50,6 @@ def test_explain_stability_in_unit_interval():
     assert 0.0 <= expl.stability <= 1.0
 
 
-def test_surrogate_explanation_ranks_active_feature_first():
-    params = ModelParams(np.array([2.0, 0.0]), 0.0)
-    background = np.random.default_rng(5).normal(size=(50, 2))
-    expl = feedback.explain_surrogate(params, np.array([0.2, 0.2]), background, 64, seed=1)
-    assert expl.method == "local_surrogate"
-    assert expl.attributions[0] > expl.attributions[1]
-    assert expl.attributions[1] < 0.01
-    assert 0.0 <= expl.stability <= 1.0
-
-
 def test_top_feature_breaks_ties_toward_lowest_index():
     assert feedback.top_feature(np.array([0.5, 0.5])) == 0
     assert feedback.top_feature(np.array([0.1, -0.7, 0.7])) == 1

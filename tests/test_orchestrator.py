@@ -1,15 +1,25 @@
 """Round loop: determinism, ledger ordering, budget closure, abort behavior."""
 
+import importlib.util
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from conftest import make_cfg
 
-from fleetfl import ledger
+from fleetfl import channel, ledger, orchestrator
 from fleetfl.encoding import hash_vector
 from fleetfl.orchestrator import Simulator, run
+
+NODES = ["node-0", "node-1", "node-2"]
+# local updates in, their ledger logs plus the global model's, then distribution
+WIRE_HEAD = (
+    [("local_update", n, "cloud") for n in NODES]
+    + [("ledger_log", "cloud", "ledger")] * 4
+    + [("global_distribution", "cloud", n) for n in NODES]
+)
 
 
 def test_zero_rounds_leaves_genesis_only():
@@ -106,7 +116,7 @@ def test_model_version_increments_each_successful_round():
 def test_reports_have_convex_fusion_weights():
     reports = run(make_cfg(rounds=2))
     for rep in reports:
-        w_l, w_g = rep.weights_mean
+        w_l, w_g = rep.w_local_mean, rep.w_global_mean
         assert w_l + w_g == pytest.approx(1.0)
         assert 0.0 <= w_l <= 1.0
 
@@ -146,3 +156,33 @@ def test_artifacts_are_complete(tmp_path):
     expl = [json.loads(l) for l in (tmp_path / "explanations.jsonl").read_text().splitlines()]
     assert {e["node"] for e in expl} == {f"node-{i}" for i in range(cfg.fleet.n_nodes)}
     assert all(0.0 <= e["stability"] <= 1.0 for e in expl)
+
+
+@pytest.mark.parametrize(
+    "overrides, tail",
+    [
+        ({}, [m for n in NODES for m in (("feedback", n, "cloud"), ("ledger_log", "cloud", "ledger"))]),
+        ({"integration_site": "cloud"}, [("ledger_log", "cloud", "ledger")]),
+        ({"feedback": {"enabled": False}}, []),
+    ],
+    ids=["node-site", "cloud-site", "feedback-off"],
+)
+def test_wire_order_of_one_round(overrides, tail):
+    sim = Simulator(make_cfg(rounds=1, **overrides))
+    assert sim.node_ids == NODES
+    _, trace = sim.run_round(0, record=True)
+    assert [(m.kind, m.sender, m.receiver) for m in trace.messages] == WIRE_HEAD + tail
+
+
+def test_benchmark_tracer_bindings_exist():
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    with tracer.installed():  # KeyError when a patched binding is gone
+        Simulator(make_cfg(rounds=1)).run()
+    calls = tracer.summary()["calls"]
+    assert calls["orchestrator.run_round"] == 1
+    assert calls["channel.seal"] > 0 and calls["channel.open"] > 0
+    assert orchestrator.seal is channel.seal  # restored on exit

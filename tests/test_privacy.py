@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fleetfl import privacy
+from fleetfl.config import PrivacyConfig
 from fleetfl.models import GradientUpdate
 
-BOUNDS = privacy.PrivacyBounds(eps_min=0.5, eps_max=8.0)
+BOUNDS = PrivacyConfig(eps_min=0.5, eps_max=8.0)
 
 
 def test_epsilon_boundary_no_signal():

@@ -85,20 +85,6 @@ def test_sensitivity_always_in_unit_interval(feats, lo, span):
     assert 0.0 <= score <= 1.0
 
 
-def test_jsonl_round_trip(tmp_path):
-    fleet = telemetry.generate_fleet(5, 3, 12, 4, 0.5)
-    path = tmp_path / "fleet.jsonl"
-    telemetry.dump_jsonl(fleet, str(path))
-    loaded = telemetry.load_jsonl(str(path))
-    assert sorted(p.node_id for p in loaded.partitions) == sorted(
-        p.node_id for p in fleet.partitions
-    )
-    for p in fleet.partitions:
-        q = loaded.partition(p.node_id)
-        np.testing.assert_allclose(q.features, p.features)
-        np.testing.assert_array_equal(q.labels, p.labels)
-
-
 def test_holdout_matches_generator_ceiling_distribution():
     fleet = telemetry.generate_fleet(9, 2, 20, 4, 0.0)
     X, y = telemetry.generate_holdout(fleet, 123, 400)
