@@ -17,16 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ledger
-from .channel import (
-    ChannelError,
-    FreshnessTag,
-    UnknownPartyError,
-    open_envelope,
-    seal,
-)
+from .channel import ChannelError, FreshnessTag, open_envelope, seal
 from .config import RunConfig
 from .encoding import enc_vec, hash_vector
-from .orchestrator import CLOUD_ID, LEDGER_ID, RoundTrace, Simulator, WireMessage
+from .orchestrator import CLOUD_ID, RoundTrace, Simulator, WireMessage
 
 ATTACK_KINDS = (
     "replay",
@@ -52,9 +46,6 @@ class AttackReport:
         if self.detected > self.injected:
             raise ValueError("detected cannot exceed injected")
 
-    def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
@@ -66,91 +57,53 @@ def _flip_bit(data: bytes, bit_index: int) -> bytes:
     return bytes(out)
 
 
-def inject(kind: str, trace: RoundTrace, seed: int) -> RoundTrace:
-    """Return a perturbed copy of the trace for the given attack kind."""
-    if kind not in ATTACK_KINDS:
-        raise ValueError(f"unknown attack kind {kind!r}")
+def inject(kind: str, trace: RoundTrace, seed: int) -> WireMessage:
+    """A copy of one recorded message, drawn by the seed and perturbed for a
+    wire attack: resent as is (replay), one ciphertext bit flipped
+    (tamper_message), or its endpoints swapped (mitm_swap)."""
+    if kind not in ("replay", "tamper_message", "mitm_swap"):
+        raise ValueError(f"not a wire attack kind: {kind!r}")
     rng = _rng(seed)
-    out = copy.deepcopy(trace)
-    if kind == "replay":
-        msg = out.messages[int(rng.integers(len(out.messages)))]
-        out.messages.append(copy.deepcopy(msg))
-    elif kind == "tamper_message":
-        msg = out.messages[int(rng.integers(len(out.messages)))]
-        bit = int(rng.integers(len(msg.envelope.ciphertext) * 8))
-        msg.envelope.ciphertext = _flip_bit(msg.envelope.ciphertext, bit)
+    msg = copy.deepcopy(trace.messages[int(rng.integers(len(trace.messages)))])
+    env = msg.envelope
+    if kind == "tamper_message":
+        env.ciphertext = _flip_bit(env.ciphertext, int(rng.integers(len(env.ciphertext) * 8)))
     elif kind == "mitm_swap":
-        msg = out.messages[int(rng.integers(len(out.messages)))]
-        msg.envelope.sender, msg.envelope.receiver = (
-            msg.envelope.receiver,
-            msg.envelope.sender,
-        )
+        env.sender, env.receiver = env.receiver, env.sender
         msg.sender, msg.receiver = msg.receiver, msg.sender
-    elif kind == "poison_update":
-        node = sorted(out.raw_updates)[int(rng.integers(len(out.raw_updates)))]
-        out.raw_updates[node] = out.raw_updates[node] * 100.0
-    # spoof_node / impersonate / tamper_block / eavesdrop are staged at
-    # delivery time against live receiver state; the trace itself is unchanged
-    return out
+    return msg
 
 
-@dataclass
-class _Defenses:
-    """Delivery-side checks an injected artifact must get past."""
-
-    sim: Simulator
-
-    def open_at_receiver(self, msg: WireMessage) -> bytes:
-        sim = self.sim
-        if msg.envelope.receiver == CLOUD_ID:
-            key = sim.keys.edge_cloud_key(msg.envelope.sender)
-            seen = sim.seen_cloud
-        elif msg.envelope.receiver == LEDGER_ID:
-            key = sim.keys.k_bc
-            seen = sim.seen_ledger
-        elif msg.envelope.receiver in sim.seen_node:
-            key = (
-                sim.keys.k_bc
-                if msg.envelope.sender == LEDGER_ID
-                else sim.keys.edge_cloud_key(msg.envelope.receiver)
-            )
-            seen = sim.seen_node[msg.envelope.receiver]
-        else:
-            raise UnknownPartyError(f"unknown receiver {msg.envelope.receiver}")
-        return open_envelope(key, msg.envelope, sim.window, seen, sim.clock)
-
-
-def _attack_messages(sim, trace, seeds, mutate_kind) -> AttackReport:
-    defenses = _Defenses(sim)
+def _deliver(sim: Simulator, kind: str, seeds, forge) -> AttackReport:
+    """Open each forged message at its receiver, as the pipeline would, and
+    count the typed channel rejections by class."""
     detected = 0
     notes = {}
-    for seed in seeds:
-        perturbed = inject(mutate_kind, trace, seed)
-        msg = perturbed.messages[-1] if mutate_kind == "replay" else None
-        if msg is None:
-            # the injected message is the one inject() mutated
-            rng = _rng(seed)
-            msg = perturbed.messages[int(rng.integers(len(trace.messages)))]
+    for i, seed in enumerate(seeds):
+        env = forge(i, seed).envelope
         try:
-            defenses.open_at_receiver(msg)
+            key, seen = sim.link(env.sender, env.receiver)
+            open_envelope(key, env, sim.window, seen, sim.clock)
         except ChannelError as exc:
             detected += 1
             name = type(exc).__name__
             notes[name] = notes.get(name, 0) + 1
     return AttackReport(
-        kind=mutate_kind,
-        injected=len(seeds),
-        detected=detected,
-        notes=json.dumps(notes, sort_keys=True),
+        kind=kind, injected=len(seeds), detected=detected, notes=json.dumps(notes, sort_keys=True)
     )
+
+
+def _attack_messages(sim, trace, seeds, kind) -> AttackReport:
+    return _deliver(sim, kind, seeds, lambda i, seed: inject(kind, trace, seed))
 
 
 def _attack_tamper_block(sim, seeds) -> AttackReport:
     detected = 0
     for seed in seeds:
         rng = _rng(seed)
-        chain = copy.deepcopy(sim.chain)
-        b = chain[int(rng.integers(len(chain)))]
+        chain = list(sim.chain)
+        i = int(rng.integers(len(chain)))
+        b = chain[i] = copy.deepcopy(chain[i])
         fields = ["prev_hash", "payload_hash", "block_hash", "meta", "attestations", "index"]
         pick = fields[int(rng.integers(len(fields)))]
         if pick == "meta":
@@ -172,11 +125,9 @@ def _attack_tamper_block(sim, seeds) -> AttackReport:
 
 def _attack_wrong_key(sim, trace, seeds, kind) -> AttackReport:
     """spoof_node: unregistered identity; impersonate: registered identity, wrong key."""
-    defenses = _Defenses(sim)
-    detected = 0
-    notes = {}
     payload = trace.masked[sorted(trace.masked)[0]].to_bytes()
-    for i, seed in enumerate(seeds):
+
+    def forge(i, seed):
         rng = _rng(seed)
         adversary_key = bytes(rng.integers(0, 256, size=32, dtype=np.uint8))
         if kind == "spoof_node":
@@ -189,15 +140,9 @@ def _attack_wrong_key(sim, trace, seeds, kind) -> AttackReport:
             round=trace.round,
         )
         env = seal(adversary_key, sender, CLOUD_ID, tag, payload)
-        try:
-            defenses.open_at_receiver(WireMessage(sender, CLOUD_ID, "local_update", env))
-        except ChannelError as exc:
-            detected += 1
-            name = type(exc).__name__
-            notes[name] = notes.get(name, 0) + 1
-    return AttackReport(
-        kind=kind, injected=len(seeds), detected=detected, notes=json.dumps(notes, sort_keys=True)
-    )
+        return WireMessage(sender, CLOUD_ID, "local_update", env)
+
+    return _deliver(sim, kind, seeds, forge)
 
 
 def _attack_poison(sim, trace, seeds, factor: float = 100.0) -> AttackReport:
@@ -291,4 +236,4 @@ def run_attack_suite(cfg: RunConfig, seeds: list[int]) -> list[AttackReport]:
 
 
 def reports_to_json(reports: list[AttackReport]) -> str:
-    return json.dumps([r.to_json_dict() for r in reports], sort_keys=True, indent=2)
+    return json.dumps([dataclasses.asdict(r) for r in reports], sort_keys=True, indent=2)

@@ -103,8 +103,10 @@ def _cmd_explain(args) -> int:
         return 2
     found = 0
     with open(path) as f:
-        for line in f:
+        for i, line in enumerate(f, 1):
             rec = json.loads(line)
+            if not isinstance(rec, dict) or "node" not in rec:
+                raise ValueError(f"malformed explanation record on line {i}")
             if rec["node"] == args.node:
                 print(json.dumps(rec, sort_keys=True))
                 found += 1

@@ -163,39 +163,23 @@ def _check_fields(obj, path: str) -> None:
                 raise ConfigError(f"{where} must be {word} {limit}, got {value!r}")
 
 
-_NESTED = {
-    "fleet": FleetConfig,
-    "train": TrainConfig,
-    "privacy": PrivacyConfig,
-    "ledger": LedgerConfig,
-    "feedback": FeedbackConfig,
-}
-
-
 def _build(cls, data: dict, path: str):
+    """Build a config section, recursing into fields typed as a section."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path} must be a JSON object")
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = set(data) - names
     if unknown:
         raise ConfigError(f"unknown config keys at {path}: {sorted(unknown)}")
-    return cls(**{k: _num(v) for k, v in data.items()})
+    hints = typing.get_type_hints(cls)
+    return cls(**{
+        k: _build(hints[k], v, k) if dataclasses.is_dataclass(hints[k]) else _num(v)
+        for k, v in data.items()
+    })
 
 
 def from_dict(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
-    names = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(data) - names
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
-    for key, value in data.items():
-        if key in _NESTED:
-            kwargs[key] = _build(_NESTED[key], value, key)
-        else:
-            kwargs[key] = _num(value)
-    return RunConfig(**kwargs)
+    return _build(RunConfig, data, "config")
 
 
 def load(path: str) -> RunConfig:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -360,23 +361,28 @@ def export_chain(chain: list[LedgerBlock]) -> str:
 
 
 def import_chain(text: str) -> list[LedgerBlock]:
+    """Parse export_chain's JSON; ValueError("malformed chain: ...") for any
+    record that does not have its shape or does not encode."""
+    records = json.loads(text)
+    if not isinstance(records, list):
+        raise ValueError("malformed chain: expected a JSON array of blocks")
     chain = []
-    for rec in json.loads(text):
-        m = rec["meta"]
-        meta = BlockMeta(
-            kind=m["kind"],
-            actor_id=m["actor_id"],
-            round=m["round"],
-            freshness=FreshnessTag(
-                nonce=bytes.fromhex(m["nonce"]),
-                timestamp=m["timestamp"],
-                round=m["freshness_round"],
-            ),
-            epsilon_charged=m["epsilon_charged"],
-            model_version=m["model_version"],
-        )
-        chain.append(
-            LedgerBlock(
+    for i, rec in enumerate(records):
+        try:
+            m = rec["meta"]
+            meta = BlockMeta(
+                kind=m["kind"],
+                actor_id=m["actor_id"],
+                round=m["round"],
+                freshness=FreshnessTag(
+                    nonce=bytes.fromhex(m["nonce"]),
+                    timestamp=m["timestamp"],
+                    round=m["freshness_round"],
+                ),
+                epsilon_charged=m["epsilon_charged"],
+                model_version=m["model_version"],
+            )
+            block = LedgerBlock(
                 index=rec["index"],
                 prev_hash=bytes.fromhex(rec["prev_hash"]),
                 payload_hash=bytes.fromhex(rec["payload_hash"]),
@@ -384,5 +390,10 @@ def import_chain(text: str) -> list[LedgerBlock]:
                 attestations=[(vid, bytes.fromhex(d)) for vid, d in rec["attestations"]],
                 block_hash=bytes.fromhex(rec["block_hash"]),
             )
-        )
+            # an ill-typed or out-of-range field fails here, not later in verify_chain
+            compute_block_hash(block.index, block.prev_hash, block.payload_hash, meta,
+                               block.attestations)
+        except (KeyError, TypeError, ValueError, AttributeError, struct.error) as exc:
+            raise ValueError(f"malformed chain: block record {i}: {exc!r}") from None
+        chain.append(block)
     return chain

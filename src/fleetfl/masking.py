@@ -95,16 +95,17 @@ def derive_masks(
     if dim < 1:
         raise ValueError("dim must be positive")
 
-    def strength_of(node: str) -> float:
-        s = strength[node] if isinstance(strength, Mapping) else float(strength)
-        if s <= 0:
-            raise ValueError("mask strength must be positive")
-        return s
+    if isinstance(strength, Mapping):
+        s = {p: strength[p] for p in participants}
+    else:
+        s = dict.fromkeys(participants, float(strength))
+    if any(v <= 0 for v in s.values()):
+        raise ValueError("mask strength must be positive")
 
     masks = {p: np.zeros(dim) for p in participants}
     for i, a in enumerate(participants):
         for b in participants[i + 1 :]:
-            pair_strength = max(strength_of(a), strength_of(b))
+            pair_strength = max(s[a], s[b])
             s_ij = _pair_seed(round_seed, round, a, b).normal(0.0, pair_strength, size=dim)
             masks[a] += s_ij
             masks[b] -= s_ij

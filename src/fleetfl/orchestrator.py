@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import aggregation, feedback, ledger, masking, privacy, telemetry
-from .channel import Envelope, FreshnessTag, KeyRegistry, NonceSource, open_envelope, seal
+from .channel import (
+    Envelope, FreshnessTag, KeyRegistry, NonceSource, UnknownPartyError, open_envelope, seal,
+)
 from .config import RunConfig
 from .encoding import canonical_hash, enc_u64, enc_vec, hash_vector
 from .models import (
@@ -204,14 +206,26 @@ class Simulator:
         if trace is not None:
             trace.messages.append(WireMessage(sender, receiver, kind, env))
 
+    def link(self, sender: str, receiver: str) -> tuple[bytes, set[bytes]]:
+        """The pre-shared key of the (sender, receiver) link and the receiver's
+        replay set: the one rule for the pipeline and the adversary harness."""
+        if receiver == LEDGER_ID:
+            return self.keys.k_bc, self.seen_ledger
+        if receiver == CLOUD_ID:
+            return self.keys.edge_cloud_key(sender), self.seen_cloud
+        if receiver in self.seen_node:
+            return self.keys.edge_cloud_key(receiver), self.seen_node[receiver]
+        raise UnknownPartyError(f"unknown receiver {receiver}")
+
     def _transmit(
         self, trace: RoundTrace | None, r: int, sender: str, receiver: str, kind: str,
-        key: bytes, seen: set[bytes], payload: bytes,
+        payload: bytes,
     ) -> tuple[bytes, FreshnessTag]:
         """Seal one message, put it on the wire, and open it at the receiver.
 
         Returns the opened payload and the sender's freshness tag.
         """
+        key, seen = self.link(sender, receiver)
         tag = self._tag(sender, r)
         env = seal(key, sender, receiver, tag, payload, used_nonces=self.sent_nonces[sender])
         self._send(trace, sender, receiver, kind, env)
@@ -276,10 +290,9 @@ class Simulator:
         for node in self.node_ids:
             tag = self._tag(node, r)
             masked[node] = masking.apply_mask(scaled[node], masks[node], tag)
-            env = seal(
-                self.keys.edge_cloud_key(node), node, CLOUD_ID, tag, masked[node].to_bytes(),
-                used_nonces=self.sent_nonces[node],
-            )
+            key, _ = self.link(node, CLOUD_ID)
+            env = seal(key, node, CLOUD_ID, tag, masked[node].to_bytes(),
+                       used_nonces=self.sent_nonces[node])
             self._send(trace, node, CLOUD_ID, "local_update", env)
             inbound.append(env)
         if trace is not None:
@@ -289,9 +302,8 @@ class Simulator:
         # cloud opens and checks integrity (origin + hash beliefs)
         received: list[masking.MaskedUpdate] = []
         for env in inbound:
-            payload = open_envelope(
-                self.keys.edge_cloud_key(env.sender), env, self.window, self.seen_cloud, self.clock
-            )
+            key, seen = self.link(env.sender, CLOUD_ID)
+            payload = open_envelope(key, env, self.window, seen, self.clock)
             mu = masking.MaskedUpdate.from_bytes(payload)
             if hash_vector(mu.payload) != mu.payload_hash:
                 raise ProtocolViolation(f"payload hash mismatch from {mu.node_id}")
@@ -310,10 +322,7 @@ class Simulator:
         rejected: list[tuple[str, list[str]]] = [(n, [reason]) for n, reason in drops]
         admitted = []
         for mu in cleaned:
-            payload, _ = self._transmit(
-                trace, r, CLOUD_ID, LEDGER_ID, "ledger_log", self.keys.k_bc, self.seen_ledger,
-                mu.to_bytes(),
-            )
+            payload, _ = self._transmit(trace, r, CLOUD_ID, LEDGER_ID, "ledger_log", mu.to_bytes())
             mu = masking.MaskedUpdate.from_bytes(payload)
             eps = ctxs[mu.node_id].epsilon
             meta = ledger.BlockMeta(
@@ -381,19 +390,14 @@ class Simulator:
         self._log_to_ledger(trace, r, "global_model", CLOUD_ID, gbytes, g.params.version)
         self.global_params = g.params
         for node in self.node_ids:
-            got, _ = self._transmit(
-                trace, r, CLOUD_ID, node, "global_distribution",
-                self.keys.edge_cloud_key(node), self.seen_node[node], gbytes,
-            )
+            got, _ = self._transmit(trace, r, CLOUD_ID, node, "global_distribution", gbytes)
             if got != gbytes:
                 raise ProtocolViolation("distributed global model corrupted in transit")
 
     def _log_to_ledger(
         self, trace, r: int, kind: str, actor: str, payload: bytes, model_version: int
     ) -> None:
-        got, tag = self._transmit(
-            trace, r, CLOUD_ID, LEDGER_ID, "ledger_log", self.keys.k_bc, self.seen_ledger, payload
-        )
+        got, tag = self._transmit(trace, r, CLOUD_ID, LEDGER_ID, "ledger_log", payload)
         meta = ledger.BlockMeta(
             kind=kind, actor_id=actor, round=r, freshness=tag,
             epsilon_charged=0.0, model_version=model_version,
@@ -514,10 +518,7 @@ class Simulator:
         else:
             self.node_params[actor] = integrated
             # edge node submits its integrated model through the cloud
-            payload, _ = self._transmit(
-                trace, r, actor, CLOUD_ID, "feedback", self.keys.edge_cloud_key(actor),
-                self.seen_cloud, payload,
-            )
+            payload, _ = self._transmit(trace, r, actor, CLOUD_ID, "feedback", payload)
         self._log_to_ledger(trace, r, "feedback", actor, payload, integrated.version)
         return w.w_local
 

@@ -2,11 +2,10 @@
 
 import json
 
-import numpy as np
 import pytest
 from conftest import make_cfg
 
-from fleetfl import attacks
+from fleetfl import attacks, ledger
 from fleetfl.orchestrator import Simulator
 
 
@@ -18,58 +17,58 @@ def honest():
     return sim, trace
 
 
+def _recorded(trace, msg):
+    """The recorded message an injected copy came from: the one with its nonce."""
+    (orig,) = [m for m in trace.messages if m.envelope.freshness == msg.envelope.freshness]
+    assert orig is not msg and orig.envelope is not msg.envelope
+    return orig
+
+
 def test_replay_injection_duplicates_a_message(honest):
     _, trace = honest
-    out = attacks.inject("replay", trace, seed=1)
-    assert len(out.messages) == len(trace.messages) + 1
-    dup = out.messages[-1]
-    assert any(
-        m.envelope.freshness.nonce == dup.envelope.freshness.nonce for m in out.messages[:-1]
-    )
+    msg = attacks.inject("replay", trace, seed=1)
+    orig = _recorded(trace, msg)
+    assert msg.envelope.to_bytes() == orig.envelope.to_bytes()
+    assert (msg.sender, msg.receiver, msg.kind) == (orig.sender, orig.receiver, orig.kind)
 
 
 def test_tamper_injection_flips_exactly_one_bit(honest):
     _, trace = honest
-    out = attacks.inject("tamper_message", trace, seed=2)
-    diffs = 0
-    for orig, mut in zip(trace.messages, out.messages):
-        a, b = orig.envelope.ciphertext, mut.envelope.ciphertext
-        diffs += sum(bin(x ^ y).count("1") for x, y in zip(a, b))
-    assert diffs == 1
-
-
-def test_poison_injection_scales_one_update_by_100(honest):
-    _, trace = honest
-    out = attacks.inject("poison_update", trace, seed=3)
-    ratios = [
-        np.linalg.norm(out.raw_updates[n]) / np.linalg.norm(trace.raw_updates[n])
-        for n in trace.raw_updates
-    ]
-    assert sorted(ratios)[-1] == pytest.approx(100.0)
-    assert all(r == pytest.approx(1.0) for r in sorted(ratios)[:-1])
+    msg = attacks.inject("tamper_message", trace, seed=2)
+    a, b = _recorded(trace, msg).envelope.ciphertext, msg.envelope.ciphertext
+    assert len(a) == len(b)
+    assert sum(bin(x ^ y).count("1") for x, y in zip(a, b)) == 1
 
 
 def test_mitm_injection_swaps_endpoints(honest):
     _, trace = honest
-    out = attacks.inject("mitm_swap", trace, seed=4)
-    swapped = [
-        (a, b)
-        for a, b in zip(trace.messages, out.messages)
-        if (a.envelope.sender, a.envelope.receiver)
-        != (b.envelope.sender, b.envelope.receiver)
-    ]
-    assert len(swapped) == 1
-    a, b = swapped[0]
-    assert (a.envelope.sender, a.envelope.receiver) == (
-        b.envelope.receiver,
-        b.envelope.sender,
+    msg = attacks.inject("mitm_swap", trace, seed=4)
+    orig = _recorded(trace, msg)
+    assert (msg.envelope.sender, msg.envelope.receiver) == (
+        orig.envelope.receiver,
+        orig.envelope.sender,
     )
+    assert (msg.sender, msg.receiver) == (orig.receiver, orig.sender)
+    assert msg.envelope.ciphertext == orig.envelope.ciphertext
 
 
 def test_unknown_attack_kind_rejected(honest):
     _, trace = honest
-    with pytest.raises(ValueError):
-        attacks.inject("quantum", trace, seed=0)
+    for kind in ("quantum", "poison_update", "tamper_block"):  # not wire attacks
+        with pytest.raises(ValueError):
+            attacks.inject(kind, trace, seed=0)
+
+
+@pytest.mark.parametrize("site", ["node", "cloud"])
+def test_every_recorded_message_replays_at_its_own_receiver(site):
+    # a wrong key would raise TamperedError, a wrong replay set would open it
+    sim = Simulator(make_cfg(rounds=1, integration_site=site))
+    _, trace = sim.run_round(0, record=True)
+    assert {m.kind for m in trace.messages} >= {"local_update", "ledger_log", "global_distribution"}
+    n = len(trace.messages)
+    rep = attacks._deliver(sim, "replay", range(n), lambda i, seed: trace.messages[i])
+    assert rep.detected == n
+    assert json.loads(rep.notes) == {"ReplayedError": n}
 
 
 def test_report_detected_cannot_exceed_injected():
@@ -111,6 +110,8 @@ def test_suite_never_appends_adversarial_blocks():
     sim = Simulator(cfg)
     report, trace = sim.run_round(0, record=True)
     before = len(sim.chain)
+    chain_json = ledger.export_chain(sim.chain)
+    wire = [m.envelope.to_bytes() for m in trace.messages]
     for kind in ("replay", "tamper_message", "mitm_swap"):
         attacks._attack_messages(sim, trace, list(range(5)), kind)
     attacks._attack_tamper_block(sim, list(range(5)))
@@ -118,3 +119,5 @@ def test_suite_never_appends_adversarial_blocks():
     attacks._attack_wrong_key(sim, trace, list(range(5)), "impersonate")
     attacks._attack_poison(sim, trace, list(range(5)))
     assert len(sim.chain) == before
+    assert ledger.export_chain(sim.chain) == chain_json
+    assert [m.envelope.to_bytes() for m in trace.messages] == wire

@@ -89,6 +89,25 @@ def test_ledger_verify_tampered_chain_exits_1(tmp_path, capsys):
     assert "first bad index 2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("chain.json", "[{}]"),
+        ("chain.json", "[1]"),
+        ("chain.json", '{"a": 1}'),
+        ("explanations.jsonl", "{}"),
+    ],
+)
+def test_malformed_chain_or_explanation_file_exits_1(tmp_path, capsys, name, text):
+    (tmp_path / name).write_text(text + "\n")
+    if name == "chain.json":
+        argv = ["ledger", "verify", "--chain", str(tmp_path / name)]
+    else:
+        argv = ["explain", "--run", str(tmp_path), "--node", "node-0"]
+    assert main(argv) == 1
+    assert "error: malformed" in capsys.readouterr().err
+
+
 def test_ledger_verify_missing_file_exits_2():
     assert main(["ledger", "verify", "--chain", "nope.json"]) == 2
 

@@ -1,6 +1,7 @@
 """Hash-chained ledger: committees, contract rules, quorum, tamper evidence."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -264,6 +265,14 @@ def test_export_import_round_trip():
     assert ledger.verify_chain(back) is None
     assert [b.block_hash for b in back] == [b.block_hash for b in chain]
     assert back[3].meta == chain[3].meta
+
+
+@pytest.mark.parametrize("field, value", [("round", "x"), ("round", -1), ("actor_id", 5)])
+def test_import_rejects_a_record_that_does_not_encode(field, value):
+    recs = json.loads(ledger.export_chain(_build_chain(3)))
+    recs[1]["meta"][field] = value
+    with pytest.raises(ValueError, match="malformed chain: block record 1"):
+        ledger.import_chain(json.dumps(recs))
 
 
 def test_admission_soundness_post_hoc():

@@ -36,8 +36,9 @@ def test_duplicate_participants_rejected():
 
 
 def test_non_positive_strength_rejected():
-    with pytest.raises(ValueError):
-        masking.derive_masks(42, ["A", "B"], 4, 0.0)
+    for participants in (["A", "B"], ["A"]):  # one node draws no pair at all
+        with pytest.raises(ValueError):
+            masking.derive_masks(42, participants, 4, 0.0)
 
 
 def test_pair_strength_takes_the_stricter_node():

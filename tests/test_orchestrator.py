@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from conftest import make_cfg
 
-from fleetfl import channel, ledger, orchestrator
+from fleetfl import attacks, channel, ledger, orchestrator
 from fleetfl.encoding import hash_vector
 from fleetfl.orchestrator import Simulator, run
 
@@ -186,3 +186,7 @@ def test_benchmark_tracer_bindings_exist():
     assert calls["orchestrator.run_round"] == 1
     assert calls["channel.seal"] > 0 and calls["channel.open"] > 0
     assert orchestrator.seal is channel.seal  # restored on exit
+    tracer = tracing.Tracer()
+    with tracer.installed():  # its attacks.copy has only deepcopy
+        attacks.run_attack_suite(make_cfg(rounds=1), [0, 1])
+    assert tracer.summary()["calls"]["attacks.inject"] == 6  # three wire kinds, two seeds
