@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import models
 from .models import ModelParams, evaluate, predict, train_local
 from .telemetry import NodePartition
 
@@ -70,6 +71,26 @@ class ExplainConfig:
     seed: int = 0
 
 
+def _abs_deltas(
+    params: ModelParams,
+    samples: np.ndarray,
+    base: np.ndarray,
+    background: np.ndarray,
+    rows: np.ndarray,
+) -> np.ndarray:
+    """|prediction change| of each sample when feature j is swapped in from
+    background row rows[i, r, j], scored in one batched prediction.
+
+    samples (n, d), base (n,) their predictions, rows (n, R, d) -> (n, R, d).
+    """
+    n, n_repeats, dim = rows.shape
+    perturbed = np.broadcast_to(samples[:, None, None, :], (n, n_repeats, dim, dim)).copy()
+    j = np.arange(dim)
+    perturbed[:, :, j, j] = background[rows, j]
+    preds = models.predict_batch(params, perturbed.reshape(-1, dim))
+    return np.abs(base[:, None, None] - preds.reshape(n, n_repeats, dim))
+
+
 def explain(
     params: ModelParams,
     sample: np.ndarray,
@@ -79,7 +100,8 @@ def explain(
     sample_id: int = 0,
 ) -> Explanation:
     """Permutation importance: per-feature mean |prediction change| when the
-    feature is swapped in from a random background row."""
+    feature is swapped in from a random background row. All n_repeats x dim
+    perturbations are scored in one batched prediction."""
     sample = np.asarray(sample, dtype=np.float64)
     background = np.asarray(background, dtype=np.float64)
     if background.ndim != 2 or background.shape[0] == 0:
@@ -91,13 +113,8 @@ def explain(
 
     rng = np.random.default_rng(seed)
     base = predict(params, sample)
-    diffs = np.empty((n_repeats, params.dim))
-    for r in range(n_repeats):
-        rows = rng.integers(0, background.shape[0], size=params.dim)
-        for j in range(params.dim):
-            perturbed = sample.copy()
-            perturbed[j] = background[rows[j], j]
-            diffs[r, j] = abs(base - predict(params, perturbed))
+    rows = rng.integers(0, background.shape[0], size=(n_repeats, params.dim))
+    diffs = _abs_deltas(params, sample[None], np.array([base]), background, rows[None])[0]
     attributions = diffs.mean(axis=0)
     spread = diffs.std(axis=0).mean()
     scale = attributions.mean() + _EPS
@@ -124,33 +141,37 @@ def validate_predictions(
     cfg: ExplainConfig,
 ) -> ValidationReport:
     """Model 2 checks Model 1: thresholded-prediction agreement plus agreement of
-    the top-attributed feature of each model's explanation."""
+    the top-attributed feature of each model's explanation. Sample i's
+    perturbations are drawn from its own seed and shared by both models."""
     if model1.dim != model2.dim:
         raise ValueError("models must share a dimension")
     X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != model1.dim:
+        raise ValueError("X must be a 2-D array with one column per model feature")
     if len(X) == 0:
         raise ValueError("empty sample list")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("X must be finite")
+    if cfg.n_repeats < 1:
+        raise ValueError("n_repeats must be positive")
 
-    agree = 0
-    consistent = 0
-    flagged = []
-    for i, x in enumerate(X):
-        p1 = predict(model1, x) >= 0.5
-        p2 = predict(model2, x) >= 0.5
-        seed = _sample_seed(cfg.seed, i)
-        e1 = explain(model1, x, X, cfg.n_repeats, seed, sample_id=i)
-        e2 = explain(model2, x, X, cfg.n_repeats, seed, sample_id=i)
-        same_pred = p1 == p2
-        same_top = top_feature(e1.attributions) == top_feature(e2.attributions)
-        agree += same_pred
-        consistent += same_top
-        if not (same_pred and same_top):
-            flagged.append(i)
-    n = len(X)
+    n, dim = X.shape
+    rows = np.stack([
+        np.random.default_rng(_sample_seed(cfg.seed, i)).integers(0, n, size=(cfg.n_repeats, dim))
+        for i in range(n)
+    ])
+    preds, tops = [], []
+    for model in (model1, model2):
+        p = models.predict_batch(model, X)
+        preds.append(p >= 0.5)
+        # argmax of the mean |change| over repeats; ties go to the lowest index
+        tops.append(np.argmax(_abs_deltas(model, X, p, X, rows).mean(axis=1), axis=1))
+    same_pred = preds[0] == preds[1]
+    same_top = tops[0] == tops[1]
     return ValidationReport(
-        agreement_rate=agree / n,
-        flagged=flagged,
-        explanation_consistency=consistent / n,
+        agreement_rate=int(same_pred.sum()) / n,
+        flagged=np.flatnonzero(~(same_pred & same_top)).tolist(),
+        explanation_consistency=int(same_top.sum()) / n,
     )
 
 

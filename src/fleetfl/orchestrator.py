@@ -89,13 +89,16 @@ def params_bytes(params: ModelParams) -> bytes:
 
 
 def _diversity(counts: list[int]) -> float:
-    """Normalized entropy of per-node contribution counts; 0 for one contributor."""
+    """Normalized entropy of per-node contribution counts; 0 for one contributor.
+
+    Clamped to 1: for equal counts the rounded entropy can exceed log(n) by an ulp.
+    """
     if len(counts) <= 1:
         return 0.0
     p = np.asarray(counts, dtype=np.float64)
     p = p / p.sum()
     h = -np.sum(p * np.log(np.clip(p, 1e-300, None)))
-    return float(h / math.log(len(counts)))
+    return min(1.0, float(h / math.log(len(counts))))
 
 
 class Simulator:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fleetfl import feedback
-from fleetfl.models import ModelParams, evaluate, train_local
+from fleetfl.models import ModelParams, evaluate, predict, train_local
 from fleetfl.telemetry import NodePartition
 
 
@@ -79,6 +79,17 @@ def test_negated_model_disagrees_everywhere():
     assert sorted(report.flagged) == list(range(len(X)))
 
 
+def test_validation_breaks_attribution_ties_toward_lowest_index():
+    # a constant model attributes exactly 0 to every feature, so its top feature
+    # is feature 0, the same as a model that only weighs feature 0
+    flat = ModelParams(np.zeros(3), 5.0)
+    first = ModelParams(np.array([0.1, 0.0, 0.0]), 5.0)
+    X = np.random.default_rng(11).normal(size=(6, 3))
+    report = feedback.validate_predictions(flat, first, X, _cfg())
+    assert report.explanation_consistency == 1.0
+    assert report.flagged == []
+
+
 def test_hand_built_disagreements_flag_exactly():
     # dim-1 models: explanations always agree on the single feature, so a sample
     # is flagged exactly when the thresholded predictions differ (x != 0)
@@ -97,6 +108,95 @@ def test_validate_rejects_empty_or_mismatched_inputs():
         feedback.validate_predictions(m, m, np.zeros((0, 2)), _cfg())
     with pytest.raises(ValueError):
         feedback.validate_predictions(m, ModelParams.zeros(3), np.zeros((2, 2)), _cfg())
+    with pytest.raises(ValueError, match="2-D array"):
+        feedback.validate_predictions(m, m, np.zeros(2), _cfg())
+    with pytest.raises(ValueError, match="2-D array"):
+        feedback.validate_predictions(m, m, np.zeros((2, 3)), _cfg())
+    with pytest.raises(ValueError, match="finite"):
+        feedback.validate_predictions(m, m, np.array([[0.0, 1.0], [np.nan, 0.0]]), _cfg())
+    with pytest.raises(ValueError):
+        feedback.validate_predictions(m, m, np.zeros((2, 2)), _cfg(repeats=0))
+
+
+def _reference_explain(params, sample, background, n_repeats, seed):
+    """Permutation importance with one scalar prediction per perturbation;
+    returns (attributions, stability)."""
+    rng = np.random.default_rng(seed)
+    base = predict(params, sample)
+    diffs = np.empty((n_repeats, params.dim))
+    for r in range(n_repeats):
+        rows = rng.integers(0, background.shape[0], size=params.dim)
+        for j in range(params.dim):
+            perturbed = sample.copy()
+            perturbed[j] = background[rows[j], j]
+            diffs[r, j] = abs(base - predict(params, perturbed))
+    attributions = diffs.mean(axis=0)
+    spread = diffs.std(axis=0).mean()
+    stability = float(np.clip(1.0 - spread / (attributions.mean() + 1e-12), 0.0, 1.0))
+    return attributions, stability
+
+
+def _reference_validate(model1, model2, X, cfg):
+    """Per-sample (same prediction, same top feature, top feature clear of the
+    runner-up by more than 1e-9 in both models' explanations)."""
+    out = []
+    for i, x in enumerate(X):
+        seed = feedback._sample_seed(cfg.seed, i)
+        tops, clear = [], True
+        for m in (model1, model2):
+            attr, _ = _reference_explain(m, x, X, cfg.n_repeats, seed)
+            top2 = np.sort(attr)[-2:]
+            clear = clear and (attr.size == 1 or top2[1] - top2[0] > 1e-9)
+            tops.append(feedback.top_feature(attr))
+        same_pred = (predict(model1, x) >= 0.5) == (predict(model2, x) >= 0.5)
+        out.append((same_pred, tops[0] == tops[1], clear))
+    return out
+
+
+def _random_case(seed):
+    rng = np.random.default_rng(seed)
+    d, n, repeats = rng.integers(1, 17), rng.integers(1, 21), rng.integers(1, 9)
+    X = rng.normal(size=(n, d))
+    m1 = ModelParams(rng.normal(size=d), float(rng.normal()))
+    m2 = ModelParams(m1.weights + rng.normal(scale=0.5, size=d), float(rng.normal()))
+    return m1, m2, X, _cfg(seed=seed, repeats=int(repeats))
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_batched_explain_matches_the_scalar_loop(case):
+    m1, _, X, cfg = _random_case(case)
+    for i in range(len(X)):
+        expl = feedback.explain(m1, X[i], X, cfg.n_repeats, seed=case + i, sample_id=i)
+        attr, stability = _reference_explain(m1, X[i], X, cfg.n_repeats, case + i)
+        np.testing.assert_allclose(expl.attributions, attr, rtol=0, atol=1e-12)
+        assert abs(expl.stability - stability) <= 1e-12
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_batched_validation_matches_the_scalar_loop(case):
+    m1, m2, X, cfg = _random_case(case)
+    report = feedback.validate_predictions(m1, m2, X, cfg)
+    ref = _reference_validate(m1, m2, X, cfg)
+    assert all(type(i) is int for i in report.flagged)
+    assert report.flagged == sorted(report.flagged)
+    assert report.agreement_rate == sum(p for p, _, _ in ref) / len(X)
+    for i, (same_pred, same_top, clear) in enumerate(ref):
+        if clear:
+            assert (i in report.flagged) == (not (same_pred and same_top))
+    if all(clear for _, _, clear in ref):
+        assert report.flagged == [i for i, (p, t, _) in enumerate(ref) if not (p and t)]
+        assert report.explanation_consistency == sum(t for _, t, _ in ref) / len(X)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 1000), st.integers(1, 8), st.integers(1, 16), st.integers(0, 2**64 - 1)
+)
+def test_one_block_draw_equals_sequential_row_draws(n, repeats, dim, seed):
+    block = np.random.default_rng(seed).integers(0, n, size=(repeats, dim))
+    rng = np.random.default_rng(seed)
+    rows = [rng.integers(0, n, size=dim) for _ in range(repeats)]
+    np.testing.assert_array_equal(block, np.stack(rows))
 
 
 def test_empty_flagged_set_gives_zero_correction():

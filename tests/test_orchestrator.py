@@ -137,6 +137,17 @@ def test_feedback_disabled_round_has_fewer_blocks():
     assert len(on.chain) == len(off.chain) + n_nodes  # plus one feedback block per node
 
 
+@pytest.mark.parametrize("n", range(2, 71))
+def test_diversity_of_equal_counts_is_at_most_one(n):
+    assert orchestrator._diversity([100] * n) <= 1.0
+
+
+@pytest.mark.parametrize("site", ["node", "cloud"])
+def test_five_equal_nodes_complete_a_feedback_round(site):
+    [report] = run(make_cfg(rounds=1, fleet={"n_nodes": 5}, integration_site=site))
+    assert not report.aborted
+
+
 def test_threat_schedule_cycles():
     cfg = make_cfg(threat_schedule=[0.1, 0.9])
     assert cfg.threat_for_round(0) == 0.1
@@ -184,6 +195,9 @@ def test_benchmark_tracer_bindings_exist():
         Simulator(make_cfg(rounds=1)).run()
     calls = tracer.summary()["calls"]
     assert calls["orchestrator.run_round"] == 1
+    # one batched validation and one stability explanation per node
+    assert calls["feedback.validate_predictions"] == 3
+    assert calls["feedback.explain"] == 3
     assert calls["channel.seal"] > 0 and calls["channel.open"] > 0
     assert orchestrator.seal is channel.seal  # restored on exit
     tracer = tracing.Tracer()
