@@ -12,6 +12,7 @@ import copy
 import dataclasses
 import json
 import secrets
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,8 @@ import numpy as np
 from . import ledger
 from .channel import ChannelError, FreshnessTag, open_envelope, seal
 from .config import RunConfig
-from .encoding import enc_vec, hash_vector
+# enc_vec is unused here but stays bound: the benchmark's tracer patches it by name
+from .encoding import enc_vec, hash_vector  # noqa: F401
 from .orchestrator import CLOUD_ID, RoundTrace, Simulator, WireMessage
 
 ATTACK_KINDS = (
@@ -72,6 +74,15 @@ def inject(kind: str, trace: RoundTrace, seed: int) -> WireMessage:
         env.sender, env.receiver = env.receiver, env.sender
         msg.sender, msg.receiver = msg.receiver, msg.sender
     return msg
+
+
+def _forged_tag(rng, sim, trace) -> FreshnessTag:
+    """A random nonce stamped at the simulator's current tick."""
+    return FreshnessTag(
+        nonce=bytes(rng.integers(0, 256, size=16, dtype=np.uint8)),
+        timestamp=sim.clock,
+        round=trace.round,
+    )
 
 
 def _deliver(sim: Simulator, kind: str, seeds, forge) -> AttackReport:
@@ -134,12 +145,7 @@ def _attack_wrong_key(sim, trace, seeds, kind) -> AttackReport:
             sender = f"ghost-{i}"
         else:
             sender = sim.node_ids[int(rng.integers(len(sim.node_ids)))]
-        tag = FreshnessTag(
-            nonce=bytes(rng.integers(0, 256, size=16, dtype=np.uint8)),
-            timestamp=sim.clock,
-            round=trace.round,
-        )
-        env = seal(adversary_key, sender, CLOUD_ID, tag, payload)
+        env = seal(adversary_key, sender, CLOUD_ID, _forged_tag(rng, sim, trace), payload)
         return WireMessage(sender, CLOUD_ID, "local_update", env)
 
     return _deliver(sim, kind, seeds, forge)
@@ -158,31 +164,13 @@ def _attack_poison(sim, trace, seeds, factor: float = 100.0) -> AttackReport:
     for seed in seeds:
         rng = _rng(seed)
         node = sorted(trace.raw_updates)[int(rng.integers(len(trace.raw_updates)))]
-        poisoned = trace.raw_updates[node] * factor
-        honest = trace.masked[node]
-        payload = poisoned + (honest.payload - trace.raw_updates[node])  # adversary masks honestly
-        tag = FreshnessTag(
-            nonce=bytes(rng.integers(0, 256, size=16, dtype=np.uint8)),
-            timestamp=sim.clock,
-            round=trace.round,
-        )
-        meta = ledger.BlockMeta(
-            kind="local_update",
-            actor_id=node,
-            round=trace.round,
-            freshness=tag,
-            epsilon_charged=0.0,
-            model_version=sim.global_params.version + 1,
-        )
-        state = ledger.ValidationState(
-            seen_nonces=sim.contract_nonces,
-            budget=sim.budget,
-            now=sim.clock,
-            payload=enc_vec(payload),
-            update_norm=float(np.linalg.norm(payload)),
-            n_samples=honest.n_samples,
-        )
-        result = ledger.contract_validate(meta, hash_vector(payload), rules, state)
+        raw, honest = trace.raw_updates[node], trace.masked[node]
+        payload = raw * factor + (honest.payload - raw)  # adversary masks honestly
+        tag = _forged_tag(rng, sim, trace)
+        forged = dataclasses.replace(honest, payload=payload, freshness=tag,
+                                     payload_hash=hash_vector(payload))
+        meta, state = sim.local_update_entry(forged, trace.round, 0.0)
+        result = ledger.contract_validate(meta, forged.payload_hash, rules, state)
         if not result.accepted and "norm_bound" in result.reasons:
             detected += 1
         elif result.accepted:
@@ -196,13 +184,10 @@ def _attack_poison(sim, trace, seeds, factor: float = 100.0) -> AttackReport:
 def _attack_eavesdrop(trace) -> AttackReport:
     """Structural leakage check: no raw update coordinate appears in the wire bytes."""
     wire = b"".join(m.envelope.to_bytes() for m in trace.messages)
-    leaked = False
-    for vec in trace.raw_updates.values():
-        for coord in vec:
-            be = np.float64(coord).astype(">f8").tobytes()
-            le = np.float64(coord).astype("<f8").tobytes()
-            if be in wire or le in wire:
-                leaked = True
+    leaked = any(
+        struct.pack(order, coord) in wire
+        for vec in trace.raw_updates.values() for coord in vec for order in (">d", "<d")
+    )
     return AttackReport(
         kind="eavesdrop",
         injected=1,

@@ -33,7 +33,7 @@ def _field(default, **bounds):
 
 @dataclass
 class FleetConfig:
-    n_nodes: int = _field(4, ge=1)
+    n_nodes: int = _field(4, ge=2)
     samples_per_node: int = _field(100, ge=1)
     feature_dim: int = _field(8, ge=1)
     heterogeneity: float = _field(0.3, ge=0.0, le=1.0)

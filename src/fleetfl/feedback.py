@@ -124,11 +124,6 @@ def explain(
     )
 
 
-def top_feature(attributions: np.ndarray) -> int:
-    """Argmax of |attribution|, ties broken by lowest feature index."""
-    return int(np.argmax(np.abs(attributions)))
-
-
 def _sample_seed(base_seed: int, sample_id: int) -> int:
     h = hashlib.sha256(f"explain:{base_seed}:{sample_id}".encode()).digest()
     return int.from_bytes(h[:8], "big")

@@ -10,7 +10,6 @@ from the config seed, so identical configs produce byte-identical artifacts.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import json
 import math
@@ -203,12 +202,6 @@ class Simulator:
         self.clock += 1
         return FreshnessTag(nonce=nonce, timestamp=self.clock, round=rnd)
 
-    def _send(
-        self, trace: RoundTrace | None, sender: str, receiver: str, kind: str, env: Envelope
-    ) -> None:
-        if trace is not None:
-            trace.messages.append(WireMessage(sender, receiver, kind, env))
-
     def link(self, sender: str, receiver: str) -> tuple[bytes, set[bytes]]:
         """The pre-shared key of the (sender, receiver) link and the receiver's
         replay set: the one rule for the pipeline and the adversary harness."""
@@ -221,18 +214,43 @@ class Simulator:
         raise UnknownPartyError(f"unknown receiver {receiver}")
 
     def _transmit(
-        self, trace: RoundTrace | None, r: int, sender: str, receiver: str, kind: str,
-        payload: bytes,
-    ) -> tuple[bytes, FreshnessTag]:
-        """Seal one message, put it on the wire, and open it at the receiver.
-
-        Returns the opened payload and the sender's freshness tag.
-        """
+        self, trace: RoundTrace | None, tag: FreshnessTag, sender: str, receiver: str,
+        kind: str, payload: bytes,
+    ) -> bytes:
+        """Seal one message under the sender's tag, put it on the wire, and open
+        it at the receiver; returns the opened payload."""
         key, seen = self.link(sender, receiver)
-        tag = self._tag(sender, r)
         env = seal(key, sender, receiver, tag, payload, used_nonces=self.sent_nonces[sender])
-        self._send(trace, sender, receiver, kind, env)
-        return open_envelope(key, env, self.window, seen, self.clock), tag
+        if trace is not None:
+            trace.messages.append(WireMessage(sender, receiver, kind, env))
+        return open_envelope(key, env, self.window, seen, self.clock)
+
+    def local_update_entry(
+        self, mu: masking.MaskedUpdate, r: int, epsilon: float
+    ) -> tuple[ledger.BlockMeta, ledger.ValidationState]:
+        """The block metadata and contract state of one masked local update: the
+        one admission rule for the pipeline and the adversary harness."""
+        meta = ledger.BlockMeta(
+            kind="local_update", actor_id=mu.node_id, round=r, freshness=mu.freshness,
+            epsilon_charged=0.0 if math.isinf(epsilon) else epsilon,
+            model_version=self.global_params.version + 1,
+        )
+        # encoded once; both contract checks read it
+        state = ledger.ValidationState(
+            seen_nonces=self.contract_nonces, budget=self.budget, now=self.clock,
+            payload=enc_vec(mu.payload), update_norm=float(np.linalg.norm(mu.payload)),
+            n_samples=mu.n_samples,
+        )
+        return meta, state
+
+    def _append(self, payload_hash: bytes, meta: ledger.BlockMeta,
+                state: ledger.ValidationState, *seed_parts) -> None:
+        """Append one block; its committee is drawn per round and per seed part."""
+        ledger.append_block(
+            self.chain, payload_hash, meta, self.vset, self.rules, state,
+            committee_seed=_sub_seed(self.cfg.seed, "committee", meta.round, *seed_parts),
+            committee_size=self.cfg.ledger.committee_size,
+        )
 
     # -- round pipeline -----------------------------------------------------
 
@@ -281,7 +299,7 @@ class Simulator:
         return scaled, ctxs, local_deltas
 
     def _mask_and_send(self, trace, r: int, scaled, ctxs) -> list[masking.MaskedUpdate]:
-        """Mask every update, seal them all to the cloud, then open them all there."""
+        """Mask every update and send it to the cloud, which checks its hash and origin."""
         strengths = {
             n: ctxs[n].mask_strength * max(1.0, float(np.linalg.norm(scaled[n].grad)))
             for n in self.node_ids
@@ -289,83 +307,53 @@ class Simulator:
         round_seed = _sub_seed(self.cfg.seed, "masks", r)
         masks = masking.derive_masks(round_seed, self.node_ids, self.dim + 1, strengths, round=r)
         masked: dict[str, masking.MaskedUpdate] = {}
-        inbound: list[Envelope] = []
+        received: list[masking.MaskedUpdate] = []
         for node in self.node_ids:
             tag = self._tag(node, r)
             masked[node] = masking.apply_mask(scaled[node], masks[node], tag)
-            key, _ = self.link(node, CLOUD_ID)
-            env = seal(key, node, CLOUD_ID, tag, masked[node].to_bytes(),
-                       used_nonces=self.sent_nonces[node])
-            self._send(trace, node, CLOUD_ID, "local_update", env)
-            inbound.append(env)
-        if trace is not None:
-            trace.raw_updates = {n: scaled[n].grad.copy() for n in self.node_ids}
-            trace.masked = masked
-
-        # cloud opens and checks integrity (origin + hash beliefs)
-        received: list[masking.MaskedUpdate] = []
-        for env in inbound:
-            key, seen = self.link(env.sender, CLOUD_ID)
-            payload = open_envelope(key, env, self.window, seen, self.clock)
+            payload = self._transmit(
+                trace, tag, node, CLOUD_ID, "local_update", masked[node].to_bytes()
+            )
+            # the cloud checks integrity (origin + hash beliefs)
             mu = masking.MaskedUpdate.from_bytes(payload)
             if hash_vector(mu.payload) != mu.payload_hash:
                 raise ProtocolViolation(f"payload hash mismatch from {mu.node_id}")
-            if mu.node_id != env.sender:
+            if mu.node_id != node:
                 raise ProtocolViolation("update origin does not match envelope sender")
             received.append(mu)
+        if trace is not None:
+            trace.raw_updates = {n: scaled[n].grad.copy() for n in self.node_ids}
+            trace.masked = masked
         return received
 
     def _admit(self, trace, r: int, received, ctxs):
-        """Ledger admission: validate every update before appending any.
+        """Ledger admission: log every update, then validate them all at one
+        clock reading before appending any.
 
         Returns (admitted updates, rejections, epsilon charged per node). Any
         rejection admits nothing: masks cannot cancel over a partial roster.
         """
         cleaned, drops = aggregation.preprocess_updates(received, self.dim + 1)
         rejected: list[tuple[str, list[str]]] = [(n, [reason]) for n, reason in drops]
-        admitted = []
-        for mu in cleaned:
-            payload, _ = self._transmit(trace, r, CLOUD_ID, LEDGER_ID, "ledger_log", mu.to_bytes())
-            mu = masking.MaskedUpdate.from_bytes(payload)
-            eps = ctxs[mu.node_id].epsilon
-            meta = ledger.BlockMeta(
-                kind="local_update",
-                actor_id=mu.node_id,
-                round=r,
-                freshness=mu.freshness,
-                epsilon_charged=0.0 if math.isinf(eps) else eps,
-                model_version=self.global_params.version + 1,
-            )
-            # encoded once; both contract checks read it
-            state = ledger.ValidationState(
-                seen_nonces=self.contract_nonces,
-                budget=self.budget,
-                now=self.clock,
-                payload=enc_vec(mu.payload),
-                update_norm=float(np.linalg.norm(mu.payload)),
-                n_samples=mu.n_samples,
-            )
+        logged = [
+            masking.MaskedUpdate.from_bytes(self._transmit(
+                trace, self._tag(CLOUD_ID, r), CLOUD_ID, LEDGER_ID, "ledger_log", mu.to_bytes()
+            ))
+            for mu in cleaned
+        ]
+        admitted = [
+            (mu, *self.local_update_entry(mu, r, ctxs[mu.node_id].epsilon)) for mu in logged
+        ]
+        for mu, meta, state in admitted:
             result = ledger.contract_validate(meta, mu.payload_hash, self.rules, state)
-            if result.accepted:
-                admitted.append((mu, meta, state))
-            else:
+            if not result.accepted:
                 rejected.append((mu.node_id, result.reasons))
         if rejected:
             return [], rejected, {}
 
         charged: dict[str, float] = {}
         for mu, meta, state in admitted:
-            # the ledger's own check reads the clock afresh
-            ledger.append_block(
-                self.chain,
-                mu.payload_hash,
-                meta,
-                self.vset,
-                self.rules,
-                dataclasses.replace(state, now=self.clock),
-                committee_seed=_sub_seed(self.cfg.seed, "committee", r, mu.node_id),
-                committee_size=self.cfg.ledger.committee_size,
-            )
+            self._append(mu.payload_hash, meta, state, mu.node_id)
             if meta.epsilon_charged > 0:
                 privacy.charge_budget(self.budget, mu.node_id, meta.epsilon_charged)
                 charged[mu.node_id] = meta.epsilon_charged
@@ -393,14 +381,17 @@ class Simulator:
         self._log_to_ledger(trace, r, "global_model", CLOUD_ID, gbytes, g.params.version)
         self.global_params = g.params
         for node in self.node_ids:
-            got, _ = self._transmit(trace, r, CLOUD_ID, node, "global_distribution", gbytes)
+            got = self._transmit(
+                trace, self._tag(CLOUD_ID, r), CLOUD_ID, node, "global_distribution", gbytes
+            )
             if got != gbytes:
                 raise ProtocolViolation("distributed global model corrupted in transit")
 
     def _log_to_ledger(
         self, trace, r: int, kind: str, actor: str, payload: bytes, model_version: int
     ) -> None:
-        got, tag = self._transmit(trace, r, CLOUD_ID, LEDGER_ID, "ledger_log", payload)
+        tag = self._tag(CLOUD_ID, r)
+        got = self._transmit(trace, tag, CLOUD_ID, LEDGER_ID, "ledger_log", payload)
         meta = ledger.BlockMeta(
             kind=kind, actor_id=actor, round=r, freshness=tag,
             epsilon_charged=0.0, model_version=model_version,
@@ -408,11 +399,7 @@ class Simulator:
         state = ledger.ValidationState(
             seen_nonces=self.contract_nonces, budget=self.budget, now=self.clock, payload=got
         )
-        ledger.append_block(
-            self.chain, canonical_hash(got), meta, self.vset, self.rules, state,
-            committee_seed=_sub_seed(self.cfg.seed, "committee", r, kind, actor),
-            committee_size=self.cfg.ledger.committee_size,
-        )
+        self._append(canonical_hash(got), meta, state, kind, actor)
 
     def _feedback_phase(self, trace, r: int, prev_global: ModelParams,
                         g: aggregation.GlobalUpdate, local_deltas) -> tuple[float, float]:
@@ -521,7 +508,9 @@ class Simulator:
         else:
             self.node_params[actor] = integrated
             # edge node submits its integrated model through the cloud
-            payload, _ = self._transmit(trace, r, actor, CLOUD_ID, "feedback", payload)
+            payload = self._transmit(
+                trace, self._tag(actor, r), actor, CLOUD_ID, "feedback", payload
+            )
         self._log_to_ledger(trace, r, "feedback", actor, payload, integrated.version)
         return w.w_local
 

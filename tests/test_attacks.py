@@ -1,12 +1,14 @@
 """Adversary harness: injection mechanics and end-to-end detection rates."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 from conftest import make_cfg
 
 from fleetfl import attacks, ledger
-from fleetfl.orchestrator import Simulator
+from fleetfl.orchestrator import RoundTrace, Simulator
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +98,38 @@ def test_poison_below_the_bound_is_undetected_by_design():
     rep = attacks._attack_poison(sim, trace, seeds=list(range(10)), factor=1.01)
     assert rep.detected == 0
     assert "undetected by design" in rep.notes
+
+
+def test_entry_rejudges_a_recorded_update_as_a_replay(honest):
+    # the entry reads the ledger's live nonce set, so only the nonce fails
+    sim, trace = honest
+    for mu in trace.masked.values():
+        meta, state = sim.local_update_entry(mu, trace.round, math.inf)
+        result = ledger.contract_validate(meta, mu.payload_hash, sim.rules, state)
+        assert result.reasons == ["replay"]
+
+
+def test_poison_is_detected_against_a_pinned_bound():
+    sim = Simulator(make_cfg(rounds=1))
+    _, trace = sim.run_round(0, record=True)
+    honest_max = max(float(np.linalg.norm(mu.payload)) for mu in trace.masked.values())
+    sim = Simulator(make_cfg(rounds=1, ledger={"max_update_norm": 3.0 * honest_max}))
+    report, trace = sim.run_round(0, record=True)
+    assert not report.aborted
+    rep = attacks._attack_poison(sim, trace, seeds=list(range(10)))
+    assert (rep.detected, rep.injected, rep.notes) == (10, 10, "")
+
+
+def test_eavesdrop_flags_a_raw_coordinate_seen_on_the_wire(honest):
+    _, trace = honest
+    wire = trace.messages[-1].envelope.to_bytes()
+    coord = next(
+        c for i in range(len(wire) - 7)
+        if np.isfinite(c := np.frombuffer(wire[i:i + 8], dtype=">f8")[0])
+    )
+    leaky = RoundTrace(trace.round, trace.messages, raw_updates={"node-0": np.array([coord])})
+    assert attacks._attack_eavesdrop(leaky).leaked is True
+    assert attacks._attack_eavesdrop(trace).leaked is False
 
 
 def test_reports_serialize_to_json():

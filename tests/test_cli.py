@@ -40,6 +40,7 @@ def test_run_with_malformed_config_exits_2(tmp_path, capsys):
         {"threat_schedule": []},
         {"fleet": {"n_nodes": 0}},
         {"privacy": {"eps_min": -1}},
+        {"fleet": {"n_nodes": 1}},  # one node's mask is zero: its raw update would be sent
     ],
 )
 def test_run_with_bad_config_value_exits_2(tmp_path, capsys, bad):

@@ -50,11 +50,6 @@ def test_explain_stability_in_unit_interval():
     assert 0.0 <= expl.stability <= 1.0
 
 
-def test_top_feature_breaks_ties_toward_lowest_index():
-    assert feedback.top_feature(np.array([0.5, 0.5])) == 0
-    assert feedback.top_feature(np.array([0.1, -0.7, 0.7])) == 1
-
-
 def _cfg(seed=0, repeats=5):
     return feedback.ExplainConfig(n_repeats=repeats, seed=seed)
 
@@ -136,6 +131,11 @@ def _reference_explain(params, sample, background, n_repeats, seed):
     return attributions, stability
 
 
+def _top_feature(attributions):
+    """The tie rule: argmax of |attribution|, ties broken by lowest feature index."""
+    return int(np.argmax(np.abs(attributions)))
+
+
 def _reference_validate(model1, model2, X, cfg):
     """Per-sample (same prediction, same top feature, top feature clear of the
     runner-up by more than 1e-9 in both models' explanations)."""
@@ -147,7 +147,7 @@ def _reference_validate(model1, model2, X, cfg):
             attr, _ = _reference_explain(m, x, X, cfg.n_repeats, seed)
             top2 = np.sort(attr)[-2:]
             clear = clear and (attr.size == 1 or top2[1] - top2[0] > 1e-9)
-            tops.append(feedback.top_feature(attr))
+            tops.append(_top_feature(attr))
         same_pred = (predict(model1, x) >= 0.5) == (predict(model2, x) >= 0.5)
         out.append((same_pred, tops[0] == tops[1], clear))
     return out

@@ -94,6 +94,18 @@ def test_round_aborts_when_contract_rejects_everything():
         assert rep.rejected and all("norm_bound" in reasons for _, reasons in rep.rejected)
 
 
+def test_admission_judges_every_update_at_one_clock_reading():
+    # all three ledger hops tick the clock before any check, so with a
+    # 3-tick window node-0's and node-1's updates are stale and node-2's is not
+    cfg = make_cfg(rounds=1, freshness_window=3, privacy={"eps_max": 4.0, "budget_cap": 500.0})
+    sim = Simulator(cfg)
+    [report], _ = sim.run()
+    assert report.aborted
+    assert report.rejected == [("node-0", ["stale"]), ("node-1", ["stale"])]
+    assert len(sim.chain) == 1
+    assert all(v == 0.0 for v in report.epsilon_spent.values())
+
+
 def test_edge_payload_hash_survives_to_the_ledger():
     sim = Simulator(make_cfg(rounds=1))
     _, trace = sim.run_round(0, record=True)
@@ -183,6 +195,21 @@ def test_wire_order_of_one_round(overrides, tail):
     assert sim.node_ids == NODES
     _, trace = sim.run_round(0, record=True)
     assert [(m.kind, m.sender, m.receiver) for m in trace.messages] == WIRE_HEAD + tail
+
+
+def test_every_wire_message_is_sealed_and_opened_once(monkeypatch):
+    calls = {"seal": 0, "open": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(orchestrator, "seal", counted("seal", channel.seal))
+    monkeypatch.setattr(orchestrator, "open_envelope", counted("open", channel.open_envelope))
+    _, trace = Simulator(make_cfg(rounds=1)).run_round(0, record=True)
+    assert calls["seal"] == calls["open"] == len(trace.messages)
 
 
 def test_benchmark_tracer_bindings_exist():
