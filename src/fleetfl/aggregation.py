@@ -118,15 +118,16 @@ def fedavg_from_masked_sum(
 
 def privacy_adjust_global(
     g: GlobalUpdate,
+    base: ModelParams,
     epsilon_global: float,
     delta: float,
     clip_global: float,
     rng_seed: int,
 ) -> GlobalUpdate:
-    """Clip the aggregate delta and apply the Gaussian mechanism; eps=inf is identity."""
+    """Clip the aggregate delta and apply the Gaussian mechanism; the published
+    params are exactly base + the published delta. eps=inf is identity."""
     if math.isinf(epsilon_global):
         return g
-    base_vec = g.params.as_vector() - g.delta
     agg = g.delta
     norm = float(np.linalg.norm(agg))
     if norm > clip_global:
@@ -134,7 +135,7 @@ def privacy_adjust_global(
     sigma = gaussian_sigma(clip_global, epsilon_global, delta)
     rng = np.random.default_rng(rng_seed)
     agg = agg + rng.normal(0.0, sigma, size=agg.shape)
-    params = ModelParams.from_vector(base_vec + agg, version=g.params.version)
+    params = ModelParams.from_vector(base.as_vector() + agg, version=g.params.version)
     return GlobalUpdate(
         params=params,
         delta=agg,

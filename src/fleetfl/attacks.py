@@ -72,7 +72,6 @@ def inject(kind: str, trace: RoundTrace, seed: int) -> WireMessage:
         env.ciphertext = _flip_bit(env.ciphertext, int(rng.integers(len(env.ciphertext) * 8)))
     elif kind == "mitm_swap":
         env.sender, env.receiver = env.receiver, env.sender
-        msg.sender, msg.receiver = msg.receiver, msg.sender
     return msg
 
 
@@ -94,7 +93,7 @@ def _deliver(sim: Simulator, kind: str, seeds, forge) -> AttackReport:
         env = forge(i, seed).envelope
         try:
             key, seen = sim.link(env.sender, env.receiver)
-            open_envelope(key, env, sim.window, seen, sim.clock)
+            open_envelope(key, env, sim.rules.freshness_window, seen, sim.clock)
         except ChannelError as exc:
             detected += 1
             name = type(exc).__name__
@@ -146,7 +145,7 @@ def _attack_wrong_key(sim, trace, seeds, kind) -> AttackReport:
         else:
             sender = sim.node_ids[int(rng.integers(len(sim.node_ids)))]
         env = seal(adversary_key, sender, CLOUD_ID, _forged_tag(rng, sim, trace), payload)
-        return WireMessage(sender, CLOUD_ID, "local_update", env)
+        return WireMessage("local_update", env)
 
     return _deliver(sim, kind, seeds, forge)
 

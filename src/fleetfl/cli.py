@@ -1,12 +1,13 @@
 """Command-line entry point.
 
 Subcommands:
-  run     --config <path>            full simulation, artifacts to output_dir
-  attack  --config <path> [--seeds]  adversary suite, JSON reports to stdout
-  ledger  verify --chain <path>      re-verify an exported chain
-  explain --run <dir> --node <id>    print a node's explanation records
+  run     --config <path>                   full simulation, artifacts to output_dir
+  attack  --config <path> [--injections N]  adversary suite, JSON reports to stdout
+  ledger  verify --chain <path>             re-verify an exported chain
+  explain --run <dir> --node <id>           print a node's explanation records
 
-Exit codes: 0 success, 1 validation failure, 2 bad usage or a malformed config.
+Exit codes: 0 success, 1 validation failure, 2 bad usage, a malformed config or
+a missing input file.
 """
 
 from __future__ import annotations
@@ -41,13 +42,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load_config(path: str) -> config.RunConfig:
-    if not os.path.exists(path):
-        print(f"error: config file not found: {path}", file=sys.stderr)
+def _require_file(path: str, what: str) -> None:
+    """Exit 2 unless the path names a regular file."""
+    if not os.path.isfile(path):
+        print(f"error: {what} file not found: {path}", file=sys.stderr)
         raise SystemExit(2)
+
+
+def _load_config(path: str) -> config.RunConfig:
+    _require_file(path, "config")
     try:
         cfg = config.load(path)
-    except (config.ConfigError, json.JSONDecodeError) as exc:
+    except (config.ConfigError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
         raise SystemExit(2)
     outdir = os.environ.get("FLEETFL_OUTPUT_DIR")
@@ -58,6 +64,12 @@ def _load_config(path: str) -> config.RunConfig:
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
+    if cfg.output_dir:
+        try:
+            os.makedirs(cfg.output_dir, exist_ok=True)
+        except OSError as exc:
+            print(f"error: bad output_dir: {exc}", file=sys.stderr)
+            return 2
     reports = orchestrator.run(cfg)
     for rep in reports:
         print(
@@ -71,6 +83,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_attack(args) -> int:
+    if args.injections < 1:
+        print(f"error: --injections must be >= 1, got {args.injections}", file=sys.stderr)
+        return 2
     cfg = _load_config(args.config)
     seeds = list(range(args.injections))
     reports = attacks.run_attack_suite(cfg, seeds)
@@ -83,9 +98,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_ledger_verify(args) -> int:
-    if not os.path.exists(args.chain):
-        print(f"error: chain file not found: {args.chain}", file=sys.stderr)
-        return 2
+    _require_file(args.chain, "chain")
     with open(args.chain) as f:
         chain = ledger.import_chain(f.read())
     bad = ledger.verify_chain(chain)
@@ -98,7 +111,7 @@ def _cmd_ledger_verify(args) -> int:
 
 def _cmd_explain(args) -> int:
     path = os.path.join(args.run_dir, "explanations.jsonl")
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         print(f"error: no explanations found under {args.run_dir}", file=sys.stderr)
         return 2
     found = 0

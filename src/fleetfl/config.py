@@ -68,7 +68,6 @@ class LedgerConfig:
     byzantine_refuse: list[str] = field(default_factory=list)
     byzantine_false: list[str] = field(default_factory=list)
     max_update_norm: float | None = _field(None, gt=0.0)  # None -> auto from privacy bounds
-    max_declared_samples: int | None = _field(None, ge=1)
 
 
 @dataclass

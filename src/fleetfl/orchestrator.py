@@ -42,10 +42,8 @@ class ProtocolViolation(RuntimeError):
 
 @dataclass
 class WireMessage:
-    sender: str
-    receiver: str
     kind: str
-    envelope: Envelope
+    envelope: Envelope  # carries the endpoints
 
 
 @dataclass
@@ -106,32 +104,28 @@ class Simulator:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         fc = cfg.fleet
-        self.fleet = telemetry.generate_fleet(
+        fleet = telemetry.generate_fleet(
             cfg.seed, fc.n_nodes, fc.samples_per_node, fc.feature_dim, fc.heterogeneity
         )
-        self.node_ids = sorted(p.node_id for p in self.fleet.partitions)
+        self.node_ids = sorted(p.node_id for p in fleet.partitions)
         self.dim = fc.feature_dim
         self.holdout_X, self.holdout_y = telemetry.generate_holdout(
-            self.fleet, _sub_seed(cfg.seed, "holdout"), cfg.holdout_samples
+            fleet, _sub_seed(cfg.seed, "holdout"), cfg.holdout_samples
         )
+        # each node's (train, holdout) split, drawn once
+        self._parts = {p.node_id: self._split(p) for p in fleet.partitions}
 
         self.budget = privacy.BudgetLedger(budget_cap=cfg.privacy.budget_cap)
 
         self.keys = KeyRegistry.generate(self.node_ids, _sub_seed(cfg.seed, "keys"))
-        self.nonce_sources = {
-            party: NonceSource(party, _sub_seed(cfg.seed, "nonce", party))
-            for party in self.node_ids + [CLOUD_ID, LEDGER_ID]
-        }
-        self.sent_nonces: dict[str, set[bytes]] = {
-            party: set() for party in self.node_ids + [CLOUD_ID, LEDGER_ID]
-        }
-        self.seen_cloud: set[bytes] = set()
-        self.seen_ledger: set[bytes] = set()
-        self.seen_node: dict[str, set[bytes]] = {n: set() for n in self.node_ids}
+        parties = self.node_ids + [CLOUD_ID, LEDGER_ID]
+        self.nonce_sources = {p: NonceSource(p, _sub_seed(cfg.seed, "nonce", p)) for p in parties}
+        # each sender's used nonces and each receiver's replay set
+        self.sent_nonces: dict[str, set[bytes]] = {p: set() for p in parties}
+        self.seen: dict[str, set[bytes]] = {p: set() for p in parties}
         self.contract_nonces: set[bytes] = set()
         self.clock = 0
         ticks_per_round = 8 * fc.n_nodes + 16
-        self.window = cfg.freshness_window or 2 * ticks_per_round
 
         self.vset = ledger.ValidatorSet(
             stakes=dict(cfg.ledger.stakes),
@@ -141,16 +135,16 @@ class Simulator:
             byzantine_false=set(cfg.ledger.byzantine_false),
         )
         self.rules = ledger.ContractRules(
-            freshness_window=self.window,
+            freshness_window=cfg.freshness_window or 2 * ticks_per_round,
             epsilon_cap=cfg.privacy.budget_cap,
             max_update_norm=cfg.ledger.max_update_norm or self._auto_norm_bound(),
-            max_declared_samples=cfg.ledger.max_declared_samples,
+            # no honest node holds more rows than the fleet generates per node
+            max_declared_samples=fc.samples_per_node,
         )
 
         self.global_params = ModelParams.zeros(self.dim, version=0)
         self.chain = [ledger.genesis_block(canonical_hash(params_bytes(self.global_params)))]
         self.node_params = {n: self.global_params for n in self.node_ids}
-        self._splits = self._make_splits()
         self.explanation_records: list[dict] = []
 
     def _auto_norm_bound(self) -> float:
@@ -168,33 +162,29 @@ class Simulator:
         )
         return c.fleet.samples_per_node * base * mask_allow * 10.0
 
-    def _make_splits(self):
-        splits = {}
-        frac = self.cfg.feedback.holdout_fraction
-        for node in self.node_ids:
-            part = self.fleet.partition(node)
-            n = part.n_samples
-            rng = np.random.default_rng(_sub_seed(self.cfg.seed, "split", node))
-            order = rng.permutation(n)
-            n_hold = max(1, int(round(frac * n))) if n > 1 else 0
-            hold, train = order[:n_hold], order[n_hold:]
-            if len(train) == 0:
-                train = order
-            # no holdout rows: validate on the train rows
-            splits[node] = (train, hold if len(hold) else train)
-        return splits
-
-    def _train_view(self, node: str) -> telemetry.NodePartition:
-        part = self.fleet.partition(node)
-        idx, _ = self._splits[node]
-        return telemetry.NodePartition(
-            node, part.features[idx], part.labels[idx], part.sensitivity
+    def _split(self, part: telemetry.NodePartition) -> tuple[telemetry.NodePartition, ...]:
+        """The node's (train, holdout) partitions, drawn by its own seed."""
+        n = part.n_samples
+        rng = np.random.default_rng(_sub_seed(self.cfg.seed, "split", part.node_id))
+        order = rng.permutation(n)
+        n_hold = max(1, int(round(self.cfg.feedback.holdout_fraction * n))) if n > 1 else 0
+        hold, train = order[:n_hold], order[n_hold:]
+        if len(train) == 0:
+            train = order
+        # no holdout rows: validate on the train rows
+        return tuple(
+            telemetry.NodePartition(
+                part.node_id, part.features[idx], part.labels[idx], part.sensitivity
+            )
+            for idx in (train, hold if len(hold) else train)
         )
 
-    def _holdout_view(self, node: str) -> tuple[np.ndarray, np.ndarray]:
-        part = self.fleet.partition(node)
-        _, idx = self._splits[node]
-        return part.features[idx], part.labels[idx]
+    def _train(self, params: ModelParams, part: telemetry.NodePartition,
+               *seed_parts) -> GradientUpdate:
+        """Local SGD under the run's training config, seeded per seed part."""
+        t = self.cfg.train
+        return train_local(params, part, lr=t.lr, epochs=t.epochs, batch=t.batch,
+                           seed=_sub_seed(self.cfg.seed, *seed_parts))
 
     def _tag(self, party: str, rnd: int) -> FreshnessTag:
         """The party's next nonce, stamped one clock tick later."""
@@ -205,13 +195,13 @@ class Simulator:
     def link(self, sender: str, receiver: str) -> tuple[bytes, set[bytes]]:
         """The pre-shared key of the (sender, receiver) link and the receiver's
         replay set: the one rule for the pipeline and the adversary harness."""
+        if receiver not in self.seen:
+            raise UnknownPartyError(f"unknown receiver {receiver}")
         if receiver == LEDGER_ID:
-            return self.keys.k_bc, self.seen_ledger
-        if receiver == CLOUD_ID:
-            return self.keys.edge_cloud_key(sender), self.seen_cloud
-        if receiver in self.seen_node:
-            return self.keys.edge_cloud_key(receiver), self.seen_node[receiver]
-        raise UnknownPartyError(f"unknown receiver {receiver}")
+            key = self.keys.k_bc
+        else:  # an edge link is keyed by its node end, whichever way the message goes
+            key = self.keys.edge_cloud_key(sender if receiver == CLOUD_ID else receiver)
+        return key, self.seen[receiver]
 
     def _transmit(
         self, trace: RoundTrace | None, tag: FreshnessTag, sender: str, receiver: str,
@@ -222,8 +212,8 @@ class Simulator:
         key, seen = self.link(sender, receiver)
         env = seal(key, sender, receiver, tag, payload, used_nonces=self.sent_nonces[sender])
         if trace is not None:
-            trace.messages.append(WireMessage(sender, receiver, kind, env))
-        return open_envelope(key, env, self.window, seen, self.clock)
+            trace.messages.append(WireMessage(kind, env))
+        return open_envelope(key, env, self.rules.freshness_window, seen, self.clock)
 
     def local_update_entry(
         self, mu: masking.MaskedUpdate, r: int, epsilon: float
@@ -280,16 +270,9 @@ class Simulator:
         ctxs: dict[str, privacy.PrivacyContext] = {}
         local_deltas: dict[str, np.ndarray] = {}
         for node in self.node_ids:
-            view = self._train_view(node)
-            upd = train_local(
-                self.node_params[node],
-                view,
-                lr=cfg.train.lr,
-                epochs=cfg.train.epochs,
-                batch=cfg.train.batch,
-                seed=_sub_seed(cfg.seed, "train", r, node),
-            )
-            ctx = privacy.assess_context(view.sensitivity, threat, upd.loss_trace, cfg.privacy)
+            train = self._parts[node][0]
+            upd = self._train(self.node_params[node], train, "train", r, node)
+            ctx = privacy.assess_context(train.sensitivity, threat, upd.loss_trace, cfg.privacy)
             clipped = privacy.clip_update(upd, ctx.clip_norm)
             noised = privacy.add_dp_noise(clipped, ctx, _sub_seed(cfg.seed, "noise", r, node))
             # sender-side sample weighting keeps the aggregator blind to raw updates
@@ -369,6 +352,7 @@ class Simulator:
         )
         return aggregation.privacy_adjust_global(
             g,
+            self.global_params,
             cfg.privacy.eps_global,
             cfg.privacy.delta_global,
             cfg.privacy.clip_global,
@@ -412,30 +396,23 @@ class Simulator:
                 self.node_params[node] = g.params
             return 1.0, 0.0
 
-        diversity = _diversity([self.fleet.partition(n).n_samples for n in g.contributing_nodes])
+        # each contributor's train rows: the n_samples its update declared
+        diversity = _diversity([self._parts[n][0].n_samples for n in g.contributing_nodes])
         agreements, w_locals = [], []
         corrections: dict[str, feedback.FeedbackUpdate] = {}
 
         for node in self.node_ids:
-            view = self._train_view(node)
-            hold_X, hold_y = self._holdout_view(node)
+            train, hold = self._parts[node]
             model1 = ModelParams.from_vector(
                 self.node_params[node].as_vector() + local_deltas[node],
                 version=g.params.version,
             )
-            upd2 = train_local(
-                g.params,
-                telemetry.NodePartition(node, hold_X, hold_y, view.sensitivity),
-                lr=cfg.train.lr,
-                epochs=cfg.train.epochs,
-                batch=cfg.train.batch,
-                seed=_sub_seed(cfg.seed, "model2", r, node),
-            )
+            upd2 = self._train(g.params, hold, "model2", r, node)
             model2 = ModelParams.from_vector(
                 g.params.as_vector() + upd2.grad, version=g.params.version
             )
-            val_X = view.features[: fb.max_validation_samples]
-            val_y = view.labels[: fb.max_validation_samples]
+            val_X = train.features[: fb.max_validation_samples]
+            val_y = train.labels[: fb.max_validation_samples]
             ecfg = feedback.ExplainConfig(
                 n_repeats=fb.explain_repeats, seed=_sub_seed(cfg.seed, "explain", r, node)
             )
@@ -460,8 +437,8 @@ class Simulator:
                 model1,
                 val_X[report.flagged],
                 val_y[report.flagged],
-                hold_X,
-                hold_y,
+                hold.features,
+                hold.labels,
                 lr=fb.correction_lr,
                 steps=fb.correction_steps,
                 seed=_sub_seed(cfg.seed, "correct", r, node),
@@ -477,13 +454,10 @@ class Simulator:
         if cfg.integration_site == "cloud":
             # cloud-side integration: average the feedback deltas and qualities
             xbar = np.mean([c.delta for c in corrections.values()], axis=0)
+            qs = [c.quality for c in corrections.values()]
             quality = feedback.FeedbackQuality(
-                accuracy_gain=float(
-                    np.mean([c.quality.accuracy_gain for c in corrections.values()])
-                ),
-                explanation_stability=float(
-                    np.mean([c.quality.explanation_stability for c in corrections.values()])
-                ),
+                accuracy_gain=float(np.mean([q.accuracy_gain for q in qs])),
+                explanation_stability=float(np.mean([q.explanation_stability for q in qs])),
             )
             w_locals.append(
                 self._integrate(trace, r, CLOUD_ID, prev_global, g, xbar, quality, diversity)

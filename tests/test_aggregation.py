@@ -132,19 +132,35 @@ def test_fedavg_from_masked_sum_matches_direct_fedavg():
 def test_global_adjust_infinite_epsilon_is_identity():
     base = ModelParams.zeros(1)
     g = aggregation.fedavg([(np.array([1.0, 1.0]), 10)], base)
-    assert aggregation.privacy_adjust_global(g, math.inf, 1e-5, 1.0, rng_seed=1) is g
+    assert aggregation.privacy_adjust_global(g, base, math.inf, 1e-5, 1.0, rng_seed=1) is g
 
 
 def test_global_adjust_noise_matches_sigma_oracle():
     base = ModelParams.zeros(2)
     g = aggregation.fedavg([(np.array([6.0, 8.0, 0.0]), 10)], base)
-    out = aggregation.privacy_adjust_global(g, 1.0, 1e-5, clip_global=5.0, rng_seed=42)
+    out = aggregation.privacy_adjust_global(g, base, 1.0, 1e-5, clip_global=5.0, rng_seed=42)
     clipped = np.array([3.0, 4.0, 0.0])  # delta scaled from norm 10 down to 5
     sigma = 5.0 * math.sqrt(2.0 * math.log(1.25e5)) / 1.0
     expected_noise = np.random.default_rng(42).normal(0.0, sigma, size=3)
     np.testing.assert_allclose(out.delta, clipped + expected_noise, atol=1e-9)
     np.testing.assert_allclose(out.params.as_vector(), out.delta, atol=1e-9)
     assert out.epsilon_global == 1.0
+
+
+def test_global_adjust_publishes_exactly_base_plus_delta():
+    # rebuilding the base as params - delta drifts by ulps in most of these cases
+    drifted = []
+    for seed in range(500):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(1, 9))
+        scale = 10.0 ** int(rng.integers(-3, 4))
+        base = ModelParams.from_vector(rng.normal(size=dim + 1) * scale, version=seed)
+        g = aggregation.fedavg([(rng.normal(size=dim + 1), 10)], base)
+        out = aggregation.privacy_adjust_global(g, base, 2.0, 1e-5, 1.0, rng_seed=seed)
+        assert out.params.version == base.version + 1
+        if not np.array_equal(out.params.as_vector(), base.as_vector() + out.delta):
+            drifted.append(seed)
+    assert drifted == []
 
 
 def test_global_adjust_small_sigma_barely_moves_accuracy():
@@ -157,7 +173,7 @@ def test_global_adjust_small_sigma_barely_moves_accuracy():
     g = aggregation.fedavg([(delta, 10)], base)
     clip = 1.0
     eps = clip * math.sqrt(2.0 * math.log(1.25 / 1e-5)) / 0.01
-    noisy = aggregation.privacy_adjust_global(g, eps, 1e-5, clip, rng_seed=3)
+    noisy = aggregation.privacy_adjust_global(g, base, eps, 1e-5, clip, rng_seed=3)
     acc_clean, _ = evaluate(g.params, X, y)
     acc_noisy, _ = evaluate(noisy.params, X, y)
     assert abs(acc_clean - acc_noisy) < 0.02

@@ -1,5 +1,6 @@
 """Adversary harness: injection mechanics and end-to-end detection rates."""
 
+import dataclasses
 import json
 import math
 
@@ -31,7 +32,9 @@ def test_replay_injection_duplicates_a_message(honest):
     msg = attacks.inject("replay", trace, seed=1)
     orig = _recorded(trace, msg)
     assert msg.envelope.to_bytes() == orig.envelope.to_bytes()
-    assert (msg.sender, msg.receiver, msg.kind) == (orig.sender, orig.receiver, orig.kind)
+    assert (msg.envelope.sender, msg.envelope.receiver, msg.kind) == (
+        orig.envelope.sender, orig.envelope.receiver, orig.kind
+    )
 
 
 def test_tamper_injection_flips_exactly_one_bit(honest):
@@ -50,7 +53,7 @@ def test_mitm_injection_swaps_endpoints(honest):
         orig.envelope.receiver,
         orig.envelope.sender,
     )
-    assert (msg.sender, msg.receiver) == (orig.receiver, orig.sender)
+    assert msg.kind == orig.kind
     assert msg.envelope.ciphertext == orig.envelope.ciphertext
 
 
@@ -107,6 +110,16 @@ def test_entry_rejudges_a_recorded_update_as_a_replay(honest):
         meta, state = sim.local_update_entry(mu, trace.round, math.inf)
         result = ledger.contract_validate(meta, mu.payload_hash, sim.rules, state)
         assert result.reasons == ["replay"]
+
+
+def test_contract_rejects_more_declared_samples_than_a_node_holds(honest):
+    sim, trace = honest
+    mu = trace.masked["node-0"]
+    tag = attacks._forged_tag(np.random.default_rng(0), sim, trace)
+    forged = dataclasses.replace(mu, n_samples=10**6, freshness=tag)
+    meta, state = sim.local_update_entry(forged, trace.round, 0.0)
+    result = ledger.contract_validate(meta, forged.payload_hash, sim.rules, state)
+    assert result.reasons == ["declared_samples"]
 
 
 def test_poison_is_detected_against_a_pinned_bound():

@@ -50,6 +50,40 @@ def test_run_with_bad_config_value_exits_2(tmp_path, capsys, bad):
     assert "error: bad config:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "case, err",
+    [
+        ("output-dir-under-a-file", "error: bad output_dir:"),
+        ("config-is-a-directory", "error: config file not found:"),
+        ("chain-is-a-directory", "error: chain file not found:"),
+        ("config-not-utf8", "error: bad config:"),
+        ("zero-injections", "error: --injections must be >= 1"),
+        ("negative-injections", "error: --injections must be >= 1"),
+    ],
+)
+def test_bad_cli_input_exits_2_without_a_traceback(tmp_path, capsys, case, err):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file")
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"seed": 1, "output_dir": "caf\xe9"}')
+    argv = {
+        "output-dir-under-a-file": lambda: [
+            "run", "--config", str(_write_cfg(tmp_path, output_dir=str(blocker / "out")))
+        ],
+        "config-is-a-directory": lambda: ["run", "--config", str(tmp_path)],
+        "chain-is-a-directory": lambda: ["ledger", "verify", "--chain", str(tmp_path)],
+        "config-not-utf8": lambda: ["run", "--config", str(not_utf8)],
+        "zero-injections": lambda: [
+            "attack", "--config", str(_write_cfg(tmp_path)), "--injections", "0"
+        ],
+        "negative-injections": lambda: [
+            "attack", "--config", str(_write_cfg(tmp_path)), "--injections", "-3"
+        ],
+    }[case]()
+    assert main(argv) == 2
+    assert err in capsys.readouterr().err
+
+
 def test_missing_subcommand_exits_2():
     assert main([]) == 2
 

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from conftest import make_cfg
 
-from fleetfl import attacks, channel, ledger, orchestrator
-from fleetfl.encoding import hash_vector
+from fleetfl import attacks, channel, ledger, orchestrator, telemetry
+from fleetfl.encoding import canonical_hash, hash_vector
 from fleetfl.orchestrator import Simulator, run
 
 NODES = ["node-0", "node-1", "node-2"]
@@ -106,6 +106,37 @@ def test_admission_judges_every_update_at_one_clock_reading():
     assert all(v == 0.0 for v in report.epsilon_spent.values())
 
 
+def test_rounds_read_the_splits_built_at_construction(monkeypatch):
+    sim = Simulator(make_cfg(rounds=2))
+    lookups = []
+    partition = telemetry.FleetDataset.partition
+
+    def counted(self, node_id):
+        lookups.append(node_id)
+        return partition(self, node_id)
+
+    monkeypatch.setattr(telemetry.FleetDataset, "partition", counted)
+    reports, _ = sim.run()
+    assert not any(rep.aborted for rep in reports)
+    assert lookups == []
+
+
+def test_global_dp_run_is_deterministic_and_logs_the_published_model(tmp_path):
+    runs = []
+    for sub in ("a", "b"):
+        sim = Simulator(make_cfg(privacy={"eps_global": 2.0}, output_dir=str(tmp_path / sub)))
+        reports, _ = sim.run()
+        assert [rep.global_version for rep in reports] == [1, 2]
+        assert ledger.verify_chain(sim.chain) is None
+        [*_, logged] = [b for b in sim.chain if b.meta.kind == "global_model"]
+        assert logged.payload_hash == canonical_hash(orchestrator.params_bytes(sim.global_params))
+        runs.append([
+            (tmp_path / sub / name).read_bytes()
+            for name in ("metrics.jsonl", "summary.csv", "chain.json", "explanations.jsonl")
+        ])
+    assert runs[0] == runs[1]
+
+
 def test_edge_payload_hash_survives_to_the_ledger():
     sim = Simulator(make_cfg(rounds=1))
     _, trace = sim.run_round(0, record=True)
@@ -194,7 +225,9 @@ def test_wire_order_of_one_round(overrides, tail):
     sim = Simulator(make_cfg(rounds=1, **overrides))
     assert sim.node_ids == NODES
     _, trace = sim.run_round(0, record=True)
-    assert [(m.kind, m.sender, m.receiver) for m in trace.messages] == WIRE_HEAD + tail
+    assert [
+        (m.kind, m.envelope.sender, m.envelope.receiver) for m in trace.messages
+    ] == WIRE_HEAD + tail
 
 
 def test_every_wire_message_is_sealed_and_opened_once(monkeypatch):
