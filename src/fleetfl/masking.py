@@ -1,9 +1,16 @@
 """Pairwise-cancelling dynamic masks over model updates.
 
 For each unordered participant pair (i, j) a shared pseudo-random vector is
-derived from (round_seed, i, j); node i adds it, node j subtracts it, so the
-coordinate-wise sum of all masks telescopes to zero. Mask magnitude adapts to
-the per-node context strength; a shared pair uses the stricter of the two.
+derived from (round_seed, round, i, j); node i adds it, node j subtracts it, so
+the coordinate-wise sum of all masks telescopes to zero. Mask magnitude adapts
+to the per-node context strength; a shared pair uses the stricter of the two.
+
+The pair PRG is SHAKE-128 over the pair key
+``enc_u64(round_seed mod 2^64) + enc_u64(round) + enc_str(i) + enc_str(j)``,
+read as 2·dim big-endian uint64 words. The top 53 bits of word k and of word
+dim + k become uniforms u1 in (0, 1] and u2 in [0, 1), and the Box–Muller cos
+branch alone, sqrt(-2 ln u1)·cos(2π u2), gives coordinate k of a standard
+normal vector, scaled by the pair's strength.
 """
 
 from __future__ import annotations
@@ -73,11 +80,15 @@ class MaskedUpdate:
         )
 
 
-def _pair_seed(round_seed: int, rnd: int, a: str, b: str) -> np.random.Generator:
-    digest = hashlib.sha256(
-        enc_u64(round_seed & 0xFFFFFFFFFFFFFFFF) + enc_u64(rnd) + enc_str(a) + enc_str(b)
-    ).digest()
-    return np.random.default_rng(int.from_bytes(digest[:8], "big"))
+_U53 = 2.0**-53  # one step of a 53-bit uniform
+
+
+def _pair_normals(stream: bytes, pairs: int, dim: int) -> np.ndarray:
+    """Standard normal rows, one per pair, from that pair's 16·dim stream bytes."""
+    words = np.frombuffer(stream, dtype=">u8").reshape(pairs, 2, dim) >> np.uint64(11)
+    u1 = (words[:, 0] + np.uint64(1)) * _U53
+    u2 = words[:, 1] * _U53
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
 def derive_masks(
@@ -96,20 +107,28 @@ def derive_masks(
         raise ValueError("dim must be positive")
 
     if isinstance(strength, Mapping):
-        s = {p: strength[p] for p in participants}
+        s = np.array([float(strength[p]) for p in participants])
     else:
-        s = dict.fromkeys(participants, float(strength))
-    if any(v <= 0 for v in s.values()):
-        raise ValueError("mask strength must be positive")
+        s = np.full(len(participants), float(strength))
+    if not np.all((s > 0) & np.isfinite(s)):
+        raise ValueError("mask strength must be positive and finite")
 
-    masks = {p: np.zeros(dim) for p in participants}
-    for i, a in enumerate(participants):
-        for b in participants[i + 1 :]:
-            pair_strength = max(s[a], s[b])
-            s_ij = _pair_seed(round_seed, round, a, b).normal(0.0, pair_strength, size=dim)
-            masks[a] += s_ij
-            masks[b] -= s_ij
-    return {p: MaskVector(node_id=p, round=round, values=masks[p]) for p in participants}
+    prefix = enc_u64(round_seed & 0xFFFFFFFFFFFFFFFF) + enc_u64(round)
+    ids = [enc_str(p) for p in participants]
+    nbytes = 16 * dim
+    masks = np.zeros((len(participants), dim))
+    # one node's pairs at a time: the transient rows stay (n - 1) × dim, not
+    # n(n - 1)/2 × dim, whose size would show in the process's peak memory
+    for i in range(len(participants) - 1):
+        key = prefix + ids[i]
+        stream = b"".join([hashlib.shake_128(key + b).digest(nbytes) for b in ids[i + 1 :]])
+        rows = _pair_normals(stream, len(ids) - 1 - i, dim)
+        rows *= np.maximum(s[i], s[i + 1 :])[:, None]
+        masks[i] += rows.sum(axis=0)
+        masks[i + 1 :] -= rows
+    return {
+        p: MaskVector(node_id=p, round=round, values=masks[k]) for k, p in enumerate(participants)
+    }
 
 
 def apply_mask(update: GradientUpdate, mask: MaskVector, freshness: FreshnessTag) -> MaskedUpdate:

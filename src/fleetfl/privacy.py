@@ -90,9 +90,13 @@ def clip_update(update: GradientUpdate, clip_norm: float) -> GradientUpdate:
     g = update.grad
     if not np.all(np.isfinite(g)):
         raise ValueError("non-finite update")
-    norm = float(np.linalg.norm(g))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(g))
     if norm <= clip_norm:
         return update
+    if math.isinf(norm):  # the sum of squares overflowed: take the direction first
+        g = g / np.max(np.abs(g))
+        norm = float(np.linalg.norm(g))
     return GradientUpdate(
         grad=g * (clip_norm / norm),
         n_samples=update.n_samples,

@@ -8,6 +8,7 @@ from conftest import make_cfg
 from fleetfl import config, ledger
 from fleetfl.cli import main
 from fleetfl.encoding import canonical_hash
+from fleetfl.models import evaluate
 from fleetfl.orchestrator import Simulator
 
 
@@ -94,6 +95,22 @@ def test_run_writes_artifacts_and_exits_0(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "round 0" in out and "round 1" in out
     assert (tmp_path / "out" / "metrics.jsonl").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("privacy", [{}, {"eps_max": "inf"}])
+def test_divergent_step_size_still_moves_the_model(tmp_path, privacy):
+    # lr 1e300 blows the local weights up to ~1e299; clipping must still keep
+    # each update's direction instead of overflowing its norm and zeroing it
+    raw = {"rounds": 3, "train": {"lr": 1e300}, "privacy": privacy,
+           "output_dir": str(tmp_path / "out")}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path)]) == 0
+    first = json.loads((tmp_path / "out" / "metrics.jsonl").read_text().splitlines()[0])
+    sim = Simulator(config.from_dict(raw))
+    initial, _ = evaluate(sim.global_params, sim.holdout_X, sim.holdout_y)
+    assert first["global_accuracy"] != initial
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):

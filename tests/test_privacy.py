@@ -95,8 +95,23 @@ def test_clip_rejects_non_finite():
     st.floats(1e-6, 1e3),
 )
 def test_clipped_norm_invariant(values, clip):
-    out = privacy.clip_update(GradientUpdate(grad=np.array(values), n_samples=1), clip)
+    g = np.array(values)
+    out = privacy.clip_update(GradientUpdate(grad=g, n_samples=1), clip)
     assert np.linalg.norm(out.grad) <= clip + 1e-12
+    norm = float(np.linalg.norm(g))
+    if norm > clip:  # an ordinary vector scales by exactly clip / ||g||
+        np.testing.assert_array_equal(out.grad, g * (clip / norm))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e200, -1e300])
+def test_clip_of_a_huge_finite_update_keeps_its_direction(scale):
+    # the sum of squares overflows float64, but the update itself is finite
+    g = np.array([1.0, -2.0, 0.5, 3.0, 0.0]) * scale
+    out = privacy.clip_update(GradientUpdate(grad=g, n_samples=1), 2.0)
+    norm = math.hypot(*g)  # overflow-safe reference
+    assert np.linalg.norm(out.grad) == pytest.approx(2.0, rel=1e-12)
+    np.testing.assert_allclose(out.grad, [x * (2.0 / norm) for x in g], rtol=1e-12, atol=0)
 
 
 def test_sigma_formula_value():
