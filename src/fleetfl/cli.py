@@ -72,10 +72,12 @@ def _cmd_run(args) -> int:
             return 2
     reports = orchestrator.run(cfg)
     for rep in reports:
+        # each rejected node with its contract or preprocessing reasons
+        why = "; ".join(f"{node} {','.join(reasons)}" for node, reasons in rep.rejected)
         print(
             f"round {rep.round}: accuracy={rep.global_accuracy:.4f} "
             f"loss={rep.global_loss:.4f} blocks={rep.blocks_appended}"
-            + (" ABORTED" if rep.aborted else "")
+            + (f" ABORTED: {why}" if rep.aborted else "")
         )
     if cfg.output_dir:
         print(f"artifacts written to {cfg.output_dir}")

@@ -3,10 +3,16 @@
 The update leaving a node is a cumulative parameter delta (trained params
 minus starting params, bias last), which composes cleanly with clipping,
 noising, masking, and sample-weighted averaging.
+
+Training is fleet-stacked: ``train_fleet`` steps every node's model together
+on ``(N, n, d)`` arrays, one gathered batch and one stacked gradient per step,
+while each node keeps its own seeded batch order. ``train_local`` and
+``gradient`` are its one-model calls.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,19 +89,82 @@ def predict_batch(params: ModelParams, X: np.ndarray) -> np.ndarray:
     return _sigmoid(X @ params.weights + params.bias)
 
 
+def _margins(V: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Margins of N stacked models on their own rows: V (N, d + 1), bias last,
+    X (N, m, d) -> (N, m)."""
+    return np.matmul(X, V[:, :-1, None])[:, :, 0] + V[:, -1:]
+
+
+def _losses(V: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mean binary cross-entropy of each stacked model, via log1p(exp) for stability."""
+    z = _margins(V, X)
+    return np.mean(np.logaddexp(0.0, z) - y * z, axis=1)
+
+
+def _gradients(V: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Analytic mean log-loss gradient of each stacked model, bias last: (N, d + 1)."""
+    r = _sigmoid(_margins(V, X)) - y
+    gw = np.matmul(X.transpose(0, 2, 1), r[:, :, None])[:, :, 0] / y.shape[1]
+    return np.concatenate([gw, np.mean(r, axis=1)[:, None]], axis=1)
+
+
 def log_loss(params: ModelParams, X: np.ndarray, y: np.ndarray) -> float:
     """Mean binary cross-entropy, computed via log1p(exp) for stability."""
-    z = np.asarray(X) @ params.weights + params.bias
-    return float(np.mean(np.logaddexp(0.0, z) - y * z))
+    return float(_losses(params.as_vector()[None], np.asarray(X)[None], np.asarray(y)[None])[0])
 
 
 def gradient(params: ModelParams, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Analytic mean log-loss gradient, bias last."""
-    p = predict_batch(params, X)
-    r = p - y
-    gw = X.T @ r / len(y)
-    gb = float(np.mean(r))
-    return np.concatenate([gw, [gb]])
+    return _gradients(params.as_vector()[None], np.asarray(X)[None], np.asarray(y)[None])[0]
+
+
+def train_fleet(
+    params: Sequence[ModelParams],
+    partitions: Sequence[NodePartition],
+    lr: float,
+    epochs: int,
+    batch: int,
+    seeds: Sequence[int],
+) -> list[GradientUpdate]:
+    """Mini-batch SGD of every node's model from its own start, stepped together.
+
+    Each node draws one permutation per epoch from ``default_rng(seed)``; every
+    step gathers all nodes' batches at once and takes one stacked gradient.
+    Returns each node's cumulative parameter delta, in partition order.
+    Partitions of unequal size cannot be stacked and raise ``ValueError``.
+    """
+    if lr <= 0:
+        raise ValueError("lr must be positive")
+    if epochs < 1 or batch < 1:
+        raise ValueError("epochs and batch must be positive")
+    if len(params) != len(partitions) or len(seeds) != len(partitions):
+        raise ValueError("need one start model and one seed per partition")
+    X = np.stack([p.features for p in partitions])
+    y = np.stack([p.labels for p in partitions])
+    n = y.shape[1]
+    rows = np.arange(len(partitions))[:, None]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    start = np.stack([p.as_vector() for p in params])
+    cur = start
+    epoch_losses = []
+    for epoch in range(1, epochs + 1):
+        order = np.stack([rng.permutation(n) for rng in rngs])
+        for lo in range(0, n, batch):
+            idx = order[:, lo : lo + batch]
+            cur = cur - lr * _gradients(cur, X[rows, idx], y[rows, idx])
+            if not np.all(np.isfinite(cur)):
+                raise ValueError("model parameters must be finite")
+        losses = _losses(cur, X, y)
+        bad = np.flatnonzero(~np.isfinite(losses))
+        if bad.size:
+            raise TrainingDivergedError(
+                f"non-finite loss on node {partitions[bad[0]].node_id} after epoch {epoch}"
+            )
+        epoch_losses.append(losses)
+    return [
+        GradientUpdate(grad=delta, n_samples=n, loss_trace=trace)
+        for delta, trace in zip(cur - start, np.stack(epoch_losses, axis=1).tolist())
+    ]
 
 
 def train_local(
@@ -107,30 +176,7 @@ def train_local(
     seed: int,
 ) -> GradientUpdate:
     """Mini-batch SGD on the partition; returns the cumulative parameter delta."""
-    if lr <= 0:
-        raise ValueError("lr must be positive")
-    if epochs < 1 or batch < 1:
-        raise ValueError("epochs and batch must be positive")
-    X, y = partition.features, partition.labels
-    n = len(y)
-    rng = np.random.default_rng(seed)
-    start = params.as_vector()
-    cur = ModelParams.from_vector(start, version=params.version)
-    trace = []
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for lo in range(0, n, batch):
-            idx = order[lo : lo + batch]
-            g = gradient(cur, X[idx], y[idx])
-            cur = ModelParams.from_vector(cur.as_vector() - lr * g, version=cur.version)
-        loss = log_loss(cur, X, y)
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(
-                f"non-finite loss on node {partition.node_id} after epoch {len(trace) + 1}"
-            )
-        trace.append(loss)
-    delta = cur.as_vector() - start
-    return GradientUpdate(grad=delta, n_samples=n, loss_trace=trace)
+    return train_fleet([params], [partition], lr, epochs, batch, [seed])[0]
 
 
 def evaluate(params: ModelParams, X: np.ndarray, y: np.ndarray) -> tuple[float, float]:

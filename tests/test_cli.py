@@ -97,6 +97,18 @@ def test_run_writes_artifacts_and_exits_0(tmp_path, capsys):
     assert (tmp_path / "out" / "metrics.jsonl").exists()
 
 
+def test_run_prints_the_reasons_of_an_aborted_round(tmp_path, monkeypatch, capsys):
+    # default privacy: node-0 exhausts its budget in round 2
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"seed": 7, "rounds": 3}))
+    monkeypatch.setenv("FLEETFL_OUTPUT_DIR", str(tmp_path / "out"))
+    assert main(["run", "--config", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.startswith(f"round {r}: ") for r, line in enumerate(lines[:3])] == [True] * 3
+    assert "ABORTED" not in lines[0] + lines[1]
+    assert lines[2].endswith(" blocks=0 ABORTED: node-0 budget_exceeded")
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("privacy", [{}, {"eps_max": "inf"}])
 def test_divergent_step_size_still_moves_the_model(tmp_path, privacy):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetfl import models, telemetry
 
@@ -23,6 +25,121 @@ def _fd_gradient(vec: np.ndarray, X: np.ndarray, y: np.ndarray, h: float = 1e-5)
         down[j] -= h
         g[j] = (_loss_oracle(up, X, y) - _loss_oracle(down, X, y)) / (2.0 * h)
     return g
+
+
+def _reference_gradient(params, X, y):
+    """The per-model gradient as written before training was stacked."""
+    p = models.predict_batch(params, X)
+    r = p - y
+    gw = X.T @ r / len(y)
+    gb = float(np.mean(r))
+    return np.concatenate([gw, [gb]])
+
+
+def _reference_log_loss(params, X, y):
+    z = np.asarray(X) @ params.weights + params.bias
+    return float(np.mean(np.logaddexp(0.0, z) - y * z))
+
+
+def _reference_train_local(params, partition, lr, epochs, batch, seed):
+    """The per-node SGD loop as written before training was stacked."""
+    X, y = partition.features, partition.labels
+    n = len(y)
+    rng = np.random.default_rng(seed)
+    start = params.as_vector()
+    cur = models.ModelParams.from_vector(start, version=params.version)
+    trace = []
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for lo in range(0, n, batch):
+            idx = order[lo : lo + batch]
+            g = _reference_gradient(cur, X[idx], y[idx])
+            cur = models.ModelParams.from_vector(cur.as_vector() - lr * g, version=cur.version)
+        loss = _reference_log_loss(cur, X, y)
+        if not np.isfinite(loss):
+            raise models.TrainingDivergedError(
+                f"non-finite loss on node {partition.node_id} after epoch {len(trace) + 1}"
+            )
+        trace.append(loss)
+    delta = cur.as_vector() - start
+    return models.GradientUpdate(grad=delta, n_samples=n, loss_trace=trace)
+
+
+@st.composite
+def _fleets(draw):
+    n_nodes = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = [
+        telemetry.NodePartition(
+            f"node-{i}", rng.normal(scale=2.0, size=(n, d)), rng.integers(0, 2, size=n)
+        )
+        for i in range(n_nodes)
+    ]
+    starts = [
+        models.ModelParams(rng.normal(size=d), float(rng.normal()), version=i)
+        for i in range(n_nodes)
+    ]
+    seeds = [int(s) for s in rng.integers(0, 2**63, size=n_nodes)]
+    return parts, starts, seeds
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    fleet=_fleets(),
+    lr=st.floats(1e-3, 2.0),
+    epochs=st.integers(1, 4),
+    batch_pad=st.integers(0, 43),
+)
+def test_train_fleet_matches_the_per_node_reference(fleet, lr, epochs, batch_pad):
+    parts, starts, seeds = fleet
+    batch = 1 + batch_pad % (parts[0].n_samples + 3)  # 1 to n + 3
+    got = models.train_fleet(starts, parts, lr, epochs, batch, seeds)
+    assert len(got) == len(parts)
+    for upd, start, part, seed in zip(got, starts, parts, seeds):
+        want = _reference_train_local(start, part, lr, epochs, batch, seed)
+        np.testing.assert_allclose(upd.grad, want.grad, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(upd.loss_trace, want.loss_trace, rtol=1e-12, atol=0)
+        assert upd.n_samples == want.n_samples
+
+
+def test_gradient_is_the_reference_gradient():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        dim, n = int(rng.integers(1, 10)), int(rng.integers(1, 40))
+        params = models.ModelParams(rng.normal(size=dim), float(rng.normal()))
+        X = rng.normal(size=(n, dim))
+        y = rng.integers(0, 2, size=n)
+        np.testing.assert_array_equal(
+            models.gradient(params, X, y), _reference_gradient(params, X, y)
+        )
+        assert models.log_loss(params, X, y) == _reference_log_loss(params, X, y)
+
+
+@pytest.mark.parametrize(
+    "sizes, n_params, n_seeds",
+    [([5, 6], 2, 2), ([5, 5], 1, 2), ([5, 5], 2, 3), ([], 0, 0)],
+    ids=["unequal-sizes", "too-few-models", "too-many-seeds", "empty"],
+)
+def test_train_fleet_rejects_mismatched_inputs(sizes, n_params, n_seeds):
+    parts = [
+        telemetry.NodePartition(f"n{i}", np.ones((k, 2)), np.zeros(k, dtype=np.int64))
+        for i, k in enumerate(sizes)
+    ]
+    starts = [models.ModelParams.zeros(2)] * n_params
+    with pytest.raises(ValueError):
+        models.train_fleet(starts, parts, lr=0.1, epochs=1, batch=2, seeds=list(range(n_seeds)))
+
+
+def test_train_fleet_names_a_diverging_node_that_is_not_the_first():
+    ok = telemetry.NodePartition("node-0", np.ones((4, 2)), np.ones(4, dtype=np.int64))
+    bad = telemetry.NodePartition("node-1", np.full((4, 2), 1e200), np.ones(4, dtype=np.int64))
+    starts = [models.ModelParams.zeros(2)] * 2
+    with np.errstate(all="ignore"), pytest.raises(
+        models.TrainingDivergedError, match="on node node-1 after epoch 1"
+    ):
+        models.train_fleet(starts, [ok, bad], lr=0.5, epochs=2, batch=2, seeds=[0, 1])
 
 
 def test_predict_zero_model_is_half():
@@ -79,6 +196,14 @@ def test_single_full_batch_step_equals_minus_lr_gradient():
     np.testing.assert_allclose(upd.grad, expected, atol=1e-9)
     assert upd.n_samples == 1
     assert len(upd.loss_trace) == 1
+
+
+def test_step_that_overflows_a_parameter_raises_value_error():
+    part = telemetry.NodePartition("n", np.full((4, 2), 1e10), np.array([1, 0, 0, 0]))
+    with np.errstate(all="ignore"), pytest.raises(
+        ValueError, match="model parameters must be finite"
+    ):
+        models.train_local(models.ModelParams.zeros(2), part, lr=1e300, epochs=1, batch=4, seed=0)
 
 
 def test_training_descends_on_separable_points():

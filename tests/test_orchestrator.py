@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from conftest import make_cfg
 
-from fleetfl import attacks, channel, ledger, orchestrator, telemetry
+from fleetfl import attacks, channel, ledger, models, orchestrator, telemetry
 from fleetfl.encoding import canonical_hash, hash_vector
 from fleetfl.orchestrator import Simulator, run
 
@@ -264,3 +264,81 @@ def test_benchmark_tracer_bindings_exist():
     with tracer.installed():  # its attacks.copy has only deepcopy
         attacks.run_attack_suite(make_cfg(rounds=1), [0, 1])
     assert tracer.summary()["calls"]["attacks.inject"] == 6  # three wire kinds, two seeds
+
+
+def _replace_train_features(sim, node, features):
+    train, hold = sim._parts[node]
+    sim._parts[node] = (
+        telemetry.NodePartition(node, features, train.labels, train.sensitivity), hold
+    )
+
+
+def test_divergence_names_the_node_that_diverged_when_it_is_not_the_first():
+    sim = Simulator(make_cfg(rounds=1))
+    train = sim._parts["node-1"][0]
+    # margins overflow after the first step, so the epoch loss is not finite
+    _replace_train_features(sim, "node-1", np.full_like(train.features, 1e200))
+    with np.errstate(all="ignore"), pytest.raises(
+        models.TrainingDivergedError, match="on node node-1 after epoch 1"
+    ):
+        sim._train_and_privatise(0)
+
+
+def test_a_step_that_overflows_a_parameter_raises_value_error():
+    sim = Simulator(make_cfg(rounds=1, train={"lr": 1e300}))
+    train = sim._parts["node-2"][0]
+    # lr * gradient overflows on the first step of node-2 only
+    _replace_train_features(sim, "node-2", np.full_like(train.features, 1e10))
+    with np.errstate(all="ignore"), pytest.raises(
+        ValueError, match="model parameters must be finite"
+    ):
+        sim._train_and_privatise(0)
+
+
+@pytest.mark.parametrize("enabled, fleet_calls", [(False, 1), (True, 2)], ids=["off", "on"])
+def test_a_round_trains_the_fleet_in_stacked_calls(monkeypatch, enabled, fleet_calls):
+    calls = {"train_fleet": [], "train_local": 0}
+
+    def fleet(params, parts, **kwargs):
+        calls["train_fleet"].append(len(parts))
+        return models.train_fleet(params, parts, **kwargs)
+
+    def local(*args, **kwargs):
+        calls["train_local"] += 1
+        return models.train_local(*args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "train_fleet", fleet)
+    monkeypatch.setattr(orchestrator, "train_local", local)
+    report, _ = Simulator(make_cfg(rounds=1, feedback={"enabled": enabled})).run_round(0)
+    assert not report.aborted
+    assert calls == {"train_fleet": [3] * fleet_calls, "train_local": 0}
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"feedback": {"enabled": False}}, {}, {"integration_site": "cloud"}],
+    ids=["feedback-off", "node-site", "cloud-site"],
+)
+def test_finish_round_scores_each_distinct_model_once(monkeypatch, overrides):
+    sim = Simulator(make_cfg(rounds=1, fleet={"n_nodes": 6}, **overrides))
+    evaluated = []
+
+    def counted(params, X, y):
+        evaluated.append(params)
+        return models.evaluate(params, X, y)
+
+    monkeypatch.setattr(orchestrator, "evaluate", counted)
+    report, _ = sim.run_round(0)
+    distinct = {id(p) for p in sim.node_params.values()}
+    assert len(evaluated) <= 1 + len(distinct)
+    # the same figures as scoring every node on its own
+    X, y = sim.holdout_X, sim.holdout_y
+    per_node = [sim.node_params[n] for n in sim.node_ids]
+    assert (report.global_accuracy, report.global_loss) == models.evaluate(sim.global_params, X, y)
+    assert report.fpr_global == models.false_positive_rate(sim.global_params, X, y)
+    assert report.integrated_accuracy_mean == float(
+        np.mean([models.evaluate(p, X, y)[0] for p in per_node])
+    )
+    assert report.fpr_integrated == float(
+        np.mean([models.false_positive_rate(p, X, y) for p in per_node])
+    )
