@@ -15,7 +15,7 @@ import numpy as np
 
 from .masking import MaskedUpdate
 from .models import ModelParams
-from .privacy import gaussian_sigma
+from .privacy import PrivacyContext, clip_vector, gaussian_noise
 
 
 class AggregationAbort(RuntimeError):
@@ -33,7 +33,6 @@ class GlobalUpdate:
     contributing_nodes: list[str]
     total_samples: int
     round: int
-    epsilon_global: float
 
     def __post_init__(self):
         if not self.contributing_nodes:
@@ -90,7 +89,6 @@ def fedavg(updates: list[tuple[np.ndarray, int]], base: ModelParams) -> GlobalUp
         contributing_nodes=[f"update-{i}" for i in range(len(updates))],
         total_samples=total_n,
         round=base.version,
-        epsilon_global=math.inf,
     )
 
 
@@ -112,7 +110,6 @@ def fedavg_from_masked_sum(
         contributing_nodes=sorted(contributing_nodes),
         total_samples=total_samples,
         round=round,
-        epsilon_global=math.inf,
     )
 
 
@@ -128,13 +125,11 @@ def privacy_adjust_global(
     params are exactly base + the published delta. eps=inf is identity."""
     if math.isinf(epsilon_global):
         return g
-    agg = g.delta
-    norm = float(np.linalg.norm(agg))
-    if norm > clip_global:
-        agg = agg * (clip_global / norm)
-    sigma = gaussian_sigma(clip_global, epsilon_global, delta)
-    rng = np.random.default_rng(rng_seed)
-    agg = agg + rng.normal(0.0, sigma, size=agg.shape)
+    # the edge's mechanism; the published aggregate carries no mask
+    ctx = PrivacyContext(
+        epsilon=epsilon_global, delta=delta, clip_norm=clip_global, mask_strength=0.0
+    )
+    agg = gaussian_noise(clip_vector(g.delta, clip_global), ctx, rng_seed)
     params = ModelParams.from_vector(base.as_vector() + agg, version=g.params.version)
     return GlobalUpdate(
         params=params,
@@ -142,5 +137,4 @@ def privacy_adjust_global(
         contributing_nodes=list(g.contributing_nodes),
         total_samples=g.total_samples,
         round=g.round,
-        epsilon_global=epsilon_global,
     )

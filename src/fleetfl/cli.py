@@ -105,7 +105,10 @@ def _cmd_ledger_verify(args) -> int:
         chain = ledger.import_chain(f.read())
     bad = ledger.verify_chain(chain)
     if bad is None:
-        print(f"chain valid ({len(chain)} blocks)")
+        print(
+            f"chain valid ({len(chain)} blocks): indices, prev-hash links and block hashes"
+            " recomputed; attestation digests and quorum not checked"
+        )
         return 0
     print(f"chain INVALID: first bad index {bad}")
     return 1

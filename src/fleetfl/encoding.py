@@ -61,3 +61,10 @@ def canonical_hash(payload: bytes) -> bytes:
 
 def hash_vector(v: np.ndarray) -> bytes:
     return canonical_hash(enc_vec(v))
+
+
+def sub_seed(*parts) -> int:
+    """A 64-bit seed derived from the ':'-joined parts: the one rule by which
+    every random stream of a run is keyed."""
+    h = hashlib.sha256(":".join(str(p) for p in parts).encode()).digest()
+    return int.from_bytes(h[:8], "big")

@@ -8,13 +8,13 @@ global delta as w_local * x + w_global * y.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import models
+from .encoding import sub_seed
 from .models import ModelParams, evaluate, predict, train_local
 from .telemetry import NodePartition
 
@@ -23,7 +23,6 @@ _EPS = 1e-12
 
 @dataclass
 class Explanation:
-    sample_id: int
     attributions: np.ndarray
     stability: float
 
@@ -65,12 +64,6 @@ class FeedbackUpdate:
     quality: FeedbackQuality
 
 
-@dataclass
-class ExplainConfig:
-    n_repeats: int = 10
-    seed: int = 0
-
-
 def _abs_deltas(
     params: ModelParams,
     samples: np.ndarray,
@@ -97,7 +90,6 @@ def explain(
     background: np.ndarray,
     n_repeats: int,
     seed: int,
-    sample_id: int = 0,
 ) -> Explanation:
     """Permutation importance: per-feature mean |prediction change| when the
     feature is swapped in from a random background row. All n_repeats x dim
@@ -119,21 +111,15 @@ def explain(
     spread = diffs.std(axis=0).mean()
     scale = attributions.mean() + _EPS
     stability = float(np.clip(1.0 - spread / scale, 0.0, 1.0))
-    return Explanation(
-        sample_id=sample_id, attributions=attributions, stability=stability
-    )
-
-
-def _sample_seed(base_seed: int, sample_id: int) -> int:
-    h = hashlib.sha256(f"explain:{base_seed}:{sample_id}".encode()).digest()
-    return int.from_bytes(h[:8], "big")
+    return Explanation(attributions=attributions, stability=stability)
 
 
 def validate_predictions(
     model1: ModelParams,
     model2: ModelParams,
     X: np.ndarray,
-    cfg: ExplainConfig,
+    n_repeats: int,
+    seed: int,
 ) -> ValidationReport:
     """Model 2 checks Model 1: thresholded-prediction agreement plus agreement of
     the top-attributed feature of each model's explanation. Sample i's
@@ -147,12 +133,12 @@ def validate_predictions(
         raise ValueError("empty sample list")
     if not np.all(np.isfinite(X)):
         raise ValueError("X must be finite")
-    if cfg.n_repeats < 1:
+    if n_repeats < 1:
         raise ValueError("n_repeats must be positive")
 
     n, dim = X.shape
     rows = np.stack([
-        np.random.default_rng(_sample_seed(cfg.seed, i)).integers(0, n, size=(cfg.n_repeats, dim))
+        np.random.default_rng(sub_seed("explain", seed, i)).integers(0, n, size=(n_repeats, dim))
         for i in range(n)
     ])
     preds, tops = [], []
@@ -179,10 +165,9 @@ def local_correction(
     lr: float,
     steps: int,
     seed: int,
-    batch: int | None = None,
     explanation_stability: float = 1.0,
 ) -> FeedbackUpdate:
-    """SGD on the flagged subset only; gain is measured on the held-out split."""
+    """Full-batch SGD on the flagged subset only; gain is measured on the held-out split."""
     if len(flagged_X) == 0:
         return FeedbackUpdate(
             delta=np.zeros(model1.dim + 1),
@@ -191,9 +176,7 @@ def local_correction(
     part = NodePartition(
         "correction", np.asarray(flagged_X, dtype=np.float64), np.asarray(flagged_y, dtype=np.int64)
     )
-    if batch is None:
-        batch = len(flagged_y)
-    upd = train_local(model1, part, lr=lr, epochs=steps, batch=batch, seed=seed)
+    upd = train_local(model1, part, lr=lr, epochs=steps, batch=len(flagged_y), seed=seed)
     acc_before, _ = evaluate(model1, holdout_X, holdout_y)
     corrected = ModelParams.from_vector(model1.as_vector() + upd.grad, version=model1.version)
     acc_after, _ = evaluate(corrected, holdout_X, holdout_y)

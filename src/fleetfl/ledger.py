@@ -105,12 +105,11 @@ class ValidatorSet:
 @dataclass
 class ContractRules:
     freshness_window: int
-    epsilon_cap: float
     max_update_norm: float
     max_declared_samples: int | None = None
 
     def __post_init__(self):
-        if self.freshness_window <= 0 or self.epsilon_cap <= 0 or self.max_update_norm <= 0:
+        if self.freshness_window <= 0 or self.max_update_norm <= 0:
             raise ValueError("contract rule bounds must be positive")
 
 
@@ -258,20 +257,19 @@ def append_block(
     core = _preimage_core(index, prev_hash, payload_hash, meta)
 
     attestations: list[tuple[str, bytes]] = []
+    valid_stake = 0
     for vid in committee:
         if vid in vset.byzantine_refuse:
             continue
-        digest = attestation_digest(vid, core, vset.secret(vid))
+        expected = attestation_digest(vid, core, vset.secret(vid))
+        digest = expected
         if vid in vset.byzantine_false:
-            digest = canonical_hash(b"false-attestation" + digest)
+            digest = canonical_hash(b"false-attestation" + expected)
         attestations.append((vid, digest))
+        if digest == expected:
+            valid_stake += vset.stakes[vid]
 
     committee_stake = sum(vset.stakes[v] for v in committee)
-    valid_stake = sum(
-        vset.stakes[vid]
-        for vid, digest in attestations
-        if digest == attestation_digest(vid, core, vset.secret(vid))
-    )
     if valid_stake + 1e-12 < vset.quorum_fraction * committee_stake:
         raise QuorumNotReached(
             f"attesting stake {valid_stake} < quorum "
@@ -292,7 +290,12 @@ def append_block(
 
 
 def verify_chain(chain: list[LedgerBlock]) -> int | None:
-    """Recompute every link and block hash; return the first bad index, or None."""
+    """Recompute every index, prev-hash link and block hash; return the first
+    bad index, or None. A chain that does not open with a genesis block, or
+    holds no block at all, is bad at index 0. Attestation digests and quorum
+    are not checked."""
+    if not chain or chain[0].meta.kind != "genesis":
+        return 0
     for k, block in enumerate(chain):
         if block.index != k:
             return k

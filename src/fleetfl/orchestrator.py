@@ -10,7 +10,6 @@ from the config seed, so identical configs produce byte-identical artifacts.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import os
@@ -23,7 +22,7 @@ from .channel import (
     Envelope, FreshnessTag, KeyRegistry, NonceSource, UnknownPartyError, open_envelope, seal,
 )
 from .config import RunConfig
-from .encoding import canonical_hash, enc_u64, enc_vec, hash_vector
+from .encoding import canonical_hash, enc_u64, enc_vec, hash_vector, sub_seed
 # train_local is unused here but stays bound: the benchmark's tracer patches it by name
 from .models import (  # noqa: F401
     GradientUpdate,
@@ -78,11 +77,6 @@ class RoundReport:
     w_global_mean: float
 
 
-def _sub_seed(*parts) -> int:
-    h = hashlib.sha256(":".join(str(p) for p in parts).encode()).digest()
-    return int.from_bytes(h[:8], "big")
-
-
 def params_bytes(params: ModelParams) -> bytes:
     return enc_vec(params.as_vector()) + enc_u64(params.version)
 
@@ -112,16 +106,16 @@ class Simulator:
         self.node_ids = sorted(p.node_id for p in fleet.partitions)
         self.dim = fc.feature_dim
         self.holdout_X, self.holdout_y = telemetry.generate_holdout(
-            fleet, _sub_seed(cfg.seed, "holdout"), cfg.holdout_samples
+            fleet, sub_seed(cfg.seed, "holdout"), cfg.holdout_samples
         )
         # each node's (train, holdout) split, drawn once
         self._parts = {p.node_id: self._split(p) for p in fleet.partitions}
 
         self.budget = privacy.BudgetLedger(budget_cap=cfg.privacy.budget_cap)
 
-        self.keys = KeyRegistry.generate(self.node_ids, _sub_seed(cfg.seed, "keys"))
+        self.keys = KeyRegistry.generate(self.node_ids, sub_seed(cfg.seed, "keys"))
         parties = self.node_ids + [CLOUD_ID, LEDGER_ID]
-        self.nonce_sources = {p: NonceSource(p, _sub_seed(cfg.seed, "nonce", p)) for p in parties}
+        self.nonce_sources = {p: NonceSource(p, sub_seed(cfg.seed, "nonce", p)) for p in parties}
         # each sender's used nonces and each receiver's replay set
         self.sent_nonces: dict[str, set[bytes]] = {p: set() for p in parties}
         self.seen: dict[str, set[bytes]] = {p: set() for p in parties}
@@ -132,13 +126,12 @@ class Simulator:
         self.vset = ledger.ValidatorSet(
             stakes=dict(cfg.ledger.stakes),
             quorum_fraction=cfg.ledger.quorum_fraction,
-            secret_seed=_sub_seed(cfg.seed, "validators"),
+            secret_seed=sub_seed(cfg.seed, "validators"),
             byzantine_refuse=set(cfg.ledger.byzantine_refuse),
             byzantine_false=set(cfg.ledger.byzantine_false),
         )
         self.rules = ledger.ContractRules(
             freshness_window=cfg.freshness_window or 2 * ticks_per_round,
-            epsilon_cap=cfg.privacy.budget_cap,
             max_update_norm=cfg.ledger.max_update_norm or self._auto_norm_bound(),
             # no honest node holds more rows than the fleet generates per node
             max_declared_samples=fc.samples_per_node,
@@ -167,7 +160,7 @@ class Simulator:
     def _split(self, part: telemetry.NodePartition) -> tuple[telemetry.NodePartition, ...]:
         """The node's (train, holdout) partitions, drawn by its own seed."""
         n = part.n_samples
-        rng = np.random.default_rng(_sub_seed(self.cfg.seed, "split", part.node_id))
+        rng = np.random.default_rng(sub_seed(self.cfg.seed, "split", part.node_id))
         order = rng.permutation(n)
         n_hold = max(1, int(round(self.cfg.feedback.holdout_fraction * n))) if n > 1 else 0
         hold, train = order[:n_hold], order[n_hold:]
@@ -186,7 +179,7 @@ class Simulator:
         """One stacked local SGD of every node under the run's training config;
         each node is seeded by the seed parts and its id."""
         t = self.cfg.train
-        seeds = [_sub_seed(self.cfg.seed, *seed_parts, p.node_id) for p in parts]
+        seeds = [sub_seed(self.cfg.seed, *seed_parts, p.node_id) for p in parts]
         return train_fleet(params, parts, lr=t.lr, epochs=t.epochs, batch=t.batch, seeds=seeds)
 
     def _tag(self, party: str, rnd: int) -> FreshnessTag:
@@ -241,7 +234,7 @@ class Simulator:
         """Append one block; its committee is drawn per round and per seed part."""
         ledger.append_block(
             self.chain, payload_hash, meta, self.vset, self.rules, state,
-            committee_seed=_sub_seed(self.cfg.seed, "committee", meta.round, *seed_parts),
+            committee_seed=sub_seed(self.cfg.seed, "committee", meta.round, *seed_parts),
             committee_size=self.cfg.ledger.committee_size,
         )
 
@@ -277,7 +270,7 @@ class Simulator:
         for node, train, upd in zip(self.node_ids, trains, updates):
             ctx = privacy.assess_context(train.sensitivity, threat, upd.loss_trace, cfg.privacy)
             clipped = privacy.clip_update(upd, ctx.clip_norm)
-            noised = privacy.add_dp_noise(clipped, ctx, _sub_seed(cfg.seed, "noise", r, node))
+            noised = privacy.add_dp_noise(clipped, ctx, sub_seed(cfg.seed, "noise", r, node))
             # sender-side sample weighting keeps the aggregator blind to raw updates
             scaled[node] = GradientUpdate(grad=noised.grad * upd.n_samples, n_samples=upd.n_samples)
             ctxs[node] = ctx
@@ -290,7 +283,7 @@ class Simulator:
             n: ctxs[n].mask_strength * max(1.0, float(np.linalg.norm(scaled[n].grad)))
             for n in self.node_ids
         }
-        round_seed = _sub_seed(self.cfg.seed, "masks", r)
+        round_seed = sub_seed(self.cfg.seed, "masks", r)
         masks = masking.derive_masks(round_seed, self.node_ids, self.dim + 1, strengths, round=r)
         masked: dict[str, masking.MaskedUpdate] = {}
         received: list[masking.MaskedUpdate] = []
@@ -359,7 +352,7 @@ class Simulator:
             cfg.privacy.eps_global,
             cfg.privacy.delta_global,
             cfg.privacy.clip_global,
-            _sub_seed(cfg.seed, "global-noise", r),
+            sub_seed(cfg.seed, "global-noise", r),
         )
 
     def _distribute(self, trace, r: int, g: aggregation.GlobalUpdate) -> None:
@@ -401,8 +394,8 @@ class Simulator:
 
         # each contributor's train rows: the n_samples its update declared
         diversity = _diversity([self._parts[n][0].n_samples for n in g.contributing_nodes])
-        agreements, w_locals = [], []
-        corrections: dict[str, feedback.FeedbackUpdate] = {}
+        agreements = []
+        corrections: list[feedback.FeedbackUpdate] = []
         # Model 2: the global model tuned on each node's holdout rows
         model2_updates = self._train(
             [g.params] * len(self.node_ids), [self._parts[n][1] for n in self.node_ids],
@@ -420,66 +413,51 @@ class Simulator:
             )
             val_X = train.features[: fb.max_validation_samples]
             val_y = train.labels[: fb.max_validation_samples]
-            ecfg = feedback.ExplainConfig(
-                n_repeats=fb.explain_repeats, seed=_sub_seed(cfg.seed, "explain", r, node)
+            report = feedback.validate_predictions(
+                model1, model2, val_X, fb.explain_repeats, sub_seed(cfg.seed, "explain", r, node)
             )
-            report = feedback.validate_predictions(model1, model2, val_X, ecfg)
             agreements.append(report.agreement_rate)
 
             expl = feedback.explain(
                 model1, val_X[0], val_X, fb.explain_repeats,
-                _sub_seed(cfg.seed, "stability", r, node), sample_id=0,
+                sub_seed(cfg.seed, "stability", r, node),
             )
-            self.explanation_records.append(
-                {
-                    "round": r,
-                    "node": node,
-                    "sample": 0,
-                    "attributions": [float(a) for a in expl.attributions],
-                    "stability": expl.stability,
-                }
-            )
-
-            corr = feedback.local_correction(
-                model1,
-                val_X[report.flagged],
-                val_y[report.flagged],
-                hold.features,
-                hold.labels,
-                lr=fb.correction_lr,
-                steps=fb.correction_steps,
-                seed=_sub_seed(cfg.seed, "correct", r, node),
-                explanation_stability=expl.stability,
-            )
-            corrections[node] = corr
-            if cfg.integration_site == "node":
-                w_locals.append(
-                    self._integrate(trace, r, node, prev_global, g, corr.delta, corr.quality,
-                                    diversity)
-                )
+            self.explanation_records.append({
+                "round": r, "node": node, "sample": 0,
+                "attributions": [float(a) for a in expl.attributions], "stability": expl.stability,
+            })
+            corrections.append(feedback.local_correction(
+                model1, val_X[report.flagged], val_y[report.flagged], hold.features, hold.labels,
+                lr=fb.correction_lr, steps=fb.correction_steps,
+                seed=sub_seed(cfg.seed, "correct", r, node), explanation_stability=expl.stability,
+            ))
 
         if cfg.integration_site == "cloud":
-            # cloud-side integration: average the feedback deltas and qualities
-            xbar = np.mean([c.delta for c in corrections.values()], axis=0)
-            qs = [c.quality for c in corrections.values()]
-            quality = feedback.FeedbackQuality(
-                accuracy_gain=float(np.mean([q.accuracy_gain for q in qs])),
-                explanation_stability=float(np.mean([q.explanation_stability for q in qs])),
+            # one fusion for the fleet, over the mean delta, gain and stability
+            qs = [c.quality for c in corrections]
+            mean = feedback.FeedbackUpdate(
+                np.mean([c.delta for c in corrections], axis=0),
+                feedback.FeedbackQuality(float(np.mean([q.accuracy_gain for q in qs])),
+                                         float(np.mean([q.explanation_stability for q in qs]))),
             )
-            w_locals.append(
-                self._integrate(trace, r, CLOUD_ID, prev_global, g, xbar, quality, diversity)
-            )
+            fusions = [(CLOUD_ID, mean)]
+        else:
+            fusions = zip(self.node_ids, corrections)
+        w_locals = [
+            self._integrate(trace, r, actor, prev_global, g, corr, diversity)
+            for actor, corr in fusions
+        ]
         return float(np.mean(agreements)), float(np.mean(w_locals))
 
     def _integrate(self, trace, r: int, actor: str, prev_global: ModelParams,
-                   g: aggregation.GlobalUpdate, delta: np.ndarray,
-                   quality: feedback.FeedbackQuality, diversity: float) -> float:
-        """Fuse a feedback delta with the global delta, install the result at
-        the actor (a node, or every node for the cloud) and log it; returns w_local."""
+                   g: aggregation.GlobalUpdate, corr: feedback.FeedbackUpdate,
+                   diversity: float) -> float:
+        """Fuse a feedback correction with the global delta, install the result
+        at the actor (a node, or every node for the cloud) and log it; returns w_local."""
         fb = self.cfg.feedback
-        w = feedback.compute_weights(quality, g.total_samples, diversity, fb.w_min, fb.n_ref)
+        w = feedback.compute_weights(corr.quality, g.total_samples, diversity, fb.w_min, fb.n_ref)
         integrated = ModelParams.from_vector(
-            prev_global.as_vector() + feedback.integrate(delta, g.delta, w),
+            prev_global.as_vector() + feedback.integrate(corr.delta, g.delta, w),
             version=g.params.version,
         )
         payload = params_bytes(integrated)

@@ -28,8 +28,6 @@ class PrivacyContext:
     delta: float
     clip_norm: float
     mask_strength: float
-    threat_level: float
-    sensitivity: float
 
 
 @dataclass
@@ -78,30 +76,31 @@ def assess_context(
         delta=bounds.delta,
         clip_norm=clip,
         mask_strength=strength,
-        threat_level=threat,
-        sensitivity=sensitivity,
     )
+
+
+def clip_vector(v: np.ndarray, clip_norm: float) -> np.ndarray:
+    """Scale v down to L2 norm clip_norm; v itself when already within."""
+    if clip_norm <= 0:
+        raise ValueError("clip_norm must be positive")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("non-finite update")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if norm <= clip_norm:
+        return v
+    if math.isinf(norm):  # the sum of squares overflowed: take the direction first
+        v = v / np.max(np.abs(v))
+        norm = float(np.linalg.norm(v))
+    return v * (clip_norm / norm)
 
 
 def clip_update(update: GradientUpdate, clip_norm: float) -> GradientUpdate:
-    """Scale the update down to L2 norm clip_norm; no-op when already within."""
-    if clip_norm <= 0:
-        raise ValueError("clip_norm must be positive")
-    g = update.grad
-    if not np.all(np.isfinite(g)):
-        raise ValueError("non-finite update")
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(g))
-    if norm <= clip_norm:
+    """The update with its grad clipped by clip_vector; itself when already within."""
+    g = clip_vector(update.grad, clip_norm)
+    if g is update.grad:
         return update
-    if math.isinf(norm):  # the sum of squares overflowed: take the direction first
-        g = g / np.max(np.abs(g))
-        norm = float(np.linalg.norm(g))
-    return GradientUpdate(
-        grad=g * (clip_norm / norm),
-        n_samples=update.n_samples,
-        loss_trace=list(update.loss_trace),
-    )
+    return GradientUpdate(grad=g, n_samples=update.n_samples, loss_trace=list(update.loss_trace))
 
 
 def gaussian_sigma(clip_norm: float, epsilon: float, delta: float) -> float:
@@ -115,18 +114,19 @@ def gaussian_sigma(clip_norm: float, epsilon: float, delta: float) -> float:
     return clip_norm * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
 
 
+def gaussian_noise(v: np.ndarray, ctx: PrivacyContext, rng_seed: int) -> np.ndarray:
+    """v plus i.i.d. Gaussian noise calibrated to the context: the one Gaussian
+    mechanism, for a node's update and for the published aggregate."""
+    sigma = gaussian_sigma(ctx.clip_norm, ctx.epsilon, ctx.delta)
+    return v + np.random.default_rng(rng_seed).normal(0.0, sigma, size=v.shape)
+
+
 def add_dp_noise(update: GradientUpdate, ctx: PrivacyContext, rng_seed: int) -> GradientUpdate:
     """Add i.i.d. Gaussian noise calibrated to the context; eps=inf is identity."""
     if math.isinf(ctx.epsilon):
         return update
-    sigma = gaussian_sigma(ctx.clip_norm, ctx.epsilon, ctx.delta)
-    rng = np.random.default_rng(rng_seed)
-    noise = rng.normal(0.0, sigma, size=update.grad.shape)
-    return GradientUpdate(
-        grad=update.grad + noise,
-        n_samples=update.n_samples,
-        loss_trace=list(update.loss_trace),
-    )
+    grad = gaussian_noise(update.grad, ctx, rng_seed)
+    return GradientUpdate(grad=grad, n_samples=update.n_samples, loss_trace=list(update.loss_trace))
 
 
 def charge_budget(ledger: BudgetLedger, node_id: str, epsilon: float) -> BudgetLedger:

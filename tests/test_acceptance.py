@@ -116,8 +116,7 @@ def test_criterion_04_dp_noise_calibration():
     assert abs(sigma - 4.8239) / 4.8239 < 0.02
 
     ctx = privacy.PrivacyContext(
-        epsilon=1.0, delta=1e-5, clip_norm=1.0, mask_strength=0.1, threat_level=0.0,
-        sensitivity=0.0,
+        epsilon=1.0, delta=1e-5, clip_norm=1.0, mask_strength=0.1,
     )
     upd = GradientUpdate(grad=np.zeros(100_000), n_samples=1)
     draws = privacy.add_dp_noise(upd, ctx, rng_seed=321).grad
@@ -133,7 +132,7 @@ def test_criterion_04_dp_noise_calibration():
 
 def _build_50_block_chain():
     vset = ledger.ValidatorSet(stakes={"A": 1.0, "B": 1.0, "C": 2.0})
-    rules = ledger.ContractRules(freshness_window=10**6, epsilon_cap=100.0, max_update_norm=1e9)
+    rules = ledger.ContractRules(freshness_window=10**6, max_update_norm=1e9)
     chain = [ledger.genesis_block(canonical_hash(b"genesis"))]
     budget = privacy.BudgetLedger(budget_cap=100.0)
     for i in range(1, 50):
@@ -341,7 +340,7 @@ def test_criterion_12_explanation_sanity():
     m = ModelParams(np.array([1.0, -0.5]), 0.1)
     X = rng.normal(size=(6, 2))
     report = feedback.validate_predictions(
-        m, m, X, feedback.ExplainConfig(n_repeats=5, seed=0)
+        m, m, X, n_repeats=5, seed=0
     )
     assert report.agreement_rate == 1.0
     assert report.flagged == []

@@ -144,7 +144,18 @@ def test_global_adjust_noise_matches_sigma_oracle():
     expected_noise = np.random.default_rng(42).normal(0.0, sigma, size=3)
     np.testing.assert_allclose(out.delta, clipped + expected_noise, atol=1e-9)
     np.testing.assert_allclose(out.params.as_vector(), out.delta, atol=1e-9)
-    assert out.epsilon_global == 1.0
+
+
+@pytest.mark.parametrize("scale", [0.1, 10.0], ids=["within-clip", "clipped"])
+def test_global_adjust_is_the_edge_mechanism_bit_for_bit(scale):
+    base = ModelParams.zeros(3)
+    g = aggregation.fedavg([(np.array([1.0, -2.0, 0.5, 3.0]) * scale, 7)], base)
+    out = aggregation.privacy_adjust_global(g, base, 2.0, 1e-5, clip_global=1.0, rng_seed=9)
+    ctx = privacy.PrivacyContext(epsilon=2.0, delta=1e-5, clip_norm=1.0, mask_strength=0.0)
+    edge = privacy.add_dp_noise(
+        privacy.clip_update(GradientUpdate(grad=g.delta, n_samples=7), 1.0), ctx, rng_seed=9
+    )
+    assert out.delta.tobytes() == edge.grad.tobytes()
 
 
 def test_global_adjust_publishes_exactly_base_plus_delta():
@@ -195,5 +206,4 @@ def test_global_update_requires_contributors_and_finite_params():
             contributing_nodes=[],
             total_samples=1,
             round=0,
-            epsilon_global=math.inf,
         )

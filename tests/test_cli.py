@@ -143,6 +143,25 @@ def test_ledger_verify_clean_chain_exits_0(tmp_path, capsys):
     assert "chain valid" in capsys.readouterr().out
 
 
+def test_ledger_verify_says_what_it_checked(tmp_path, capsys):
+    sim = Simulator(make_cfg(rounds=1))
+    sim.run()
+    chain_path = tmp_path / "chain.json"
+    chain_path.write_text(ledger.export_chain(sim.chain))
+    assert main(["ledger", "verify", "--chain", str(chain_path)]) == 0
+    assert capsys.readouterr().out == (
+        f"chain valid ({len(sim.chain)} blocks): indices, prev-hash links and block hashes"
+        " recomputed; attestation digests and quorum not checked\n"
+    )
+
+
+def test_ledger_verify_empty_chain_exits_1(tmp_path, capsys):
+    chain_path = tmp_path / "chain.json"
+    chain_path.write_text("[]\n")
+    assert main(["ledger", "verify", "--chain", str(chain_path)]) == 1
+    assert capsys.readouterr().out == "chain INVALID: first bad index 0\n"
+
+
 def test_ledger_verify_tampered_chain_exits_1(tmp_path, capsys):
     sim = Simulator(make_cfg(rounds=1))
     sim.run()

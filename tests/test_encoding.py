@@ -65,6 +65,12 @@ def test_vec_round_trip(v):
     np.testing.assert_array_equal(decoded, v)
 
 
+def test_sub_seed_is_the_first_8_bytes_of_the_joined_parts_digest():
+    digest = hashlib.sha256(b"explain:7:3").digest()
+    assert encoding.sub_seed("explain", 7, 3) == int.from_bytes(digest[:8], "big")
+    assert encoding.sub_seed(7, "holdout") != encoding.sub_seed("holdout", 7)
+
+
 def test_hash_vector_matches_manual_composition():
     v = np.array([1.5, -2.0])
     assert encoding.hash_vector(v) == hashlib.sha256(encoding.enc_vec(v)).digest()

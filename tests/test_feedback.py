@@ -1,5 +1,7 @@
 """Dual-model validation, explanations, corrections, and weighted fusion."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,14 +52,10 @@ def test_explain_stability_in_unit_interval():
     assert 0.0 <= expl.stability <= 1.0
 
 
-def _cfg(seed=0, repeats=5):
-    return feedback.ExplainConfig(n_repeats=repeats, seed=seed)
-
-
 def test_identical_models_agree_fully_with_no_flags():
     m = ModelParams(np.array([1.0, -1.0]), 0.2)
     X = np.random.default_rng(6).normal(size=(6, 2))
-    report = feedback.validate_predictions(m, m, X, _cfg())
+    report = feedback.validate_predictions(m, m, X, n_repeats=5, seed=0)
     assert report.agreement_rate == 1.0
     assert report.explanation_consistency == 1.0
     assert report.flagged == []
@@ -69,7 +67,7 @@ def test_negated_model_disagrees_everywhere():
     rng = np.random.default_rng(7)
     X = rng.normal(size=(8, 2)) + 1.0  # keep margins away from zero
     X = X[np.abs(X @ m1.weights) > 0.2]
-    report = feedback.validate_predictions(m1, m2, X, _cfg())
+    report = feedback.validate_predictions(m1, m2, X, n_repeats=5, seed=0)
     assert report.agreement_rate == 0.0
     assert sorted(report.flagged) == list(range(len(X)))
 
@@ -80,7 +78,7 @@ def test_validation_breaks_attribution_ties_toward_lowest_index():
     flat = ModelParams(np.zeros(3), 5.0)
     first = ModelParams(np.array([0.1, 0.0, 0.0]), 5.0)
     X = np.random.default_rng(11).normal(size=(6, 3))
-    report = feedback.validate_predictions(flat, first, X, _cfg())
+    report = feedback.validate_predictions(flat, first, X, n_repeats=5, seed=0)
     assert report.explanation_consistency == 1.0
     assert report.flagged == []
 
@@ -91,7 +89,7 @@ def test_hand_built_disagreements_flag_exactly():
     m1 = ModelParams(np.array([1.0]), 0.0)
     m2 = ModelParams(np.array([-1.0]), 0.0)
     X = np.array([[1.0], [0.0], [-2.0], [3.0], [0.0], [5.0], [-1.0], [0.0], [2.0], [-4.0]])
-    report = feedback.validate_predictions(m1, m2, X, _cfg())
+    report = feedback.validate_predictions(m1, m2, X, n_repeats=5, seed=0)
     assert report.flagged == [0, 2, 3, 5, 6, 8, 9]
     assert report.agreement_rate == pytest.approx(0.3)
     assert report.explanation_consistency == 1.0
@@ -100,17 +98,17 @@ def test_hand_built_disagreements_flag_exactly():
 def test_validate_rejects_empty_or_mismatched_inputs():
     m = ModelParams.zeros(2)
     with pytest.raises(ValueError):
-        feedback.validate_predictions(m, m, np.zeros((0, 2)), _cfg())
+        feedback.validate_predictions(m, m, np.zeros((0, 2)), n_repeats=5, seed=0)
     with pytest.raises(ValueError):
-        feedback.validate_predictions(m, ModelParams.zeros(3), np.zeros((2, 2)), _cfg())
+        feedback.validate_predictions(m, ModelParams.zeros(3), np.zeros((2, 2)), n_repeats=5, seed=0)
     with pytest.raises(ValueError, match="2-D array"):
-        feedback.validate_predictions(m, m, np.zeros(2), _cfg())
+        feedback.validate_predictions(m, m, np.zeros(2), n_repeats=5, seed=0)
     with pytest.raises(ValueError, match="2-D array"):
-        feedback.validate_predictions(m, m, np.zeros((2, 3)), _cfg())
+        feedback.validate_predictions(m, m, np.zeros((2, 3)), n_repeats=5, seed=0)
     with pytest.raises(ValueError, match="finite"):
-        feedback.validate_predictions(m, m, np.array([[0.0, 1.0], [np.nan, 0.0]]), _cfg())
+        feedback.validate_predictions(m, m, np.array([[0.0, 1.0], [np.nan, 0.0]]), n_repeats=5, seed=0)
     with pytest.raises(ValueError):
-        feedback.validate_predictions(m, m, np.zeros((2, 2)), _cfg(repeats=0))
+        feedback.validate_predictions(m, m, np.zeros((2, 2)), n_repeats=0, seed=0)
 
 
 def _reference_explain(params, sample, background, n_repeats, seed):
@@ -136,15 +134,19 @@ def _top_feature(attributions):
     return int(np.argmax(np.abs(attributions)))
 
 
-def _reference_validate(model1, model2, X, cfg):
+def _reference_sample_seed(seed, i):
+    return int.from_bytes(hashlib.sha256(f"explain:{seed}:{i}".encode()).digest()[:8], "big")
+
+
+def _reference_validate(model1, model2, X, n_repeats, seed):
     """Per-sample (same prediction, same top feature, top feature clear of the
     runner-up by more than 1e-9 in both models' explanations)."""
     out = []
     for i, x in enumerate(X):
-        seed = feedback._sample_seed(cfg.seed, i)
+        sample_seed = _reference_sample_seed(seed, i)
         tops, clear = [], True
         for m in (model1, model2):
-            attr, _ = _reference_explain(m, x, X, cfg.n_repeats, seed)
+            attr, _ = _reference_explain(m, x, X, n_repeats, sample_seed)
             top2 = np.sort(attr)[-2:]
             clear = clear and (attr.size == 1 or top2[1] - top2[0] > 1e-9)
             tops.append(_top_feature(attr))
@@ -159,24 +161,24 @@ def _random_case(seed):
     X = rng.normal(size=(n, d))
     m1 = ModelParams(rng.normal(size=d), float(rng.normal()))
     m2 = ModelParams(m1.weights + rng.normal(scale=0.5, size=d), float(rng.normal()))
-    return m1, m2, X, _cfg(seed=seed, repeats=int(repeats))
+    return m1, m2, X, int(repeats), seed
 
 
 @pytest.mark.parametrize("case", range(40))
 def test_batched_explain_matches_the_scalar_loop(case):
-    m1, _, X, cfg = _random_case(case)
+    m1, _, X, repeats, _ = _random_case(case)
     for i in range(len(X)):
-        expl = feedback.explain(m1, X[i], X, cfg.n_repeats, seed=case + i, sample_id=i)
-        attr, stability = _reference_explain(m1, X[i], X, cfg.n_repeats, case + i)
+        expl = feedback.explain(m1, X[i], X, repeats, seed=case + i)
+        attr, stability = _reference_explain(m1, X[i], X, repeats, case + i)
         np.testing.assert_allclose(expl.attributions, attr, rtol=0, atol=1e-12)
         assert abs(expl.stability - stability) <= 1e-12
 
 
 @pytest.mark.parametrize("case", range(40))
 def test_batched_validation_matches_the_scalar_loop(case):
-    m1, m2, X, cfg = _random_case(case)
-    report = feedback.validate_predictions(m1, m2, X, cfg)
-    ref = _reference_validate(m1, m2, X, cfg)
+    m1, m2, X, repeats, seed = _random_case(case)
+    report = feedback.validate_predictions(m1, m2, X, repeats, seed)
+    ref = _reference_validate(m1, m2, X, repeats, seed)
     assert all(type(i) is int for i in report.flagged)
     assert report.flagged == sorted(report.flagged)
     assert report.agreement_rate == sum(p for p, _, _ in ref) / len(X)

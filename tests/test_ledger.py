@@ -8,10 +8,10 @@ import pytest
 
 from fleetfl import ledger
 from fleetfl.channel import FreshnessTag
-from fleetfl.encoding import canonical_hash
+from fleetfl.encoding import ZERO_DIGEST, canonical_hash
 from fleetfl.privacy import BudgetLedger
 
-RULES = ledger.ContractRules(freshness_window=100, epsilon_cap=20.0, max_update_norm=10.0)
+RULES = ledger.ContractRules(freshness_window=100, max_update_norm=10.0)
 
 
 def _vset(**kw):
@@ -211,6 +211,24 @@ def test_verify_untampered_100_block_chain():
 
 def test_verify_genesis_only_chain():
     assert ledger.verify_chain([ledger.genesis_block(canonical_hash(b"g"))]) is None
+
+
+def test_an_empty_chain_is_bad_at_index_0():
+    assert ledger.verify_chain([]) == 0
+
+
+def test_a_chain_that_does_not_open_with_genesis_is_bad_at_index_0():
+    # a local-update block at index 0, linked to the zero digest and hashed
+    # consistently: only its kind says it is not the chain's origin
+    meta, payload_hash = _meta(), canonical_hash(b"x")
+    head = ledger.LedgerBlock(
+        index=0, prev_hash=ZERO_DIGEST, payload_hash=payload_hash, meta=meta, attestations=[],
+        block_hash=ledger.compute_block_hash(0, ZERO_DIGEST, payload_hash, meta, []),
+    )
+    assert ledger.verify_chain([head]) == 0
+    # the same with a well-formed chain behind it
+    tail = _build_chain(3)[1:]
+    assert ledger.verify_chain([head, *tail]) == 0
 
 
 def test_meta_bit_flip_in_block_17_reports_index_17():

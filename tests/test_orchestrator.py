@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from conftest import make_cfg
 
-from fleetfl import attacks, channel, ledger, models, orchestrator, telemetry
+from fleetfl import attacks, channel, feedback, ledger, models, orchestrator, telemetry
 from fleetfl.encoding import canonical_hash, hash_vector
 from fleetfl.orchestrator import Simulator, run
 
@@ -168,6 +168,75 @@ def test_cloud_integration_site_runs():
     reports = run(make_cfg(rounds=2, integration_site="cloud"))
     assert not any(rep.aborted for rep in reports)
     assert all(math.isfinite(rep.global_accuracy) for rep in reports)
+
+
+def _normalised_entropy(counts):
+    p = np.asarray(counts, dtype=np.float64) / sum(counts)
+    return min(1.0, float(-np.sum(p * np.log(p)) / math.log(len(counts))))
+
+
+@pytest.mark.parametrize("site", ["node", "cloud"])
+def test_fusion_matches_a_hand_recomputed_oracle(monkeypatch, site):
+    # at this seed and with 20 validation rows some corrections gain accuracy,
+    # so the fusion weights are not pinned at w_min
+    sim = Simulator(make_cfg(seed=1, rounds=1, fleet={"n_nodes": 5}, integration_site=site,
+                             feedback={"max_validation_samples": 20}))
+    corrections, global_deltas = [], []
+    local_correction, integrate = feedback.local_correction, feedback.integrate
+
+    def recorded_correction(*args, **kwargs):
+        corrections.append(local_correction(*args, **kwargs))
+        return corrections[-1]
+
+    def recorded_integrate(x, y, w):
+        global_deltas.append(np.array(y, dtype=np.float64))
+        return integrate(x, y, w)
+
+    monkeypatch.setattr(feedback, "local_correction", recorded_correction)
+    monkeypatch.setattr(feedback, "integrate", recorded_integrate)
+    prev = sim.global_params.as_vector()
+    report, _ = sim.run_round(0)
+    assert not report.aborted
+    assert len(corrections) == len(sim.node_ids)  # one per node, in node order
+    assert any(np.any(c.delta != 0.0) for c in corrections)
+    y = global_deltas[0]
+    assert all(np.array_equal(d, y) for d in global_deltas)
+    np.testing.assert_allclose(sim.global_params.as_vector(), prev + y, rtol=0, atol=1e-12)
+
+    counts = [sim._parts[n][0].n_samples for n in sim.node_ids]
+    fb = sim.cfg.feedback
+
+    def fused(x, gain, stability):
+        quality = feedback.FeedbackQuality(accuracy_gain=gain, explanation_stability=stability)
+        w = feedback.compute_weights(
+            quality, sum(counts), _normalised_entropy(counts), fb.w_min, fb.n_ref
+        )
+        return prev + w.w_local * x + w.w_global * y, w.w_local
+
+    if site == "cloud":
+        expected, w_local = fused(
+            np.mean([c.delta for c in corrections], axis=0),
+            float(np.mean([c.quality.accuracy_gain for c in corrections])),
+            float(np.mean([c.quality.explanation_stability for c in corrections])),
+        )
+        expected = {n: expected for n in sim.node_ids}
+        w_locals = [w_local]
+        actors = ["cloud"]
+    else:
+        expected, w_locals = {}, []
+        for node, c in zip(sim.node_ids, corrections):
+            expected[node], w_local = fused(
+                c.delta, c.quality.accuracy_gain, c.quality.explanation_stability
+            )
+            w_locals.append(w_local)
+        actors = sim.node_ids
+    assert max(w_locals) > fb.w_min
+    for node in sim.node_ids:
+        np.testing.assert_allclose(
+            sim.node_params[node].as_vector(), expected[node], rtol=0, atol=1e-12
+        )
+    assert report.w_local_mean == pytest.approx(float(np.mean(w_locals)), abs=1e-12)
+    assert [b.meta.actor_id for b in sim.chain if b.meta.kind == "feedback"] == actors
 
 
 def test_feedback_disabled_round_has_fewer_blocks():

@@ -131,8 +131,7 @@ def test_sigma_rejects_bad_delta():
 
 def _ctx(eps, clip=1.0):
     return privacy.PrivacyContext(
-        epsilon=eps, delta=1e-5, clip_norm=clip, mask_strength=0.1, threat_level=0.0,
-        sensitivity=0.0,
+        epsilon=eps, delta=1e-5, clip_norm=clip, mask_strength=0.1,
     )
 
 
