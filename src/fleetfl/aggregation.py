@@ -15,7 +15,7 @@ import numpy as np
 
 from .masking import MaskedUpdate
 from .models import ModelParams
-from .privacy import PrivacyContext, clip_vector, gaussian_noise
+from .privacy import clip_vector, gaussian_noise, gaussian_sigma
 
 
 class AggregationAbort(RuntimeError):
@@ -30,15 +30,7 @@ class ParticipantMismatch(AggregationAbort):
 class GlobalUpdate:
     params: ModelParams
     delta: np.ndarray  # the aggregate update applied to the base, bias last
-    contributing_nodes: list[str]
     total_samples: int
-    round: int
-
-    def __post_init__(self):
-        if not self.contributing_nodes:
-            raise ValueError("contributing_nodes must be non-empty")
-        if not np.all(np.isfinite(self.params.as_vector())):
-            raise ValueError("global params must be finite")
 
 
 def preprocess_updates(
@@ -83,34 +75,18 @@ def fedavg(updates: list[tuple[np.ndarray, int]], base: ModelParams) -> GlobalUp
     for vec, n in updates:
         delta = delta + (n / total_n) * np.asarray(vec, dtype=np.float64)
     params = ModelParams.from_vector(base.as_vector() + delta, version=base.version + 1)
-    return GlobalUpdate(
-        params=params,
-        delta=delta,
-        contributing_nodes=[f"update-{i}" for i in range(len(updates))],
-        total_samples=total_n,
-        round=base.version,
-    )
+    return GlobalUpdate(params=params, delta=delta, total_samples=total_n)
 
 
 def fedavg_from_masked_sum(
-    summed: np.ndarray,
-    total_samples: int,
-    contributing_nodes: list[str],
-    base: ModelParams,
-    round: int,
+    summed: np.ndarray, total_samples: int, base: ModelParams
 ) -> GlobalUpdate:
     """FedAvg over sender-scaled masked updates: weighted delta = sum / total samples."""
     if total_samples <= 0:
         raise ValueError("total sample count must be positive")
     delta = np.asarray(summed, dtype=np.float64) / total_samples
     params = ModelParams.from_vector(base.as_vector() + delta, version=base.version + 1)
-    return GlobalUpdate(
-        params=params,
-        delta=delta,
-        contributing_nodes=sorted(contributing_nodes),
-        total_samples=total_samples,
-        round=round,
-    )
+    return GlobalUpdate(params=params, delta=delta, total_samples=total_samples)
 
 
 def privacy_adjust_global(
@@ -125,16 +101,7 @@ def privacy_adjust_global(
     params are exactly base + the published delta. eps=inf is identity."""
     if math.isinf(epsilon_global):
         return g
-    # the edge's mechanism; the published aggregate carries no mask
-    ctx = PrivacyContext(
-        epsilon=epsilon_global, delta=delta, clip_norm=clip_global, mask_strength=0.0
-    )
-    agg = gaussian_noise(clip_vector(g.delta, clip_global), ctx, rng_seed)
+    sigma = gaussian_sigma(clip_global, epsilon_global, delta)
+    agg = gaussian_noise(clip_vector(g.delta, clip_global), sigma, rng_seed)
     params = ModelParams.from_vector(base.as_vector() + agg, version=g.params.version)
-    return GlobalUpdate(
-        params=params,
-        delta=agg,
-        contributing_nodes=list(g.contributing_nodes),
-        total_samples=g.total_samples,
-        round=g.round,
-    )
+    return GlobalUpdate(params=params, delta=agg, total_samples=g.total_samples)

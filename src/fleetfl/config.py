@@ -1,8 +1,10 @@
 """Run configuration: JSON-backed dataclasses with unknown-key rejection.
 
-A config fully determines a run. Infinite epsilons are written as the JSON
-string "inf". Building a RunConfig checks every field's type and bounds and
-raises ConfigError on the first violation.
+A config fully determines a run. Only the epsilons (no noise), the budget cap
+and the ledger's update-norm bound (no bound) take infinity, written as the JSON
+string "inf"; every other number must be finite. Building a RunConfig checks
+every field's type, finiteness and bounds and raises ConfigError on the first
+violation.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ def _num(v):
     return v
 
 
-def _field(default, **bounds):
-    """A config field with optional inclusive (ge, le) or exclusive (gt, lt) bounds."""
-    return field(default=default, metadata=bounds)
+def _field(default, inf=False, **bounds):
+    """A config field with optional inclusive (ge, le) or exclusive (gt, lt)
+    bounds; inf=True lets it take infinity."""
+    return field(default=default, metadata={"inf": inf, "bounds": bounds})
 
 
 @dataclass
@@ -48,14 +51,14 @@ class TrainConfig:
 
 @dataclass
 class PrivacyConfig:
-    eps_min: float = _field(0.5, gt=0.0)
-    eps_max: float = _field(8.0, gt=0.0)  # "inf" disables local noise
+    eps_min: float = _field(0.5, inf=True, gt=0.0)
+    eps_max: float = _field(8.0, inf=True, gt=0.0)  # "inf" disables local noise
     delta: float = _field(1e-5, gt=0.0, lt=1.0)
     clip_norm: float = _field(1.0, gt=0.0)
     mask_strength_min: float = _field(0.1, gt=0.0)
     mask_strength_max: float = _field(2.0, gt=0.0)
-    budget_cap: float = _field(20.0, gt=0.0)
-    eps_global: float = _field(math.inf, gt=0.0)  # "inf" disables global noise
+    budget_cap: float = _field(20.0, inf=True, gt=0.0)
+    eps_global: float = _field(math.inf, inf=True, gt=0.0)  # "inf" disables global noise
     delta_global: float = _field(1e-5, gt=0.0, lt=1.0)
     clip_global: float = _field(1.0, gt=0.0)
 
@@ -67,7 +70,8 @@ class LedgerConfig:
     committee_size: int | None = _field(None, ge=1)  # default min(5, validators)
     byzantine_refuse: list[str] = field(default_factory=list)
     byzantine_false: list[str] = field(default_factory=list)
-    max_update_norm: float | None = _field(None, gt=0.0)  # None -> auto from privacy bounds
+    # None -> auto from privacy bounds
+    max_update_norm: float | None = _field(None, inf=True, gt=0.0)
 
 
 @dataclass
@@ -147,16 +151,27 @@ def _type_ok(value, hint) -> bool:
     return isinstance(value, hint)
 
 
+def _finite(value) -> bool:
+    """False when value, or any number inside a list or dict value, is inf or nan."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def _check_fields(obj, path: str) -> None:
-    """Check every field's type and bounds, recursing into nested sections."""
+    """Check every field's type, finiteness and bounds, recursing into nested sections."""
     hints = typing.get_type_hints(type(obj))
     for f in dataclasses.fields(obj):
         value, where = getattr(obj, f.name), path + f.name
         if not _type_ok(value, hints[f.name]):
             raise ConfigError(f"{where} must be {f.type}, got {value!r}")
+        if not (f.metadata.get("inf") or _finite(value)):
+            raise ConfigError(f"{where} must be finite, got {value!r}")
         if dataclasses.is_dataclass(value):
             _check_fields(value, where + ".")
-        for bound, limit in f.metadata.items():
+        for bound, limit in f.metadata.get("bounds", {}).items():
             test, word = _BOUNDS[bound]
             if value is not None and not test(value, limit):
                 raise ConfigError(f"{where} must be {word} {limit}, got {value!r}")

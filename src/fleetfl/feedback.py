@@ -191,23 +191,18 @@ def local_correction(
 def compute_weights(
     quality: FeedbackQuality,
     total_samples: int,
-    diversity: float,
     w_min: float = 0.05,
     n_ref: int = 1000,
 ) -> IntegrationWeights:
     """Convex fusion weights: the local score rewards measured accuracy gain and
-    explanation stability, the global score rewards data volume and diversity."""
+    explanation stability, the global score rewards data volume."""
     if not 0.0 < w_min < 0.5:
         raise ValueError("w_min must lie in (0, 0.5)")
-    if total_samples < 1 or not 0.0 <= diversity <= 1.0:
-        raise ValueError("global stats out of range")
+    if total_samples < 1:
+        raise ValueError("total_samples must be positive")
     score_local = max(0.0, quality.accuracy_gain) * quality.explanation_stability
-    score_global = diversity * math.log1p(total_samples) / math.log1p(n_ref)
-    if score_local + score_global <= 0.0:
-        w_local = w_min
-    else:
-        w_local = score_local / (score_local + score_global)
-        w_local = min(max(w_local, w_min), 1.0 - w_min)
+    score_global = math.log1p(total_samples) / math.log1p(n_ref)  # > 0
+    w_local = min(max(score_local / (score_local + score_global), w_min), 1.0 - w_min)
     return IntegrationWeights(w_local=w_local, w_global=1.0 - w_local)
 
 

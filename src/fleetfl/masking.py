@@ -16,27 +16,20 @@ normal vector, scaled by the pair's strength.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .channel import FreshnessTag
-from .encoding import enc_str, enc_u64, enc_vec, hash_vector
+from .encoding import dec_vec, enc_str, enc_u64, enc_vec, hash_vector
 from .models import GradientUpdate
-
-
-@dataclass
-class MaskVector:
-    node_id: str
-    round: int
-    values: np.ndarray
 
 
 @dataclass
 class MaskedUpdate:
     node_id: str
-    round: int
     payload: np.ndarray  # clipped + noised update plus mask
     n_samples: int
     freshness: FreshnessTag
@@ -45,7 +38,6 @@ class MaskedUpdate:
     def to_bytes(self) -> bytes:
         return (
             enc_str(self.node_id)
-            + enc_u64(self.round)
             + enc_vec(self.payload)
             + enc_u64(self.n_samples)
             + self.freshness.to_bytes()
@@ -54,15 +46,9 @@ class MaskedUpdate:
 
     @classmethod
     def from_bytes(cls, b: bytes) -> "MaskedUpdate":
-        from .encoding import dec_vec
-        import struct
-
         (nlen,) = struct.unpack_from(">I", b, 0)
         node_id = b[4 : 4 + nlen].decode("utf-8")
-        off = 4 + nlen
-        (rnd,) = struct.unpack_from(">Q", b, off)
-        off += 8
-        payload, off = dec_vec(b, off)
+        payload, off = dec_vec(b, 4 + nlen)
         (n_samples,) = struct.unpack_from(">Q", b, off)
         off += 8
         nonce = b[off : off + 16]
@@ -72,7 +58,6 @@ class MaskedUpdate:
         digest = b[off : off + 32]
         return cls(
             node_id=node_id,
-            round=rnd,
             payload=payload,
             n_samples=n_samples,
             freshness=FreshnessTag(nonce=nonce, timestamp=ts, round=frnd),
@@ -97,7 +82,7 @@ def derive_masks(
     dim: int,
     strength: float | Mapping[str, float],
     round: int = 0,
-) -> dict[str, MaskVector]:
+) -> dict[str, np.ndarray]:
     """Per-node masks that sum to zero across the full participant set."""
     if len(participants) == 0:
         raise ValueError("need at least one participant")
@@ -126,19 +111,18 @@ def derive_masks(
         rows *= np.maximum(s[i], s[i + 1 :])[:, None]
         masks[i] += rows.sum(axis=0)
         masks[i + 1 :] -= rows
-    return {
-        p: MaskVector(node_id=p, round=round, values=masks[k]) for k, p in enumerate(participants)
-    }
+    return dict(zip(participants, masks))
 
 
-def apply_mask(update: GradientUpdate, mask: MaskVector, freshness: FreshnessTag) -> MaskedUpdate:
-    """Add the mask and hash the canonical payload serialization."""
-    if update.grad.shape != mask.values.shape:
+def apply_mask(
+    node_id: str, update: GradientUpdate, mask: np.ndarray, freshness: FreshnessTag
+) -> MaskedUpdate:
+    """Add the node's mask and hash the canonical payload serialization."""
+    if update.grad.shape != mask.shape:
         raise ValueError("update/mask dimension mismatch")
-    payload = update.grad + mask.values
+    payload = update.grad + mask
     return MaskedUpdate(
-        node_id=mask.node_id,
-        round=mask.round,
+        node_id=node_id,
         payload=payload,
         n_samples=update.n_samples,
         freshness=freshness,

@@ -81,19 +81,6 @@ def params_bytes(params: ModelParams) -> bytes:
     return enc_vec(params.as_vector()) + enc_u64(params.version)
 
 
-def _diversity(counts: list[int]) -> float:
-    """Normalized entropy of per-node contribution counts; 0 for one contributor.
-
-    Clamped to 1: for equal counts the rounded entropy can exceed log(n) by an ulp.
-    """
-    if len(counts) <= 1:
-        return 0.0
-    p = np.asarray(counts, dtype=np.float64)
-    p = p / p.sum()
-    h = -np.sum(p * np.log(np.clip(p, 1e-300, None)))
-    return min(1.0, float(h / math.log(len(counts))))
-
-
 class Simulator:
     """Single owner of all mutable protocol state (chain, budgets, nonce sets, clock)."""
 
@@ -289,7 +276,7 @@ class Simulator:
         received: list[masking.MaskedUpdate] = []
         for node in self.node_ids:
             tag = self._tag(node, r)
-            masked[node] = masking.apply_mask(scaled[node], masks[node], tag)
+            masked[node] = masking.apply_mask(node, scaled[node], masks[node], tag)
             payload = self._transmit(
                 trace, tag, node, CLOUD_ID, "local_update", masked[node].to_bytes()
             )
@@ -343,9 +330,7 @@ class Simulator:
         cfg = self.cfg
         summed = aggregation.smpc_sum(admitted, self.node_ids)
         total_n = sum(mu.n_samples for mu in admitted)
-        g = aggregation.fedavg_from_masked_sum(
-            summed, total_n, self.node_ids, self.global_params, round=r
-        )
+        g = aggregation.fedavg_from_masked_sum(summed, total_n, self.global_params)
         return aggregation.privacy_adjust_global(
             g,
             self.global_params,
@@ -392,8 +377,6 @@ class Simulator:
                 self.node_params[node] = g.params
             return 1.0, 0.0
 
-        # each contributor's train rows: the n_samples its update declared
-        diversity = _diversity([self._parts[n][0].n_samples for n in g.contributing_nodes])
         agreements = []
         corrections: list[feedback.FeedbackUpdate] = []
         # Model 2: the global model tuned on each node's holdout rows
@@ -444,18 +427,17 @@ class Simulator:
         else:
             fusions = zip(self.node_ids, corrections)
         w_locals = [
-            self._integrate(trace, r, actor, prev_global, g, corr, diversity)
+            self._integrate(trace, r, actor, prev_global, g, corr)
             for actor, corr in fusions
         ]
         return float(np.mean(agreements)), float(np.mean(w_locals))
 
     def _integrate(self, trace, r: int, actor: str, prev_global: ModelParams,
-                   g: aggregation.GlobalUpdate, corr: feedback.FeedbackUpdate,
-                   diversity: float) -> float:
+                   g: aggregation.GlobalUpdate, corr: feedback.FeedbackUpdate) -> float:
         """Fuse a feedback correction with the global delta, install the result
         at the actor (a node, or every node for the cloud) and log it; returns w_local."""
         fb = self.cfg.feedback
-        w = feedback.compute_weights(corr.quality, g.total_samples, diversity, fb.w_min, fb.n_ref)
+        w = feedback.compute_weights(corr.quality, g.total_samples, fb.w_min, fb.n_ref)
         integrated = ModelParams.from_vector(
             prev_global.as_vector() + feedback.integrate(corr.delta, g.delta, w),
             version=g.params.version,

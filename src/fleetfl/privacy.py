@@ -114,10 +114,9 @@ def gaussian_sigma(clip_norm: float, epsilon: float, delta: float) -> float:
     return clip_norm * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
 
 
-def gaussian_noise(v: np.ndarray, ctx: PrivacyContext, rng_seed: int) -> np.ndarray:
-    """v plus i.i.d. Gaussian noise calibrated to the context: the one Gaussian
-    mechanism, for a node's update and for the published aggregate."""
-    sigma = gaussian_sigma(ctx.clip_norm, ctx.epsilon, ctx.delta)
+def gaussian_noise(v: np.ndarray, sigma: float, rng_seed: int) -> np.ndarray:
+    """v plus i.i.d. Gaussian noise of scale sigma: the one Gaussian mechanism,
+    for a node's update and for the published aggregate."""
     return v + np.random.default_rng(rng_seed).normal(0.0, sigma, size=v.shape)
 
 
@@ -125,7 +124,8 @@ def add_dp_noise(update: GradientUpdate, ctx: PrivacyContext, rng_seed: int) -> 
     """Add i.i.d. Gaussian noise calibrated to the context; eps=inf is identity."""
     if math.isinf(ctx.epsilon):
         return update
-    grad = gaussian_noise(update.grad, ctx, rng_seed)
+    sigma = gaussian_sigma(ctx.clip_norm, ctx.epsilon, ctx.delta)
+    grad = gaussian_noise(update.grad, sigma, rng_seed)
     return GradientUpdate(grad=grad, n_samples=update.n_samples, loss_trace=list(update.loss_trace))
 
 

@@ -37,7 +37,7 @@ def _mask_round(grads, seed, strength=1.0):
     masks = masking.derive_masks(seed, nodes, dim, strength)
     tag = FreshnessTag(nonce=bytes(16), timestamp=1, round=0)
     return [
-        masking.apply_mask(GradientUpdate(grad=grads[n], n_samples=1), masks[n], tag)
+        masking.apply_mask(n, GradientUpdate(grad=grads[n], n_samples=1), masks[n], tag)
         for n in nodes
     ]
 
@@ -81,7 +81,7 @@ def test_criterion_02_fedavg_equals_centralized_full_batch_step():
     scaled = {node: d * n for node, d, n in deltas}
     total_n = sum(n for _, _, n in deltas)
     summed = aggregation.smpc_sum(_mask_round(scaled, seed=9, strength=2.0), sorted(scaled))
-    g2 = aggregation.fedavg_from_masked_sum(summed, total_n, sorted(scaled), base, round=0)
+    g2 = aggregation.fedavg_from_masked_sum(summed, total_n, base)
     np.testing.assert_allclose(g2.params.as_vector(), oracle, atol=1e-6)
 
 

@@ -17,7 +17,6 @@ def _masked(node, payload, n=1):
 
     return masking.MaskedUpdate(
         node_id=node,
-        round=0,
         payload=payload,
         n_samples=n,
         freshness=FreshnessTag(nonce=bytes(16), timestamp=1, round=0),
@@ -33,7 +32,9 @@ def _mask_and_collect(grads, seed, strength=1.0):
     for n in nodes:
         upd = GradientUpdate(grad=np.asarray(grads[n], dtype=np.float64), n_samples=1)
         out.append(
-            masking.apply_mask(upd, masks[n], FreshnessTag(nonce=bytes(16), timestamp=1, round=0))
+            masking.apply_mask(
+                n, upd, masks[n], FreshnessTag(nonce=bytes(16), timestamp=1, round=0)
+            )
         )
     return out
 
@@ -124,7 +125,7 @@ def test_fedavg_from_masked_sum_matches_direct_fedavg():
     deltas = [(np.array([1.0, 3.0, 0.0]), 100), (np.array([5.0, 7.0, 2.0]), 300)]
     direct = aggregation.fedavg(deltas, base)
     summed = sum(n * v for v, n in deltas)
-    via_sum = aggregation.fedavg_from_masked_sum(summed, 400, ["a", "b"], base, round=0)
+    via_sum = aggregation.fedavg_from_masked_sum(summed, 400, base)
     np.testing.assert_allclose(via_sum.delta, direct.delta, atol=1e-12)
     np.testing.assert_allclose(via_sum.params.as_vector(), direct.params.as_vector(), atol=1e-12)
 
@@ -197,13 +198,3 @@ def test_aggregator_is_structurally_blind_to_raw_updates():
     sig = inspect.signature(aggregation.smpc_sum)
     assert "MaskedUpdate" in str(sig.parameters["masked"].annotation)
 
-
-def test_global_update_requires_contributors_and_finite_params():
-    with pytest.raises(ValueError):
-        aggregation.GlobalUpdate(
-            params=ModelParams.zeros(1),
-            delta=np.zeros(2),
-            contributing_nodes=[],
-            total_samples=1,
-            round=0,
-        )

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifacts, ledger verification."""
 
 import json
+import math
 
 import pytest
 from conftest import make_cfg
@@ -49,6 +50,41 @@ def test_run_with_bad_config_value_exits_2(tmp_path, capsys, bad):
     path.write_text(json.dumps(bad))
     assert main(["run", "--config", str(path)]) == 2
     assert "error: bad config:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"privacy": {"clip_norm": "inf"}},
+        {"train": {"lr": "inf"}},
+        {"feedback": {"correction_lr": "inf"}},
+        {"privacy": {"clip_global": "inf", "eps_global": 1.0}},
+        {"ledger": {"stakes": {"v0": math.inf}}},  # JSON's Infinity
+        {"ledger": {"stakes": {"v0": math.nan, "v1": 1.0}}},
+        {"threat_schedule": [0.1, math.inf]},
+    ],
+)
+def test_run_with_a_non_finite_value_where_it_means_nothing_exits_2(tmp_path, capsys, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert main(["run", "--config", str(path)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, values",
+    [
+        ("privacy", {"eps_max": "inf"}),
+        ("privacy", {"eps_min": "inf", "eps_max": "inf"}),
+        ("privacy", {"eps_global": "inf"}),
+        ("privacy", {"budget_cap": "inf"}),
+        ("ledger", {"max_update_norm": "inf"}),
+    ],
+)
+def test_fields_that_take_inf_still_run(tmp_path, section, values):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**config.to_dict(make_cfg(rounds=1)), section: values}))
+    assert main(["run", "--config", str(path)]) == 0
 
 
 @pytest.mark.parametrize(
