@@ -251,6 +251,17 @@ def test_feedback_disabled_round_has_fewer_blocks():
     assert len(on.chain) == len(off.chain) + n_nodes  # plus one feedback block per node
 
 
+@pytest.mark.parametrize("n", range(2, 71))
+def test_diversity_of_equal_counts_is_at_most_one(n):
+    # n equal train splits have full diversity, which the global score counts as exactly
+    # one: no entropy rounding (1 - ulp at 10 or 14 nodes) reaches w_local
+    quality = feedback.FeedbackQuality(accuracy_gain=0.3, explanation_stability=0.5)
+    w = feedback.compute_weights(quality, 100 * n, 0.05, 1000)
+    score_local = 0.3 * 0.5
+    score_global = 1.0 * math.log1p(100 * n) / math.log1p(1000)
+    assert 0.05 < w.w_local == score_local / (score_local + score_global) < 0.95
+
+
 @pytest.mark.parametrize("site", ["node", "cloud"])
 def test_five_equal_nodes_complete_a_feedback_round(site):
     [report] = run(make_cfg(rounds=1, fleet={"n_nodes": 5}, integration_site=site))
