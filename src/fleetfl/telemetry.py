@@ -4,6 +4,16 @@ The generator draws features from per-node Gaussians, labels them with a fixed
 random hyperplane plus 5% label-flip noise (so a linear model has a known 0.95
 accuracy ceiling), and skews label proportions across nodes with a Dirichlet
 prior whose concentration is controlled by the heterogeneity knob.
+
+The hyperplane comes from the fleet's own stream, `default_rng(seed)`. Each
+node then draws from its own stream, `default_rng(sub_seed(seed, "fleet", i))`,
+in a fixed order: its Dirichlet label share, its feature shift, its n wanted
+labels, candidate blocks of 2n rows until every wanted label is matched (at
+most `_MAX_DRAWS` blocks), then one block for any rows still unmatched, which
+keep the true labels of their features, and finally its label flips. So a
+node's data does not depend on the other nodes, and the first k nodes of a
+fleet are a k-node fleet. Only `sensitivity` differs, since it is min-max
+scaled over the whole fleet.
 """
 
 from __future__ import annotations
@@ -12,10 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .encoding import sub_seed
+
 # column treated as the location-like sensitive signal
 LOCATION_FEATURE = 0
 LABEL_FLIP_RATE = 0.05
-# rejection-sampling cap when drawing a feature vector with a target label
+# rejection-sampling cap: candidate blocks a node draws to match its wanted labels
 _MAX_DRAWS = 200
 
 
@@ -65,8 +77,39 @@ def _dirichlet_alpha(heterogeneity: float) -> float:
     return 10.0 ** (6.0 - 6.6 * heterogeneity)
 
 
-def _true_label(w: np.ndarray, b: float, x: np.ndarray) -> int:
-    return int(w @ x + b > 0.0)
+def _node_data(
+    rng: np.random.Generator,
+    w: np.ndarray,
+    b: float,
+    alpha: float,
+    n: int,
+    heterogeneity: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One node's (features, labels), drawn from its own stream."""
+    d = len(w)
+    p_one = rng.dirichlet([alpha, alpha])[1]
+    shift = heterogeneity * rng.normal(size=d)
+    labels = (rng.random(n) < p_one).astype(np.int64)
+    feats = np.full((n, d), np.nan)
+    # rows still waiting for a candidate of their wanted class, in row order
+    pending = [np.flatnonzero(labels == c) for c in (0, 1)]
+    for _ in range(_MAX_DRAWS):
+        if not any(len(rows) for rows in pending):
+            break
+        X = shift + rng.normal(size=(2 * n, d))
+        y = X @ w + b > 0.0
+        for c in (0, 1):
+            cand = X[y == c][: len(pending[c])]
+            feats[pending[c][: len(cand)]] = cand
+            pending[c] = pending[c][len(cand) :]
+    # rows of a class the node did not reach keep their candidates' true labels
+    rest = np.concatenate(pending)
+    X = shift + rng.normal(size=(len(rest), d))
+    feats[rest] = X
+    labels[rest] = X @ w + b > 0.0
+    flips = rng.random(n) < LABEL_FLIP_RATE
+    labels[flips] = 1 - labels[flips]
+    return feats, labels
 
 
 def generate_fleet(
@@ -96,30 +139,16 @@ def generate_fleet(
     b = 0.1 * rng.normal()
 
     alpha = _dirichlet_alpha(heterogeneity)
-    label_props = rng.dirichlet([alpha, alpha], size=n_nodes)
-
     partitions = []
     for i in range(n_nodes):
-        shift = heterogeneity * rng.normal(size=feature_dim)
-        feats = np.empty((samples_per_node, feature_dim))
-        labels = np.empty(samples_per_node, dtype=np.int64)
-        p_one = label_props[i, 1]
-        for k in range(samples_per_node):
-            want = int(rng.random() < p_one)
-            for _ in range(_MAX_DRAWS):
-                x = shift + rng.normal(size=feature_dim)
-                if _true_label(w, b, x) == want:
-                    break
-            feats[k] = x
-            labels[k] = _true_label(w, b, x)
-        flips = rng.random(samples_per_node) < LABEL_FLIP_RATE
-        labels[flips] = 1 - labels[flips]
+        node_rng = np.random.default_rng(sub_seed(seed, "fleet", i))
+        feats, labels = _node_data(node_rng, w, b, alpha, samples_per_node, heterogeneity)
         partitions.append(NodePartition(f"node-{i}", feats, labels))
 
     variances = [location_variance(p) for p in partitions]
     lo, hi = min(variances), max(variances)
     for p, v in zip(partitions, variances):
-        p.sensitivity = sensitivity_score(p, lo, hi)
+        p.sensitivity = _scaled_variance(v, lo, hi)
 
     return FleetDataset(partitions, feature_dim, true_weights=w, true_bias=b)
 
@@ -146,7 +175,10 @@ def sensitivity_score(partition: NodePartition, lo: float = 0.0, hi: float = 1.0
     (lo, hi) are the fleet-wide min and max raw variances; the globally
     most-variant partition scores 1.0, a zero-variance partition scores 0.0.
     """
-    v = location_variance(partition)
+    return _scaled_variance(location_variance(partition), lo, hi)
+
+
+def _scaled_variance(v: float, lo: float, hi: float) -> float:
     if hi <= lo:
         # degenerate fleet range: all partitions equally variant
         return 0.0 if v <= lo or v == 0.0 else 1.0

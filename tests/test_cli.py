@@ -134,7 +134,7 @@ def test_run_writes_artifacts_and_exits_0(tmp_path, capsys):
 
 
 def test_run_prints_the_reasons_of_an_aborted_round(tmp_path, monkeypatch, capsys):
-    # default privacy: node-0 exhausts its budget in round 2
+    # default privacy: one node exhausts its budget in round 2
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"seed": 7, "rounds": 3}))
     monkeypatch.setenv("FLEETFL_OUTPUT_DIR", str(tmp_path / "out"))
@@ -142,7 +142,11 @@ def test_run_prints_the_reasons_of_an_aborted_round(tmp_path, monkeypatch, capsy
     lines = capsys.readouterr().out.splitlines()
     assert [line.startswith(f"round {r}: ") for r, line in enumerate(lines[:3])] == [True] * 3
     assert "ABORTED" not in lines[0] + lines[1]
-    assert lines[2].endswith(" blocks=0 ABORTED: node-0 budget_exceeded")
+    report = json.loads((tmp_path / "out" / "metrics.jsonl").read_text().splitlines()[2])
+    assert len(report["rejected"]) == 1
+    node, reasons = report["rejected"][0]
+    assert reasons == ["budget_exceeded"]
+    assert lines[2].endswith(f" blocks=0 ABORTED: {node} budget_exceeded")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
