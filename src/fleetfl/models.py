@@ -7,7 +7,8 @@ noising, masking, and sample-weighted averaging.
 Training is fleet-stacked: ``train_fleet`` steps every node's model together
 on ``(N, n, d)`` arrays, one gathered batch and one stacked gradient per step,
 while each node keeps its own seeded batch order. ``train_local`` and
-``gradient`` are its one-model calls.
+``gradient`` are its one-model calls. ``predict_fleet`` scores N stacked
+models on their own rows in one product, bit for bit as ``predict_batch``.
 """
 
 from __future__ import annotations
@@ -87,6 +88,13 @@ def predict_batch(params: ModelParams, X: np.ndarray) -> np.ndarray:
     if X.shape[1] != params.dim:
         raise ValueError("feature dim mismatch")
     return _sigmoid(X @ params.weights + params.bias)
+
+
+def predict_fleet(V: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Positive-class probabilities of N stacked models on their own rows:
+    V (N, d + 1), bias last, X (N, m, d) -> (N, m). Row k equals
+    ``predict_batch`` of model k on X[k] bit for bit."""
+    return _sigmoid(_margins(V, X))
 
 
 def _margins(V: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -368,92 +368,81 @@ class Simulator:
 
     def _feedback_phase(self, trace, r: int, prev_global: ModelParams,
                         g: aggregation.GlobalUpdate, local_deltas) -> tuple[float, float]:
-        """Dual-model validation and local correction on every node, then fusion
-        at the configured site; returns (mean agreement, mean w_local)."""
+        """Dual-model validation, explanation and local correction of the whole
+        fleet in one pass each, then fusion at the configured site; returns
+        (mean agreement, mean w_local)."""
         cfg = self.cfg
         fb = cfg.feedback
+        ids = self.node_ids
         if not fb.enabled:
-            for node in self.node_ids:
+            for node in ids:
                 self.node_params[node] = g.params
             return 1.0, 0.0
 
-        agreements = []
-        corrections: list[feedback.FeedbackUpdate] = []
-        # Model 2: the global model tuned on each node's holdout rows
-        model2_updates = self._train(
-            [g.params] * len(self.node_ids), [self._parts[n][1] for n in self.node_ids],
-            "model2", r,
+        def seeds(stream: str) -> list[int]:
+            return [sub_seed(cfg.seed, stream, r, node) for node in ids]
+
+        trains, holds = zip(*(self._parts[node] for node in ids))
+        # Model 1: each node's local model; Model 2: the global model tuned on its holdout rows
+        model2_updates = self._train([g.params] * len(ids), holds, "model2", r)
+        V1 = np.stack([self.node_params[n].as_vector() + local_deltas[n] for n in ids])
+        V2 = g.params.as_vector() + np.stack([u.grad for u in model2_updates])
+        val_X = np.stack([t.features[: fb.max_validation_samples] for t in trains])
+        val_y = np.stack([t.labels[: fb.max_validation_samples] for t in trains])
+
+        reports = feedback.validate_fleet(V1, V2, val_X, fb.explain_repeats, seeds("explain"))
+        expls = feedback.explain_fleet(
+            V1, val_X[:, 0], val_X, fb.explain_repeats, seeds("stability")
         )
-
-        for node, upd2 in zip(self.node_ids, model2_updates):
-            train, hold = self._parts[node]
-            model1 = ModelParams.from_vector(
-                self.node_params[node].as_vector() + local_deltas[node],
-                version=g.params.version,
-            )
-            model2 = ModelParams.from_vector(
-                g.params.as_vector() + upd2.grad, version=g.params.version
-            )
-            val_X = train.features[: fb.max_validation_samples]
-            val_y = train.labels[: fb.max_validation_samples]
-            report = feedback.validate_predictions(
-                model1, model2, val_X, fb.explain_repeats, sub_seed(cfg.seed, "explain", r, node)
-            )
-            agreements.append(report.agreement_rate)
-
-            expl = feedback.explain(
-                model1, val_X[0], val_X, fb.explain_repeats,
-                sub_seed(cfg.seed, "stability", r, node),
-            )
+        for node, expl in zip(ids, expls):
             self.explanation_records.append({
                 "round": r, "node": node, "sample": 0,
                 "attributions": [float(a) for a in expl.attributions], "stability": expl.stability,
             })
-            corrections.append(feedback.local_correction(
-                model1, val_X[report.flagged], val_y[report.flagged], hold.features, hold.labels,
-                lr=fb.correction_lr, steps=fb.correction_steps,
-                seed=sub_seed(cfg.seed, "correct", r, node), explanation_stability=expl.stability,
-            ))
-
-        if cfg.integration_site == "cloud":
-            # one fusion for the fleet, over the mean delta, gain and stability
-            qs = [c.quality for c in corrections]
-            mean = feedback.FeedbackUpdate(
-                np.mean([c.delta for c in corrections], axis=0),
-                feedback.FeedbackQuality(float(np.mean([q.accuracy_gain for q in qs])),
-                                         float(np.mean([q.explanation_stability for q in qs]))),
-            )
-            fusions = [(CLOUD_ID, mean)]
-        else:
-            fusions = zip(self.node_ids, corrections)
-        w_locals = [
-            self._integrate(trace, r, actor, prev_global, g, corr)
-            for actor, corr in fusions
-        ]
-        return float(np.mean(agreements)), float(np.mean(w_locals))
-
-    def _integrate(self, trace, r: int, actor: str, prev_global: ModelParams,
-                   g: aggregation.GlobalUpdate, corr: feedback.FeedbackUpdate) -> float:
-        """Fuse a feedback correction with the global delta, install the result
-        at the actor (a node, or every node for the cloud) and log it; returns w_local."""
-        fb = self.cfg.feedback
-        w = feedback.compute_weights(corr.quality, g.total_samples, fb.w_min, fb.n_ref)
-        integrated = ModelParams.from_vector(
-            prev_global.as_vector() + feedback.integrate(corr.delta, g.delta, w),
-            version=g.params.version,
+        corrections = feedback.correct_fleet(
+            V1, [x[rep.flagged] for x, rep in zip(val_X, reports)],
+            [y[rep.flagged] for y, rep in zip(val_y, reports)],
+            [h.features for h in holds], [h.labels for h in holds],
+            lr=fb.correction_lr, steps=fb.correction_steps, seeds=seeds("correct"),
+            explanation_stability=[e.stability for e in expls],
         )
-        payload = params_bytes(integrated)
-        if actor == CLOUD_ID:
+
+        agreement = float(np.mean([rep.agreement_rate for rep in reports]))
+        return agreement, self._integrate(trace, r, prev_global, g, corrections)
+
+    def _integrate(self, trace, r: int, prev_global: ModelParams, g: aggregation.GlobalUpdate,
+                   corrections: list[feedback.FeedbackUpdate]) -> float:
+        """Fuse each node's correction with the global delta and install the
+        result. At the node site each node takes its own fusion and submits it;
+        at the cloud site every node takes the sample-weighted mean of the
+        fusions, which the cloud logs once. Returns the mean w_local."""
+        fb = self.cfg.feedback
+        base = prev_global.as_vector()
+        fused, w_locals = [], []
+        for corr in corrections:
+            w = feedback.compute_weights(corr.quality, g.total_samples, fb.w_min, fb.n_ref)
+            fused.append(base + feedback.integrate(corr.delta, g.delta, w))
+            w_locals.append(w.w_local)
+        if self.cfg.integration_site == "cloud":
+            counts = [self._parts[node][0].n_samples for node in self.node_ids]
+            integrated = ModelParams.from_vector(
+                np.average(fused, axis=0, weights=counts), version=g.params.version
+            )
             for node in self.node_ids:
                 self.node_params[node] = integrated
-        else:
-            self.node_params[actor] = integrated
-            # edge node submits its integrated model through the cloud
-            payload = self._transmit(
-                trace, self._tag(actor, r), actor, CLOUD_ID, "feedback", payload
+            self._log_to_ledger(
+                trace, r, "feedback", CLOUD_ID, params_bytes(integrated), integrated.version
             )
-        self._log_to_ledger(trace, r, "feedback", actor, payload, integrated.version)
-        return w.w_local
+        else:
+            for node, vec in zip(self.node_ids, fused):
+                integrated = ModelParams.from_vector(vec, version=g.params.version)
+                self.node_params[node] = integrated
+                # edge node submits its integrated model through the cloud
+                payload = self._transmit(
+                    trace, self._tag(node, r), node, CLOUD_ID, "feedback", params_bytes(integrated)
+                )
+                self._log_to_ledger(trace, r, "feedback", node, payload, integrated.version)
+        return float(np.mean(w_locals))
 
     def _finish_round(self, r, rejected, charged, blocks, agreement, w_local) -> RoundReport:
         # (accuracy, loss, fpr) on the holdout, once per distinct model object:

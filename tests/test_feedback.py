@@ -4,11 +4,11 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fleetfl import feedback
-from fleetfl.models import ModelParams, evaluate, predict, train_local
+from fleetfl.models import ModelParams, evaluate, predict, predict_batch, train_local
 from fleetfl.telemetry import NodePartition
 
 
@@ -235,6 +235,130 @@ def test_correction_gain_is_measured_on_holdout():
         ModelParams.from_vector(m.as_vector() + out.delta), hold_X, hold_y
     )
     assert out.quality.accuracy_gain == pytest.approx(after - before)
+
+
+def _node_abs_deltas(params, samples, base, background, rows):
+    """One model's |prediction change| per swapped feature, one batched prediction."""
+    n, n_repeats, dim = rows.shape
+    perturbed = np.broadcast_to(samples[:, None, None, :], (n, n_repeats, dim, dim)).copy()
+    j = np.arange(dim)
+    perturbed[:, :, j, j] = background[rows, j]
+    preds = predict_batch(params, perturbed.reshape(-1, dim))
+    return np.abs(base[:, None, None] - preds.reshape(n, n_repeats, dim))
+
+
+def _node_validate(m1, m2, X, n_repeats, seed):
+    """One node's dual-model check: (agreement rate, flagged rows, consistency)."""
+    n, dim = X.shape
+    rows = np.stack([
+        np.random.default_rng(_reference_sample_seed(seed, i)).integers(0, n, size=(n_repeats, dim))
+        for i in range(n)
+    ])
+    preds, tops = [], []
+    for m in (m1, m2):
+        p = predict_batch(m, X)
+        preds.append(p >= 0.5)
+        tops.append(np.argmax(_node_abs_deltas(m, X, p, X, rows).mean(axis=1), axis=1))
+    same_pred, same_top = preds[0] == preds[1], tops[0] == tops[1]
+    return (int(same_pred.sum()) / n, np.flatnonzero(~(same_pred & same_top)).tolist(),
+            int(same_top.sum()) / n)
+
+
+def _node_explain(params, sample, background, n_repeats, seed):
+    """One node's stability explanation: (attributions, stability)."""
+    rows = np.random.default_rng(seed).integers(0, len(background), size=(n_repeats, params.dim))
+    base = predict(params, sample)
+    diffs = _node_abs_deltas(params, sample[None], np.array([base]), background, rows[None])[0]
+    attributions = diffs.mean(axis=0)
+    spread = diffs.std(axis=0).mean()
+    return attributions, float(np.clip(1.0 - spread / (attributions.mean() + 1e-12), 0.0, 1.0))
+
+
+def _node_correction(m, X, y, hold_X, hold_y, lr, steps, seed):
+    """One node's correction: (delta, holdout accuracy gain)."""
+    if len(y) == 0:
+        return np.zeros(m.dim + 1), 0.0
+    upd = train_local(m, NodePartition("correction", X, y), lr=lr, epochs=steps, batch=len(y),
+                      seed=seed)
+    before, _ = evaluate(m, hold_X, hold_y)
+    after, _ = evaluate(ModelParams.from_vector(m.as_vector() + upd.grad), hold_X, hold_y)
+    return upd.grad, after - before
+
+
+@st.composite
+def _fleets(draw):
+    n_models, n, dim = draw(st.integers(1, 6)), draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    counts = draw(st.lists(st.integers(0, n), min_size=n_models, max_size=n_models))
+    model2 = draw(st.sampled_from(["same", "negated", "perturbed"]))
+    return n_models, n, dim, draw(st.integers(1, 4)), counts, model2, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fleets())
+@example((1, 5, 3, 2, [2], "perturbed", 0))  # one node
+@example((3, 4, 2, 3, [0, 0, 0], "same", 1))  # no flagged row anywhere
+@example((3, 4, 2, 3, [4, 4, 4], "negated", 2))  # every row flagged
+@example((5, 6, 4, 2, [3, 0, 6, 3, 1], "perturbed", 3))  # unequal flagged counts
+def test_fleet_passes_equal_per_node_calls_bit_for_bit(case):
+    n_models, n, dim, repeats, counts, model2, seed = case
+    rng = np.random.default_rng(seed)
+    V1 = rng.normal(size=(n_models, dim + 1))
+    V2 = {"same": V1, "negated": -V1,
+          "perturbed": V1 + rng.normal(scale=0.5, size=V1.shape)}[model2]
+    X = rng.normal(size=(n_models, n, dim))
+    y = rng.integers(0, 2, size=(n_models, n))
+    hold_X = rng.normal(size=(n_models, 7, dim))
+    hold_y = rng.integers(0, 2, size=(n_models, 7))
+    picks = [np.sort(rng.permutation(n)[:c]) for c in counts]
+    seeds = [int(s) for s in rng.integers(0, 2**63, size=n_models)]
+    m1 = [ModelParams.from_vector(v) for v in V1]
+    m2 = [ModelParams.from_vector(v) for v in V2]
+
+    reports = feedback.validate_fleet(V1, V2, X, repeats, seeds)
+    expls = feedback.explain_fleet(V1, X[:, 0], X, repeats, seeds)
+    stability = [e.stability for e in expls]
+    corrections = feedback.correct_fleet(
+        V1, [x[i] for x, i in zip(X, picks)], [t[i] for t, i in zip(y, picks)], hold_X, hold_y,
+        lr=0.3, steps=3, seeds=seeds, explanation_stability=stability,
+    )
+    for k in range(n_models):
+        agreement, flagged, consistency = _node_validate(m1[k], m2[k], X[k], repeats, seeds[k])
+        assert reports[k].flagged == flagged
+        assert reports[k].agreement_rate == agreement
+        assert reports[k].explanation_consistency == consistency
+        attributions, stab = _node_explain(m1[k], X[k, 0], X[k], repeats, seeds[k])
+        assert np.array_equal(expls[k].attributions, attributions)
+        assert expls[k].stability == stab
+        delta, gain = _node_correction(m1[k], X[k][picks[k]], y[k][picks[k]], hold_X[k],
+                                       hold_y[k], 0.3, 3, seeds[k])
+        assert np.array_equal(corrections[k].delta, delta)
+        assert corrections[k].quality.accuracy_gain == gain
+        assert corrections[k].quality.explanation_stability == stability[k]
+        # the one-node forms are the fleet forms at N = 1
+        one = feedback.validate_predictions(m1[k], m2[k], X[k], repeats, seeds[k])
+        assert (one.flagged, one.agreement_rate) == (flagged, agreement)
+        assert np.array_equal(
+            feedback.explain(m1[k], X[k, 0], X[k], repeats, seeds[k]).attributions, attributions
+        )
+        assert np.array_equal(feedback.local_correction(
+            m1[k], X[k][picks[k]], y[k][picks[k]], hold_X[k], hold_y[k], lr=0.3, steps=3,
+            seed=seeds[k],
+        ).delta, delta)
+
+
+def test_fleet_passes_reject_rows_of_unequal_shape():
+    V = np.zeros((2, 3))
+    ragged = [np.zeros((3, 2)), np.zeros((4, 2))]
+    with pytest.raises(ValueError, match="one shape"):
+        feedback.validate_fleet(V, V, ragged, 2, [0, 1])
+    with pytest.raises(ValueError, match="one shape"):
+        feedback.explain_fleet(V, np.zeros((2, 2)), ragged, 2, [0, 1])
+    with pytest.raises(ValueError, match="one shape"):
+        feedback.correct_fleet(V, [np.zeros((1, 2))] * 2, [np.zeros(1)] * 2, ragged,
+                               [np.zeros(3), np.zeros(4)], lr=0.1, steps=1, seeds=[0, 1],
+                               explanation_stability=[1.0, 1.0])
+    with pytest.raises(ValueError, match="one seed per model"):
+        feedback.validate_fleet(V, V, np.zeros((2, 3, 2)), 2, [0])
 
 
 def _quality(gain, stability):
