@@ -48,16 +48,15 @@ def preprocess_updates(
     return cleaned, report
 
 
-def smpc_sum(masked: list[MaskedUpdate], participants: list[str] | None = None) -> np.ndarray:
-    """Coordinate-wise sum of masked payloads; masks cancel over the full roster."""
+def smpc_sum(masked: list[MaskedUpdate], participants: list[str]) -> np.ndarray:
+    """Coordinate-wise sum of masked payloads; masks cancel only over the full roster."""
     if not masked:
         raise AggregationAbort("no masked updates to sum")
-    if participants is not None:
-        got = sorted(u.node_id for u in masked)
-        if got != sorted(participants):
-            raise ParticipantMismatch(
-                f"masked set {got} does not match round roster {sorted(participants)}"
-            )
+    got = sorted(u.node_id for u in masked)
+    if got != sorted(participants):
+        raise ParticipantMismatch(
+            f"masked set {got} does not match round roster {sorted(participants)}"
+        )
     total = np.zeros_like(masked[0].payload)
     for upd in sorted(masked, key=lambda u: u.node_id):
         total = total + upd.payload

@@ -9,6 +9,7 @@ and a freshness window over the simulated clock.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidTag
@@ -59,6 +60,13 @@ class FreshnessTag:
 
     def to_bytes(self) -> bytes:
         return self.nonce + enc_u64(self.timestamp) + enc_u64(self.round)
+
+    @classmethod
+    def from_bytes(cls, b: bytes, offset: int) -> tuple["FreshnessTag", int]:
+        """The tag that to_bytes wrote at the offset, and the offset after it."""
+        nonce = b[offset : offset + NONCE_SIZE]
+        timestamp, rnd = struct.unpack_from(">QQ", b, offset + NONCE_SIZE)
+        return cls(nonce=nonce, timestamp=timestamp, round=rnd), offset + NONCE_SIZE + 16
 
 
 @dataclass

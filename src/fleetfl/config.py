@@ -95,7 +95,7 @@ class RunConfig:
     privacy: PrivacyConfig = field(default_factory=PrivacyConfig)
     ledger: LedgerConfig = field(default_factory=LedgerConfig)
     feedback: FeedbackConfig = field(default_factory=FeedbackConfig)
-    integration_site: str = "node"  # "node" or "cloud"
+    integration_site: str = "node"  # only "node": kept so configs that name it still load
     threat_schedule: list[float] | float = 0.1
     freshness_window: int | None = _field(None, ge=1)  # ticks; None -> two rounds' worth
     holdout_samples: int = _field(500, ge=1)
@@ -103,8 +103,8 @@ class RunConfig:
 
     def __post_init__(self):
         _check_fields(self, "")
-        if self.integration_site not in ("node", "cloud"):
-            raise ConfigError("integration_site must be 'node' or 'cloud'")
+        if self.integration_site != "node":
+            raise ConfigError("integration_site must be 'node'")
         schedule = self.threat_schedule
         if not isinstance(schedule, list):
             schedule = [schedule]

@@ -316,10 +316,7 @@ def local_correction(
 
 
 def compute_weights(
-    quality: FeedbackQuality,
-    total_samples: int,
-    w_min: float = 0.05,
-    n_ref: int = 1000,
+    quality: FeedbackQuality, total_samples: int, w_min: float, n_ref: int
 ) -> IntegrationWeights:
     """Convex fusion weights: the local score rewards measured accuracy gain and
     explanation stability, the global score rewards data volume."""

@@ -50,17 +50,13 @@ class MaskedUpdate:
         node_id = b[4 : 4 + nlen].decode("utf-8")
         payload, off = dec_vec(b, 4 + nlen)
         (n_samples,) = struct.unpack_from(">Q", b, off)
-        off += 8
-        nonce = b[off : off + 16]
-        off += 16
-        ts, frnd = struct.unpack_from(">QQ", b, off)
-        off += 16
+        freshness, off = FreshnessTag.from_bytes(b, off + 8)
         digest = b[off : off + 32]
         return cls(
             node_id=node_id,
             payload=payload,
             n_samples=n_samples,
-            freshness=FreshnessTag(nonce=nonce, timestamp=ts, round=frnd),
+            freshness=freshness,
             payload_hash=digest,
         )
 

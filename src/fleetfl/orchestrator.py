@@ -369,7 +369,7 @@ class Simulator:
     def _feedback_phase(self, trace, r: int, prev_global: ModelParams,
                         g: aggregation.GlobalUpdate, local_deltas) -> tuple[float, float]:
         """Dual-model validation, explanation and local correction of the whole
-        fleet in one pass each, then fusion at the configured site; returns
+        fleet in one pass each, then fusion at each node; returns
         (mean agreement, mean w_local)."""
         cfg = self.cfg
         fb = cfg.feedback
@@ -412,41 +412,27 @@ class Simulator:
 
     def _integrate(self, trace, r: int, prev_global: ModelParams, g: aggregation.GlobalUpdate,
                    corrections: list[feedback.FeedbackUpdate]) -> float:
-        """Fuse each node's correction with the global delta and install the
-        result. At the node site each node takes its own fusion and submits it;
-        at the cloud site every node takes the sample-weighted mean of the
-        fusions, which the cloud logs once. Returns the mean w_local."""
+        """Fuse each node's correction with the global delta, install the result
+        at that node and submit it through the cloud; returns the mean w_local."""
         fb = self.cfg.feedback
         base = prev_global.as_vector()
-        fused, w_locals = [], []
-        for corr in corrections:
+        w_locals = []
+        for node, corr in zip(self.node_ids, corrections):
             w = feedback.compute_weights(corr.quality, g.total_samples, fb.w_min, fb.n_ref)
-            fused.append(base + feedback.integrate(corr.delta, g.delta, w))
-            w_locals.append(w.w_local)
-        if self.cfg.integration_site == "cloud":
-            counts = [self._parts[node][0].n_samples for node in self.node_ids]
             integrated = ModelParams.from_vector(
-                np.average(fused, axis=0, weights=counts), version=g.params.version
+                base + feedback.integrate(corr.delta, g.delta, w), version=g.params.version
             )
-            for node in self.node_ids:
-                self.node_params[node] = integrated
-            self._log_to_ledger(
-                trace, r, "feedback", CLOUD_ID, params_bytes(integrated), integrated.version
+            self.node_params[node] = integrated
+            payload = self._transmit(
+                trace, self._tag(node, r), node, CLOUD_ID, "feedback", params_bytes(integrated)
             )
-        else:
-            for node, vec in zip(self.node_ids, fused):
-                integrated = ModelParams.from_vector(vec, version=g.params.version)
-                self.node_params[node] = integrated
-                # edge node submits its integrated model through the cloud
-                payload = self._transmit(
-                    trace, self._tag(node, r), node, CLOUD_ID, "feedback", params_bytes(integrated)
-                )
-                self._log_to_ledger(trace, r, "feedback", node, payload, integrated.version)
+            self._log_to_ledger(trace, r, "feedback", node, payload, integrated.version)
+            w_locals.append(w.w_local)
         return float(np.mean(w_locals))
 
     def _finish_round(self, r, rejected, charged, blocks, agreement, w_local) -> RoundReport:
         # (accuracy, loss, fpr) on the holdout, once per distinct model object:
-        # without feedback, or with cloud-site fusion, every node holds the same one
+        # without feedback every node holds the global one
         X, y = self.holdout_X, self.holdout_y
         scores: dict[int, tuple[float, float, float]] = {}
         for params in (self.global_params, *self.node_params.values()):

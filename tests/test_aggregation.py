@@ -93,7 +93,7 @@ def test_smpc_sum_roster_mismatch_aborts():
     with pytest.raises(aggregation.ParticipantMismatch):
         aggregation.smpc_sum(ups, ["A", "B", "C"])
     with pytest.raises(aggregation.AggregationAbort):
-        aggregation.smpc_sum([])
+        aggregation.smpc_sum([], [])
 
 
 def test_fedavg_single_update_is_identity_weighting():

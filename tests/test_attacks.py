@@ -64,7 +64,7 @@ def test_unknown_attack_kind_rejected(honest):
             attacks.inject(kind, trace, seed=0)
 
 
-@pytest.mark.parametrize("site", ["node", "cloud"])
+@pytest.mark.parametrize("site", ["node"])
 def test_every_recorded_message_replays_at_its_own_receiver(site):
     # a wrong key would raise TamperedError, a wrong replay set would open it
     sim = Simulator(make_cfg(rounds=1, integration_site=site))

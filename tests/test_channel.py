@@ -32,6 +32,20 @@ def test_round_trip_arbitrary_payloads(payload, nonce_int):
     assert _open(env) == payload
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    st.binary(min_size=1, max_size=64), st.integers(0, 2**128 - 1),
+    st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.binary(max_size=16),
+)
+def test_freshness_tag_round_trips_at_an_offset(prefix, nonce_int, ts, rnd, suffix):
+    tag = _tag(nonce_int, ts, rnd)
+    raw = tag.to_bytes()
+    assert len(raw) == 32  # 16-byte nonce, u64 timestamp, u64 round
+    back, end = channel.FreshnessTag.from_bytes(prefix + raw + suffix, len(prefix))
+    assert back == tag
+    assert end == len(prefix) + len(raw)
+
+
 def test_wrong_key_fails_authentication():
     env = channel.seal(KEY, "P", "C", _tag(), b"hello")
     with pytest.raises(channel.TamperedError):

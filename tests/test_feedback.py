@@ -367,13 +367,13 @@ def _quality(gain, stability):
 
 def test_weights_symmetric_scores_split_evenly():
     # score_local = 1.0 * 0.5 = 0.5; score_global = log1p(9)/log1p(99) = ln 10/ln 100 = 0.5
-    w = feedback.compute_weights(_quality(1.0, 0.5), 9, n_ref=99)
+    w = feedback.compute_weights(_quality(1.0, 0.5), 9, w_min=0.05, n_ref=99)
     assert w.w_local == pytest.approx(0.5)
     assert w.w_global == pytest.approx(0.5)
 
 
 def test_weights_zero_gain_floors_at_w_min():
-    w = feedback.compute_weights(_quality(0.0, 1.0), 500, w_min=0.05)
+    w = feedback.compute_weights(_quality(0.0, 1.0), 500, w_min=0.05, n_ref=1000)
     assert w.w_local == 0.05
     assert w.w_global == 0.95
 
@@ -386,22 +386,22 @@ def test_weights_hand_value():
 
 
 def test_weights_global_score_is_the_data_volume_alone():
-    # at the default n_ref = 1000 a round of 1000 samples scores exactly 1
-    w = feedback.compute_weights(_quality(0.25, 1.0), 1000)
+    # at n_ref = 1000 a round of 1000 samples scores exactly 1
+    w = feedback.compute_weights(_quality(0.25, 1.0), 1000, w_min=0.05, n_ref=1000)
     assert w.w_local == pytest.approx(0.25 / 1.25)
 
 
 def test_weights_capped_at_one_minus_w_min():
     # score_local = 10 dwarfs score_global = ln 3/ln 1001
-    w = feedback.compute_weights(_quality(10.0, 1.0), 2, w_min=0.1)
+    w = feedback.compute_weights(_quality(10.0, 1.0), 2, w_min=0.1, n_ref=1000)
     assert w.w_local == pytest.approx(0.9)
 
 
 def test_weights_validate_inputs():
     with pytest.raises(ValueError):
-        feedback.compute_weights(_quality(0.1, 1.0), 100, w_min=0.6)
+        feedback.compute_weights(_quality(0.1, 1.0), 100, w_min=0.6, n_ref=1000)
     with pytest.raises(ValueError):
-        feedback.compute_weights(_quality(0.1, 1.0), 0)
+        feedback.compute_weights(_quality(0.1, 1.0), 0, w_min=0.05, n_ref=1000)
 
 
 def test_integrate_equal_vectors_is_identity():

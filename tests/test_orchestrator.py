@@ -165,25 +165,15 @@ def test_reports_have_convex_fusion_weights():
         assert 0.0 <= w_l <= 1.0
 
 
-def test_cloud_integration_site_runs():
-    reports = run(make_cfg(rounds=2, integration_site="cloud"))
-    assert not any(rep.aborted for rep in reports)
-    assert all(math.isfinite(rep.global_accuracy) for rep in reports)
-
-
-@pytest.mark.parametrize("n_nodes, site, seed, w_min", [
-    pytest.param(5, "node", 1, 0.05, id="node"),
-    pytest.param(5, "cloud", 50, 0.05, id="cloud"),
-    pytest.param(10, "node", 4, 0.05, id="node-10nodes"),
-    # the gains of 10 nodes are small: a lower floor leaves them visible
-    pytest.param(10, "cloud", 1, 0.01, id="cloud-10nodes"),
+@pytest.mark.parametrize("n_nodes, seed", [
+    pytest.param(5, 1, id="node"),
+    pytest.param(10, 4, id="node-10nodes"),
 ])
-def test_fusion_matches_a_hand_recomputed_oracle(monkeypatch, n_nodes, site, seed, w_min):
+def test_fusion_matches_a_hand_recomputed_oracle(monkeypatch, n_nodes, seed):
     # at these seeds and with 20 validation rows some corrections gain accuracy,
     # so the fusion weights are not pinned at w_min
     sim = Simulator(make_cfg(
-        seed=seed, rounds=1, fleet={"n_nodes": n_nodes}, integration_site=site,
-        feedback={"max_validation_samples": 20, "w_min": w_min},
+        seed=seed, rounds=1, fleet={"n_nodes": n_nodes}, feedback={"max_validation_samples": 20},
     ))
     corrections, global_deltas = [], []
     correct_fleet, integrate = feedback.correct_fleet, feedback.integrate
@@ -223,20 +213,13 @@ def test_fusion_matches_a_hand_recomputed_oracle(monkeypatch, n_nodes, site, see
             c.delta, c.quality.accuracy_gain, c.quality.explanation_stability
         )
         w_locals.append(w_local)
-    actors = sim.node_ids
-    if site == "cloud":
-        # every node gets the sample-weighted mean of the per-node fusions
-        counts = {n: sim._parts[n][0].n_samples for n in sim.node_ids}
-        mean = sum(counts[n] * expected[n] for n in sim.node_ids) / sum(counts.values())
-        expected = {n: mean for n in sim.node_ids}
-        actors = ["cloud"]
     assert max(w_locals) > fb.w_min
     for node in sim.node_ids:
         np.testing.assert_allclose(
             sim.node_params[node].as_vector(), expected[node], rtol=0, atol=1e-12
         )
     assert report.w_local_mean == pytest.approx(float(np.mean(w_locals)), abs=1e-12)
-    assert [b.meta.actor_id for b in sim.chain if b.meta.kind == "feedback"] == actors
+    assert [b.meta.actor_id for b in sim.chain if b.meta.kind == "feedback"] == sim.node_ids
 
 
 def test_small_feedback_run_bytes_are_pinned(tmp_path):
@@ -278,7 +261,7 @@ def test_diversity_of_equal_counts_is_at_most_one(n):
     assert 0.05 < w.w_local == score_local / (score_local + score_global) < 0.95
 
 
-@pytest.mark.parametrize("site", ["node", "cloud"])
+@pytest.mark.parametrize("site", ["node"])
 def test_five_equal_nodes_complete_a_feedback_round(site):
     [report] = run(make_cfg(rounds=1, fleet={"n_nodes": 5}, integration_site=site))
     assert not report.aborted
@@ -309,10 +292,9 @@ def test_artifacts_are_complete(tmp_path):
     "overrides, tail",
     [
         ({}, [m for n in NODES for m in (("feedback", n, "cloud"), ("ledger_log", "cloud", "ledger"))]),
-        ({"integration_site": "cloud"}, [("ledger_log", "cloud", "ledger")]),
         ({"feedback": {"enabled": False}}, []),
     ],
-    ids=["node-site", "cloud-site", "feedback-off"],
+    ids=["node-site", "feedback-off"],
 )
 def test_wire_order_of_one_round(overrides, tail):
     sim = Simulator(make_cfg(rounds=1, **overrides))
@@ -431,8 +413,8 @@ def test_a_round_trains_the_fleet_in_stacked_calls(monkeypatch, enabled, fleet_c
 
 @pytest.mark.parametrize(
     "overrides",
-    [{"feedback": {"enabled": False}}, {}, {"integration_site": "cloud"}],
-    ids=["feedback-off", "node-site", "cloud-site"],
+    [{"feedback": {"enabled": False}}, {}],
+    ids=["feedback-off", "node-site"],
 )
 def test_finish_round_scores_each_distinct_model_once(monkeypatch, overrides):
     sim = Simulator(make_cfg(rounds=1, fleet={"n_nodes": 6}, **overrides))
