@@ -1,10 +1,14 @@
 """Hash-chained ledger with stake-weighted validator committees and contract rules.
 
-Blocks are SHA-256 hash-chained over a canonical byte layout; validators
-attest with keyed digests (a signature stand-in) and a block is appended only
-when attesting stake reaches the quorum fraction of the selected committee.
-Contract rules give deterministic admission control: payload-hash integrity,
-freshness, privacy budget, and an update-norm poisoning guard.
+Blocks are SHA-256 hash-chained over a canonical byte layout. Each block is
+checked against the contract rules once, when it is staged: payload-hash
+integrity, freshness, privacy budget, an update-norm poisoning guard and a
+declared sample count. A round's staged blocks are committed as one unit: one
+stake-weighted committee attests once, with keyed digests (a signature
+stand-in), to the closing block's core. That core holds its predecessor's
+hash, so the one attestation binds the whole round and everything before it.
+If attesting stake falls short of the quorum fraction of the committee, no
+block of the unit is appended.
 """
 
 from __future__ import annotations
@@ -229,33 +233,9 @@ def genesis_block(payload_hash: bytes) -> LedgerBlock:
     )
 
 
-def append_block(
-    chain: list[LedgerBlock],
-    payload_hash: bytes,
-    meta: BlockMeta,
-    vset: ValidatorSet,
-    rules: ContractRules,
-    state: ValidationState,
-    committee_seed: int,
-    committee_size: int | None = None,
-) -> LedgerBlock:
-    """Validate, collect committee attestations, and append on quorum.
-
-    Raises ContractRejected or QuorumNotReached; on success the nonce is
-    recorded in the admission state and the chain is extended in place.
-    """
-    if not chain:
-        raise ValueError("chain must start from a genesis block")
-    result = contract_validate(meta, payload_hash, rules, state)
-    if not result.accepted:
-        raise ContractRejected(result.reasons)
-
-    size = committee_size if committee_size is not None else min(5, len(vset.stakes))
-    committee = select_committee(vset, committee_seed, size)
-    index = len(chain)
-    prev_hash = chain[-1].block_hash
-    core = _preimage_core(index, prev_hash, payload_hash, meta)
-
+def _attest(vset: ValidatorSet, committee: list[str], core: bytes) -> list[tuple[str, bytes]]:
+    """The committee's attestations to one block core; raises QuorumNotReached
+    unless valid attesting stake reaches the quorum fraction of its stake."""
     attestations: list[tuple[str, bytes]] = []
     valid_stake = 0
     for vid in committee:
@@ -275,17 +255,81 @@ def append_block(
             f"attesting stake {valid_stake} < quorum "
             f"{vset.quorum_fraction} x {committee_stake}"
         )
+    return attestations
 
-    block = LedgerBlock(
-        index=index,
-        prev_hash=prev_hash,
-        payload_hash=payload_hash,
-        meta=meta,
-        attestations=attestations,
-        block_hash=compute_block_hash(index, prev_hash, payload_hash, meta, attestations),
-    )
-    chain.append(block)
-    state.seen_nonces.add(meta.freshness.nonce)
+
+def stage_block(
+    pending: list[tuple[bytes, BlockMeta]],
+    payload_hash: bytes,
+    meta: BlockMeta,
+    rules: ContractRules,
+    state: ValidationState,
+) -> ValidationResult:
+    """Check one block against the contract; an accepted block joins the
+    pending list and its nonce is recorded as seen. The block's only check."""
+    result = contract_validate(meta, payload_hash, rules, state)
+    if result.accepted:
+        state.seen_nonces.add(meta.freshness.nonce)
+        pending.append((payload_hash, meta))
+    return result
+
+
+def commit_blocks(
+    chain: list[LedgerBlock],
+    pending: list[tuple[bytes, BlockMeta]],
+    vset: ValidatorSet,
+    committee_seed: int,
+    committee_size: int | None = None,
+) -> list[LedgerBlock]:
+    """Append the staged blocks as one unit, attested once at the closing block.
+
+    One committee, drawn by committee_seed, attests to the closing block's
+    core (index, prev hash, payload hash and meta); every other block carries
+    no attestation. Raises QuorumNotReached with the chain unchanged.
+    """
+    if not chain:
+        raise ValueError("chain must start from a genesis block")
+    if not pending:
+        raise ValueError("no staged block to commit")
+    size = committee_size if committee_size is not None else min(5, len(vset.stakes))
+    committee = select_committee(vset, committee_seed, size)
+
+    blocks: list[LedgerBlock] = []
+    prev_hash = chain[-1].block_hash
+    for k, (payload_hash, meta) in enumerate(pending):
+        index = len(chain) + k
+        attestations: list[tuple[str, bytes]] = []
+        if k == len(pending) - 1:
+            core = _preimage_core(index, prev_hash, payload_hash, meta)
+            attestations = _attest(vset, committee, core)
+        block_hash = compute_block_hash(index, prev_hash, payload_hash, meta, attestations)
+        blocks.append(LedgerBlock(index, prev_hash, payload_hash, meta, attestations, block_hash))
+        prev_hash = block_hash
+    chain.extend(blocks)
+    return blocks
+
+
+def append_block(
+    chain: list[LedgerBlock],
+    payload_hash: bytes,
+    meta: BlockMeta,
+    vset: ValidatorSet,
+    rules: ContractRules,
+    state: ValidationState,
+    committee_seed: int,
+    committee_size: int | None = None,
+) -> LedgerBlock:
+    """Stage one block and commit it alone: the one-block case of a round
+    commit, so its own committee attests to it.
+
+    Raises ContractRejected or QuorumNotReached, with the chain unchanged; the
+    nonce of a block that passed the contract stays recorded as seen.
+    """
+    pending: list[tuple[bytes, BlockMeta]] = []
+    result = stage_block(pending, payload_hash, meta, rules, state)
+    if not result.accepted:
+        raise ContractRejected(result.reasons)
+    [block] = commit_blocks(chain, pending, vset, committee_seed, committee_size)
     return block
 
 

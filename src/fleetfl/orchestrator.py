@@ -1,10 +1,13 @@
 """Round orchestration: the full edge -> ledger -> cloud -> edge loop.
 
 Each round: local SGD, adaptive privacy tuning, clip/noise/mask, sealed
-transmission, ledger admission with committee attestation, masked-sum FedAvg,
-global privacy adjustment, sealed redistribution, dual-model validation with
-local correction, and weighted local/global fusion. All randomness is derived
-from the config seed, so identical configs produce byte-identical artifacts.
+transmission, ledger admission, masked-sum FedAvg, global privacy adjustment,
+sealed redistribution, dual-model validation with local correction, and
+weighted local/global fusion. Every block of the round is staged as it is
+made and the round commits them as one unit under one committee: on a failed
+quorum the round aborts and leaves the chain, the budgets, the models and the
+explanation records as they were. All randomness is derived from the config
+seed, so identical configs produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -128,6 +131,8 @@ class Simulator:
         self.chain = [ledger.genesis_block(canonical_hash(params_bytes(self.global_params)))]
         self.node_params = {n: self.global_params for n in self.node_ids}
         self.explanation_records: list[dict] = []
+        # the running round's contract-checked blocks, committed together at its end
+        self.pending: list[tuple[bytes, ledger.BlockMeta]] = []
 
     def _auto_norm_bound(self) -> float:
         # generous ceiling so honest (scaled, noised, masked) payloads always pass;
@@ -208,7 +213,6 @@ class Simulator:
             epsilon_charged=0.0 if math.isinf(epsilon) else epsilon,
             model_version=self.global_params.version + 1,
         )
-        # encoded once; both contract checks read it
         state = ledger.ValidationState(
             seen_nonces=self.contract_nonces, budget=self.budget, now=self.clock,
             payload=enc_vec(mu.payload), update_norm=float(np.linalg.norm(mu.payload)),
@@ -217,31 +221,47 @@ class Simulator:
         return meta, state
 
     def _append(self, payload_hash: bytes, meta: ledger.BlockMeta,
-                state: ledger.ValidationState, *seed_parts) -> None:
-        """Append one block; its committee is drawn per round and per seed part."""
-        ledger.append_block(
-            self.chain, payload_hash, meta, self.vset, self.rules, state,
-            committee_seed=sub_seed(self.cfg.seed, "committee", meta.round, *seed_parts),
+                state: ledger.ValidationState) -> ledger.ValidationResult:
+        """Check one block against the contract and, if accepted, add it to the
+        round's pending blocks."""
+        return ledger.stage_block(self.pending, payload_hash, meta, self.rules, state)
+
+    def _commit(self, r: int, charged: dict[str, float]) -> int:
+        """Append the round's pending blocks under the round's one committee,
+        then charge the round's budget; returns the number of blocks appended.
+        Raises QuorumNotReached with the chain and every budget untouched."""
+        blocks = ledger.commit_blocks(
+            self.chain, self.pending, self.vset,
+            committee_seed=sub_seed(self.cfg.seed, "committee", r),
             committee_size=self.cfg.ledger.committee_size,
         )
+        for node, eps in charged.items():
+            privacy.charge_budget(self.budget, node, eps)
+        return len(blocks)
 
     # -- round pipeline -----------------------------------------------------
 
     def run_round(self, r: int, record: bool = False) -> tuple[RoundReport, RoundTrace | None]:
         trace = RoundTrace(round=r) if record else None
-        blocks_before = len(self.chain)
+        before = (self.global_params, dict(self.node_params), len(self.explanation_records))
+        self.pending = []
         scaled, ctxs, local_deltas = self._train_and_privatise(r)
         received = self._mask_and_send(trace, r, scaled, ctxs)
         admitted, rejected, charged = self._admit(trace, r, received, ctxs)
-        agreement, w_local = 0.0, 0.0
+        agreement, w_local, blocks = 0.0, 0.0, 0
         if not rejected:
             prev_global = self.global_params
             g = self._aggregate(r, admitted)
             self._distribute(trace, r, g)
             agreement, w_local = self._feedback_phase(trace, r, prev_global, g, local_deltas)
-        report = self._finish_round(
-            r, rejected, charged, len(self.chain) - blocks_before, agreement, w_local
-        )
+            try:
+                blocks = self._commit(r, charged)
+            except ledger.QuorumNotReached:
+                # nothing of the round stays: put back what its stages installed
+                self.global_params, self.node_params, n_records = before
+                del self.explanation_records[n_records:]
+                rejected, charged, agreement, w_local = [(LEDGER_ID, ["quorum"])], {}, 0.0, 0.0
+        report = self._finish_round(r, rejected, charged, blocks, agreement, w_local)
         return report, trace
 
     def _train_and_privatise(self, r: int):
@@ -293,11 +313,12 @@ class Simulator:
         return received
 
     def _admit(self, trace, r: int, received, ctxs):
-        """Ledger admission: log every update, then validate them all at one
-        clock reading before appending any.
+        """Ledger admission: log every update, then check and stage them all at
+        one clock reading.
 
-        Returns (admitted updates, rejections, epsilon charged per node). Any
-        rejection admits nothing: masks cannot cancel over a partial roster.
+        Returns (admitted updates, rejections, epsilon to charge per node at
+        commit). Any rejection admits nothing: masks cannot cancel over a
+        partial roster.
         """
         cleaned, drops = aggregation.preprocess_updates(received, self.dim + 1)
         rejected: list[tuple[str, list[str]]] = [(n, [reason]) for n, reason in drops]
@@ -311,18 +332,15 @@ class Simulator:
             (mu, *self.local_update_entry(mu, r, ctxs[mu.node_id].epsilon)) for mu in logged
         ]
         for mu, meta, state in admitted:
-            result = ledger.contract_validate(meta, mu.payload_hash, self.rules, state)
+            result = self._append(mu.payload_hash, meta, state)
             if not result.accepted:
                 rejected.append((mu.node_id, result.reasons))
         if rejected:
             return [], rejected, {}
-
-        charged: dict[str, float] = {}
-        for mu, meta, state in admitted:
-            self._append(mu.payload_hash, meta, state, mu.node_id)
-            if meta.epsilon_charged > 0:
-                privacy.charge_budget(self.budget, mu.node_id, meta.epsilon_charged)
-                charged[mu.node_id] = meta.epsilon_charged
+        charged = {
+            mu.node_id: meta.epsilon_charged for mu, meta, _ in admitted
+            if meta.epsilon_charged > 0
+        }
         return [mu for mu, _, _ in admitted], [], charged
 
     def _aggregate(self, r: int, admitted) -> aggregation.GlobalUpdate:
@@ -341,7 +359,8 @@ class Simulator:
         )
 
     def _distribute(self, trace, r: int, g: aggregation.GlobalUpdate) -> None:
-        """Log the global model, then send it to every node (freshness verified at open)."""
+        """Stage the global model's block, then send the model to every node
+        (freshness verified at open)."""
         gbytes = params_bytes(g.params)
         self._log_to_ledger(trace, r, "global_model", CLOUD_ID, gbytes, g.params.version)
         self.global_params = g.params
@@ -364,7 +383,9 @@ class Simulator:
         state = ledger.ValidationState(
             seen_nonces=self.contract_nonces, budget=self.budget, now=self.clock, payload=got
         )
-        self._append(canonical_hash(got), meta, state, kind, actor)
+        result = self._append(canonical_hash(got), meta, state)
+        if not result.accepted:
+            raise ledger.ContractRejected(result.reasons)
 
     def _feedback_phase(self, trace, r: int, prev_global: ModelParams,
                         g: aggregation.GlobalUpdate, local_deltas) -> tuple[float, float]:
@@ -413,7 +434,8 @@ class Simulator:
     def _integrate(self, trace, r: int, prev_global: ModelParams, g: aggregation.GlobalUpdate,
                    corrections: list[feedback.FeedbackUpdate]) -> float:
         """Fuse each node's correction with the global delta, install the result
-        at that node and submit it through the cloud; returns the mean w_local."""
+        at that node and submit it through the cloud, which stages its block;
+        returns the mean w_local."""
         fb = self.cfg.feedback
         base = prev_global.as_vector()
         w_locals = []

@@ -150,6 +150,21 @@ def test_run_prints_the_reasons_of_an_aborted_round(tmp_path, monkeypatch, capsy
     assert lines[2].endswith(f" blocks=0 ABORTED: {node} budget_exceeded")
 
 
+def test_a_failed_quorum_aborts_the_round_and_exits_0(tmp_path, capsys):
+    # validator v0 refuses to attest, and round 2's committee is (v0, v1)
+    raw = {"seed": 7, "rounds": 3, "fleet": {"n_nodes": 4}, "privacy": {"budget_cap": 500},
+           "ledger": {"committee_size": 2, "byzantine_refuse": ["v0"]},
+           "output_dir": str(tmp_path / "out")}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "ABORTED" not in lines[0] + lines[1]
+    assert lines[2].endswith(" blocks=0 ABORTED: ledger quorum")
+    assert main(["ledger", "verify", "--chain", str(tmp_path / "out" / "chain.json")]) == 0
+    assert capsys.readouterr().out.startswith("chain valid (19 blocks)")
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("privacy", [{}, {"eps_max": "inf"}])
 def test_divergent_step_size_still_moves_the_model(tmp_path, privacy):

@@ -204,6 +204,43 @@ def test_one_byzantine_false_attester_tolerated():
     assert len(block.attestations) == 3
 
 
+def _pending(n):
+    return [(canonical_hash(f"p-{i}".encode()), _meta(nonce_int=i, version=i)) for i in range(n)]
+
+
+def test_commit_attests_only_the_closing_block():
+    vset = _vset()
+    chain = [ledger.genesis_block(canonical_hash(b"g"))]
+    blocks = ledger.commit_blocks(chain, _pending(4), vset, committee_seed=3)
+    assert chain[1:] == blocks and ledger.verify_chain(chain) is None
+    assert [len(b.attestations) for b in blocks] == [0, 0, 0, 3]
+    closing = blocks[-1]
+    core = ledger._preimage_core(closing.index, closing.prev_hash, closing.payload_hash,
+                                 closing.meta)
+    assert closing.attestations == [
+        (vid, ledger.attestation_digest(vid, core, vset.secret(vid)))
+        for vid in ledger.select_committee(vset, 3, 3)
+    ]
+
+
+def test_commit_without_quorum_appends_nothing():
+    vset = ledger.ValidatorSet(stakes={"A": 1.0, "B": 1.0, "C": 1.0}, byzantine_refuse={"A", "B"})
+    chain = [ledger.genesis_block(canonical_hash(b"g"))]
+    with pytest.raises(ledger.QuorumNotReached):
+        ledger.commit_blocks(chain, _pending(3), vset, committee_seed=0, committee_size=3)
+    assert len(chain) == 1
+
+
+def test_stage_checks_once_and_keeps_only_accepted_blocks():
+    pending, state = [], _state(payload=b"x")
+    meta = _meta(nonce_int=9)
+    assert ledger.stage_block(pending, canonical_hash(b"x"), meta, RULES, state).accepted
+    assert pending == [(canonical_hash(b"x"), meta)]
+    assert meta.freshness.nonce in state.seen_nonces
+    replayed = ledger.stage_block(pending, canonical_hash(b"x"), meta, RULES, state)
+    assert replayed.reasons == ["replay"] and len(pending) == 1
+
+
 def test_verify_untampered_100_block_chain():
     chain = _build_chain(100)
     assert ledger.verify_chain(chain) is None

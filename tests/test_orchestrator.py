@@ -9,9 +9,11 @@ import pathlib
 import numpy as np
 import pytest
 from conftest import make_cfg
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from fleetfl import attacks, channel, feedback, ledger, models, orchestrator, telemetry
-from fleetfl.encoding import canonical_hash, hash_vector
+from fleetfl import attacks, channel, config, feedback, ledger, models, orchestrator, telemetry
+from fleetfl.encoding import canonical_hash, hash_vector, sub_seed
 from fleetfl.orchestrator import Simulator, run
 
 NODES = ["node-0", "node-1", "node-2"]
@@ -235,7 +237,7 @@ def test_small_feedback_run_bytes_are_pinned(tmp_path):
     }
     assert digests == {
         "metrics.jsonl": "46b32f964a88ade2bf889030a6473d4a6bb147c51b80b0d84d25ae14cc480400",
-        "chain.json": "5979bd4a661f6c15c4cec994b81dc62b0921b92276bfb8f34b1a2052c444d20c",
+        "chain.json": "9c9a327a795e64039ded654c507193c8c16532f17557d09c2b1052408c3aaa4a",
         "explanations.jsonl": "b3c9ec866f2d4c800bdf4cf86336ee9a4dc289e3bc67c48247c3654d1ae51562",
     }
 
@@ -439,3 +441,113 @@ def test_finish_round_scores_each_distinct_model_once(monkeypatch, overrides):
     assert report.fpr_integrated == float(
         np.mean([models.false_positive_rate(p, X, y) for p in per_node])
     )
+
+
+# validator v0 refuses to attest; a committee of (v0, v1) misses the 2/3 stake quorum
+QUORUM_CFG = {
+    "seed": 7, "rounds": 3, "fleet": {"n_nodes": 4}, "privacy": {"budget_cap": 500},
+    "ledger": {"committee_size": 2, "byzantine_refuse": ["v0"]},
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["feedback-on", "feedback-off"])
+def test_a_round_draws_one_committee_and_checks_each_block_once(monkeypatch, enabled):
+    draws, checks = [], []
+    select, validate = ledger.select_committee, ledger.contract_validate
+
+    def counted_select(vset, seed, size):
+        draws.append(seed)
+        return select(vset, seed, size)
+
+    def counted_validate(*args):
+        checks.append(args[0])
+        return validate(*args)
+
+    monkeypatch.setattr(ledger, "select_committee", counted_select)
+    monkeypatch.setattr(ledger, "contract_validate", counted_validate)
+    n = 5
+    sim = Simulator(make_cfg(rounds=2, fleet={"n_nodes": n}, feedback={"enabled": enabled}))
+    reports, _ = sim.run()
+    assert not any(rep.aborted for rep in reports)
+    per_round = 2 * n + 1 if enabled else n + 1
+    assert [rep.blocks_appended for rep in reports] == [per_round] * 2
+    assert draws == [sub_seed(7, "committee", r) for r in range(2)]
+    # one check per staged block, each block's own meta
+    assert checks == [b.meta for b in sim.chain[1:]]
+
+
+def test_a_failed_quorum_aborts_the_round_and_leaves_its_state():
+    sim = Simulator(config.from_dict(QUORUM_CFG))
+    assert [sim.run_round(r)[0].aborted for r in range(2)] == [False, False]
+    n = len(sim.node_ids)
+    assert len(sim.chain) == 1 + 2 * (2 * n + 1)
+    chain = list(sim.chain)
+    spent = {node: sim.budget.spent_for(node) for node in sim.node_ids}
+    global_params, node_params = sim.global_params, dict(sim.node_params)
+    records = list(sim.explanation_records)
+
+    assert ledger.select_committee(sim.vset, sub_seed(7, "committee", 2), 2) == ["v0", "v1"]
+    report, _ = sim.run_round(2)
+    assert report.aborted
+    assert report.rejected == [("ledger", ["quorum"])]
+    assert report.blocks_appended == 0
+    assert sim.chain == chain
+    assert {node: sim.budget.spent_for(node) for node in sim.node_ids} == spent
+    assert report.epsilon_spent == spent
+    assert all(eps == 0.0 for eps in report.epsilon_charged.values())
+    assert sim.global_params is global_params
+    assert report.global_version == global_params.version
+    assert all(sim.node_params[node] is node_params[node] for node in sim.node_ids)
+    assert sim.explanation_records == records
+
+
+def _attestation_is_valid(vset, block, vid, digest):
+    core = ledger._preimage_core(block.index, block.prev_hash, block.payload_hash, block.meta)
+    return digest == ledger.attestation_digest(vid, core, vset.secret(vid))
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    n_nodes=st.integers(2, 9),
+    enabled=st.booleans(),
+    rounds=st.integers(1, 3),
+    committee_size=st.integers(1, 3),
+    refuse=st.sets(st.sampled_from(["v0", "v1", "v2"])),
+    false=st.sets(st.sampled_from(["v0", "v1", "v2"])),
+)
+def test_after_any_run_the_chain_is_genesis_plus_whole_rounds(
+    n_nodes, enabled, rounds, committee_size, refuse, false
+):
+    sim = Simulator(make_cfg(
+        rounds=rounds, fleet={"n_nodes": n_nodes}, feedback={"enabled": enabled},
+        ledger={"committee_size": committee_size, "byzantine_refuse": sorted(refuse),
+                "byzantine_false": sorted(false)},
+    ))
+    reports, _ = sim.run()
+    chain, vset = sim.chain, sim.vset
+    assert chain[0].meta.kind == "genesis"
+    assert sum(rep.blocks_appended for rep in reports) == len(chain) - 1
+    assert ledger.verify_chain(chain) is None
+
+    per_round = 2 * n_nodes + 1 if enabled else n_nodes + 1
+    start = 1
+    for rep in reports:
+        if rep.aborted:
+            assert rep.blocks_appended == 0
+            continue
+        assert rep.blocks_appended == per_round
+        blocks = chain[start:start + per_round]
+        start += per_round
+        assert [b.meta.round for b in blocks] == [rep.round] * per_round
+        assert all(b.attestations == [] for b in blocks[:-1])
+        closing = blocks[-1]
+        committee = ledger.select_committee(
+            vset, sub_seed(7, "committee", rep.round), committee_size
+        )
+        valid = sum(
+            vset.stakes[vid] for vid, digest in closing.attestations
+            if _attestation_is_valid(vset, closing, vid, digest)
+        )
+        assert {vid for vid, _ in closing.attestations} <= set(committee)
+        assert valid + 1e-12 >= vset.quorum_fraction * sum(vset.stakes[v] for v in committee)
+    assert start == len(chain)
