@@ -1,9 +1,34 @@
 """Pairwise-cancelling dynamic masks over model updates.
 
-For each unordered participant pair (i, j) a shared pseudo-random vector is
+For each pair (i, j) of the round's mask graph a shared pseudo-random vector is
 derived from (round_seed, round, i, j); node i adds it, node j subtracts it, so
 the coordinate-wise sum of all masks telescopes to zero. Mask magnitude adapts
 to the per-node context strength; a shared pair uses the stricter of the two.
+
+The mask graph adapts to the round's threat level θ in [0, 1]. Over the roster
+in participant order, with n nodes and h = max(⌈log₂ n⌉, ⌈θ·(n−1)/2⌉), nodes i
+and j are paired iff their circular distance min(|i−j|, n−|i−j|) is at most h:
+the circulant (Harary) graph H_{2h,n}, of degree min(2h, n−1). When 2h ≥ n−1,
+which holds at θ = 1 and for every fleet of up to 7 nodes at θ = 0.1, that is
+every pair (Bonawitz et al., CCS 2017). Otherwise each pair vector is also
+multiplied by √((n−1)/2h), so that at equal strengths a node's mask has the
+variance it would have over every pair (Bell et al., CCS 2020, show that a
+graph of logarithmic degree keeps the aggregator blind).
+
+What the sparse graph trades is the collusion threshold. H_{2h,n} is
+2h-connected: an aggregator colluding with up to min(2h−1, n−2) nodes still
+learns only the sum of the honest nodes, and exposing one node takes all of
+its neighbours. Over every pair that threshold is n−2.
+
+    nodes  θ     h   degree  pairs    colluders tolerated
+    16     0.1   4   8       64       7   (every pair: 14)
+    64     0.1   6   12      384      11  (every pair: 62)
+    256    0.1   13  26      3,328    25  (every pair: 254)
+    256    0.5   64  128     16,384   127
+    n      1.0   -   n−1     n(n−1)/2 n−2
+
+In this simulator every pair seed is derived from the public round seed, so
+the threshold is a property of the modelled protocol, not of the simulation.
 
 The pair PRG is SHAKE-128 over the pair key
 ``enc_u64(round_seed mod 2^64) + enc_u64(round) + enc_str(i) + enc_str(j)``,
@@ -16,6 +41,7 @@ normal vector, scaled by the pair's strength.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 from typing import Mapping
@@ -72,14 +98,35 @@ def _pair_normals(stream: bytes, pairs: int, dim: int) -> np.ndarray:
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
+def half_degree(n: int, threat: float) -> int:
+    """h = max(⌈log₂ n⌉, ⌈θ·(n−1)/2⌉): the mask graph pairs nodes within
+    circular distance h, so each node has min(2h, n − 1) neighbours."""
+    if not 0.0 <= threat <= 1.0:
+        raise ValueError("threat must lie in [0, 1]")
+    return max((n - 1).bit_length(), math.ceil(threat * (n - 1) / 2))
+
+
+def mask_graph(n: int, h: int) -> list[np.ndarray]:
+    """Each node's later neighbours: entry i holds, in order, the j > i within
+    circular distance h of i, that is the near run i+1 .. i+h and the
+    wrap-around run n−h+i .. n−1."""
+    return [
+        np.array([*range(i + 1, min(i + h + 1, n)), *range(max(i + h + 1, n - h + i), n)],
+                 dtype=np.intp)
+        for i in range(n)
+    ]
+
+
 def derive_masks(
     round_seed: int,
     participants: list[str],
     dim: int,
     strength: float | Mapping[str, float],
     round: int = 0,
+    threat: float = 1.0,
 ) -> dict[str, np.ndarray]:
-    """Per-node masks that sum to zero across the full participant set."""
+    """Per-node masks that sum to zero across the full participant set, drawn
+    over the mask graph of the given threat level."""
     if len(participants) == 0:
         raise ValueError("need at least one participant")
     if len(set(participants)) != len(participants):
@@ -94,19 +141,23 @@ def derive_masks(
     if not np.all((s > 0) & np.isfinite(s)):
         raise ValueError("mask strength must be positive and finite")
 
+    n = len(participants)
+    h = half_degree(n, threat)
+    if 2 * h < n - 1:  # a sparse graph: each node's mask keeps the variance of n - 1 pairs
+        s = s * math.sqrt((n - 1) / (2 * h))
     prefix = enc_u64(round_seed & 0xFFFFFFFFFFFFFFFF) + enc_u64(round)
     ids = [enc_str(p) for p in participants]
     nbytes = 16 * dim
-    masks = np.zeros((len(participants), dim))
-    # one node's pairs at a time: the transient rows stay (n - 1) × dim, not
-    # n(n - 1)/2 × dim, whose size would show in the process's peak memory
-    for i in range(len(participants) - 1):
+    masks = np.zeros((n, dim))
+    # one node's pairs at a time: the transient rows stay (n - 1) × dim at most,
+    # not pairs × dim, whose size would show in the process's peak memory
+    for i, later in enumerate(mask_graph(n, h)[:-1]):
         key = prefix + ids[i]
-        stream = b"".join([hashlib.shake_128(key + b).digest(nbytes) for b in ids[i + 1 :]])
-        rows = _pair_normals(stream, len(ids) - 1 - i, dim)
-        rows *= np.maximum(s[i], s[i + 1 :])[:, None]
+        stream = b"".join([hashlib.shake_128(key + ids[j]).digest(nbytes) for j in later])
+        rows = _pair_normals(stream, len(later), dim)
+        rows *= np.maximum(s[i], s[later])[:, None]
         masks[i] += rows.sum(axis=0)
-        masks[i + 1 :] -= rows
+        masks[later] -= rows
     return dict(zip(participants, masks))
 
 

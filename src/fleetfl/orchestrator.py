@@ -291,7 +291,10 @@ class Simulator:
             for n in self.node_ids
         }
         round_seed = sub_seed(self.cfg.seed, "masks", r)
-        masks = masking.derive_masks(round_seed, self.node_ids, self.dim + 1, strengths, round=r)
+        masks = masking.derive_masks(
+            round_seed, self.node_ids, self.dim + 1, strengths, round=r,
+            threat=self.cfg.threat_for_round(r),
+        )
         masked: dict[str, masking.MaskedUpdate] = {}
         received: list[masking.MaskedUpdate] = []
         for node in self.node_ids:
@@ -380,8 +383,9 @@ class Simulator:
             kind=kind, actor_id=actor, round=r, freshness=tag,
             epsilon_charged=0.0, model_version=model_version,
         )
+        # the ledger hashes what it received: there is no sender's claim to re-check
         state = ledger.ValidationState(
-            seen_nonces=self.contract_nonces, budget=self.budget, now=self.clock, payload=got
+            seen_nonces=self.contract_nonces, budget=self.budget, now=self.clock
         )
         result = self._append(canonical_hash(got), meta, state)
         if not result.accepted:

@@ -1,6 +1,7 @@
 """Pairwise-cancelling masks: antisymmetry, cancellation, obfuscation, wire format."""
 
 import hashlib
+import itertools
 import math
 import struct
 import tracemalloc
@@ -56,10 +57,15 @@ def test_non_finite_strength_rejected(strength):
         masking.derive_masks(1, ["A", "B"], 3, strength)
 
 
-def _reference_masks(round_seed, participants, dim, strength, rnd):
+def _reference_masks(round_seed, participants, dim, strength, rnd, threat=1.0):
     """One pair at a time in pure Python: SHAKE-128 of the pair key, the top 53
-    bits of each big-endian word, then the Box–Muller cos branch."""
+    bits of each big-endian word, then the Box–Muller cos branch. Nodes are
+    paired iff their circular distance in the roster is at most h, and a
+    sparse graph's pair vectors are rescaled by sqrt((n - 1) / 2h)."""
     s = strength if isinstance(strength, dict) else dict.fromkeys(participants, strength)
+    n = len(participants)
+    h = _h(n, threat)
+    scale = math.sqrt((n - 1) / (2 * h)) if 2 * h < n - 1 else 1.0
 
     def enc_str(x):
         b = x.encode("utf-8")
@@ -67,16 +73,23 @@ def _reference_masks(round_seed, participants, dim, strength, rnd):
 
     masks = {p: [0.0] * dim for p in participants}
     for i, a in enumerate(participants):
-        for b in participants[i + 1 :]:
+        for j, b in enumerate(participants[i + 1 :], start=i + 1):
+            if min(j - i, n - (j - i)) > h:
+                continue
             key = struct.pack(">QQ", round_seed % 2**64, rnd) + enc_str(a) + enc_str(b)
             words = struct.unpack(f">{2 * dim}Q", hashlib.shake_128(key).digest(16 * dim))
             for k in range(dim):
                 u1 = ((words[k] >> 11) + 1) * 2.0**-53
                 u2 = (words[dim + k] >> 11) * 2.0**-53
                 z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-                masks[a][k] += z * max(s[a], s[b])
-                masks[b][k] -= z * max(s[a], s[b])
+                masks[a][k] += z * max(s[a], s[b]) * scale
+                masks[b][k] -= z * max(s[a], s[b]) * scale
     return masks
+
+
+def _h(n, threat):
+    """The mask graph's half-degree, from its definition."""
+    return max(math.ceil(math.log2(n)) if n > 1 else 0, math.ceil(threat * (n - 1) / 2))
 
 
 @settings(max_examples=80, deadline=None)
@@ -237,3 +250,154 @@ def test_masked_update_wire_round_trip():
     assert back.freshness == mu.freshness
     assert back.payload_hash == mu.payload_hash
     np.testing.assert_array_equal(back.payload, mu.payload)
+
+
+# -- the threat-sized mask graph ----------------------------------------------
+
+THREATS = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(-(2**63), 2**70),
+    st.integers(0, 2**20),
+    st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=40, unique=True),
+    st.integers(1, 16),
+    st.one_of(
+        st.floats(0.01, 100.0),
+        st.lists(st.floats(0.01, 100.0), min_size=40, max_size=40),
+    ),
+    THREATS,
+)
+def test_graph_masks_match_the_pure_python_reference(
+    seed, rnd, participants, dim, strength, threat
+):
+    if isinstance(strength, list):
+        strength = dict(zip(participants, strength))
+    got = masking.derive_masks(seed, participants, dim, strength, round=rnd, threat=threat)
+    ref = _reference_masks(seed, participants, dim, strength, rnd, threat)
+    top = max(strength.values()) if isinstance(strength, dict) else strength
+    for p in participants:
+        np.testing.assert_allclose(
+            got[p], ref[p], rtol=1e-12, atol=1e-12 * top * len(participants)
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(1, 64),
+    st.integers(1, 64),
+    st.floats(0.01, 100.0),
+    THREATS,
+)
+def test_graph_masks_cancel_at_every_threat(seed, size, dim, strength, threat):
+    participants = [f"n{i:02d}" for i in range(size)]
+    rng = np.random.default_rng(seed)
+    grads = {p: rng.normal(size=dim) for p in participants}
+    masks = masking.derive_masks(seed, participants, dim, strength, threat=threat)
+    total = sum(grads[p] + masks[p] for p in participants)
+    raw = sum(grads.values())
+    # criterion 01's bound on the residual
+    assert float(np.max(np.abs(total - raw))) < 1e-9 * max(1.0, strength * size)
+
+
+def _adjacency(n, h):
+    adj = {i: set() for i in range(n)}
+    for i, later in enumerate(masking.mask_graph(n, h)):
+        for j in later:
+            assert j > i
+            adj[i].add(int(j))
+            adj[int(j)].add(i)
+    return adj
+
+
+@pytest.mark.parametrize("threat", [0.0, 0.1, 0.37, 0.5, 0.9, 1.0])
+def test_every_node_has_min_2h_or_n_minus_1_neighbours(threat):
+    for n in [*range(1, 41), 64, 100, 255, 256]:
+        h = _h(n, threat)
+        assert masking.half_degree(n, threat) == h
+        adj = _adjacency(n, h)
+        assert {len(nb) for nb in adj.values()} == {min(2 * h, n - 1)}, (n, h)
+
+
+def _connected(nodes, adj):
+    nodes = set(nodes)
+    if not nodes:
+        return True
+    seen, todo = set(), [min(nodes)]
+    while todo:
+        x = todo.pop()
+        if x not in seen:
+            seen.add(x)
+            todo.extend(adj[x] & nodes)
+    return seen == nodes
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_removing_fewer_than_2h_nodes_leaves_the_rest_connected(n):
+    # H_{2h,n} is 2h-connected: no 2h - 1 colluders split the honest nodes
+    for h in sorted({masking.half_degree(n, t / 20) for t in range(21)}):
+        adj = _adjacency(n, h)
+        k = min(2 * h - 1, n - 1)
+        for removed in itertools.combinations(range(n), k):
+            assert _connected(set(range(n)) - set(removed), adj), (n, h, removed)
+
+
+def test_the_graph_is_every_pair_at_threat_one_and_for_small_fleets():
+    for n in range(1, 60):
+        assert 2 * masking.half_degree(n, 1.0) >= n - 1
+    for n in range(1, 8):
+        assert 2 * masking.half_degree(n, 0.1) >= n - 1
+    assert 2 * masking.half_degree(8, 0.1) < 7
+
+
+@pytest.mark.parametrize(
+    "n, threat, pairs",
+    [(256, 0.1, 3_328), (64, 0.1, 384), (16, 0.1, 64), (12, 0.0, 48), (12, 1.0, 66),
+     (256, 1.0, 32_640)],
+)
+def test_pairs_per_round(n, threat, pairs):
+    graph = masking.mask_graph(n, masking.half_degree(n, threat))
+    assert sum(len(later) for later in graph) == pairs
+
+
+@pytest.mark.parametrize("threat", [-0.1, 1.5, math.nan, math.inf])
+def test_threat_outside_the_unit_interval_rejected(threat):
+    with pytest.raises(ValueError):
+        masking.derive_masks(1, ["A", "B", "C"], 3, 1.0, threat=threat)
+
+
+def test_sparse_masks_keep_the_every_pair_variance():
+    # 64 nodes at threat 0 pair each node with 12 of 63; the rescale keeps a
+    # node's summed mask at n - 1 pairs' variance, so it reads N(0, 63) at strength 1
+    roster = [f"n{i:02d}" for i in range(64)]
+    assert 2 * masking.half_degree(64, 0.0) == 12
+    draws = np.concatenate([
+        masking.derive_masks(seed, roster, 8, 1.0, threat=0.0)[roster[seed % 64]]
+        for seed in range(400)
+    ]) / math.sqrt(63)
+    assert stats.kstest(draws, "norm").pvalue > 1e-3
+
+
+def test_a_sparse_large_roster_is_drawn_one_node_at_a_time():
+    roster = [f"node-{i}" for i in range(256)]
+    tracemalloc.start()
+    try:
+        masking.derive_masks(5, roster, 9, 2.0, threat=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_threat_one_masks_are_bit_identical_to_the_every_pair_masks():
+    # sha256 of these masks as drawn over every pair before the graph existed
+    roster = [f"node-{i}" for i in range(40)]
+    strength = {p: 0.5 + 0.25 * i for i, p in enumerate(roster)}
+    for kwargs in ({}, {"threat": 1.0}):
+        masks = masking.derive_masks(2**40 + 17, roster, 9, strength, round=3, **kwargs)
+        digest = hashlib.sha256(b"".join(masks[p].astype("<f8").tobytes() for p in roster))
+        assert digest.hexdigest() == (
+            "5a9443d8f030487c78cb292f1ea79086fcd411766163b4cc387aaccc5a96920f"
+        )

@@ -12,7 +12,9 @@ from conftest import make_cfg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fleetfl import attacks, channel, config, feedback, ledger, models, orchestrator, telemetry
+from fleetfl import (
+    attacks, channel, config, feedback, ledger, masking, models, orchestrator, telemetry,
+)
 from fleetfl.encoding import canonical_hash, hash_vector, sub_seed
 from fleetfl.orchestrator import Simulator, run
 
@@ -551,3 +553,52 @@ def test_after_any_run_the_chain_is_genesis_plus_whole_rounds(
         assert {vid for vid, _ in closing.attestations} <= set(committee)
         assert valid + 1e-12 >= vset.quorum_fraction * sum(vset.stakes[v] for v in committee)
     assert start == len(chain)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["feedback-on", "feedback-off"])
+def test_the_contract_rehashes_only_the_local_updates(monkeypatch, enabled):
+    # a local update's hash is the node's claim, so the contract re-hashes its
+    # payload; a global-model or feedback block carries the hash the ledger took
+    # of the bytes it received, which a re-hash could never contradict
+    calls = []
+
+    def counted(b):
+        calls.append(b)
+        return canonical_hash(b)
+
+    monkeypatch.setattr(ledger, "canonical_hash", counted)
+    n = 4
+    sim = Simulator(make_cfg(rounds=2, fleet={"n_nodes": n}, feedback={"enabled": enabled}))
+    for r in range(2):
+        calls.clear()
+        report, _ = sim.run_round(r)
+        assert not report.aborted
+        attestations = len(sim.chain[-1].attestations)
+        # one hash per block, one per attestation digest, one per local update
+        assert len(calls) == report.blocks_appended + attestations + n
+        logged = [b.payload_hash for b in sim.chain[-report.blocks_appended:]
+                  if b.meta.kind != "local_update"]
+        assert len(logged) == (n + 1 if enabled else 1)
+        assert not {canonical_hash(b) for b in calls} & set(logged)
+
+
+def test_each_round_masks_over_its_threat_levels_graph(monkeypatch):
+    # round 0 at threat 0 is sparse (h = 4: 48 of 66 pairs), round 1 at threat 1 is complete
+    threats = []
+    derive = masking.derive_masks
+
+    def recorded(*args, **kwargs):
+        threats.append(kwargs["threat"])
+        return derive(*args, **kwargs)
+
+    monkeypatch.setattr(masking, "derive_masks", recorded)
+    sim = Simulator(make_cfg(rounds=2, fleet={"n_nodes": 12}, threat_schedule=[0.0, 1.0]))
+    reports, traces = sim.run(record=True)
+    assert threats == [0.0, 1.0]
+    assert not any(rep.aborted for rep in reports)
+    pairs = [sum(map(len, masking.mask_graph(12, masking.half_degree(12, t)))) for t in threats]
+    assert pairs == [48, 66]
+    for trace in traces:
+        masked = sum(mu.payload for mu in trace.masked.values())
+        raw = sum(trace.raw_updates.values())
+        assert float(np.max(np.abs(masked - raw))) < 1e-9 * max(1.0, float(np.max(np.abs(raw))))
