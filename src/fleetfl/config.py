@@ -199,18 +199,3 @@ def from_dict(data: dict) -> RunConfig:
 def load(path: str) -> RunConfig:
     with open(path) as f:
         return from_dict(json.load(f))
-
-
-def to_dict(cfg: RunConfig) -> dict:
-    def convert(v):
-        if isinstance(v, float) and math.isinf(v):
-            return "inf"
-        if dataclasses.is_dataclass(v):
-            return {k: convert(x) for k, x in dataclasses.asdict(v).items()}
-        if isinstance(v, dict):
-            return {k: convert(x) for k, x in v.items()}
-        if isinstance(v, list):
-            return [convert(x) for x in v]
-        return v
-
-    return {f.name: convert(getattr(cfg, f.name)) for f in dataclasses.fields(cfg)}

@@ -8,7 +8,8 @@ global delta as w_local * x + w_global * y.
 Validation, explanation and correction each have a fleet form that takes N
 models stacked as (N, d + 1) and their rows as (N, n, d); the one-model
 functions are those forms at N = 1, so a fleet pass equals N one-model calls
-bit for bit.
+bit for bit. Each pass draws from one numpy stream per node: validation draws
+every sample's perturbation rows from its node's seed in one call.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .encoding import sub_seed
 # evaluate, predict and train_local are unused here but stay bound: the
 # benchmark's tracer patches them by name
 from .models import ModelParams, evaluate, predict, train_fleet, train_local  # noqa: F401
@@ -181,9 +181,10 @@ def validate_fleet(
 ) -> list[ValidationReport]:
     """Model 2 checks Model 1 on N nodes at once: V1 and V2 (N, d + 1), X (N, n, d).
 
-    Sample i of node k draws its perturbations from
-    ``default_rng(sub_seed("explain", seeds[k], i))``, shared by both models.
-    Each report equals ``validate_predictions`` of that node alone, bit for bit.
+    Node k draws the perturbation rows of all its samples in one call,
+    ``default_rng(seeds[k]).integers(0, n, size=(n, n_repeats, d))``; sample i
+    uses block i, shared by both models. Each report equals
+    ``validate_predictions`` of that node alone, bit for bit.
     """
     V1 = np.asarray(V1, dtype=np.float64)
     V2 = np.asarray(V2, dtype=np.float64)
@@ -200,11 +201,10 @@ def validate_fleet(
         raise ValueError("X must be finite")
     _check_seeds(seeds, len(V1), n_repeats)
 
-    n_models, n, dim = X.shape
+    _, n, dim = X.shape
     rows = np.stack([
-        np.random.default_rng(sub_seed("explain", seed, i)).integers(0, n, size=(n_repeats, dim))
-        for seed in seeds for i in range(n)
-    ]).reshape(n_models, n, n_repeats, dim)
+        np.random.default_rng(seed).integers(0, n, size=(n, n_repeats, dim)) for seed in seeds
+    ])
     preds, tops = [], []
     for V in (V1, V2):
         p = models.predict_fleet(V, X)
@@ -231,8 +231,9 @@ def validate_predictions(
     seed: int,
 ) -> ValidationReport:
     """Model 2 checks Model 1: thresholded-prediction agreement plus agreement of
-    the top-attributed feature of each model's explanation. Sample i's
-    perturbations are drawn from its own seed and shared by both models."""
+    the top-attributed feature of each model's explanation. One stream,
+    ``default_rng(seed)``, draws every sample's perturbation rows in sample
+    order; both models share them."""
     return validate_fleet(model1.as_vector()[None], model2.as_vector()[None], [X], n_repeats,
                           [seed])[0]
 

@@ -9,6 +9,8 @@ on ``(N, n, d)`` arrays, one gathered batch and one stacked gradient per step,
 while each node keeps its own seeded batch order. ``train_local`` and
 ``gradient`` are its one-model calls. ``predict_fleet`` scores N stacked
 models on their own rows in one product, bit for bit as ``predict_batch``.
+``score_fleet`` scores N stacked models on one shared sample set in one
+product; ``evaluate`` and ``false_positive_rate`` are its one-model calls.
 """
 
 from __future__ import annotations
@@ -103,9 +105,9 @@ def _margins(V: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.matmul(X, V[:, :-1, None])[:, :, 0] + V[:, -1:]
 
 
-def _losses(V: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Mean binary cross-entropy of each stacked model, via log1p(exp) for stability."""
-    z = _margins(V, X)
+def _losses(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mean binary cross-entropy of each stacked model from its margins z (N, m),
+    via log1p(exp) for stability."""
     return np.mean(np.logaddexp(0.0, z) - y * z, axis=1)
 
 
@@ -114,11 +116,6 @@ def _gradients(V: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     r = _sigmoid(_margins(V, X)) - y
     gw = np.matmul(X.transpose(0, 2, 1), r[:, :, None])[:, :, 0] / y.shape[1]
     return np.concatenate([gw, np.mean(r, axis=1)[:, None]], axis=1)
-
-
-def log_loss(params: ModelParams, X: np.ndarray, y: np.ndarray) -> float:
-    """Mean binary cross-entropy, computed via log1p(exp) for stability."""
-    return float(_losses(params.as_vector()[None], np.asarray(X)[None], np.asarray(y)[None])[0])
 
 
 def gradient(params: ModelParams, X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -162,7 +159,7 @@ def train_fleet(
             cur = cur - lr * _gradients(cur, X[rows, idx], y[rows, idx])
             if not np.all(np.isfinite(cur)):
                 raise ValueError("model parameters must be finite")
-        losses = _losses(cur, X, y)
+        losses = _losses(_margins(cur, X), y)
         bad = np.flatnonzero(~np.isfinite(losses))
         if bad.size:
             raise TrainingDivergedError(
@@ -187,19 +184,39 @@ def train_local(
     return train_fleet([params], [partition], lr, epochs, batch, [seed])[0]
 
 
-def evaluate(params: ModelParams, X: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """(accuracy at threshold 0.5, mean binary log-loss)."""
+def score_fleet(
+    V: np.ndarray, X: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(accuracy at threshold 0.5, mean binary log-loss, false-positive rate) of
+    N stacked models V (N, d + 1), bias last, on one shared sample set X (h, d)
+    with labels y (h,); each is an (N,) array.
+
+    X is broadcast to every model as a view, so all N are scored in one stacked
+    product. The false-positive rate is the fraction of negatives predicted
+    positive, 0.0 when there are no negatives.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
     if len(y) == 0:
         raise ValueError("cannot evaluate on an empty sample list")
-    p = predict_batch(params, X)
-    acc = float(np.mean((p >= 0.5).astype(np.int64) == y))
-    return acc, log_loss(params, X, y)
+    if X.ndim != 2 or X.shape[1] != V.shape[1] - 1:
+        raise ValueError("feature dim mismatch")
+    z = _margins(V, np.broadcast_to(X, (len(V), *X.shape)))
+    positive = _sigmoid(z) >= 0.5
+    acc = np.mean(positive.astype(np.int64) == y, axis=1)
+    loss = _losses(z, y)
+    neg = y == 0
+    n_neg = int(np.count_nonzero(neg))
+    fpr = np.count_nonzero(positive & neg, axis=1) / n_neg if n_neg else np.zeros(len(V))
+    return acc, loss, fpr
+
+
+def evaluate(params: ModelParams, X: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """(accuracy at threshold 0.5, mean binary log-loss)."""
+    acc, loss, _ = score_fleet(params.as_vector()[None], X, y)
+    return float(acc[0]), float(loss[0])
 
 
 def false_positive_rate(params: ModelParams, X: np.ndarray, y: np.ndarray) -> float:
     """Fraction of negatives predicted positive; 0.0 when there are no negatives."""
-    p = predict_batch(params, X)
-    neg = y == 0
-    if not np.any(neg):
-        return 0.0
-    return float(np.mean((p[neg] >= 0.5)))
+    return float(score_fleet(params.as_vector()[None], X, y)[2][0])

@@ -26,12 +26,14 @@ from .channel import (
 )
 from .config import RunConfig
 from .encoding import canonical_hash, enc_u64, enc_vec, hash_vector, sub_seed
-# train_local is unused here but stays bound: the benchmark's tracer patches it by name
+# evaluate, false_positive_rate and train_local are unused here but stay bound:
+# the benchmark's tracer patches them by name
 from .models import (  # noqa: F401
     GradientUpdate,
     ModelParams,
     evaluate,
     false_positive_rate,
+    score_fleet,
     train_fleet,
     train_local,
 )
@@ -457,13 +459,12 @@ class Simulator:
         return float(np.mean(w_locals))
 
     def _finish_round(self, r, rejected, charged, blocks, agreement, w_local) -> RoundReport:
-        # (accuracy, loss, fpr) on the holdout, once per distinct model object:
-        # without feedback every node holds the global one
-        X, y = self.holdout_X, self.holdout_y
-        scores: dict[int, tuple[float, float, float]] = {}
-        for params in (self.global_params, *self.node_params.values()):
-            if id(params) not in scores:
-                scores[id(params)] = (*evaluate(params, X, y), false_positive_rate(params, X, y))
+        # (accuracy, loss, fpr) on the holdout of every distinct model object in
+        # one stacked pass: without feedback every node holds the global one
+        distinct = {id(p): p for p in (self.global_params, *self.node_params.values())}
+        V = np.stack([p.as_vector() for p in distinct.values()])
+        accs, losses, fprs = score_fleet(V, self.holdout_X, self.holdout_y)
+        scores = dict(zip(distinct, zip(accs.tolist(), losses.tolist(), fprs.tolist())))
         acc, loss, fpr_g = scores[id(self.global_params)]
         node_scores = [scores[id(self.node_params[node])] for node in self.node_ids]
         return RoundReport(

@@ -169,15 +169,6 @@ def location_variance(partition: NodePartition) -> float:
     return float(np.var(partition.features[:, LOCATION_FEATURE]))
 
 
-def sensitivity_score(partition: NodePartition, lo: float = 0.0, hi: float = 1.0) -> float:
-    """Min-max scaled location-feature variance, clipped to [0, 1].
-
-    (lo, hi) are the fleet-wide min and max raw variances; the globally
-    most-variant partition scores 1.0, a zero-variance partition scores 0.0.
-    """
-    return _scaled_variance(location_variance(partition), lo, hi)
-
-
 def _scaled_variance(v: float, lo: float, hi: float) -> float:
     if hi <= lo:
         # degenerate fleet range: all partitions equally variant

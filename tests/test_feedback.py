@@ -1,7 +1,5 @@
 """Dual-model validation, explanations, corrections, and weighted fusion."""
 
-import hashlib
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -115,13 +113,19 @@ def _reference_explain(params, sample, background, n_repeats, seed):
     """Permutation importance with one scalar prediction per perturbation;
     returns (attributions, stability)."""
     rng = np.random.default_rng(seed)
+    rows = [rng.integers(0, background.shape[0], size=params.dim) for _ in range(n_repeats)]
+    return _reference_attributions(params, sample, background, rows)
+
+
+def _reference_attributions(params, sample, background, rows):
+    """(attributions, stability) of one sample, swapping feature j in from
+    background row rows[r][j] in repeat r."""
     base = predict(params, sample)
-    diffs = np.empty((n_repeats, params.dim))
-    for r in range(n_repeats):
-        rows = rng.integers(0, background.shape[0], size=params.dim)
+    diffs = np.empty((len(rows), params.dim))
+    for r, picks in enumerate(rows):
         for j in range(params.dim):
             perturbed = sample.copy()
-            perturbed[j] = background[rows[j], j]
+            perturbed[j] = background[picks[j], j]
             diffs[r, j] = abs(base - predict(params, perturbed))
     attributions = diffs.mean(axis=0)
     spread = diffs.std(axis=0).mean()
@@ -134,19 +138,17 @@ def _top_feature(attributions):
     return int(np.argmax(np.abs(attributions)))
 
 
-def _reference_sample_seed(seed, i):
-    return int.from_bytes(hashlib.sha256(f"explain:{seed}:{i}".encode()).digest()[:8], "big")
-
-
 def _reference_validate(model1, model2, X, n_repeats, seed):
     """Per-sample (same prediction, same top feature, top feature clear of the
-    runner-up by more than 1e-9 in both models' explanations)."""
+    runner-up by more than 1e-9 in both models' explanations). One stream
+    draws every sample's rows in sample order, one repeat at a time."""
+    rng = np.random.default_rng(seed)
     out = []
-    for i, x in enumerate(X):
-        sample_seed = _reference_sample_seed(seed, i)
+    for x in X:
+        rows = [rng.integers(0, len(X), size=X.shape[1]) for _ in range(n_repeats)]
         tops, clear = [], True
         for m in (model1, model2):
-            attr, _ = _reference_explain(m, x, X, n_repeats, sample_seed)
+            attr, _ = _reference_attributions(m, x, X, rows)
             top2 = np.sort(attr)[-2:]
             clear = clear and (attr.size == 1 or top2[1] - top2[0] > 1e-9)
             tops.append(_top_feature(attr))
@@ -250,10 +252,7 @@ def _node_abs_deltas(params, samples, base, background, rows):
 def _node_validate(m1, m2, X, n_repeats, seed):
     """One node's dual-model check: (agreement rate, flagged rows, consistency)."""
     n, dim = X.shape
-    rows = np.stack([
-        np.random.default_rng(_reference_sample_seed(seed, i)).integers(0, n, size=(n_repeats, dim))
-        for i in range(n)
-    ])
+    rows = np.random.default_rng(seed).integers(0, n, size=(n, n_repeats, dim))
     preds, tops = [], []
     for m in (m1, m2):
         p = predict_batch(m, X)

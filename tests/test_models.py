@@ -114,7 +114,7 @@ def test_gradient_is_the_reference_gradient():
         np.testing.assert_array_equal(
             models.gradient(params, X, y), _reference_gradient(params, X, y)
         )
-        assert models.log_loss(params, X, y) == _reference_log_loss(params, X, y)
+        assert models.evaluate(params, X, y)[1] == _reference_log_loss(params, X, y)
 
 
 @pytest.mark.parametrize(
@@ -211,7 +211,7 @@ def test_training_descends_on_separable_points():
     y = np.array([1, 0], dtype=np.int64)
     part = telemetry.NodePartition("n", X, y)
     start = models.ModelParams.zeros(2)
-    initial = models.log_loss(start, X, y)
+    _, initial = models.evaluate(start, X, y)
     upd = models.train_local(start, part, lr=0.1, epochs=100, batch=2, seed=0)
     assert upd.loss_trace[-1] < initial
 
@@ -268,6 +268,30 @@ def test_false_positive_rate():
     y = np.array([0, 0, 0], dtype=np.int64)
     assert models.false_positive_rate(params, X, y) == pytest.approx(2.0 / 3.0)
     assert models.false_positive_rate(params, X, np.ones(3, dtype=np.int64)) == 0.0
+
+
+def _reference_scores(params, X, y):
+    """(accuracy, log-loss, false-positive rate) of one model, scored on its own."""
+    positive = models.predict_batch(params, X) >= 0.5
+    neg = y == 0
+    fpr = float(np.mean(positive[neg])) if np.any(neg) else 0.0
+    return float(np.mean(positive.astype(np.int64) == y)), _reference_log_loss(params, X, y), fpr
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 40), st.integers(1, 9), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_score_fleet_rows_equal_one_model_scores(n_models, h, dim, no_negatives, seed):
+    rng = np.random.default_rng(seed)
+    V = rng.normal(scale=2.0, size=(n_models, dim + 1))
+    X = rng.normal(size=(h, dim))
+    y = np.ones(h, dtype=np.int64) if no_negatives else rng.integers(0, 2, size=h)
+    acc, loss, fpr = models.score_fleet(V, X, y)
+    for k, v in enumerate(V):
+        params = models.ModelParams.from_vector(v)
+        assert (acc[k], loss[k], fpr[k]) == _reference_scores(params, X, y)
+        assert models.evaluate(params, X, y) == (acc[k], loss[k])
+        assert models.false_positive_rate(params, X, y) == fpr[k]
 
 
 def test_params_vector_round_trip():

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -170,7 +171,7 @@ def test_reports_have_convex_fusion_weights():
 
 
 @pytest.mark.parametrize("n_nodes, seed", [
-    pytest.param(5, 1, id="node"),
+    pytest.param(5, 2, id="node"),
     pytest.param(10, 4, id="node-10nodes"),
 ])
 def test_fusion_matches_a_hand_recomputed_oracle(monkeypatch, n_nodes, seed):
@@ -238,9 +239,9 @@ def test_small_feedback_run_bytes_are_pinned(tmp_path):
         for name in ("metrics.jsonl", "chain.json", "explanations.jsonl")
     }
     assert digests == {
-        "metrics.jsonl": "46b32f964a88ade2bf889030a6473d4a6bb147c51b80b0d84d25ae14cc480400",
-        "chain.json": "9c9a327a795e64039ded654c507193c8c16532f17557d09c2b1052408c3aaa4a",
-        "explanations.jsonl": "b3c9ec866f2d4c800bdf4cf86336ee9a4dc289e3bc67c48247c3654d1ae51562",
+        "metrics.jsonl": "7a5a3f0183c2a851f7c6517179c7ceec62a15a03ff0ee69df377ec78a14fd23b",
+        "chain.json": "82fb70c1094fe00ca58cee874ad7648cae5a20b46cb91ddf271b1beda2a128c4",
+        "explanations.jsonl": "4226daf772f8fa8eef6d4f9126ff8308ff5e2eb0f0e093c72d9cf8d57d671e58",
     }
 
 
@@ -416,22 +417,28 @@ def test_a_round_trains_the_fleet_in_stacked_calls(monkeypatch, enabled, fleet_c
 
 
 @pytest.mark.parametrize(
-    "overrides",
-    [{"feedback": {"enabled": False}}, {}],
-    ids=["feedback-off", "node-site"],
+    "overrides, no_negatives",
+    [({"feedback": {"enabled": False}}, False), ({}, False), ({}, True)],
+    ids=["feedback-off", "node-site", "no-negatives"],
 )
-def test_finish_round_scores_each_distinct_model_once(monkeypatch, overrides):
+def test_finish_round_scores_each_distinct_model_once(monkeypatch, overrides, no_negatives):
     sim = Simulator(make_cfg(rounds=1, fleet={"n_nodes": 6}, **overrides))
-    evaluated = []
+    if no_negatives:
+        sim.holdout_y = np.ones_like(sim.holdout_y)
+    stacked = []
 
-    def counted(params, X, y):
-        evaluated.append(params)
-        return models.evaluate(params, X, y)
+    def counted(V, X, y):
+        stacked.append(len(V))
+        return models.score_fleet(V, X, y)
 
-    monkeypatch.setattr(orchestrator, "evaluate", counted)
-    report, _ = sim.run_round(0)
-    distinct = {id(p) for p in sim.node_params.values()}
-    assert len(evaluated) <= 1 + len(distinct)
+    monkeypatch.setattr(orchestrator, "score_fleet", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report, _ = sim.run_round(0)
+    # one stacked pass: the global model, plus each node's own when feedback fuses one
+    n_models = 1 + sim.cfg.fleet.n_nodes if sim.cfg.feedback.enabled else 1
+    assert stacked == [n_models]
+    assert len({id(p) for p in (sim.global_params, *sim.node_params.values())}) == n_models
     # the same figures as scoring every node on its own
     X, y = sim.holdout_X, sim.holdout_y
     per_node = [sim.node_params[n] for n in sim.node_ids]
@@ -443,6 +450,28 @@ def test_finish_round_scores_each_distinct_model_once(monkeypatch, overrides):
     assert report.fpr_integrated == float(
         np.mean([models.false_positive_rate(p, X, y) for p in per_node])
     )
+    if no_negatives:
+        assert report.fpr_global == report.fpr_integrated == 0.0
+
+
+def test_a_feedback_round_builds_one_generator_per_node_per_pass(monkeypatch):
+    # a stream per validation sample would build n x max_validation_samples
+    # Generators for validation alone (55 in all at n = 6)
+    n = 6
+    sim = Simulator(make_cfg(
+        rounds=1, fleet={"n_nodes": n}, privacy={"eps_max": 8.0, "budget_cap": 500.0},
+    ))
+    built = []
+    default_rng = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    report, _ = sim.run_round(0)
+    assert not report.aborted
+    assert len(built) <= 6 * n + 2
 
 
 # validator v0 refuses to attest; a committee of (v0, v1) misses the 2/3 stake quorum

