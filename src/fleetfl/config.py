@@ -77,13 +77,8 @@ class LedgerConfig:
 @dataclass
 class FeedbackConfig:
     enabled: bool = True
-    holdout_fraction: float = _field(0.3, ge=0.0, le=1.0)
     max_validation_samples: int = _field(8, ge=1)
     explain_repeats: int = _field(5, ge=1)
-    correction_lr: float = _field(0.1, gt=0.0)
-    correction_steps: int = _field(5, ge=1)
-    w_min: float = _field(0.05, gt=0.0, lt=0.5)
-    n_ref: int = _field(1000, ge=1)
 
 
 @dataclass

@@ -9,7 +9,9 @@ Validation, explanation and correction each have a fleet form that takes N
 models stacked as (N, d + 1) and their rows as (N, n, d); the one-model
 functions are those forms at N = 1, so a fleet pass equals N one-model calls
 bit for bit. Each pass draws from one numpy stream per node: validation draws
-every sample's perturbation rows from its node's seed in one call.
+every sample's perturbation rows from its node's seed in one call, and its
+report carries Model 1's explanation of the first sample, made from block 0
+of those rows.
 """
 
 from __future__ import annotations
@@ -27,6 +29,12 @@ from .models import ModelParams, evaluate, predict, train_fleet, train_local  # 
 from .telemetry import NodePartition
 
 _EPS = 1e-12
+# the local correction: full-batch SGD steps on the flagged rows
+CORRECTION_LR = 0.1
+CORRECTION_STEPS = 5
+# fusion: w_local stays within [W_MIN, 1 - W_MIN]; N_REF samples score 1 globally
+W_MIN = 0.05
+N_REF = 1000
 
 
 @dataclass
@@ -46,6 +54,7 @@ class ValidationReport:
     agreement_rate: float
     flagged: list[int]
     explanation_consistency: float
+    explanation: Explanation  # Model 1's, of the first sample
 
 
 @dataclass
@@ -94,27 +103,31 @@ def _check_seeds(seeds, n_models: int, n_repeats: int) -> None:
         raise ValueError("n_repeats must be positive")
 
 
-def _abs_deltas(
-    V: np.ndarray,
-    samples: np.ndarray,
-    base: np.ndarray,
-    background: np.ndarray,
-    rows: np.ndarray,
-) -> np.ndarray:
-    """|prediction change| of each model's samples when feature j is swapped in
-    from its background row rows[k, i, r, j], scored in one stacked prediction.
+def _attribute(
+    V: np.ndarray, samples: np.ndarray, background: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Permutation importance of each model's samples: feature j of sample i is
+    swapped in from background row rows[k, i, r, j] in repeat r, and every
+    perturbation is scored in one stacked prediction.
 
-    V (N, d + 1), samples (N, n, d), base (N, n) their predictions,
-    background (N, B, d), rows (N, n, R, d) -> (N, n, R, d).
+    V (N, d + 1), samples (N, n, d), background (N, B, d), rows (N, n, R, d)
+    -> predictions (N, n), attributions (N, n, d), the mean |prediction
+    change| over repeats, and stability (N, n), one minus the mean spread over
+    repeats relative to the mean attribution, clipped to [0, 1].
     """
     n_models, n, n_repeats, dim = rows.shape
+    base = models.predict_fleet(V, samples)
     perturbed = np.broadcast_to(
         samples[:, :, None, None, :], (n_models, n, n_repeats, dim, dim)
     ).copy()
     j = np.arange(dim)
     perturbed[..., j, j] = background[np.arange(n_models)[:, None, None, None], rows, j]
     preds = models.predict_fleet(V, perturbed.reshape(n_models, -1, dim))
-    return np.abs(base[:, :, None, None] - preds.reshape(n_models, n, n_repeats, dim))
+    diffs = np.abs(base[:, :, None, None] - preds.reshape(n_models, n, n_repeats, dim))
+    attributions = diffs.mean(axis=2)
+    spread = diffs.std(axis=2).mean(axis=2)
+    stability = np.clip(1.0 - spread / (attributions.mean(axis=2) + _EPS), 0.0, 1.0)
+    return base, attributions, stability
 
 
 def explain_fleet(
@@ -148,14 +161,10 @@ def explain_fleet(
         np.random.default_rng(seed).integers(0, backgrounds.shape[1], size=(n_repeats, dim))
         for seed in seeds
     ])
-    base = models.predict_fleet(V, samples[:, None])
-    diffs = _abs_deltas(V, samples[:, None], base, backgrounds, rows[:, None])[:, 0]
-    attributions = diffs.mean(axis=1)
-    spread = diffs.std(axis=1).mean(axis=1)
-    scale = attributions.mean(axis=1) + _EPS
-    stability = np.clip(1.0 - spread / scale, 0.0, 1.0)
+    _, attributions, stability = _attribute(V, samples[:, None], backgrounds, rows[:, None])
     return [
-        Explanation(attributions=a, stability=float(s)) for a, s in zip(attributions, stability)
+        Explanation(attributions=a, stability=float(s))
+        for a, s in zip(attributions[:, 0], stability[:, 0])
     ]
 
 
@@ -183,8 +192,11 @@ def validate_fleet(
 
     Node k draws the perturbation rows of all its samples in one call,
     ``default_rng(seeds[k]).integers(0, n, size=(n, n_repeats, d))``; sample i
-    uses block i, shared by both models. Each report equals
-    ``validate_predictions`` of that node alone, bit for bit.
+    uses block i, shared by both models. Each report carries Model 1's
+    explanation of sample 0 against X[k]: block 0 is the draw ``explain`` makes
+    with the same seed, so the two agree up to the rounding of their stacked
+    predictions. Each report equals ``validate_predictions`` of that node
+    alone, bit for bit.
     """
     V1 = np.asarray(V1, dtype=np.float64)
     V2 = np.asarray(V2, dtype=np.float64)
@@ -205,21 +217,19 @@ def validate_fleet(
     rows = np.stack([
         np.random.default_rng(seed).integers(0, n, size=(n, n_repeats, dim)) for seed in seeds
     ])
-    preds, tops = [], []
-    for V in (V1, V2):
-        p = models.predict_fleet(V, X)
-        preds.append(p >= 0.5)
-        # argmax of the mean |change| over repeats; ties go to the lowest index
-        tops.append(np.argmax(_abs_deltas(V, X, p, X, rows).mean(axis=2), axis=2))
-    same_pred = preds[0] == preds[1]
-    same_top = tops[0] == tops[1]
+    p1, attr1, stability1 = _attribute(V1, X, X, rows)
+    p2, attr2, _ = _attribute(V2, X, X, rows)
+    same_pred = (p1 >= 0.5) == (p2 >= 0.5)
+    # each model's top feature is the argmax of its attributions; ties go to the lowest index
+    same_top = np.argmax(attr1, axis=2) == np.argmax(attr2, axis=2)
     return [
         ValidationReport(
             agreement_rate=int(agree.sum()) / n,
             flagged=np.flatnonzero(~(agree & top)).tolist(),
             explanation_consistency=int(top.sum()) / n,
+            explanation=Explanation(attributions=attr[0], stability=float(stability[0])),
         )
-        for agree, top in zip(same_pred, same_top)
+        for agree, top, attr, stability in zip(same_pred, same_top, attr1, stability1)
     ]
 
 
@@ -317,7 +327,7 @@ def local_correction(
 
 
 def compute_weights(
-    quality: FeedbackQuality, total_samples: int, w_min: float, n_ref: int
+    quality: FeedbackQuality, total_samples: int, w_min: float = W_MIN, n_ref: int = N_REF
 ) -> IntegrationWeights:
     """Convex fusion weights: the local score rewards measured accuracy gain and
     explanation stability, the global score rewards data volume."""

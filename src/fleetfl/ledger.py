@@ -44,12 +44,6 @@ class QuorumNotReached(RuntimeError):
     """Attesting stake fell below the quorum fraction; distinct from contract failure."""
 
 
-class TamperDetected(RuntimeError):
-    def __init__(self, index: int):
-        super().__init__(f"chain verification failed at block {index}")
-        self.index = index
-
-
 @dataclass
 class BlockMeta:
     kind: str
@@ -352,33 +346,6 @@ def verify_chain(chain: list[LedgerBlock]) -> int | None:
         if recomputed != block.block_hash:
             return k
     return None
-
-
-def provenance_query(chain: list[LedgerBlock], model_version: int) -> list[LedgerBlock]:
-    """Ordered lineage of a global model version: contributing local updates,
-    the aggregation block, and the round's feedback blocks."""
-    bad = verify_chain(chain)
-    if bad is not None:
-        raise TamperDetected(bad)
-    anchor = None
-    for block in chain:
-        if block.meta.model_version == model_version and block.meta.kind in (
-            "genesis",
-            "global_model",
-        ):
-            anchor = block
-            break
-    if anchor is None:
-        raise KeyError(f"model version {model_version} not logged")
-    if anchor.meta.kind == "genesis":
-        return [anchor]
-    rnd = anchor.meta.round
-    lineage = [
-        b
-        for b in chain
-        if b.meta.round == rnd and b.meta.kind in ("local_update", "global_model", "feedback")
-    ]
-    return lineage
 
 
 def export_chain(chain: list[LedgerBlock]) -> str:

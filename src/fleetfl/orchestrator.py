@@ -40,6 +40,9 @@ from .models import (  # noqa: F401
 
 CLOUD_ID = "cloud"
 LEDGER_ID = "ledger"
+# the share of each node's rows held out from training: Model 2 trains on them
+# and the local correction measures its gain on them
+HOLDOUT_FRACTION = 0.3
 
 
 class ProtocolViolation(RuntimeError):
@@ -156,11 +159,9 @@ class Simulator:
         n = part.n_samples
         rng = np.random.default_rng(sub_seed(self.cfg.seed, "split", part.node_id))
         order = rng.permutation(n)
-        n_hold = max(1, int(round(self.cfg.feedback.holdout_fraction * n))) if n > 1 else 0
+        n_hold = max(1, int(round(HOLDOUT_FRACTION * n))) if n > 1 else 0
         hold, train = order[:n_hold], order[n_hold:]
-        if len(train) == 0:
-            train = order
-        # no holdout rows: validate on the train rows
+        # a lone row trains and holds out at once
         return tuple(
             telemetry.NodePartition(
                 part.node_id, part.features[idx], part.labels[idx], part.sensitivity
@@ -221,12 +222,6 @@ class Simulator:
             n_samples=mu.n_samples,
         )
         return meta, state
-
-    def _append(self, payload_hash: bytes, meta: ledger.BlockMeta,
-                state: ledger.ValidationState) -> ledger.ValidationResult:
-        """Check one block against the contract and, if accepted, add it to the
-        round's pending blocks."""
-        return ledger.stage_block(self.pending, payload_hash, meta, self.rules, state)
 
     def _commit(self, r: int, charged: dict[str, float]) -> int:
         """Append the round's pending blocks under the round's one committee,
@@ -337,7 +332,7 @@ class Simulator:
             (mu, *self.local_update_entry(mu, r, ctxs[mu.node_id].epsilon)) for mu in logged
         ]
         for mu, meta, state in admitted:
-            result = self._append(mu.payload_hash, meta, state)
+            result = ledger.stage_block(self.pending, mu.payload_hash, meta, self.rules, state)
             if not result.accepted:
                 rejected.append((mu.node_id, result.reasons))
         if rejected:
@@ -389,15 +384,16 @@ class Simulator:
         state = ledger.ValidationState(
             seen_nonces=self.contract_nonces, budget=self.budget, now=self.clock
         )
-        result = self._append(canonical_hash(got), meta, state)
+        result = ledger.stage_block(self.pending, canonical_hash(got), meta, self.rules, state)
         if not result.accepted:
             raise ledger.ContractRejected(result.reasons)
 
     def _feedback_phase(self, trace, r: int, prev_global: ModelParams,
                         g: aggregation.GlobalUpdate, local_deltas) -> tuple[float, float]:
-        """Dual-model validation, explanation and local correction of the whole
-        fleet in one pass each, then fusion at each node; returns
-        (mean agreement, mean w_local)."""
+        """Dual-model validation and local correction of the whole fleet in one
+        pass each, then fusion at each node; returns (mean agreement, mean
+        w_local). Each node's logged explanation, whose stability weighs its
+        fusion, is the one its validation compared."""
         cfg = self.cfg
         fb = cfg.feedback
         ids = self.node_ids
@@ -418,20 +414,18 @@ class Simulator:
         val_y = np.stack([t.labels[: fb.max_validation_samples] for t in trains])
 
         reports = feedback.validate_fleet(V1, V2, val_X, fb.explain_repeats, seeds("explain"))
-        expls = feedback.explain_fleet(
-            V1, val_X[:, 0], val_X, fb.explain_repeats, seeds("stability")
-        )
-        for node, expl in zip(ids, expls):
+        for node, rep in zip(ids, reports):
             self.explanation_records.append({
                 "round": r, "node": node, "sample": 0,
-                "attributions": [float(a) for a in expl.attributions], "stability": expl.stability,
+                "attributions": [float(a) for a in rep.explanation.attributions],
+                "stability": rep.explanation.stability,
             })
         corrections = feedback.correct_fleet(
             V1, [x[rep.flagged] for x, rep in zip(val_X, reports)],
             [y[rep.flagged] for y, rep in zip(val_y, reports)],
             [h.features for h in holds], [h.labels for h in holds],
-            lr=fb.correction_lr, steps=fb.correction_steps, seeds=seeds("correct"),
-            explanation_stability=[e.stability for e in expls],
+            lr=feedback.CORRECTION_LR, steps=feedback.CORRECTION_STEPS, seeds=seeds("correct"),
+            explanation_stability=[rep.explanation.stability for rep in reports],
         )
 
         agreement = float(np.mean([rep.agreement_rate for rep in reports]))
@@ -442,11 +436,10 @@ class Simulator:
         """Fuse each node's correction with the global delta, install the result
         at that node and submit it through the cloud, which stages its block;
         returns the mean w_local."""
-        fb = self.cfg.feedback
         base = prev_global.as_vector()
         w_locals = []
         for node, corr in zip(self.node_ids, corrections):
-            w = feedback.compute_weights(corr.quality, g.total_samples, fb.w_min, fb.n_ref)
+            w = feedback.compute_weights(corr.quality, g.total_samples)
             integrated = ModelParams.from_vector(
                 base + feedback.integrate(corr.delta, g.delta, w), version=g.params.version
             )

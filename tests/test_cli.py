@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import pathlib
+import re
 
 import pytest
 from conftest import make_cfg
@@ -70,11 +72,21 @@ def test_run_with_bad_config_value_exits_2(tmp_path, capsys, bad):
 
 
 @pytest.mark.parametrize(
+    "key", ["holdout_fraction", "correction_lr", "correction_steps", "w_min", "n_ref"]
+)
+def test_feedback_constants_are_not_config_keys(tmp_path, capsys, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"feedback": {key: 0.1}}))
+    assert main(["run", "--config", str(path)]) == 2
+    assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "bad",
     [
         {"privacy": {"clip_norm": "inf"}},
         {"train": {"lr": "inf"}},
-        {"feedback": {"correction_lr": "inf"}},
+        {"fleet": {"heterogeneity": "inf"}},
         {"privacy": {"clip_global": "inf", "eps_global": 1.0}},
         {"ledger": {"stakes": {"v0": math.inf}}},  # JSON's Infinity
         {"ledger": {"stakes": {"v0": math.nan, "v1": 1.0}}},
@@ -179,6 +191,26 @@ def test_a_failed_quorum_aborts_the_round_and_exits_0(tmp_path, capsys):
     assert lines[2].endswith(" blocks=0 ABORTED: ledger quorum")
     assert main(["ledger", "verify", "--chain", str(tmp_path / "out" / "chain.json")]) == 0
     assert capsys.readouterr().out.startswith("chain valid (19 blocks)")
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+@pytest.mark.parametrize("raw, ending", [
+    ({"seed": 7, "rounds": 3}, "ABORTED: node-2 budget_exceeded"),
+    ({"seed": 7, "rounds": 3, "fleet": {"n_nodes": 4}, "privacy": {"budget_cap": 500},
+      "ledger": {"committee_size": 2, "byzantine_refuse": ["v0"]}}, "ABORTED: ledger quorum"),
+], ids=["budget", "quorum"])
+def test_the_readme_quotes_what_its_example_runs_print(tmp_path, monkeypatch, capsys, raw,
+                                                        ending):
+    text = README.read_text()
+    assert f"`{json.dumps(raw)}`" in text
+    [quote] = [q for q in re.findall(r"`(round 2: [^`]*)`", text) if q.endswith(ending)]
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(raw))
+    monkeypatch.delenv("FLEETFL_OUTPUT_DIR", raising=False)
+    assert main(["run", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == quote
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -328,6 +328,11 @@ def test_fleet_passes_equal_per_node_calls_bit_for_bit(case):
         attributions, stab = _node_explain(m1[k], X[k, 0], X[k], repeats, seeds[k])
         assert np.array_equal(expls[k].attributions, attributions)
         assert expls[k].stability == stab
+        # validation explains sample 0 from block 0 of its rows, which is explain's
+        # draw; only the stacked predictions' rounding may differ
+        np.testing.assert_allclose(reports[k].explanation.attributions, attributions,
+                                   rtol=0, atol=1e-12)
+        assert abs(reports[k].explanation.stability - stab) <= 1e-12
         delta, gain = _node_correction(m1[k], X[k][picks[k]], y[k][picks[k]], hold_X[k],
                                        hold_y[k], 0.3, 3, seeds[k])
         assert np.array_equal(corrections[k].delta, delta)
@@ -336,6 +341,8 @@ def test_fleet_passes_equal_per_node_calls_bit_for_bit(case):
         # the one-node forms are the fleet forms at N = 1
         one = feedback.validate_predictions(m1[k], m2[k], X[k], repeats, seeds[k])
         assert (one.flagged, one.agreement_rate) == (flagged, agreement)
+        assert np.array_equal(one.explanation.attributions, reports[k].explanation.attributions)
+        assert one.explanation.stability == reports[k].explanation.stability
         assert np.array_equal(
             feedback.explain(m1[k], X[k, 0], X[k], repeats, seeds[k]).attributions, attributions
         )

@@ -277,42 +277,6 @@ def test_meta_bit_flip_in_block_17_reports_index_17():
         assert ledger.verify_chain(mutated) == 17
 
 
-def test_provenance_of_genesis_version():
-    chain = _build_chain(5)
-    lineage = ledger.provenance_query(chain, 0)
-    assert lineage == [chain[0]]
-
-
-def test_provenance_of_two_node_round():
-    from conftest import make_cfg
-    from fleetfl.orchestrator import Simulator
-
-    cfg = make_cfg(fleet={"n_nodes": 2}, feedback={"enabled": False}, rounds=1)
-    sim = Simulator(cfg)
-    sim.run()
-    lineage = ledger.provenance_query(sim.chain, 1)
-    kinds = [b.meta.kind for b in lineage]
-    assert kinds.count("local_update") == 2
-    assert kinds.count("global_model") == 1
-    assert len(lineage) == 3
-    # ordered: contributing updates first, then the aggregation block
-    assert kinds[-1] == "global_model"
-
-
-def test_provenance_unknown_version():
-    chain = _build_chain(4)
-    with pytest.raises(KeyError):
-        ledger.provenance_query(chain, 999)
-
-
-def test_provenance_refuses_tampered_chain():
-    chain = _build_chain(6)
-    chain[2].payload_hash = canonical_hash(b"evil")
-    with pytest.raises(ledger.TamperDetected) as exc:
-        ledger.provenance_query(chain, 1)
-    assert exc.value.index == 2
-
-
 def test_export_import_round_trip():
     chain = _build_chain(8)
     text = ledger.export_chain(chain)

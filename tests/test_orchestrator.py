@@ -204,12 +204,12 @@ def test_fusion_matches_a_hand_recomputed_oracle(monkeypatch, n_nodes, seed):
     np.testing.assert_allclose(sim.global_params.as_vector(), prev + y, rtol=0, atol=1e-12)
 
     total = sum(sim._parts[n][0].n_samples for n in sim.node_ids)
-    fb = sim.cfg.feedback
+    w_min, n_ref = feedback.W_MIN, feedback.N_REF
 
     def fused(x, gain, stability):
         score_local = max(0.0, gain) * stability
-        score_global = math.log1p(total) / math.log1p(fb.n_ref)
-        w_local = min(max(score_local / (score_local + score_global), fb.w_min), 1.0 - fb.w_min)
+        score_global = math.log1p(total) / math.log1p(n_ref)
+        w_local = min(max(score_local / (score_local + score_global), w_min), 1.0 - w_min)
         return prev + w_local * x + (1.0 - w_local) * y, w_local
 
     expected, w_locals = {}, []
@@ -218,7 +218,7 @@ def test_fusion_matches_a_hand_recomputed_oracle(monkeypatch, n_nodes, seed):
             c.delta, c.quality.accuracy_gain, c.quality.explanation_stability
         )
         w_locals.append(w_local)
-    assert max(w_locals) > fb.w_min
+    assert max(w_locals) > w_min
     for node in sim.node_ids:
         np.testing.assert_allclose(
             sim.node_params[node].as_vector(), expected[node], rtol=0, atol=1e-12
@@ -239,10 +239,58 @@ def test_small_feedback_run_bytes_are_pinned(tmp_path):
         for name in ("metrics.jsonl", "chain.json", "explanations.jsonl")
     }
     assert digests == {
-        "metrics.jsonl": "7a5a3f0183c2a851f7c6517179c7ceec62a15a03ff0ee69df377ec78a14fd23b",
-        "chain.json": "82fb70c1094fe00ca58cee874ad7648cae5a20b46cb91ddf271b1beda2a128c4",
-        "explanations.jsonl": "4226daf772f8fa8eef6d4f9126ff8308ff5e2eb0f0e093c72d9cf8d57d671e58",
+        "metrics.jsonl": "66f0338aa56c939e8145e245abdfc96c49f3c8832ab7ef62c864decfa12e74a6",
+        "chain.json": "e57a2873c97a76a8350623dae9759e7e76118752f3e75f9262b852f54e4beb2d",
+        "explanations.jsonl": "df33ead3a40fbac5c4aa57c8eda55499fa2f23a69c026d983a48b2e29444dcc8",
     }
+
+
+def test_small_feedback_off_run_bytes_are_pinned(tmp_path):
+    # the same run with feedback off: the train/holdout split, training, privacy,
+    # masking and ledger paths alone; no explanation is logged
+    run(make_cfg(
+        fleet={"n_nodes": 6}, feedback={"enabled": False, "max_validation_samples": 20},
+        privacy={"eps_max": 8.0, "budget_cap": 500.0}, output_dir=str(tmp_path),
+    ))
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("metrics.jsonl", "chain.json")
+    }
+    assert digests == {
+        "metrics.jsonl": "6bf038cc9934270b4b87bb1a276c3a6dd077d76d86dac2f25dcaa659cfa85826",
+        "chain.json": "68ae13e2dc5f51b6020b6cde455c9b130c83a8effa733e9d7e90e9ef4c9b5c15",
+    }
+    assert (tmp_path / "explanations.jsonl").read_bytes() == b""
+
+
+def test_every_logged_explanation_is_the_one_validation_compared(monkeypatch):
+    sim = Simulator(make_cfg(rounds=2, fleet={"n_nodes": 4}))
+    reports, streams = [], []
+    validate_fleet, sub_seed_ = feedback.validate_fleet, orchestrator.sub_seed
+
+    def recorded_validation(*args, **kwargs):
+        out = validate_fleet(*args, **kwargs)
+        reports.extend(out)
+        return out
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a round explains only inside validation")
+
+    def recorded_stream(seed, *parts):
+        streams.append(parts[0] if parts else None)
+        return sub_seed_(seed, *parts)
+
+    monkeypatch.setattr(feedback, "validate_fleet", recorded_validation)
+    monkeypatch.setattr(feedback, "explain_fleet", refused)
+    monkeypatch.setattr(feedback, "explain", refused)
+    monkeypatch.setattr(orchestrator, "sub_seed", recorded_stream)
+    sim.run()
+    assert "stability" not in streams
+    assert len(sim.explanation_records) == len(reports) == 2 * len(sim.node_ids)
+    for record, report in zip(sim.explanation_records, reports):
+        assert record["sample"] == 0
+        assert record["attributions"] == [float(a) for a in report.explanation.attributions]
+        assert record["stability"] == report.explanation.stability
 
 
 def test_feedback_disabled_round_has_fewer_blocks():
@@ -455,8 +503,8 @@ def test_finish_round_scores_each_distinct_model_once(monkeypatch, overrides, no
 
 
 def test_a_feedback_round_builds_one_generator_per_node_per_pass(monkeypatch):
-    # a stream per validation sample would build n x max_validation_samples
-    # Generators for validation alone (55 in all at n = 6)
+    # training, DP noise, Model 2, validation and correction draw one stream per
+    # node each (31 in all at n = 6); a second explanation draw would add n more
     n = 6
     sim = Simulator(make_cfg(
         rounds=1, fleet={"n_nodes": n}, privacy={"eps_max": 8.0, "budget_cap": 500.0},
@@ -471,7 +519,7 @@ def test_a_feedback_round_builds_one_generator_per_node_per_pass(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", counted)
     report, _ = sim.run_round(0)
     assert not report.aborted
-    assert len(built) <= 6 * n + 2
+    assert len(built) <= 5 * n + 2
 
 
 # validator v0 refuses to attest; a committee of (v0, v1) misses the 2/3 stake quorum
