@@ -17,6 +17,10 @@ from .masking import MaskedUpdate
 from .models import ModelParams
 from .privacy import clip_vector, gaussian_noise, gaussian_sigma
 
+# the global mechanism's delta and clip norm; config.PrivacyConfig.eps_global turns it on
+DELTA_GLOBAL = 1e-5
+CLIP_GLOBAL = 1.0
+
 
 class AggregationAbort(RuntimeError):
     """The round cannot be aggregated (all updates dropped or roster mismatch)."""

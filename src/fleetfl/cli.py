@@ -92,11 +92,8 @@ def _cmd_attack(args) -> int:
     seeds = list(range(args.injections))
     reports = attacks.run_attack_suite(cfg, seeds)
     print(attacks.reports_to_json(reports))
-    undetected = [
-        r for r in reports
-        if r.kind != "eavesdrop" and r.detected < r.injected
-    ] + [r for r in reports if r.kind == "eavesdrop" and r.leaked]
-    return 1 if undetected else 0
+    # an eavesdrop report detects its one injection exactly when nothing leaked
+    return 1 if any(r.detected < r.injected for r in reports) else 0
 
 
 def _cmd_ledger_verify(args) -> int:

@@ -55,18 +55,13 @@ class PrivacyConfig:
     eps_max: float = _field(8.0, inf=True, gt=0.0)  # "inf" disables local noise
     delta: float = _field(1e-5, gt=0.0, lt=1.0)
     clip_norm: float = _field(1.0, gt=0.0)
-    mask_strength_min: float = _field(0.1, gt=0.0)
-    mask_strength_max: float = _field(2.0, gt=0.0)
     budget_cap: float = _field(20.0, inf=True, gt=0.0)
     eps_global: float = _field(math.inf, inf=True, gt=0.0)  # "inf" disables global noise
-    delta_global: float = _field(1e-5, gt=0.0, lt=1.0)
-    clip_global: float = _field(1.0, gt=0.0)
 
 
 @dataclass
 class LedgerConfig:
     stakes: dict[str, float] = field(default_factory=lambda: {"v0": 1.0, "v1": 1.0, "v2": 2.0})
-    quorum_fraction: float = _field(2.0 / 3.0, gt=0.5, le=1.0)
     committee_size: int | None = _field(None, ge=1)  # default min(5, validators)
     byzantine_refuse: list[str] = field(default_factory=list)
     byzantine_false: list[str] = field(default_factory=list)
@@ -92,7 +87,6 @@ class RunConfig:
     feedback: FeedbackConfig = field(default_factory=FeedbackConfig)
     integration_site: str = "node"  # only "node": kept so configs that name it still load
     threat_schedule: list[float] | float = 0.1
-    freshness_window: int | None = _field(None, ge=1)  # ticks; None -> two rounds' worth
     holdout_samples: int = _field(500, ge=1)
     output_dir: str | None = None
 
@@ -105,9 +99,8 @@ class RunConfig:
             schedule = [schedule]
         if not schedule or not all(0.0 <= t <= 1.0 for t in schedule):
             raise ConfigError("threat_schedule must be a level in [0, 1] or a non-empty list of them")
-        p = self.privacy
-        if p.eps_min > p.eps_max or p.mask_strength_min > p.mask_strength_max:
-            raise ConfigError("privacy minima must not exceed their maxima")
+        if self.privacy.eps_min > self.privacy.eps_max:
+            raise ConfigError("privacy.eps_min must not exceed privacy.eps_max")
         stakes = self.ledger.stakes.values()
         if any(s < 0 for s in stakes) or not sum(stakes) > 0:
             raise ConfigError("ledger.stakes must be non-negative with a positive total")

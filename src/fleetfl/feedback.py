@@ -5,13 +5,13 @@ set); Model 2 validates predictions and explanation consistency; disagreements
 drive a local SGD correction, and the correction delta is fused with the
 global delta as w_local * x + w_global * y.
 
-Validation, explanation and correction each have a fleet form that takes N
-models stacked as (N, d + 1) and their rows as (N, n, d); the one-model
-functions are those forms at N = 1, so a fleet pass equals N one-model calls
-bit for bit. Each pass draws from one numpy stream per node: validation draws
-every sample's perturbation rows from its node's seed in one call, and its
-report carries Model 1's explanation of the first sample, made from block 0
-of those rows.
+Validation and correction each have a fleet form that takes N models stacked
+as (N, d + 1) and their rows as (N, n, d); the one-model functions are those
+forms at N = 1, so a fleet pass equals N one-model calls bit for bit.
+``explain`` is the shared attribution kernel at N = 1. Each pass draws from
+one numpy stream per node: validation draws every sample's perturbation rows
+from its node's seed in one call, and its report carries Model 1's
+explanation of the first sample, made from block 0 of those rows.
 """
 
 from __future__ import annotations
@@ -130,44 +130,6 @@ def _attribute(
     return base, attributions, stability
 
 
-def explain_fleet(
-    V: np.ndarray,
-    samples: np.ndarray,
-    backgrounds: np.ndarray,
-    n_repeats: int,
-    seeds: Sequence[int],
-) -> list[Explanation]:
-    """Permutation importance of N stacked models, each on its own sample and
-    background: V (N, d + 1), samples (N, d), backgrounds (N, B, d).
-
-    Model k draws its n_repeats x d background rows from
-    ``default_rng(seeds[k])``; all perturbations are scored in one stacked
-    prediction. Each result equals ``explain`` of that model alone, bit for bit.
-    """
-    V = np.asarray(V, dtype=np.float64)
-    _check_models(V)
-    samples = _stack(samples, "samples")
-    backgrounds = _stack(backgrounds, "backgrounds")
-    n_models, dim = V.shape[0], V.shape[1] - 1
-    if backgrounds.ndim != 3 or backgrounds.shape[1] == 0:
-        raise ValueError("background must be a non-empty 2-D array")
-    if samples.shape != (n_models, dim) or backgrounds.shape[0] != n_models or (
-        backgrounds.shape[2] != dim
-    ):
-        raise ValueError("feature dimension mismatch")
-    _check_seeds(seeds, n_models, n_repeats)
-
-    rows = np.stack([
-        np.random.default_rng(seed).integers(0, backgrounds.shape[1], size=(n_repeats, dim))
-        for seed in seeds
-    ])
-    _, attributions, stability = _attribute(V, samples[:, None], backgrounds, rows[:, None])
-    return [
-        Explanation(attributions=a, stability=float(s))
-        for a, s in zip(attributions[:, 0], stability[:, 0])
-    ]
-
-
 def explain(
     params: ModelParams,
     sample: np.ndarray,
@@ -176,9 +138,23 @@ def explain(
     seed: int,
 ) -> Explanation:
     """Permutation importance: per-feature mean |prediction change| when the
-    feature is swapped in from a random background row. All n_repeats x dim
-    perturbations are scored in one batched prediction."""
-    return explain_fleet(params.as_vector()[None], [sample], [background], n_repeats, [seed])[0]
+    feature is swapped in from a random background row. ``default_rng(seed)``
+    draws the n_repeats x dim rows in one call, and all perturbations are
+    scored in one batched prediction."""
+    V = params.as_vector()[None]
+    _check_models(V)
+    sample = np.asarray(sample, dtype=np.float64)
+    background = np.asarray(background, dtype=np.float64)
+    dim = V.shape[1] - 1
+    if background.ndim != 2 or len(background) == 0:
+        raise ValueError("background must be a non-empty 2-D array")
+    if sample.shape != (dim,) or background.shape[1] != dim:
+        raise ValueError("feature dimension mismatch")
+    _check_seeds([seed], 1, n_repeats)
+    rows = np.random.default_rng(seed).integers(0, len(background), size=(n_repeats, dim))
+    _, attributions, stability = _attribute(V, sample[None, None], background[None],
+                                            rows[None, None])
+    return Explanation(attributions=attributions[0, 0], stability=float(stability[0, 0]))
 
 
 def validate_fleet(

@@ -120,13 +120,12 @@ class Simulator:
 
         self.vset = ledger.ValidatorSet(
             stakes=dict(cfg.ledger.stakes),
-            quorum_fraction=cfg.ledger.quorum_fraction,
             secret_seed=sub_seed(cfg.seed, "validators"),
             byzantine_refuse=set(cfg.ledger.byzantine_refuse),
             byzantine_false=set(cfg.ledger.byzantine_false),
         )
         self.rules = ledger.ContractRules(
-            freshness_window=cfg.freshness_window or 2 * ticks_per_round,
+            freshness_window=2 * ticks_per_round,
             max_update_norm=cfg.ledger.max_update_norm or self._auto_norm_bound(),
             # no honest node holds more rows than the fleet generates per node
             max_declared_samples=fc.samples_per_node,
@@ -143,13 +142,13 @@ class Simulator:
         # generous ceiling so honest (scaled, noised, masked) payloads always pass;
         # poisoning runs pin an explicit tighter bound in config
         c = self.cfg
-        clip = 1.5 * c.privacy.clip_norm
+        clip = privacy.STALLED_CLIP_FACTOR * c.privacy.clip_norm
         if math.isinf(c.privacy.eps_max):
             sigma = 0.0
         else:
             sigma = privacy.gaussian_sigma(clip, c.privacy.eps_min, c.privacy.delta)
         base = clip + 8.0 * sigma * math.sqrt(self.dim + 1)
-        mask_allow = 1.0 + 4.0 * c.privacy.mask_strength_max * math.sqrt(
+        mask_allow = 1.0 + 4.0 * privacy.MASK_STRENGTH_MAX * math.sqrt(
             c.fleet.n_nodes * (self.dim + 1)
         )
         return c.fleet.samples_per_node * base * mask_allow * 10.0
@@ -353,8 +352,8 @@ class Simulator:
             g,
             self.global_params,
             cfg.privacy.eps_global,
-            cfg.privacy.delta_global,
-            cfg.privacy.clip_global,
+            aggregation.DELTA_GLOBAL,
+            aggregation.CLIP_GLOBAL,
             sub_seed(cfg.seed, "global-noise", r),
         )
 

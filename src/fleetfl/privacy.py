@@ -17,6 +17,12 @@ import numpy as np
 from .config import PrivacyConfig
 from .models import GradientUpdate
 
+# mask strength rises linearly with threat from MIN (threat 0) to MAX (threat 1)
+MASK_STRENGTH_MIN = 0.1
+MASK_STRENGTH_MAX = 2.0
+# a node whose loss has stalled gets this multiple of its clip norm
+STALLED_CLIP_FACTOR = 1.5
+
 
 class BudgetExceededError(RuntimeError):
     """Charging this epsilon would push the node over its budget cap."""
@@ -65,12 +71,10 @@ def assess_context(
         eps = math.inf
     else:
         eps = bounds.eps_min + (bounds.eps_max - bounds.eps_min) * (1.0 - max(sensitivity, threat))
-    strength = bounds.mask_strength_min + (
-        bounds.mask_strength_max - bounds.mask_strength_min
-    ) * threat
+    strength = MASK_STRENGTH_MIN + (MASK_STRENGTH_MAX - MASK_STRENGTH_MIN) * threat
     clip = bounds.clip_norm
     if _convergence_stalled(loss_trace):
-        clip *= 1.5
+        clip *= STALLED_CLIP_FACTOR
     return PrivacyContext(
         epsilon=eps,
         delta=bounds.delta,

@@ -5,11 +5,12 @@ import json
 import math
 import pathlib
 import re
+import typing
 
 import pytest
 from conftest import make_cfg
 
-from fleetfl import config, ledger
+from fleetfl import attacks, config, ledger
 from fleetfl.cli import main
 from fleetfl.encoding import canonical_hash
 from fleetfl.models import evaluate
@@ -81,13 +82,57 @@ def test_feedback_constants_are_not_config_keys(tmp_path, capsys, key):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+# each value lies in range, so the key alone is what the load refuses
+@pytest.mark.parametrize("raw", [
+    {"privacy": {"mask_strength_min": 0.75}},
+    {"privacy": {"mask_strength_max": 3.0}},
+    {"privacy": {"delta_global": 0.75}},
+    {"privacy": {"clip_global": 0.75}},
+    {"ledger": {"quorum_fraction": 0.75}},
+    {"freshness_window": 3},
+], ids=["mask_strength_min", "mask_strength_max", "delta_global", "clip_global",
+        "quorum_fraction", "freshness_window"])
+def test_privacy_and_ledger_constants_are_not_config_keys(tmp_path, capsys, raw):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path)]) == 2
+    assert "unknown config keys" in capsys.readouterr().err
+
+
+def _settable(cls, prefix=""):
+    """The dotted names of every value a config can set, sections walked."""
+    hints = typing.get_type_hints(cls)
+    names = []
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(hints[f.name]):
+            names += _settable(hints[f.name], f"{prefix}{f.name}.")
+        else:
+            names.append(prefix + f.name)
+    return names
+
+
+def test_config_holds_exactly_the_values_a_run_chooses():
+    # adding a knob means editing this list on purpose
+    assert sorted(_settable(config.RunConfig)) == sorted([
+        "seed", "rounds", "integration_site", "threat_schedule", "holdout_samples",
+        "output_dir",
+        "fleet.n_nodes", "fleet.samples_per_node", "fleet.feature_dim", "fleet.heterogeneity",
+        "train.lr", "train.epochs", "train.batch",
+        "privacy.eps_min", "privacy.eps_max", "privacy.delta", "privacy.clip_norm",
+        "privacy.budget_cap", "privacy.eps_global",
+        "ledger.stakes", "ledger.committee_size", "ledger.byzantine_refuse",
+        "ledger.byzantine_false", "ledger.max_update_norm",
+        "feedback.enabled", "feedback.max_validation_samples", "feedback.explain_repeats",
+    ])
+
+
 @pytest.mark.parametrize(
     "bad",
     [
         {"privacy": {"clip_norm": "inf"}},
         {"train": {"lr": "inf"}},
         {"fleet": {"heterogeneity": "inf"}},
-        {"privacy": {"clip_global": "inf", "eps_global": 1.0}},
+        {"privacy": {"delta": "inf"}},
         {"ledger": {"stakes": {"v0": math.inf}}},  # JSON's Infinity
         {"ledger": {"stakes": {"v0": math.nan, "v1": 1.0}}},
         {"threat_schedule": [0.1, math.inf]},
@@ -213,6 +258,12 @@ def test_the_readme_quotes_what_its_example_runs_print(tmp_path, monkeypatch, ca
     assert capsys.readouterr().out.splitlines()[-1] == quote
 
 
+def test_the_readme_example_config_loads():
+    [block] = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    cfg = config.from_dict(json.loads(block))
+    assert (cfg.seed, cfg.output_dir) == (7, "runs/example")
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("privacy", [{}, {"eps_max": "inf"}])
 def test_divergent_step_size_still_moves_the_model(tmp_path, privacy):
@@ -308,6 +359,19 @@ def test_attack_subcommand_reports_and_exits_0(tmp_path, capsys):
         "poison_update", "eavesdrop", "impersonate", "mitm_swap",
     }
     assert all(r["detected"] == r["injected"] for r in reports)
+
+
+@pytest.mark.parametrize("report", [
+    attacks.AttackReport("replay", injected=5, detected=4),
+    attacks.AttackReport("eavesdrop", injected=1, detected=0, leaked=True),
+], ids=["under-detected", "leaked"])
+def test_attack_exits_1_when_an_injection_goes_undetected(tmp_path, monkeypatch, capsys, report):
+    detected = attacks.AttackReport("tamper_message", injected=5, detected=5)
+    monkeypatch.setattr(attacks, "run_attack_suite", lambda cfg, seeds: [detected, report])
+    assert main(["attack", "--config", str(_write_cfg(tmp_path)), "--injections", "5"]) == 1
+    assert [r["kind"] for r in json.loads(capsys.readouterr().out)] == [
+        "tamper_message", report.kind
+    ]
 
 
 def test_explain_subcommand(tmp_path, capsys):

@@ -314,7 +314,7 @@ def test_fleet_passes_equal_per_node_calls_bit_for_bit(case):
     m2 = [ModelParams.from_vector(v) for v in V2]
 
     reports = feedback.validate_fleet(V1, V2, X, repeats, seeds)
-    expls = feedback.explain_fleet(V1, X[:, 0], X, repeats, seeds)
+    expls = [feedback.explain(m, x[0], x, repeats, s) for m, x, s in zip(m1, X, seeds)]
     stability = [e.stability for e in expls]
     corrections = feedback.correct_fleet(
         V1, [x[i] for x, i in zip(X, picks)], [t[i] for t, i in zip(y, picks)], hold_X, hold_y,
@@ -343,9 +343,6 @@ def test_fleet_passes_equal_per_node_calls_bit_for_bit(case):
         assert (one.flagged, one.agreement_rate) == (flagged, agreement)
         assert np.array_equal(one.explanation.attributions, reports[k].explanation.attributions)
         assert one.explanation.stability == reports[k].explanation.stability
-        assert np.array_equal(
-            feedback.explain(m1[k], X[k, 0], X[k], repeats, seeds[k]).attributions, attributions
-        )
         assert np.array_equal(feedback.local_correction(
             m1[k], X[k][picks[k]], y[k][picks[k]], hold_X[k], hold_y[k], lr=0.3, steps=3,
             seed=seeds[k],
@@ -357,8 +354,6 @@ def test_fleet_passes_reject_rows_of_unequal_shape():
     ragged = [np.zeros((3, 2)), np.zeros((4, 2))]
     with pytest.raises(ValueError, match="one shape"):
         feedback.validate_fleet(V, V, ragged, 2, [0, 1])
-    with pytest.raises(ValueError, match="one shape"):
-        feedback.explain_fleet(V, np.zeros((2, 2)), ragged, 2, [0, 1])
     with pytest.raises(ValueError, match="one shape"):
         feedback.correct_fleet(V, [np.zeros((1, 2))] * 2, [np.zeros(1)] * 2, ragged,
                                [np.zeros(3), np.zeros(4)], lr=0.1, steps=1, seeds=[0, 1],

@@ -103,8 +103,9 @@ def test_round_aborts_when_contract_rejects_everything():
 def test_admission_judges_every_update_at_one_clock_reading():
     # all three ledger hops tick the clock before any check, so with a
     # 3-tick window node-0's and node-1's updates are stale and node-2's is not
-    cfg = make_cfg(rounds=1, freshness_window=3, privacy={"eps_max": 4.0, "budget_cap": 500.0})
+    cfg = make_cfg(rounds=1, privacy={"eps_max": 4.0, "budget_cap": 500.0})
     sim = Simulator(cfg)
+    sim.rules.freshness_window = 3
     [report], _ = sim.run()
     assert report.aborted
     assert report.rejected == [("node-0", ["stale"]), ("node-1", ["stale"])]
@@ -263,6 +264,23 @@ def test_small_feedback_off_run_bytes_are_pinned(tmp_path):
     assert (tmp_path / "explanations.jsonl").read_bytes() == b""
 
 
+def test_small_global_dp_run_bytes_are_pinned(tmp_path):
+    # global noise on: the digests change with the global mechanism's delta or
+    # clip norm, which every other pinned run leaves unused
+    run(make_cfg(
+        fleet={"n_nodes": 6}, feedback={"enabled": False},
+        privacy={"eps_max": 8.0, "budget_cap": 500.0, "eps_global": 2.0}, output_dir=str(tmp_path),
+    ))
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("metrics.jsonl", "chain.json")
+    }
+    assert digests == {
+        "metrics.jsonl": "eec96a8fc09d4d98ab480e39b6b0f0f5b7b480b2e5832ff6366a70e9370d4449",
+        "chain.json": "e9bba48a8e59143acaaaa94d82f8ef10501b8a24be6f5003a8f33247c7d6e101",
+    }
+
+
 def test_every_logged_explanation_is_the_one_validation_compared(monkeypatch):
     sim = Simulator(make_cfg(rounds=2, fleet={"n_nodes": 4}))
     reports, streams = [], []
@@ -281,7 +299,6 @@ def test_every_logged_explanation_is_the_one_validation_compared(monkeypatch):
         return sub_seed_(seed, *parts)
 
     monkeypatch.setattr(feedback, "validate_fleet", recorded_validation)
-    monkeypatch.setattr(feedback, "explain_fleet", refused)
     monkeypatch.setattr(feedback, "explain", refused)
     monkeypatch.setattr(orchestrator, "sub_seed", recorded_stream)
     sim.run()

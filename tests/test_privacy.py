@@ -34,8 +34,8 @@ def test_mask_strength_interpolates_with_threat():
     lo = privacy.assess_context(0.0, 0.0, [], BOUNDS).mask_strength
     hi = privacy.assess_context(0.0, 1.0, [], BOUNDS).mask_strength
     mid = privacy.assess_context(0.0, 0.5, [], BOUNDS).mask_strength
-    assert lo == BOUNDS.mask_strength_min
-    assert hi == BOUNDS.mask_strength_max
+    assert lo == privacy.MASK_STRENGTH_MIN
+    assert hi == privacy.MASK_STRENGTH_MAX
     assert mid == pytest.approx((lo + hi) / 2.0)
 
 
