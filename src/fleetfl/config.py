@@ -104,6 +104,10 @@ class RunConfig:
         stakes = self.ledger.stakes.values()
         if any(s < 0 for s in stakes) or not sum(stakes) > 0:
             raise ConfigError("ledger.stakes must be non-negative with a positive total")
+        faulty = {*self.ledger.byzantine_refuse, *self.ledger.byzantine_false}
+        if not faulty <= self.ledger.stakes.keys():
+            raise ConfigError(f"ledger byzantine ids {sorted(faulty - self.ledger.stakes.keys())} "
+                              "are not validators in ledger.stakes")
         if (self.ledger.committee_size or 0) > len(stakes):
             raise ConfigError("ledger.committee_size must not exceed the number of validators")
 

@@ -4,10 +4,12 @@ Each round: local SGD, adaptive privacy tuning, clip/noise/mask, sealed
 transmission, ledger admission, masked-sum FedAvg, global privacy adjustment,
 sealed redistribution, dual-model validation with local correction, and
 weighted local/global fusion. Every block of the round is staged as it is
-made and the round commits them as one unit under one committee: on a failed
-quorum the round aborts and leaves the chain, the budgets, the models and the
-explanation records as they were. All randomness is derived from the config
-seed, so identical configs produce byte-identical artifacts.
+made and the round commits them as one unit under one committee. No stage
+before the commit changes the models or the explanation records: only the
+commit installs them, so a round that misses quorum or fails before its
+commit leaves the chain, the budgets, the models and the records as they
+were. All randomness is derived from the config seed, so identical configs
+produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -222,10 +224,11 @@ class Simulator:
         )
         return meta, state
 
-    def _commit(self, r: int, charged: dict[str, float]) -> int:
-        """Append the round's pending blocks under the round's one committee,
-        then charge the round's budget; returns the number of blocks appended.
-        Raises QuorumNotReached with the chain and every budget untouched."""
+    def _commit(self, r: int, charged: dict[str, float], global_params: ModelParams,
+                node_params: dict[str, ModelParams], records: list[dict]) -> int:
+        """Append the round's pending blocks under its one committee, then charge
+        its budgets and install its models and explanation records; returns the
+        number of blocks appended. Raises QuorumNotReached with all of these untouched."""
         blocks = ledger.commit_blocks(
             self.chain, self.pending, self.vset,
             committee_seed=sub_seed(self.cfg.seed, "committee", r),
@@ -233,29 +236,26 @@ class Simulator:
         )
         for node, eps in charged.items():
             privacy.charge_budget(self.budget, node, eps)
+        self.global_params, self.node_params = global_params, node_params
+        self.explanation_records.extend(records)
         return len(blocks)
 
     # -- round pipeline -----------------------------------------------------
 
     def run_round(self, r: int, record: bool = False) -> tuple[RoundReport, RoundTrace | None]:
         trace = RoundTrace(round=r) if record else None
-        before = (self.global_params, dict(self.node_params), len(self.explanation_records))
         self.pending = []
-        scaled, ctxs, local_deltas = self._train_and_privatise(r)
+        scaled, ctxs, deltas = self._train_and_privatise(r)
         received = self._mask_and_send(trace, r, scaled, ctxs)
         admitted, rejected, charged = self._admit(trace, r, received, ctxs)
         agreement, w_local, blocks = 0.0, 0.0, 0
         if not rejected:
-            prev_global = self.global_params
             g = self._aggregate(r, admitted)
             self._distribute(trace, r, g)
-            agreement, w_local = self._feedback_phase(trace, r, prev_global, g, local_deltas)
+            node_params, records, agreement, w_local = self._feedback_phase(trace, r, g, deltas)
             try:
-                blocks = self._commit(r, charged)
+                blocks = self._commit(r, charged, g.params, node_params, records)
             except ledger.QuorumNotReached:
-                # nothing of the round stays: put back what its stages installed
-                self.global_params, self.node_params, n_records = before
-                del self.explanation_records[n_records:]
                 rejected, charged, agreement, w_local = [(LEDGER_ID, ["quorum"])], {}, 0.0, 0.0
         report = self._finish_round(r, rejected, charged, blocks, agreement, w_local)
         return report, trace
@@ -362,7 +362,6 @@ class Simulator:
         (freshness verified at open)."""
         gbytes = params_bytes(g.params)
         self._log_to_ledger(trace, r, "global_model", CLOUD_ID, gbytes, g.params.version)
-        self.global_params = g.params
         for node in self.node_ids:
             got = self._transmit(
                 trace, self._tag(CLOUD_ID, r), CLOUD_ID, node, "global_distribution", gbytes
@@ -387,19 +386,16 @@ class Simulator:
         if not result.accepted:
             raise ledger.ContractRejected(result.reasons)
 
-    def _feedback_phase(self, trace, r: int, prev_global: ModelParams,
-                        g: aggregation.GlobalUpdate, local_deltas) -> tuple[float, float]:
+    def _feedback_phase(self, trace, r: int, g: aggregation.GlobalUpdate, local_deltas):
         """Dual-model validation and local correction of the whole fleet in one
-        pass each, then fusion at each node; returns (mean agreement, mean
-        w_local). Each node's logged explanation, whose stability weighs its
-        fusion, is the one its validation compared."""
+        pass each, then fusion at each node; returns (node models, explanation
+        records, mean agreement, mean w_local). Each node's logged explanation,
+        whose stability weighs its fusion, is the one its validation compared."""
         cfg = self.cfg
         fb = cfg.feedback
         ids = self.node_ids
         if not fb.enabled:
-            for node in ids:
-                self.node_params[node] = g.params
-            return 1.0, 0.0
+            return dict.fromkeys(ids, g.params), [], 1.0, 0.0
 
         def seeds(stream: str) -> list[int]:
             return [sub_seed(cfg.seed, stream, r, node) for node in ids]
@@ -413,12 +409,11 @@ class Simulator:
         val_y = np.stack([t.labels[: fb.max_validation_samples] for t in trains])
 
         reports = feedback.validate_fleet(V1, V2, val_X, fb.explain_repeats, seeds("explain"))
-        for node, rep in zip(ids, reports):
-            self.explanation_records.append({
-                "round": r, "node": node, "sample": 0,
-                "attributions": [float(a) for a in rep.explanation.attributions],
-                "stability": rep.explanation.stability,
-            })
+        records = [{
+            "round": r, "node": node, "sample": 0,
+            "attributions": [float(a) for a in rep.explanation.attributions],
+            "stability": rep.explanation.stability,
+        } for node, rep in zip(ids, reports)]
         corrections = feedback.correct_fleet(
             V1, [x[rep.flagged] for x, rep in zip(val_X, reports)],
             [y[rep.flagged] for y, rep in zip(val_y, reports)],
@@ -428,27 +423,28 @@ class Simulator:
         )
 
         agreement = float(np.mean([rep.agreement_rate for rep in reports]))
-        return agreement, self._integrate(trace, r, prev_global, g, corrections)
+        node_params, w_local = self._integrate(trace, r, g, corrections)
+        return node_params, records, agreement, w_local
 
-    def _integrate(self, trace, r: int, prev_global: ModelParams, g: aggregation.GlobalUpdate,
-                   corrections: list[feedback.FeedbackUpdate]) -> float:
-        """Fuse each node's correction with the global delta, install the result
-        at that node and submit it through the cloud, which stages its block;
-        returns the mean w_local."""
-        base = prev_global.as_vector()
-        w_locals = []
+    def _integrate(self, trace, r: int, g: aggregation.GlobalUpdate,
+                   corrections: list[feedback.FeedbackUpdate]):
+        """Fuse each node's correction with the global delta onto the previous
+        global model and submit the result through the cloud, which stages its
+        block; returns (node models, mean w_local)."""
+        base = self.global_params.as_vector()
+        node_params, w_locals = {}, []
         for node, corr in zip(self.node_ids, corrections):
             w = feedback.compute_weights(corr.quality, g.total_samples)
             integrated = ModelParams.from_vector(
                 base + feedback.integrate(corr.delta, g.delta, w), version=g.params.version
             )
-            self.node_params[node] = integrated
+            node_params[node] = integrated
             payload = self._transmit(
                 trace, self._tag(node, r), node, CLOUD_ID, "feedback", params_bytes(integrated)
             )
             self._log_to_ledger(trace, r, "feedback", node, payload, integrated.version)
             w_locals.append(w.w_local)
-        return float(np.mean(w_locals))
+        return node_params, float(np.mean(w_locals))
 
     def _finish_round(self, r, rejected, charged, blocks, agreement, w_local) -> RoundReport:
         # (accuracy, loss, fpr) on the holdout of every distinct model object in

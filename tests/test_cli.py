@@ -63,6 +63,8 @@ def test_run_with_malformed_config_exits_2(tmp_path, capsys):
         {"privacy": {"eps_min": -1}},
         {"fleet": {"n_nodes": 1}},  # one node's mask is zero: its raw update would be sent
         {"integration_site": "cloud"},  # fusion runs at each node only
+        {"ledger": {"byzantine_refuse": ["V0"]}},  # validator ids are case-sensitive
+        {"ledger": {"byzantine_false": ["v3"]}},  # not a key of the default stakes
     ],
 )
 def test_run_with_bad_config_value_exits_2(tmp_path, capsys, bad):

@@ -597,6 +597,32 @@ def test_a_failed_quorum_aborts_the_round_and_leaves_its_state():
     assert sim.explanation_records == records
 
 
+@pytest.mark.parametrize("enabled", [True, False], ids=["feedback-on", "feedback-off"])
+def test_a_round_that_fails_before_its_commit_installs_nothing(monkeypatch, enabled):
+    # no stage before the commit writes the models or the records, so a failure
+    # that is not a missed quorum leaves them as the last committed round did
+    sim = Simulator(make_cfg(
+        fleet={"n_nodes": 4}, privacy={"eps_max": 8.0}, feedback={"enabled": enabled}
+    ))
+    assert not sim.run_round(0)[0].aborted
+    chain, spent = list(sim.chain), dict(sim.budget.spent)
+    assert spent  # round 0 charged every node, so an early charge would show
+    global_params, node_params = sim.global_params, dict(sim.node_params)
+    records = list(sim.explanation_records)
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("ledger down")
+
+    monkeypatch.setattr(ledger, "commit_blocks", failing)
+    with pytest.raises(RuntimeError, match="ledger down"):
+        sim.run_round(1)
+    assert sim.chain == chain
+    assert sim.budget.spent == spent
+    assert sim.global_params is global_params
+    assert all(sim.node_params[node] is node_params[node] for node in sim.node_ids)
+    assert sim.explanation_records == records
+
+
 def _attestation_is_valid(vset, block, vid, digest):
     core = ledger._preimage_core(block.index, block.prev_hash, block.payload_hash, block.meta)
     return digest == ledger.attestation_digest(vid, core, vset.secret(vid))
