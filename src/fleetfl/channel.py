@@ -4,13 +4,18 @@ ChaCha20-Poly1305 with pre-shared 32-byte pairwise keys; the (sender, receiver,
 nonce, timestamp, round) tuple is bound as associated data, so re-routing or
 reflecting an envelope fails authentication. Receivers keep a seen-nonce set
 and a freshness window over the simulated clock.
+
+Each key's cipher and each (sender, receiver) pair's encoded prefix of the
+associated data are built once and cached, and each tag computes its wire
+bytes and cipher nonce once: per message only its nonce, tag and AEAD call remain.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
@@ -52,14 +57,23 @@ class FreshnessTag:
     timestamp: int  # simulated clock tick
     round: int
 
+    # computed once per tag: the wire bytes, and the 128-bit protocol nonce
+    # compressed into the cipher's 96-bit nonce, so that every distinct
+    # protocol nonce yields a distinct keystream
+    wire: bytes = field(init=False, repr=False, compare=False)
+    cipher_nonce: bytes = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         if len(self.nonce) != NONCE_SIZE:
             raise ValueError("nonce must be 16 bytes")
         if self.timestamp < 0 or self.round < 0:
             raise ValueError("timestamp and round must be non-negative")
+        wire = self.nonce + struct.pack(">QQ", self.timestamp, self.round)
+        object.__setattr__(self, "wire", wire)
+        object.__setattr__(self, "cipher_nonce", hashlib.sha256(self.nonce).digest()[:12])
 
     def to_bytes(self) -> bytes:
-        return self.nonce + enc_u64(self.timestamp) + enc_u64(self.round)
+        return self.wire
 
     @classmethod
     def from_bytes(cls, b: bytes, offset: int) -> tuple["FreshnessTag", int]:
@@ -114,29 +128,34 @@ class KeyRegistry:
 
 
 class NonceSource:
-    """Deterministic unique nonces for one sender."""
+    """Deterministic unique nonces for one sender: sha256 of the sender, the
+    seed and a counter, cut to NONCE_SIZE bytes."""
 
     def __init__(self, sender: str, seed: int):
-        self._sender = sender
-        self._seed = seed
+        self._prefix = hashlib.sha256(enc_str(sender) + enc_u64(seed))
         self._counter = 0
 
     def next(self) -> bytes:
-        n = hashlib.sha256(
-            enc_str(self._sender) + enc_u64(self._seed) + enc_u64(self._counter)
-        ).digest()[:NONCE_SIZE]
+        h = self._prefix.copy()
+        h.update(enc_u64(self._counter))
         self._counter += 1
-        return n
+        return h.digest()[:NONCE_SIZE]
+
+
+# a fleet of n nodes has n + 1 keys and 2n + 1 links; a larger fleet still
+# works, rebuilding what it no longer finds cached
+@functools.lru_cache(maxsize=1024)
+def _cipher(key: bytes) -> ChaCha20Poly1305:
+    return ChaCha20Poly1305(key)
+
+
+@functools.lru_cache(maxsize=2048)
+def _endpoints(sender: str, receiver: str) -> bytes:
+    return enc_str(sender) + enc_str(receiver)
 
 
 def _aad(sender: str, receiver: str, freshness: FreshnessTag) -> bytes:
-    return enc_str(sender) + enc_str(receiver) + freshness.to_bytes()
-
-
-def _cipher_nonce(freshness: FreshnessTag) -> bytes:
-    # compress the 128-bit protocol nonce into the cipher's 96-bit nonce so
-    # that every distinct protocol nonce yields a distinct keystream
-    return hashlib.sha256(freshness.nonce).digest()[:12]
+    return _endpoints(sender, receiver) + freshness.wire
 
 
 def seal(
@@ -154,8 +173,7 @@ def seal(
         if freshness.nonce in used_nonces:
             raise NonceReuseError(f"sender {sender} reused a nonce")
         used_nonces.add(freshness.nonce)
-    cipher = ChaCha20Poly1305(key)
-    blob = cipher.encrypt(_cipher_nonce(freshness), payload, _aad(sender, receiver, freshness))
+    blob = _cipher(key).encrypt(freshness.cipher_nonce, payload, _aad(sender, receiver, freshness))
     return Envelope(
         sender=sender,
         receiver=receiver,
@@ -178,10 +196,9 @@ def open_envelope(
     """
     if len(key) != KEY_SIZE:
         raise ValueError("key must be 32 bytes")
-    cipher = ChaCha20Poly1305(key)
     try:
-        payload = cipher.decrypt(
-            _cipher_nonce(env.freshness),
+        payload = _cipher(key).decrypt(
+            env.freshness.cipher_nonce,
             env.ciphertext + env.auth_tag,
             _aad(env.sender, env.receiver, env.freshness),
         )

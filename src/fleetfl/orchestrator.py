@@ -113,9 +113,18 @@ class Simulator:
         self.keys = KeyRegistry.generate(self.node_ids, sub_seed(cfg.seed, "keys"))
         parties = self.node_ids + [CLOUD_ID, LEDGER_ID]
         self.nonce_sources = {p: NonceSource(p, sub_seed(cfg.seed, "nonce", p)) for p in parties}
-        # each sender's used nonces and each receiver's replay set
+        # each sender's used nonces
         self.sent_nonces: dict[str, set[bytes]] = {p: set() for p in parties}
-        self.seen: dict[str, set[bytes]] = {p: set() for p in parties}
+        seen: dict[str, set[bytes]] = {p: set() for p in parties}
+        # the protocol's only links: node -> cloud and cloud -> node under the
+        # node's k_pc, cloud -> ledger under k_bc; each with its receiver's replay set
+        self.links: dict[tuple[str, str], tuple[bytes, set[bytes]]] = {
+            (CLOUD_ID, LEDGER_ID): (self.keys.k_bc, seen[LEDGER_ID])
+        }
+        for n in self.node_ids:
+            key = self.keys.edge_cloud_key(n)
+            self.links[n, CLOUD_ID] = (key, seen[CLOUD_ID])
+            self.links[CLOUD_ID, n] = (key, seen[n])
         self.contract_nonces: set[bytes] = set()
         self.clock = 0
         ticks_per_round = 8 * fc.n_nodes + 16
@@ -186,14 +195,14 @@ class Simulator:
 
     def link(self, sender: str, receiver: str) -> tuple[bytes, set[bytes]]:
         """The pre-shared key of the (sender, receiver) link and the receiver's
-        replay set: the one rule for the pipeline and the adversary harness."""
-        if receiver not in self.seen:
-            raise UnknownPartyError(f"unknown receiver {receiver}")
-        if receiver == LEDGER_ID:
-            key = self.keys.k_bc
-        else:  # an edge link is keyed by its node end, whichever way the message goes
-            key = self.keys.edge_cloud_key(sender if receiver == CLOUD_ID else receiver)
-        return key, self.seen[receiver]
+        replay set: the one rule for the pipeline and the adversary harness.
+        Any pair that is not a protocol link raises UnknownPartyError."""
+        try:
+            return self.links[sender, receiver]
+        except KeyError:
+            if receiver == CLOUD_ID:  # the registry names a sender that holds no key
+                self.keys.edge_cloud_key(sender)
+            raise UnknownPartyError(f"no link from {sender} to {receiver}") from None
 
     def _transmit(
         self, trace: RoundTrace | None, tag: FreshnessTag, sender: str, receiver: str,
@@ -246,8 +255,8 @@ class Simulator:
         trace = RoundTrace(round=r) if record else None
         self.pending = []
         scaled, ctxs, deltas = self._train_and_privatise(r)
-        received = self._mask_and_send(trace, r, scaled, ctxs)
-        admitted, rejected, charged = self._admit(trace, r, received, ctxs)
+        received, opened = self._mask_and_send(trace, r, scaled, ctxs)
+        admitted, rejected, charged = self._admit(trace, r, received, opened, ctxs)
         agreement, w_local, blocks = 0.0, 0.0, 0
         if not rejected:
             g = self._aggregate(r, admitted)
@@ -280,8 +289,12 @@ class Simulator:
             local_deltas[node] = upd.grad
         return scaled, ctxs, local_deltas
 
-    def _mask_and_send(self, trace, r: int, scaled, ctxs) -> list[masking.MaskedUpdate]:
-        """Mask every update and send it to the cloud, which checks its hash and origin."""
+    def _mask_and_send(
+        self, trace, r: int, scaled, ctxs
+    ) -> tuple[list[masking.MaskedUpdate], dict[str, bytes]]:
+        """Mask every update and send it to the cloud, which checks its hash and
+        origin; returns the updates the cloud received and, keyed by node, the
+        bytes it opened."""
         strengths = {
             n: ctxs[n].mask_strength * max(1.0, float(np.linalg.norm(scaled[n].grad)))
             for n in self.node_ids
@@ -293,10 +306,11 @@ class Simulator:
         )
         masked: dict[str, masking.MaskedUpdate] = {}
         received: list[masking.MaskedUpdate] = []
+        opened: dict[str, bytes] = {}
         for node in self.node_ids:
             tag = self._tag(node, r)
             masked[node] = masking.apply_mask(node, scaled[node], masks[node], tag)
-            payload = self._transmit(
+            payload = opened[node] = self._transmit(
                 trace, tag, node, CLOUD_ID, "local_update", masked[node].to_bytes()
             )
             # the cloud checks integrity (origin + hash beliefs)
@@ -309,11 +323,11 @@ class Simulator:
         if trace is not None:
             trace.raw_updates = {n: scaled[n].grad.copy() for n in self.node_ids}
             trace.masked = masked
-        return received
+        return received, opened
 
-    def _admit(self, trace, r: int, received, ctxs):
-        """Ledger admission: log every update, then check and stage them all at
-        one clock reading.
+    def _admit(self, trace, r: int, received, opened, ctxs):
+        """Ledger admission: forward the bytes the cloud opened for every kept
+        update to the ledger, then check and stage them all at one clock reading.
 
         Returns (admitted updates, rejections, epsilon to charge per node at
         commit). Any rejection admits nothing: masks cannot cancel over a
@@ -323,7 +337,8 @@ class Simulator:
         rejected: list[tuple[str, list[str]]] = [(n, [reason]) for n, reason in drops]
         logged = [
             masking.MaskedUpdate.from_bytes(self._transmit(
-                trace, self._tag(CLOUD_ID, r), CLOUD_ID, LEDGER_ID, "ledger_log", mu.to_bytes()
+                trace, self._tag(CLOUD_ID, r), CLOUD_ID, LEDGER_ID, "ledger_log",
+                opened[mu.node_id],
             ))
             for mu in cleaned
         ]

@@ -1,11 +1,14 @@
 """Authenticated envelopes: round trips, tamper/replay/stale rejections, bindings."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fleetfl import channel
+from fleetfl.encoding import enc_u64
 
 KEY = bytes(range(32))
 OTHER_KEY = bytes(range(1, 33))
@@ -141,3 +144,42 @@ def test_key_registry_unknown_party():
 def test_bad_nonce_length_rejected():
     with pytest.raises(ValueError):
         channel.FreshnessTag(nonce=b"\x00" * 8, timestamp=0, round=0)
+
+
+# -- the cached envelope path ---------------------------------------------------
+
+
+def test_a_warm_cache_still_rejects_an_envelope_opened_under_another_key():
+    for key in (KEY, OTHER_KEY):  # both keys' ciphers are cached
+        env = channel.seal(key, "P", "C", _tag(n=1), b"warm")
+        assert channel.open_envelope(key, env, 100, set(), 10) == b"warm"
+    env = channel.seal(KEY, "P", "C", _tag(n=2), b"hello")
+    with pytest.raises(channel.TamperedError):
+        channel.open_envelope(OTHER_KEY, env, 100, set(), 10)
+
+
+def test_a_warm_cache_still_rejects_endpoints_swapped_after_sealing():
+    for sender, receiver in (("P", "C"), ("C", "P")):  # both prefixes are cached
+        assert _open(channel.seal(KEY, sender, receiver, _tag(n=1), b"warm")) == b"warm"
+    env = channel.seal(KEY, "P", "C", _tag(n=2), b"hello")
+    env.sender, env.receiver = env.receiver, env.sender
+    with pytest.raises(channel.TamperedError):
+        _open(env)
+
+
+def test_nonce_source_keeps_the_sha256_of_sender_seed_and_counter():
+    # sha256(enc_str("P") + enc_u64(1) + enc_u64(counter))[:16] for counters 0, 1, 2
+    src = channel.NonceSource("P", 1)
+    assert [src.next().hex() for _ in range(3)] == [
+        "629e951a34bce069e968c39846505236",
+        "4a7bf3b72b60fd5ebb74e271f4b7ef27",
+        "0bdf116f78afe85279879f6b9b3e5bd2",
+    ]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**128 - 1), st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
+def test_a_tag_caches_its_wire_bytes_and_cipher_nonce(nonce_int, ts, rnd):
+    tag = _tag(nonce_int, ts, rnd)
+    assert tag.wire == tag.to_bytes() == tag.nonce + enc_u64(ts) + enc_u64(rnd)
+    assert tag.cipher_nonce == hashlib.sha256(tag.nonce).digest()[:12]

@@ -5,15 +5,17 @@ import itertools
 import math
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from fleetfl import masking
 from fleetfl.channel import FreshnessTag
+from fleetfl.encoding import enc_str, enc_u32, enc_u64
 from fleetfl.models import GradientUpdate
 
 
@@ -141,7 +143,7 @@ def test_two_node_mask_is_standard_normal_times_strength():
     assert stats.kstest(draws, "norm").pvalue > 1e-3
 
 
-def test_masks_of_a_large_roster_are_drawn_one_node_at_a_time():
+def test_masks_of_a_large_roster_are_drawn_in_bounded_blocks():
     # 256 nodes at dim 9 is 32,640 pairs: stacking every pair's 144 stream
     # bytes and normal row at once would take more than 2 MB
     roster = [f"node-{i}" for i in range(256)]
@@ -380,7 +382,7 @@ def test_sparse_masks_keep_the_every_pair_variance():
     assert stats.kstest(draws, "norm").pvalue > 1e-3
 
 
-def test_a_sparse_large_roster_is_drawn_one_node_at_a_time():
+def test_a_sparse_large_roster_is_drawn_in_bounded_blocks():
     roster = [f"node-{i}" for i in range(256)]
     tracemalloc.start()
     try:
@@ -401,3 +403,120 @@ def test_threat_one_masks_are_bit_identical_to_the_every_pair_masks():
         assert digest.hexdigest() == (
             "5a9443d8f030487c78cb292f1ea79086fcd411766163b4cc387aaccc5a96920f"
         )
+
+
+# -- the blocked pass against the per-node loop --------------------------------
+
+
+def _per_node_masks(round_seed, participants, dim, strength, round=0, threat=1.0):
+    """derive_masks as it was drawn one node at a time, kept as the reference
+    whose float additions the blocked pass must repeat exactly."""
+    if isinstance(strength, dict):
+        s = np.array([float(strength[p]) for p in participants])
+    else:
+        s = np.full(len(participants), float(strength))
+    n = len(participants)
+    h = masking.half_degree(n, threat)
+    if 2 * h < n - 1:  # a sparse graph: each node's mask keeps the variance of n - 1 pairs
+        s = s * math.sqrt((n - 1) / (2 * h))
+    prefix = enc_u64(round_seed & 0xFFFFFFFFFFFFFFFF) + enc_u64(round)
+    ids = [enc_str(p) for p in participants]
+    nbytes = 16 * dim
+    masks = np.zeros((n, dim))
+    # one node's pairs at a time: the transient rows stay (n - 1) × dim at most,
+    # not pairs × dim, whose size would show in the process's peak memory
+    for i, later in enumerate(masking.mask_graph(n, h)[:-1]):
+        key = prefix + ids[i]
+        stream = b"".join([hashlib.shake_128(key + ids[j]).digest(nbytes) for j in later])
+        rows = masking._pair_normals(stream, len(later), dim)
+        rows *= np.maximum(s[i], s[later])[:, None]
+        masks[i] += rows.sum(axis=0)
+        masks[later] -= rows
+    return dict(zip(participants, masks))
+
+
+def _same_bytes(got, ref, participants):
+    return all(got[p].tobytes() == ref[p].tobytes() for p in participants)
+
+
+def _block_count(n, threat):
+    graph = masking.mask_graph(n, masking.half_degree(n, threat))[:-1]
+    return len(list(masking._blocks([len(later) for later in graph])))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(-(2**63), 2**70),
+    st.integers(0, 2**20),
+    st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=80, unique=True),
+    st.integers(1, 12),
+    st.one_of(
+        st.floats(0.01, 100.0),
+        st.lists(st.floats(0.01, 100.0), min_size=80, max_size=80),
+    ),
+    THREATS,
+    st.integers(1, 600),
+)
+@example(1, 0, ["A"], 3, 1.0, 0.5, 512)
+@example(1, 0, ["A", "B"], 1, 1.0, 0.0, 512)
+@example(2, 1, ["A", "B"], 9, [2.0] * 80, 1.0, 1)
+@example(3, 2, [f"n{i}" for i in range(40)], 9, 1.5, 1.0, 512)  # 780 pairs: two blocks
+def test_blocked_masks_are_bit_identical_to_the_per_node_loop(
+    seed, rnd, participants, dim, strength, threat, block_pairs
+):
+    if isinstance(strength, list):
+        strength = dict(zip(participants, strength))
+    with mock.patch.object(masking, "BLOCK_PAIRS", block_pairs):
+        got = masking.derive_masks(seed, participants, dim, strength, round=rnd, threat=threat)
+    ref = _per_node_masks(seed, participants, dim, strength, round=rnd, threat=threat)
+    assert _same_bytes(got, ref, participants)
+
+
+@pytest.mark.parametrize("threat", [0.0, 0.1, 0.5, 1.0])
+@pytest.mark.parametrize("dim", [1, 9])
+def test_a_256_node_roster_spans_many_blocks_and_matches_the_loop(threat, dim):
+    roster = [f"node-{i}" for i in range(256)]
+    strength = {p: 0.5 + 0.25 * (i % 11) for i, p in enumerate(roster)}
+    assert _block_count(256, threat) > 1
+    got = masking.derive_masks(99, roster, dim, strength, round=4, threat=threat)
+    assert _same_bytes(got, _per_node_masks(99, roster, dim, strength, 4, threat), roster)
+
+
+def test_a_block_holds_whole_nodes_within_the_pair_bound():
+    sizes = [255, 254, 300, 1, 1, 700, 200, 200, 112]
+    runs = list(masking._blocks(sizes))
+    assert runs == [(0, 2), (2, 5), (5, 6), (6, 9)]
+    assert all(sum(sizes[a:b]) <= masking.BLOCK_PAIRS or b - a == 1 for a, b in runs)
+
+
+# -- the wire form the cloud forwards to the ledger ------------------------------
+
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072009e-308]
+WORDS = st.one_of(
+    st.sampled_from(SPECIAL).map(lambda x: struct.pack(">d", x)),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True).map(
+        lambda x: struct.pack(">d", x)
+    ),
+    st.integers(0, 2**64 - 1).map(lambda w: struct.pack(">Q", w)),  # every NaN payload
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.text(max_size=12),
+    st.lists(WORDS, max_size=24),
+    st.integers(0, 2**64 - 1),
+    st.binary(min_size=16, max_size=16),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**64 - 1),
+    st.binary(min_size=32, max_size=32),
+)
+@example("n", [struct.pack(">d", x) for x in SPECIAL], 3, bytes(16), 1, 0, bytes(32))
+def test_masked_update_bytes_survive_a_decode_and_re_encode(
+    node_id, words, n_samples, nonce, ts, rnd, digest
+):
+    b = (
+        enc_str(node_id) + enc_u32(len(words)) + b"".join(words) + enc_u64(n_samples)
+        + nonce + enc_u64(ts) + enc_u64(rnd) + digest
+    )
+    assert masking.MaskedUpdate.from_bytes(b).to_bytes() == b

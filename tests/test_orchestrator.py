@@ -722,3 +722,75 @@ def test_each_round_masks_over_its_threat_levels_graph(monkeypatch):
         masked = sum(mu.payload for mu in trace.masked.values())
         raw = sum(trace.raw_updates.values())
         assert float(np.max(np.abs(masked - raw))) < 1e-9 * max(1.0, float(np.max(np.abs(raw))))
+
+
+# -- the protocol's links -----------------------------------------------------
+
+
+def test_the_only_links_are_node_cloud_both_ways_and_cloud_ledger():
+    sim = Simulator(make_cfg())
+    assert set(sim.links) == (
+        {(n, "cloud") for n in NODES} | {("cloud", n) for n in NODES} | {("cloud", "ledger")}
+    )
+    cloud_seen = sim.link(NODES[0], "cloud")[1]
+    for n in NODES:
+        up, down = sim.link(n, "cloud"), sim.link("cloud", n)
+        assert up[0] == down[0] == sim.keys.k_pc[n]
+        assert up[1] is cloud_seen and down[1] is not cloud_seen
+    assert sim.link("cloud", "ledger")[0] == sim.keys.k_bc
+    for sender, receiver in [("node-0", "node-1"), ("node-0", "ledger"), ("ledger", "cloud"),
+                             ("cloud", "cloud"), ("ghost", "cloud"), ("cloud", "ghost"),
+                             ("ledger", "node-0")]:
+        with pytest.raises(channel.UnknownPartyError):
+            sim.link(sender, receiver)
+
+
+@pytest.mark.parametrize("receiver", ["node-1", "ledger"])
+def test_the_cloud_cannot_speak_for_a_node_on_a_link_the_protocol_lacks(receiver):
+    # the cloud holds node-1's edge key and the ledger key; sealing under them
+    # "from node-0" must not reach node-1 or the ledger
+    sim = Simulator(make_cfg(rounds=1))
+    sim.run_round(0)
+    key = sim.keys.k_pc["node-1"] if receiver == "node-1" else sim.keys.k_bc
+    tag = channel.FreshnessTag(nonce=bytes(16), timestamp=sim.clock, round=0)
+    env = channel.seal(key, "node-0", receiver, tag, b"forged")
+    forged = orchestrator.WireMessage("feedback", env)
+    report = attacks._deliver(sim, "forge", [0], lambda i, seed: forged)
+    assert report.detected == 1
+    assert json.loads(report.notes) == {"UnknownPartyError": 1}
+
+
+def test_the_ledger_logs_the_bytes_the_cloud_opened():
+    sim = Simulator(make_cfg(rounds=1))
+    _, trace = sim.run_round(0, record=True)
+
+    def plaintext(msg):
+        key, _ = sim.link(msg.envelope.sender, msg.envelope.receiver)
+        return channel.open_envelope(key, msg.envelope, sim.rules.freshness_window, set(),
+                                     sim.clock)
+
+    opened = {m.envelope.sender: plaintext(m) for m in trace.messages if m.kind == "local_update"}
+    logged = [plaintext(m) for m in trace.messages if m.kind == "ledger_log"][: len(NODES)]
+    assert {masking.MaskedUpdate.from_bytes(b).node_id: b for b in logged} == opened
+
+
+def test_the_fleet256_benchmark_run_keeps_its_artifact_bytes(tmp_path):
+    # the benchmark's fleet256-nofeedback config at seed 5, built here on its own
+    cfg = config.from_dict({
+        "seed": 5,
+        "rounds": 2,
+        "fleet": {"n_nodes": 256, "samples_per_node": 100, "feature_dim": 8,
+                  "heterogeneity": 0.3},
+        "privacy": {"eps_max": 8.0, "budget_cap": 500.0},
+        "feedback": {"enabled": False},
+        "integration_site": "node",
+        "threat_schedule": 0.1,
+        "output_dir": str(tmp_path),
+    })
+    Simulator(cfg).run()
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("metrics.jsonl", "chain.json")}
+    assert digests == {
+        "metrics.jsonl": "d232325c5991d60a6908a9cc12002fc3446b78b9c3777755070d4bafbc6276eb",
+        "chain.json": "6e44f4b9ea6155ccba473e13162fa40efa2aacf515fc0cd88d93004451d7566c",
+    }
