@@ -6,8 +6,8 @@ reflecting an envelope fails authentication. Receivers keep a seen-nonce set
 and a freshness window over the simulated clock.
 
 Each key's cipher and each (sender, receiver) pair's encoded prefix of the
-associated data are built once and cached, and each tag computes its wire
-bytes and cipher nonce once: per message only its nonce, tag and AEAD call remain.
+associated data are built once and cached, and each tag computes its cipher
+nonce once: per message only its nonce, tag and AEAD call remain.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
@@ -57,23 +57,21 @@ class FreshnessTag:
     timestamp: int  # simulated clock tick
     round: int
 
-    # computed once per tag: the wire bytes, and the 128-bit protocol nonce
-    # compressed into the cipher's 96-bit nonce, so that every distinct
-    # protocol nonce yields a distinct keystream
-    wire: bytes = field(init=False, repr=False, compare=False)
-    cipher_nonce: bytes = field(init=False, repr=False, compare=False)
-
     def __post_init__(self):
         if len(self.nonce) != NONCE_SIZE:
             raise ValueError("nonce must be 16 bytes")
         if self.timestamp < 0 or self.round < 0:
             raise ValueError("timestamp and round must be non-negative")
-        wire = self.nonce + struct.pack(">QQ", self.timestamp, self.round)
-        object.__setattr__(self, "wire", wire)
-        object.__setattr__(self, "cipher_nonce", hashlib.sha256(self.nonce).digest()[:12])
+
+    @functools.cached_property
+    def cipher_nonce(self) -> bytes:
+        """The 128-bit protocol nonce compressed into the cipher's 96-bit nonce,
+        so that every distinct protocol nonce yields a distinct keystream;
+        computed once, by the first seal or open of the tag."""
+        return hashlib.sha256(self.nonce).digest()[:12]
 
     def to_bytes(self) -> bytes:
-        return self.wire
+        return self.nonce + struct.pack(">QQ", self.timestamp, self.round)
 
     @classmethod
     def from_bytes(cls, b: bytes, offset: int) -> tuple["FreshnessTag", int]:
@@ -142,8 +140,12 @@ class NonceSource:
         return h.digest()[:NONCE_SIZE]
 
 
-# a fleet of n nodes has n + 1 keys and 2n + 1 links; a larger fleet still
-# works, rebuilding what it no longer finds cached
+# a fleet of n nodes has n + 1 keys and 2n + 1 links, used in the same order
+# every round. A fleet of 1,024 nodes or more so never finds its cipher
+# cached: each seal or open then rebuilds it and pays the cache's upkeep too,
+# about 0.25 µs over an uncached build (2.2 against 1.9 µs a seal on a 2-vCPU
+# host). The caches hold the last keys used until they are evicted, also after
+# the run that used them has ended.
 @functools.lru_cache(maxsize=1024)
 def _cipher(key: bytes) -> ChaCha20Poly1305:
     return ChaCha20Poly1305(key)
@@ -155,7 +157,7 @@ def _endpoints(sender: str, receiver: str) -> bytes:
 
 
 def _aad(sender: str, receiver: str, freshness: FreshnessTag) -> bytes:
-    return _endpoints(sender, receiver) + freshness.wire
+    return _endpoints(sender, receiver) + freshness.to_bytes()
 
 
 def seal(

@@ -200,8 +200,6 @@ class Simulator:
         try:
             return self.links[sender, receiver]
         except KeyError:
-            if receiver == CLOUD_ID:  # the registry names a sender that holds no key
-                self.keys.edge_cloud_key(sender)
             raise UnknownPartyError(f"no link from {sender} to {receiver}") from None
 
     def _transmit(

@@ -179,7 +179,11 @@ def test_nonce_source_keeps_the_sha256_of_sender_seed_and_counter():
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**128 - 1), st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
-def test_a_tag_caches_its_wire_bytes_and_cipher_nonce(nonce_int, ts, rnd):
+def test_a_tag_computes_its_cipher_nonce_once_when_first_sealed(nonce_int, ts, rnd):
     tag = _tag(nonce_int, ts, rnd)
-    assert tag.wire == tag.to_bytes() == tag.nonce + enc_u64(ts) + enc_u64(rnd)
-    assert tag.cipher_nonce == hashlib.sha256(tag.nonce).digest()[:12]
+    assert tag.to_bytes() == tag.nonce + enc_u64(ts) + enc_u64(rnd)
+    assert "cipher_nonce" not in vars(tag)  # a decoded tag that is never sealed hashes nothing
+    channel.seal(KEY, "P", "C", tag, b"x")
+    cached = vars(tag)["cipher_nonce"]
+    assert cached == hashlib.sha256(tag.nonce).digest()[:12]
+    assert tag.cipher_nonce is cached
