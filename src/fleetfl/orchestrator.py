@@ -252,14 +252,14 @@ class Simulator:
     def run_round(self, r: int, record: bool = False) -> tuple[RoundReport, RoundTrace | None]:
         trace = RoundTrace(round=r) if record else None
         self.pending = []
-        scaled, ctxs, deltas = self._train_and_privatise(r)
-        received, opened = self._mask_and_send(trace, r, scaled, ctxs)
+        scaled, ctxs, updates = self._train_and_privatise(r)
+        received, opened = self._mask_and_send(trace, r, scaled, ctxs, updates)
         admitted, rejected, charged = self._admit(trace, r, received, opened, ctxs)
         agreement, w_local, blocks = 0.0, 0.0, 0
         if not rejected:
             g = self._aggregate(r, admitted)
             self._distribute(trace, r, g)
-            node_params, records, agreement, w_local = self._feedback_phase(trace, r, g, deltas)
+            node_params, records, agreement, w_local = self._feedback_phase(trace, r, g, updates)
             try:
                 blocks = self._commit(r, charged, g.params, node_params, records)
             except ledger.QuorumNotReached:
@@ -268,46 +268,51 @@ class Simulator:
         return report, trace
 
     def _train_and_privatise(self, r: int):
-        """Local SGD, adaptive clipping and DP noise; returns the sample-scaled
-        updates, the privacy contexts and the raw local deltas, keyed by node."""
+        """Local SGD, then adaptive clipping and DP noise over the fleet in one
+        stacked pass; returns the sample-scaled updates stacked in node order,
+        the privacy contexts keyed by node and the raw local updates in node order."""
         cfg = self.cfg
         threat = cfg.threat_for_round(r)
-        scaled: dict[str, GradientUpdate] = {}
-        ctxs: dict[str, privacy.PrivacyContext] = {}
-        local_deltas: dict[str, np.ndarray] = {}
         trains = [self._parts[n][0] for n in self.node_ids]
         updates = self._train([self.node_params[n] for n in self.node_ids], trains, "train", r)
-        for node, train, upd in zip(self.node_ids, trains, updates):
-            ctx = privacy.assess_context(train.sensitivity, threat, upd.loss_trace, cfg.privacy)
-            clipped = privacy.clip_update(upd, ctx.clip_norm)
-            noised = privacy.add_dp_noise(clipped, ctx, sub_seed(cfg.seed, "noise", r, node))
-            # sender-side sample weighting keeps the aggregator blind to raw updates
-            scaled[node] = GradientUpdate(grad=noised.grad * upd.n_samples, n_samples=upd.n_samples)
-            ctxs[node] = ctx
-            local_deltas[node] = upd.grad
-        return scaled, ctxs, local_deltas
+        ctxs = {
+            node: privacy.assess_context(train.sensitivity, threat, upd.loss_trace, cfg.privacy)
+            for node, train, upd in zip(self.node_ids, trains, updates)
+        }
+        clipped = privacy.clip_fleet(
+            np.stack([u.grad for u in updates]), [c.clip_norm for c in ctxs.values()]
+        )
+        noised = privacy.noise_fleet(
+            clipped, [privacy.dp_sigma(c) for c in ctxs.values()],
+            [sub_seed(cfg.seed, "noise", r, node) for node in self.node_ids],
+        )
+        # sender-side sample weighting keeps the aggregator blind to raw updates
+        scaled = noised * np.array([u.n_samples for u in updates])[:, None]
+        return scaled, ctxs, updates
 
     def _mask_and_send(
-        self, trace, r: int, scaled, ctxs
+        self, trace, r: int, scaled, ctxs, updates
     ) -> tuple[list[masking.MaskedUpdate], dict[str, bytes]]:
         """Mask every update and send it to the cloud, which checks its hash and
         origin; returns the updates the cloud received and, keyed by node, the
         bytes it opened."""
-        strengths = {
-            n: ctxs[n].mask_strength * max(1.0, float(np.linalg.norm(scaled[n].grad)))
-            for n in self.node_ids
-        }
+        ids = self.node_ids
+        strengths = np.array([ctxs[n].mask_strength for n in ids]) * np.maximum(
+            1.0, privacy.row_norms(scaled)
+        )
         round_seed = sub_seed(self.cfg.seed, "masks", r)
         masks = masking.derive_masks(
-            round_seed, self.node_ids, self.dim + 1, strengths, round=r,
+            round_seed, ids, self.dim + 1, dict(zip(ids, strengths)), round=r,
             threat=self.cfg.threat_for_round(r),
         )
         masked: dict[str, masking.MaskedUpdate] = {}
         received: list[masking.MaskedUpdate] = []
         opened: dict[str, bytes] = {}
-        for node in self.node_ids:
+        for node, grad, upd in zip(ids, scaled, updates):
             tag = self._tag(node, r)
-            masked[node] = masking.apply_mask(node, scaled[node], masks[node], tag)
+            masked[node] = masking.apply_mask(
+                node, GradientUpdate(grad=grad, n_samples=upd.n_samples), masks[node], tag
+            )
             payload = opened[node] = self._transmit(
                 trace, tag, node, CLOUD_ID, "local_update", masked[node].to_bytes()
             )
@@ -319,13 +324,15 @@ class Simulator:
                 raise ProtocolViolation("update origin does not match envelope sender")
             received.append(mu)
         if trace is not None:
-            trace.raw_updates = {n: scaled[n].grad.copy() for n in self.node_ids}
+            trace.raw_updates = dict(zip(ids, scaled.copy()))
             trace.masked = masked
         return received, opened
 
     def _admit(self, trace, r: int, received, opened, ctxs):
         """Ledger admission: forward the bytes the cloud opened for every kept
-        update to the ledger, then check and stage them all at one clock reading.
+        update to the ledger, which checks they arrived unchanged and so takes
+        the update the cloud decoded from them; then check and stage them all
+        at one clock reading.
 
         Returns (admitted updates, rejections, epsilon to charge per node at
         commit). Any rejection admits nothing: masks cannot cancel over a
@@ -333,15 +340,15 @@ class Simulator:
         """
         cleaned, drops = aggregation.preprocess_updates(received, self.dim + 1)
         rejected: list[tuple[str, list[str]]] = [(n, [reason]) for n, reason in drops]
-        logged = [
-            masking.MaskedUpdate.from_bytes(self._transmit(
-                trace, self._tag(CLOUD_ID, r), CLOUD_ID, LEDGER_ID, "ledger_log",
-                opened[mu.node_id],
-            ))
-            for mu in cleaned
-        ]
+        for mu in cleaned:
+            sent = opened[mu.node_id]
+            got = self._transmit(
+                trace, self._tag(CLOUD_ID, r), CLOUD_ID, LEDGER_ID, "ledger_log", sent
+            )
+            if got != sent:
+                raise ProtocolViolation(f"logged update of {mu.node_id} corrupted in transit")
         admitted = [
-            (mu, *self.local_update_entry(mu, r, ctxs[mu.node_id].epsilon)) for mu in logged
+            (mu, *self.local_update_entry(mu, r, ctxs[mu.node_id].epsilon)) for mu in cleaned
         ]
         for mu, meta, state in admitted:
             result = ledger.stage_block(self.pending, mu.payload_hash, meta, self.rules, state)
@@ -399,7 +406,7 @@ class Simulator:
         if not result.accepted:
             raise ledger.ContractRejected(result.reasons)
 
-    def _feedback_phase(self, trace, r: int, g: aggregation.GlobalUpdate, local_deltas):
+    def _feedback_phase(self, trace, r: int, g: aggregation.GlobalUpdate, updates):
         """Dual-model validation and local correction of the whole fleet in one
         pass each, then fusion at each node; returns (node models, explanation
         records, mean agreement, mean w_local). Each node's logged explanation,
@@ -416,7 +423,7 @@ class Simulator:
         trains, holds = zip(*(self._parts[node] for node in ids))
         # Model 1: each node's local model; Model 2: the global model tuned on its holdout rows
         model2_updates = self._train([g.params] * len(ids), holds, "model2", r)
-        V1 = np.stack([self.node_params[n].as_vector() + local_deltas[n] for n in ids])
+        V1 = np.stack([self.node_params[n].as_vector() + u.grad for n, u in zip(ids, updates)])
         V2 = g.params.as_vector() + np.stack([u.grad for u in model2_updates])
         val_X = np.stack([t.features[: fb.max_validation_samples] for t in trains])
         val_y = np.stack([t.labels[: fb.max_validation_samples] for t in trains])

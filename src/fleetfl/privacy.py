@@ -5,6 +5,20 @@ between the bounds a ``config.PrivacyConfig`` holds (eps_max=inf disables noise
 entirely); the Gaussian mechanism uses
 sigma = clip_norm * sqrt(2 ln(1.25/delta)) / eps per coordinate, and budgets
 compose linearly.
+
+Clipping and noise each have one fleet form over a stack of updates, one row
+per node: ``clip_fleet`` and ``noise_fleet``. ``clip_vector``/``clip_update``
+and ``gaussian_noise``/``add_dp_noise`` are their one-row forms, so a node's
+update and the published aggregate take the same path as a fleet's. A row's
+noise comes from its own ``default_rng(seed)``; a row with no sigma (eps=inf)
+draws nothing and keeps its bits.
+
+``row_norms`` takes every row's L2 norm as one batched ``np.matmul`` of each
+row with itself, which computes each row's sum of squares with the same
+vector dot that ``np.linalg.norm`` of that row alone uses, then ``np.sqrt``:
+the norms, and so the clipped bits, are those of one call per row.
+``np.einsum("ij,ij->i")`` and ``np.linalg.norm(U, axis=1)`` sum the squares
+in other orders, and their last bits differ on most stacks.
 """
 
 from __future__ import annotations
@@ -83,20 +97,41 @@ def assess_context(
     )
 
 
+def row_norms(U: np.ndarray) -> np.ndarray:
+    """Each row's L2 norm, bit for bit that of ``np.linalg.norm`` of the row
+    alone; a sum of squares that overflows is inf."""
+    U = np.ascontiguousarray(U, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        squares = np.matmul(U[:, None, :], U[:, :, None])[:, 0, 0]
+    return np.sqrt(squares)
+
+
+def clip_fleet(U: np.ndarray, clip_norms) -> np.ndarray:
+    """Each row of U scaled down to L2 norm at most its clip norm; U itself
+    when every row is already within."""
+    clip_norms = np.asarray(clip_norms, dtype=np.float64)
+    if np.any(clip_norms <= 0):
+        raise ValueError("clip_norm must be positive")
+    if not np.all(np.isfinite(U)):
+        raise ValueError("non-finite update")
+    norms = row_norms(U)
+    over = ~(norms <= clip_norms)
+    if not over.any():
+        return U
+    huge = over & np.isinf(norms)
+    if huge.any():  # the sum of squares overflowed: take the direction first
+        U = U.copy()
+        U[huge] /= np.max(np.abs(U[huge]), axis=1, keepdims=True)
+        norms[huge] = row_norms(U[huge])
+    scale = np.divide(clip_norms, norms, out=np.ones_like(norms), where=over)
+    return U * scale[:, None]
+
+
 def clip_vector(v: np.ndarray, clip_norm: float) -> np.ndarray:
     """Scale v down to L2 norm clip_norm; v itself when already within."""
-    if clip_norm <= 0:
-        raise ValueError("clip_norm must be positive")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("non-finite update")
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(v))
-    if norm <= clip_norm:
-        return v
-    if math.isinf(norm):  # the sum of squares overflowed: take the direction first
-        v = v / np.max(np.abs(v))
-        norm = float(np.linalg.norm(v))
-    return v * (clip_norm / norm)
+    V = v[None, :]
+    out = clip_fleet(V, [clip_norm])
+    return v if out is V else out[0]
 
 
 def clip_update(update: GradientUpdate, clip_norm: float) -> GradientUpdate:
@@ -118,17 +153,37 @@ def gaussian_sigma(clip_norm: float, epsilon: float, delta: float) -> float:
     return clip_norm * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
 
 
+def dp_sigma(ctx: PrivacyContext) -> float | None:
+    """The context's per-coordinate noise scale; None when eps=inf adds no noise."""
+    if math.isinf(ctx.epsilon):
+        return None
+    return gaussian_sigma(ctx.clip_norm, ctx.epsilon, ctx.delta)
+
+
+def noise_fleet(U: np.ndarray, sigmas, rng_seeds) -> np.ndarray:
+    """Each row of U plus i.i.d. Gaussian noise of its sigma, drawn from
+    ``default_rng`` of its own seed: the one Gaussian mechanism, for the
+    fleet's updates and the published aggregate. A row whose sigma is None
+    draws nothing; U itself when no row draws."""
+    rows = [(i, s, seed) for i, (s, seed) in enumerate(zip(sigmas, rng_seeds)) if s is not None]
+    if not rows:
+        return U
+    out = np.array(U, dtype=np.float64)
+    for i, sigma, seed in rows:
+        out[i] += np.random.default_rng(seed).normal(0.0, sigma, size=out.shape[1])
+    return out
+
+
 def gaussian_noise(v: np.ndarray, sigma: float, rng_seed: int) -> np.ndarray:
-    """v plus i.i.d. Gaussian noise of scale sigma: the one Gaussian mechanism,
-    for a node's update and for the published aggregate."""
-    return v + np.random.default_rng(rng_seed).normal(0.0, sigma, size=v.shape)
+    """v plus i.i.d. Gaussian noise of scale sigma: noise_fleet's one-row form."""
+    return noise_fleet(v[None, :], [sigma], [rng_seed])[0]
 
 
 def add_dp_noise(update: GradientUpdate, ctx: PrivacyContext, rng_seed: int) -> GradientUpdate:
     """Add i.i.d. Gaussian noise calibrated to the context; eps=inf is identity."""
-    if math.isinf(ctx.epsilon):
+    sigma = dp_sigma(ctx)
+    if sigma is None:
         return update
-    sigma = gaussian_sigma(ctx.clip_norm, ctx.epsilon, ctx.delta)
     grad = gaussian_noise(update.grad, sigma, rng_seed)
     return GradientUpdate(grad=grad, n_samples=update.n_samples, loss_trace=list(update.loss_trace))
 

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fleetfl import (
-    attacks, channel, config, feedback, ledger, masking, models, orchestrator, telemetry,
+    attacks, channel, config, feedback, ledger, masking, models, orchestrator, privacy, telemetry,
 )
 from fleetfl.encoding import canonical_hash, hash_vector, sub_seed
 from fleetfl.orchestrator import Simulator, run
@@ -279,6 +279,52 @@ def test_small_global_dp_run_bytes_are_pinned(tmp_path):
         "metrics.jsonl": "eec96a8fc09d4d98ab480e39b6b0f0f5b7b480b2e5832ff6366a70e9370d4449",
         "chain.json": "e9bba48a8e59143acaaaa94d82f8ef10501b8a24be6f5003a8f33247c7d6e101",
     }
+
+
+def test_small_no_noise_run_bytes_are_pinned(tmp_path):
+    # eps_max inf: no node draws noise, so each update is only clipped and
+    # scaled; the digests were recorded before the privacy stage ran as a fleet
+    run(make_cfg(fleet={"n_nodes": 6}, feedback={"enabled": False}, output_dir=str(tmp_path)))
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("metrics.jsonl", "chain.json")
+    }
+    assert digests == {
+        "metrics.jsonl": "d356a3a3d3dbfb2d003a252c7626c4a904efe51f73de8dae11822e06020ad879",
+        "chain.json": "37c9ee2d22c860c5f68851110a2708bb173a203decaaebcf2d71125d91f23f80",
+    }
+
+
+def _per_node_train_and_privatise(sim, r):
+    """The privacy stage as a loop of one clip and one noise call per node,
+    returning the sample-scaled updates stacked in node order."""
+    cfg = sim.cfg
+    threat = cfg.threat_for_round(r)
+    trains = [sim._parts[n][0] for n in sim.node_ids]
+    updates = sim._train([sim.node_params[n] for n in sim.node_ids], trains, "train", r)
+    scaled = []
+    for node, train, upd in zip(sim.node_ids, trains, updates):
+        ctx = privacy.assess_context(train.sensitivity, threat, upd.loss_trace, cfg.privacy)
+        clipped = privacy.clip_update(upd, ctx.clip_norm)
+        noised = privacy.add_dp_noise(clipped, ctx, sub_seed(cfg.seed, "noise", r, node))
+        scaled.append(noised.grad * upd.n_samples)
+    return np.stack(scaled), updates
+
+
+def test_the_stacked_privacy_stage_equals_a_per_node_loop():
+    # clip norm 0.4 clips three of the six updates and leaves three within it
+    sim = Simulator(make_cfg(
+        rounds=1, fleet={"n_nodes": 6},
+        privacy={"eps_max": 8.0, "budget_cap": 500.0, "clip_norm": 0.4},
+    ))
+    scaled, ctxs, updates = sim._train_and_privatise(0)
+    expected, ref_updates = _per_node_train_and_privatise(sim, 0)
+    assert list(ctxs) == sim.node_ids
+    raw_norms = [float(np.linalg.norm(u.grad)) for u in updates]
+    assert 0 < sum(norm > 0.4 for norm in raw_norms) < len(raw_norms)
+    assert len({c.epsilon for c in ctxs.values()}) > 1
+    assert np.array_equal(scaled, expected)
+    assert all(np.array_equal(u.grad, v.grad) for u, v in zip(updates, ref_updates))
 
 
 def test_every_logged_explanation_is_the_one_validation_compared(monkeypatch):
@@ -794,3 +840,38 @@ def test_the_fleet256_benchmark_run_keeps_its_artifact_bytes(tmp_path):
         "metrics.jsonl": "d232325c5991d60a6908a9cc12002fc3446b78b9c3777755070d4bafbc6276eb",
         "chain.json": "6e44f4b9ea6155ccba473e13162fa40efa2aacf515fc0cd88d93004451d7566c",
     }
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["feedback-on", "feedback-off"])
+def test_each_local_update_is_decoded_once_a_round(monkeypatch, enabled):
+    sim = Simulator(make_cfg(rounds=2, feedback={"enabled": enabled}))
+    decoded = []
+    from_bytes = masking.MaskedUpdate.from_bytes
+
+    def counted(b):
+        decoded.append(b)
+        return from_bytes(b)
+
+    monkeypatch.setattr(masking.MaskedUpdate, "from_bytes", staticmethod(counted))
+    for r in range(2):
+        report, _ = sim.run_round(r)
+        assert not report.aborted
+        assert len(decoded) == len(NODES) * (r + 1)
+
+
+def test_a_logged_update_changed_on_the_ledger_leg_raises_protocol_violation(monkeypatch):
+    sim = Simulator(make_cfg(rounds=1))
+    transmit = sim._transmit
+
+    def one_byte_changed(trace, tag, sender, receiver, kind, payload):
+        got = transmit(trace, tag, sender, receiver, kind, payload)
+        if receiver == "ledger":
+            i = len(got) // 2
+            got = got[:i] + bytes([got[i] ^ 1]) + got[i + 1:]
+        return got
+
+    monkeypatch.setattr(sim, "_transmit", one_byte_changed)
+    with pytest.raises(orchestrator.ProtocolViolation, match="node-0"):
+        sim.run_round(0)
+    assert len(sim.chain) == 1 and sim.pending == []
+    assert all(sim.budget.spent_for(n) == 0.0 for n in NODES)

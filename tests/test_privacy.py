@@ -207,3 +207,137 @@ def test_budget_monotone_and_capped(charges, cap):
         assert spent >= prev
         assert spent <= cap + 1e-9
         prev = spent
+
+
+# -- the fleet forms against one call per node ------------------------------
+#
+# The per-node clip and noise functions as they were before the fleet forms,
+# kept here unchanged as references (renamed with a leading _ref_).
+
+
+def _ref_clip_vector(v: np.ndarray, clip_norm: float) -> np.ndarray:
+    """Scale v down to L2 norm clip_norm; v itself when already within."""
+    if clip_norm <= 0:
+        raise ValueError("clip_norm must be positive")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("non-finite update")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if norm <= clip_norm:
+        return v
+    if math.isinf(norm):  # the sum of squares overflowed: take the direction first
+        v = v / np.max(np.abs(v))
+        norm = float(np.linalg.norm(v))
+    return v * (clip_norm / norm)
+
+
+def _ref_clip_update(update: GradientUpdate, clip_norm: float) -> GradientUpdate:
+    """The update with its grad clipped by clip_vector; itself when already within."""
+    g = _ref_clip_vector(update.grad, clip_norm)
+    if g is update.grad:
+        return update
+    return GradientUpdate(grad=g, n_samples=update.n_samples, loss_trace=list(update.loss_trace))
+
+
+def _ref_gaussian_noise(v: np.ndarray, sigma: float, rng_seed: int) -> np.ndarray:
+    """v plus i.i.d. Gaussian noise of scale sigma: the one Gaussian mechanism,
+    for a node's update and for the published aggregate."""
+    return v + np.random.default_rng(rng_seed).normal(0.0, sigma, size=v.shape)
+
+
+def _ref_add_dp_noise(update: GradientUpdate, ctx: privacy.PrivacyContext,
+                      rng_seed: int) -> GradientUpdate:
+    """Add i.i.d. Gaussian noise calibrated to the context; eps=inf is identity."""
+    if math.isinf(ctx.epsilon):
+        return update
+    sigma = privacy.gaussian_sigma(ctx.clip_norm, ctx.epsilon, ctx.delta)
+    grad = _ref_gaussian_noise(update.grad, sigma, rng_seed)
+    return GradientUpdate(grad=grad, n_samples=update.n_samples, loss_trace=list(update.loss_trace))
+
+
+ROW_KINDS = ["any", "under", "at", "over", "zero", "near-1e200", "near-1e300"]
+
+
+@st.composite
+def fleet_rows(draw):
+    """(stack, clip norms, contexts, seeds): one row per node, each of a kind
+    that puts it under, exactly at or over its clip norm, or makes it zero or
+    huge enough that its sum of squares overflows."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 16))
+    rows, clips, ctxs, seeds = [], [], [], []
+    for _ in range(n):
+        kind = draw(st.sampled_from(ROW_KINDS))
+        base = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d)))
+        scale = {"zero": 0.0, "near-1e200": 1e200, "near-1e300": 1e300}.get(
+            kind, 10.0 ** draw(st.integers(-5, 5))
+        )
+        row = base * scale
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(row))
+        clip = draw(st.floats(1e-6, 1e6))
+        if norm > 0 and math.isfinite(norm):
+            clip = {"under": 2.0 * norm, "at": norm, "over": norm / 3.0}.get(kind, clip)
+        eps = draw(st.one_of(st.just(math.inf), st.floats(0.1, 20.0)))
+        rows.append(row)
+        clips.append(clip)
+        ctxs.append(privacy.PrivacyContext(eps, 1e-5, clip, 0.1))
+        seeds.append(draw(st.integers(0, 2**64 - 1)))
+    return np.stack(rows), clips, ctxs, seeds
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(fleet_rows())
+def test_fleet_privacy_equals_per_node_calls_bit_for_bit(fleet):
+    U, clips, ctxs, seeds = fleet
+    clipped = privacy.clip_fleet(U, clips)
+    noised = privacy.noise_fleet(clipped, [privacy.dp_sigma(c) for c in ctxs], seeds)
+    assert noised.shape == U.shape
+    for i, (clip, ctx, seed) in enumerate(zip(clips, ctxs, seeds)):
+        upd = GradientUpdate(grad=U[i].copy(), n_samples=1)
+        ref_clipped = _ref_clip_update(upd, clip)
+        ref = _ref_add_dp_noise(ref_clipped, ctx, seed)
+        assert clipped[i].tobytes() == ref_clipped.grad.tobytes()
+        assert noised[i].tobytes() == ref.grad.tobytes()
+        # the one-row forms take the same path, and keep returning their input
+        # when a row is within its bound or its epsilon is inf
+        own_clipped = privacy.clip_update(upd, clip)
+        own = privacy.add_dp_noise(own_clipped, ctx, seed)
+        assert (own_clipped is upd) == (ref_clipped is upd)
+        assert (own is own_clipped) == (ref is ref_clipped)
+        assert own.grad.tobytes() == ref.grad.tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 64), st.integers(1, 40), st.integers(-5, 5),
+    st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e200, 1e300]),
+)
+def test_row_norms_equal_numpy_norm_of_each_row(n, d, exponent, seed, huge):
+    rng = np.random.default_rng(seed)
+    # rows of unlike scales; some huge enough that their sums of squares overflow
+    U = rng.normal(size=(n, d)) * 10.0 ** rng.integers(exponent - 5, exponent + 6, size=(n, 1))
+    big = rng.random(n) < 0.2
+    U[big] = rng.normal(size=(int(big.sum()), d)) * huge
+    norms = privacy.row_norms(U)
+    with np.errstate(over="ignore"):
+        expected = [float(np.linalg.norm(row)) for row in U]
+    assert norms.tolist() == expected
+
+
+def test_fleet_forms_return_their_input_when_nothing_changes():
+    U = np.array([[3.0, 4.0], [0.0, 0.0], [-0.0, 1.0]])
+    assert privacy.clip_fleet(U, [5.0, 1.0, 1.0]) is U
+    assert privacy.noise_fleet(U, [None, None, None], [1, 2, 3]) is U
+    noised = privacy.noise_fleet(U, [None, 0.5, None], [1, 2, 3])
+    assert noised[0].tobytes() == U[0].tobytes() and noised[2].tobytes() == U[2].tobytes()
+    assert noised[1].tobytes() != U[1].tobytes()
+
+
+def test_clip_fleet_rejects_what_clip_vector_rejects():
+    with pytest.raises(ValueError, match="clip_norm must be positive"):
+        privacy.clip_fleet(np.ones((2, 3)), [1.0, 0.0])
+    with pytest.raises(ValueError, match="non-finite update"):
+        privacy.clip_fleet(np.array([[1.0, 2.0], [np.nan, 0.0]]), [1.0, 1.0])
