@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ledger
-from .channel import ChannelError, FreshnessTag, open_envelope, seal
+from .channel import ChannelError, FreshnessTag, Link, open_envelope, seal
 from .config import RunConfig
 # enc_vec is unused here but stays bound: the benchmark's tracer patches it by name
 from .encoding import enc_vec, hash_vector  # noqa: F401
@@ -92,8 +92,8 @@ def _deliver(sim: Simulator, kind: str, seeds, forge) -> AttackReport:
     for i, seed in enumerate(seeds):
         env = forge(i, seed).envelope
         try:
-            key, seen = sim.link(env.sender, env.receiver)
-            open_envelope(key, env, sim.rules.freshness_window, seen, sim.clock)
+            link, seen = sim.link(env.sender, env.receiver)
+            open_envelope(link, env, sim.rules.freshness_window, seen, sim.clock)
         except ChannelError as exc:
             detected += 1
             name = type(exc).__name__
@@ -144,7 +144,7 @@ def _attack_wrong_key(sim, trace, seeds, kind) -> AttackReport:
             sender = f"ghost-{i}"
         else:
             sender = sim.node_ids[int(rng.integers(len(sim.node_ids)))]
-        env = seal(adversary_key, sender, CLOUD_ID, _forged_tag(rng, sim, trace), payload)
+        env = seal(Link(sender, CLOUD_ID, adversary_key), _forged_tag(rng, sim, trace), payload)
         return WireMessage("local_update", env)
 
     return _deliver(sim, kind, seeds, forge)

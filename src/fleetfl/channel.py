@@ -5,9 +5,9 @@ nonce, timestamp, round) tuple is bound as associated data, so re-routing or
 reflecting an envelope fails authentication. Receivers keep a seen-nonce set
 and a freshness window over the simulated clock.
 
-Each key's cipher and each (sender, receiver) pair's encoded prefix of the
-associated data are built once and cached, and each tag computes its cipher
-nonce once: per message only its nonce, tag and AEAD call remain.
+Each directed link holds its key's cipher and its encoded (sender, receiver)
+prefix of the associated data, both built with the link, and each tag computes
+its cipher nonce once: per message only its nonce, tag and AEAD call remain.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
@@ -140,45 +140,41 @@ class NonceSource:
         return h.digest()[:NONCE_SIZE]
 
 
-# a fleet of n nodes has n + 1 keys and 2n + 1 links, used in the same order
-# every round. A fleet of 1,024 nodes or more so never finds its cipher
-# cached: each seal or open then rebuilds it and pays the cache's upkeep too,
-# about 0.25 µs over an uncached build (2.2 against 1.9 µs a seal on a 2-vCPU
-# host). The caches hold the last keys used until they are evicted, also after
-# the run that used them has ended.
-@functools.lru_cache(maxsize=1024)
-def _cipher(key: bytes) -> ChaCha20Poly1305:
-    return ChaCha20Poly1305(key)
+@dataclass(frozen=True)
+class Link:
+    """One directed link under its pre-shared key, with the key's cipher and the
+    encoded endpoints that prefix the associated data, built once with it."""
 
+    sender: str
+    receiver: str
+    key: bytes
+    cipher: ChaCha20Poly1305 = field(init=False, repr=False, compare=False)
+    endpoints: bytes = field(init=False, repr=False, compare=False)
 
-@functools.lru_cache(maxsize=2048)
-def _endpoints(sender: str, receiver: str) -> bytes:
-    return enc_str(sender) + enc_str(receiver)
-
-
-def _aad(sender: str, receiver: str, freshness: FreshnessTag) -> bytes:
-    return _endpoints(sender, receiver) + freshness.to_bytes()
+    def __post_init__(self):
+        if len(self.key) != KEY_SIZE:
+            raise ValueError("key must be 32 bytes")
+        object.__setattr__(self, "cipher", ChaCha20Poly1305(self.key))
+        object.__setattr__(self, "endpoints", enc_str(self.sender) + enc_str(self.receiver))
 
 
 def seal(
-    key: bytes,
-    sender: str,
-    receiver: str,
+    link: Link,
     freshness: FreshnessTag,
     payload: bytes,
     used_nonces: set[bytes] | None = None,
 ) -> Envelope:
-    """Authenticated encryption of payload bound to (sender, receiver, freshness)."""
-    if len(key) != KEY_SIZE:
-        raise ValueError("key must be 32 bytes")
+    """Authenticated encryption of payload bound to the link's endpoints and freshness."""
     if used_nonces is not None:
         if freshness.nonce in used_nonces:
-            raise NonceReuseError(f"sender {sender} reused a nonce")
+            raise NonceReuseError(f"sender {link.sender} reused a nonce")
         used_nonces.add(freshness.nonce)
-    blob = _cipher(key).encrypt(freshness.cipher_nonce, payload, _aad(sender, receiver, freshness))
+    blob = link.cipher.encrypt(
+        freshness.cipher_nonce, payload, link.endpoints + freshness.to_bytes()
+    )
     return Envelope(
-        sender=sender,
-        receiver=receiver,
+        sender=link.sender,
+        receiver=link.receiver,
         freshness=freshness,
         ciphertext=blob[:-TAG_SIZE],
         auth_tag=blob[-TAG_SIZE:],
@@ -186,23 +182,26 @@ def seal(
 
 
 def open_envelope(
-    key: bytes,
+    link: Link,
     env: Envelope,
     window: int,
     seen: set[bytes],
     now: int,
 ) -> bytes:
-    """Return the payload iff authentication, replay, and freshness checks pass.
+    """Return the payload iff the envelope names the link's endpoints and the
+    authentication, replay, and freshness checks pass.
 
     On success the nonce is added to the receiver's seen set.
     """
-    if len(key) != KEY_SIZE:
-        raise ValueError("key must be 32 bytes")
+    if (env.sender, env.receiver) != (link.sender, link.receiver):
+        raise TamperedError(
+            f"envelope {env.sender}->{env.receiver} opened on link {link.sender}->{link.receiver}"
+        )
     try:
-        payload = _cipher(key).decrypt(
+        payload = link.cipher.decrypt(
             env.freshness.cipher_nonce,
             env.ciphertext + env.auth_tag,
-            _aad(env.sender, env.receiver, env.freshness),
+            link.endpoints + env.freshness.to_bytes(),
         )
     except InvalidTag:
         raise TamperedError(f"envelope {env.sender}->{env.receiver} failed authentication") from None

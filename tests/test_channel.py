@@ -4,14 +4,16 @@ import hashlib
 
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fleetfl import channel
-from fleetfl.encoding import enc_u64
+from fleetfl.encoding import enc_str, enc_u64
 
 KEY = bytes(range(32))
 OTHER_KEY = bytes(range(1, 33))
+LINK = channel.Link("P", "C", KEY)
 
 
 def _tag(n=0, ts=5, rnd=0):
@@ -19,19 +21,19 @@ def _tag(n=0, ts=5, rnd=0):
     return channel.FreshnessTag(nonce=nonce, timestamp=ts, round=rnd)
 
 
-def _open(env, window=100, seen=None, now=10):
-    return channel.open_envelope(KEY, env, window, seen if seen is not None else set(), now)
+def _open(env, window=100, seen=None, now=10, link=LINK):
+    return channel.open_envelope(link, env, window, seen if seen is not None else set(), now)
 
 
 def test_round_trip_returns_payload():
-    env = channel.seal(KEY, "P", "C", _tag(), b"hello")
+    env = channel.seal(LINK, _tag(), b"hello")
     assert _open(env) == b"hello"
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.binary(min_size=0, max_size=512), st.integers(0, 2**127))
 def test_round_trip_arbitrary_payloads(payload, nonce_int):
-    env = channel.seal(KEY, "P", "C", _tag(nonce_int), payload)
+    env = channel.seal(LINK, _tag(nonce_int), payload)
     assert _open(env) == payload
 
 
@@ -50,13 +52,13 @@ def test_freshness_tag_round_trips_at_an_offset(prefix, nonce_int, ts, rnd, suff
 
 
 def test_wrong_key_fails_authentication():
-    env = channel.seal(KEY, "P", "C", _tag(), b"hello")
+    env = channel.seal(LINK, _tag(), b"hello")
     with pytest.raises(channel.TamperedError):
-        channel.open_envelope(OTHER_KEY, env, 100, set(), 10)
+        _open(env, link=channel.Link("P", "C", OTHER_KEY))
 
 
 def test_replayed_nonce_rejected_on_second_open():
-    env = channel.seal(KEY, "P", "C", _tag(), b"hello")
+    env = channel.seal(LINK, _tag(), b"hello")
     seen = set()
     _open(env, seen=seen)
     with pytest.raises(channel.ReplayedError):
@@ -64,11 +66,11 @@ def test_replayed_nonce_rejected_on_second_open():
 
 
 def test_stale_timestamp_rejected():
-    env = channel.seal(KEY, "P", "C", _tag(ts=5), b"hello")
+    env = channel.seal(LINK, _tag(ts=5), b"hello")
     with pytest.raises(channel.StaleError):
         _open(env, window=10, now=16)
     # exactly at the window edge still passes
-    env2 = channel.seal(KEY, "P", "C", _tag(n=1, ts=5), b"hello")
+    env2 = channel.seal(LINK, _tag(n=1, ts=5), b"hello")
     assert _open(env2, window=10, now=15) == b"hello"
 
 
@@ -76,7 +78,7 @@ def test_hundred_random_bit_flips_all_tampered():
     payload = bytes(np.random.default_rng(2).integers(0, 256, size=64, dtype=np.uint8))
     rng = np.random.default_rng(3)
     for i in range(100):
-        env = channel.seal(KEY, "P", "C", _tag(n=i), payload)
+        env = channel.seal(LINK, _tag(n=i), payload)
         blob = bytearray(env.ciphertext)
         bit = int(rng.integers(len(blob) * 8))
         blob[bit // 8] ^= 1 << (bit % 8)
@@ -86,42 +88,42 @@ def test_hundred_random_bit_flips_all_tampered():
 
 
 def test_flipped_auth_tag_is_tampered():
-    env = channel.seal(KEY, "P", "C", _tag(), b"hello")
+    env = channel.seal(LINK, _tag(), b"hello")
     env.auth_tag = bytes([env.auth_tag[0] ^ 1]) + env.auth_tag[1:]
     with pytest.raises(channel.TamperedError):
         _open(env)
 
 
 def test_sender_receiver_binding_in_associated_data():
-    env = channel.seal(KEY, "P", "C", _tag(), b"hello")
+    env = channel.seal(LINK, _tag(), b"hello")
     env.sender, env.receiver = env.receiver, env.sender
     with pytest.raises(channel.TamperedError):
         _open(env)
 
 
 def test_freshness_binding_in_associated_data():
-    env = channel.seal(KEY, "P", "C", _tag(ts=5), b"hello")
+    env = channel.seal(LINK, _tag(ts=5), b"hello")
     env.freshness = channel.FreshnessTag(env.freshness.nonce, 6, env.freshness.round)
     with pytest.raises(channel.TamperedError):
         _open(env)
 
 
 def test_distinct_nonces_give_distinct_ciphertexts():
-    a = channel.seal(KEY, "P", "C", _tag(n=0), b"same payload")
-    b = channel.seal(KEY, "P", "C", _tag(n=1), b"same payload")
+    a = channel.seal(LINK, _tag(n=0), b"same payload")
+    b = channel.seal(LINK, _tag(n=1), b"same payload")
     assert a.ciphertext != b.ciphertext
 
 
 def test_sender_side_nonce_reuse_rejected():
     used = set()
-    channel.seal(KEY, "P", "C", _tag(n=7), b"x", used_nonces=used)
+    channel.seal(LINK, _tag(n=7), b"x", used_nonces=used)
     with pytest.raises(channel.NonceReuseError):
-        channel.seal(KEY, "P", "C", _tag(n=7), b"y", used_nonces=used)
+        channel.seal(LINK, _tag(n=7), b"y", used_nonces=used)
 
 
 def test_plaintext_never_appears_in_envelope_bytes():
     payload = b"very-secret-telemetry-coordinates"
-    env = channel.seal(KEY, "P", "C", _tag(), payload)
+    env = channel.seal(LINK, _tag(), payload)
     assert payload not in env.to_bytes()
 
 
@@ -146,24 +148,36 @@ def test_bad_nonce_length_rejected():
         channel.FreshnessTag(nonce=b"\x00" * 8, timestamp=0, round=0)
 
 
-# -- the cached envelope path ---------------------------------------------------
+# -- the link ------------------------------------------------------------------
 
 
-def test_a_warm_cache_still_rejects_an_envelope_opened_under_another_key():
-    for key in (KEY, OTHER_KEY):  # both keys' ciphers are cached
-        env = channel.seal(key, "P", "C", _tag(n=1), b"warm")
-        assert channel.open_envelope(key, env, 100, set(), 10) == b"warm"
-    env = channel.seal(KEY, "P", "C", _tag(n=2), b"hello")
-    with pytest.raises(channel.TamperedError):
-        channel.open_envelope(OTHER_KEY, env, 100, set(), 10)
+def test_a_link_rejects_a_key_that_is_not_32_bytes():
+    for key in (b"", KEY[:31], KEY + b"\x00"):
+        with pytest.raises(ValueError, match="key must be 32 bytes"):
+            channel.Link("P", "C", key)
 
 
-def test_a_warm_cache_still_rejects_endpoints_swapped_after_sealing():
-    for sender, receiver in (("P", "C"), ("C", "P")):  # both prefixes are cached
-        assert _open(channel.seal(KEY, sender, receiver, _tag(n=1), b"warm")) == b"warm"
-    env = channel.seal(KEY, "P", "C", _tag(n=2), b"hello")
+def test_a_link_prefixes_the_associated_data_with_its_endpoints():
+    tag = _tag()
+    env = channel.seal(LINK, tag, b"hello")
+    aad = enc_str("P") + enc_str("C") + tag.to_bytes()
+    assert ChaCha20Poly1305(KEY).decrypt(
+        tag.cipher_nonce, env.ciphertext + env.auth_tag, aad
+    ) == b"hello"
+
+
+def test_an_envelope_opens_only_on_the_link_it_was_sealed_on():
+    env = channel.seal(LINK, _tag(), b"hello")
+    # the same endpoints under another key: the AEAD fails
+    with pytest.raises(channel.TamperedError, match="failed authentication"):
+        _open(env, link=channel.Link("P", "C", OTHER_KEY))
     env.sender, env.receiver = env.receiver, env.sender
-    with pytest.raises(channel.TamperedError):
+    # endpoints swapped after sealing, under the link the envelope now names:
+    # the associated data differ, so the AEAD fails
+    with pytest.raises(channel.TamperedError, match="failed authentication"):
+        _open(env, link=channel.Link("C", "P", KEY))
+    # under the link it was sealed on, the endpoints do not match
+    with pytest.raises(channel.TamperedError, match="opened on link P->C"):
         _open(env)
 
 
@@ -183,7 +197,7 @@ def test_a_tag_computes_its_cipher_nonce_once_when_first_sealed(nonce_int, ts, r
     tag = _tag(nonce_int, ts, rnd)
     assert tag.to_bytes() == tag.nonce + enc_u64(ts) + enc_u64(rnd)
     assert "cipher_nonce" not in vars(tag)  # a decoded tag that is never sealed hashes nothing
-    channel.seal(KEY, "P", "C", tag, b"x")
+    channel.seal(LINK, tag, b"x")
     cached = vars(tag)["cipher_nonce"]
     assert cached == hashlib.sha256(tag.nonce).digest()[:12]
     assert tag.cipher_nonce is cached

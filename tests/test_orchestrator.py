@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from fleetfl import (
     attacks, channel, config, feedback, ledger, masking, models, orchestrator, privacy, telemetry,
 )
-from fleetfl.encoding import canonical_hash, hash_vector, sub_seed
+from fleetfl.encoding import canonical_hash, enc_str, hash_vector, sub_seed
 from fleetfl.orchestrator import Simulator, run
 
 NODES = ["node-0", "node-1", "node-2"]
@@ -139,7 +139,7 @@ def test_global_dp_run_is_deterministic_and_logs_the_published_model(tmp_path):
         assert logged.payload_hash == canonical_hash(orchestrator.params_bytes(sim.global_params))
         runs.append([
             (tmp_path / sub / name).read_bytes()
-            for name in ("metrics.jsonl", "summary.csv", "chain.json", "explanations.jsonl")
+            for name in ("metrics.jsonl", "chain.json", "explanations.jsonl")
         ])
     assert runs[0] == runs[1]
 
@@ -393,8 +393,9 @@ def test_threat_schedule_cycles():
 def test_artifacts_are_complete(tmp_path):
     cfg = make_cfg(rounds=2, output_dir=str(tmp_path))
     run(cfg)
-    for name in ("metrics.jsonl", "summary.csv", "chain.json", "explanations.jsonl"):
+    for name in ("metrics.jsonl", "chain.json", "explanations.jsonl"):
         assert (tmp_path / name).exists(), name
+    assert not (tmp_path / "summary.csv").exists()  # it restated metrics.jsonl
     lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
     assert len(lines) == 2
     rec = json.loads(lines[0])
@@ -778,17 +779,51 @@ def test_the_only_links_are_node_cloud_both_ways_and_cloud_ledger():
     assert set(sim.links) == (
         {(n, "cloud") for n in NODES} | {("cloud", n) for n in NODES} | {("cloud", "ledger")}
     )
+    assert all((link.sender, link.receiver) == pair for pair, (link, _) in sim.links.items())
     cloud_seen = sim.link(NODES[0], "cloud")[1]
     for n in NODES:
         up, down = sim.link(n, "cloud"), sim.link("cloud", n)
-        assert up[0] == down[0] == sim.keys.k_pc[n]
+        assert up[0].key == down[0].key == sim.keys.k_pc[n]
         assert up[1] is cloud_seen and down[1] is not cloud_seen
-    assert sim.link("cloud", "ledger")[0] == sim.keys.k_bc
+    assert sim.link("cloud", "ledger")[0].key == sim.keys.k_bc
     for sender, receiver in [("node-0", "node-1"), ("node-0", "ledger"), ("ledger", "cloud"),
                              ("cloud", "cloud"), ("ghost", "cloud"), ("cloud", "ghost"),
                              ("ledger", "node-0")]:
         with pytest.raises(channel.UnknownPartyError):
             sim.link(sender, receiver)
+
+
+def test_the_wire_bytes_of_a_small_feedback_run_are_pinned():
+    # the artifacts hash plaintexts only: this digest is what sees a change in
+    # a ciphertext, a tag or the associated data the envelopes are sealed under
+    sim = Simulator(make_cfg(fleet={"n_nodes": 4}))
+    h = hashlib.sha256()
+    for r in range(2):
+        report, trace = sim.run_round(r, record=True)
+        assert not report.aborted
+        for m in trace.messages:
+            h.update(enc_str(m.kind) + m.envelope.to_bytes())
+    assert h.hexdigest() == "e0710b723b2ff44756b52ffc442be866fdd0f8e9d126c490e55b5b946093c0fb"
+
+
+def test_a_round_builds_no_cipher(monkeypatch):
+    # each link builds its cipher with the simulator; a seed no other test uses
+    # keeps any cipher built elsewhere out of the count
+    built = []
+
+    def counted(key):
+        built.append(key)
+        return cipher(key)
+
+    cipher = channel.ChaCha20Poly1305
+    monkeypatch.setattr(channel, "ChaCha20Poly1305", counted)
+    sim = Simulator(make_cfg(seed=8191, fleet={"n_nodes": 4}))
+    assert len(built) == len(sim.links) == 2 * 4 + 1
+    del built[:]
+    for r in range(2):
+        report, _ = sim.run_round(r)
+        assert not report.aborted
+        assert built == []
 
 
 @pytest.mark.parametrize("receiver", ["node-1", "ledger"])
@@ -799,7 +834,7 @@ def test_the_cloud_cannot_speak_for_a_node_on_a_link_the_protocol_lacks(receiver
     sim.run_round(0)
     key = sim.keys.k_pc["node-1"] if receiver == "node-1" else sim.keys.k_bc
     tag = channel.FreshnessTag(nonce=bytes(16), timestamp=sim.clock, round=0)
-    env = channel.seal(key, "node-0", receiver, tag, b"forged")
+    env = channel.seal(channel.Link("node-0", receiver, key), tag, b"forged")
     forged = orchestrator.WireMessage("feedback", env)
     report = attacks._deliver(sim, "forge", [0], lambda i, seed: forged)
     assert report.detected == 1
@@ -811,8 +846,8 @@ def test_the_ledger_logs_the_bytes_the_cloud_opened():
     _, trace = sim.run_round(0, record=True)
 
     def plaintext(msg):
-        key, _ = sim.link(msg.envelope.sender, msg.envelope.receiver)
-        return channel.open_envelope(key, msg.envelope, sim.rules.freshness_window, set(),
+        link, _ = sim.link(msg.envelope.sender, msg.envelope.receiver)
+        return channel.open_envelope(link, msg.envelope, sim.rules.freshness_window, set(),
                                      sim.clock)
 
     opened = {m.envelope.sender: plaintext(m) for m in trace.messages if m.kind == "local_update"}
