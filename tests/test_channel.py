@@ -181,6 +181,26 @@ def test_an_envelope_opens_only_on_the_link_it_was_sealed_on():
         _open(env)
 
 
+def test_a_warm_cache_still_rejects_an_envelope_opened_under_another_key():
+    links = [channel.Link("P", "C", key) for key in (KEY, OTHER_KEY)]
+    for link in links:  # each link's cipher has already sealed and opened
+        env = channel.seal(link, _tag(n=1), b"warm")
+        assert _open(env, link=link) == b"warm"
+    env = channel.seal(links[0], _tag(n=2), b"hello")
+    with pytest.raises(channel.TamperedError):
+        _open(env, link=links[1])
+
+
+def test_a_warm_cache_still_rejects_endpoints_swapped_after_sealing():
+    links = {(s, r): channel.Link(s, r, KEY) for s, r in (("P", "C"), ("C", "P"))}
+    for link in links.values():  # each link's endpoint prefix has already been used
+        assert _open(channel.seal(link, _tag(n=1), b"warm"), link=link) == b"warm"
+    env = channel.seal(links["P", "C"], _tag(n=2), b"hello")
+    env.sender, env.receiver = env.receiver, env.sender
+    with pytest.raises(channel.TamperedError):
+        _open(env, link=links["C", "P"])
+
+
 def test_nonce_source_keeps_the_sha256_of_sender_seed_and_counter():
     # sha256(enc_str("P") + enc_u64(1) + enc_u64(counter))[:16] for counters 0, 1, 2
     src = channel.NonceSource("P", 1)
