@@ -168,7 +168,8 @@ def _attack_poison(sim, trace, seeds, factor: float = 100.0) -> AttackReport:
         tag = _forged_tag(rng, sim, trace)
         forged = dataclasses.replace(honest, payload=payload, freshness=tag,
                                      payload_hash=hash_vector(payload))
-        meta, state = sim.local_update_entry(forged, trace.round, 0.0)
+        ((meta, state),) = sim.local_update_entries(trace.round, [forged], [forged.to_bytes()],
+                                                    [0.0])
         result = ledger.contract_validate(meta, forged.payload_hash, rules, state)
         if not result.accepted and "norm_bound" in result.reasons:
             detected += 1

@@ -5,6 +5,24 @@ through these helpers: fixed field order, length-prefixed variable fields,
 big-endian integers, IEEE-754 big-endian doubles. Two runs (or two
 implementations) that agree on the field values produce identical bytes and
 therefore identical digests.
+
+The module also holds the one randomness rule of a round. A draw is keyed by
+a 64-bit seed from ``sub_seed``, and its stream is the SHAKE-128 (FIPS 202)
+output of ``enc_u64(seed)``, read as big-endian uint64 words. From the words:
+
+- a standard normal takes two words, the top 53 bits of word k and of word
+  d + k of a 2·d-word block as uniforms u1 in (0, 1] and u2 in [0, 1), and
+  the Box–Muller cos branch alone, sqrt(-2 ln u1)·cos(2π u2) (``normals``);
+- an integer in [0, k) takes the top 32 bits x of one word, by Lemire's
+  multiply-shift ("Fast Random Integer Generation in an Interval", ACM
+  TOMACS 2019): x·k >> 32, with the word rejected when the low 32 bits of
+  x·k fall below 2^32 mod k. The i-th integer comes from the i-th accepted
+  word, so a shorter draw is a prefix of a longer one (``integers``);
+- a permutation of n items is the stable argsort of n words
+  (``permutations``).
+
+Each form takes a list of seeds and draws every stream in one SHAKE pass per
+seed and one stacked transform; row i equals the draw of seed i alone.
 """
 
 from __future__ import annotations
@@ -68,3 +86,64 @@ def sub_seed(*parts) -> int:
     every random stream of a run is keyed."""
     h = hashlib.sha256(":".join(str(p) for p in parts).encode()).digest()
     return int.from_bytes(h[:8], "big")
+
+
+_U53 = 2.0**-53  # one step of a 53-bit uniform
+
+
+def _digest(seed: int, n_words: int) -> bytes:
+    if not 0 <= seed < 1 << 64:
+        raise ValueError("a stream seed must lie in [0, 2^64)")
+    return hashlib.shake_128(enc_u64(seed)).digest(8 * n_words)
+
+
+def streams(seeds, n_words: int) -> np.ndarray:
+    """The first n_words words of each seed's stream: (len(seeds), n_words) uint64."""
+    raw = b"".join([_digest(seed, n_words) for seed in seeds])
+    return np.frombuffer(raw, dtype=">u8").reshape(len(seeds), n_words).astype(np.uint64)
+
+
+def stream(seed: int, n_words: int) -> np.ndarray:
+    """The big-endian uint64 words of ``shake_128(enc_u64(seed)).digest(8·n_words)``."""
+    return streams([seed], n_words)[0]
+
+
+def normals(words: np.ndarray) -> np.ndarray:
+    """Standard normals by the Box–Muller cos branch from words (..., 2, d):
+    u1 from words[..., 0, :] and u2 from words[..., 1, :] -> (..., d)."""
+    top = words >> np.uint64(11)
+    u1 = (top[..., 0, :] + np.uint64(1)) * _U53
+    u2 = top[..., 1, :] * _U53
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+def integers(seeds, k: int, count: int) -> np.ndarray:
+    """count integers in [0, k) from each seed's stream by Lemire's method:
+    (len(seeds), count) int64. A seed whose first count words hold a rejected
+    one reads on along its stream until count words are accepted."""
+    if not 1 <= k <= 1 << 32:
+        raise ValueError("k must lie in [1, 2^32]")
+    reject_below = np.uint64((1 << 32) % k)
+
+    def draw(row_seeds, n_words):
+        m = (streams(row_seeds, n_words) >> np.uint64(32)) * np.uint64(k)
+        return (m >> np.uint64(32)).astype(np.int64), (m & np.uint64(0xFFFFFFFF)) >= reject_below
+
+    out, accepted = draw(seeds, count)
+    for i in np.flatnonzero(~accepted.all(axis=1)):
+        n_words = count
+        while True:
+            n_words *= 2
+            values, ok = draw([seeds[i]], n_words)
+            values = values[0][ok[0]]
+            if len(values) >= count:
+                out[i] = values[:count]
+                break
+    return out
+
+
+def permutations(seeds, count: int, n: int) -> np.ndarray:
+    """count permutations of range(n) from each seed's stream, the j-th the
+    stable argsort of words j·n .. (j + 1)·n − 1: (len(seeds), count, n)."""
+    keys = streams(seeds, count * n).reshape(len(seeds), count, n)
+    return np.argsort(keys, axis=2, kind="stable")

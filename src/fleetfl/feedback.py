@@ -9,8 +9,8 @@ Validation and correction each have a fleet form that takes N models stacked
 as (N, d + 1) and their rows as (N, n, d); the one-model functions are those
 forms at N = 1, so a fleet pass equals N one-model calls bit for bit.
 ``explain`` is the shared attribution kernel at N = 1. Each pass draws from
-one numpy stream per node: validation draws every sample's perturbation rows
-from its node's seed in one call, and its report carries Model 1's
+one stream per node: validation draws every sample's perturbation rows from
+its node's seed by ``encoding.integers``, and its report carries Model 1's
 explanation of the first sample, made from block 0 of those rows.
 """
 
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
+from .encoding import integers
 # evaluate, predict and train_local are unused here but stay bound: the
 # benchmark's tracer patches them by name
 from .models import ModelParams, evaluate, predict, train_fleet, train_local  # noqa: F401
@@ -138,9 +139,9 @@ def explain(
     seed: int,
 ) -> Explanation:
     """Permutation importance: per-feature mean |prediction change| when the
-    feature is swapped in from a random background row. ``default_rng(seed)``
-    draws the n_repeats x dim rows in one call, and all perturbations are
-    scored in one batched prediction."""
+    feature is swapped in from a random background row. The seed's stream
+    draws the n_repeats x dim rows by ``encoding.integers``, and all
+    perturbations are scored in one batched prediction."""
     V = params.as_vector()[None]
     _check_models(V)
     sample = np.asarray(sample, dtype=np.float64)
@@ -151,7 +152,7 @@ def explain(
     if sample.shape != (dim,) or background.shape[1] != dim:
         raise ValueError("feature dimension mismatch")
     _check_seeds([seed], 1, n_repeats)
-    rows = np.random.default_rng(seed).integers(0, len(background), size=(n_repeats, dim))
+    rows = integers([seed], len(background), n_repeats * dim).reshape(n_repeats, dim)
     _, attributions, stability = _attribute(V, sample[None, None], background[None],
                                             rows[None, None])
     return Explanation(attributions=attributions[0, 0], stability=float(stability[0, 0]))
@@ -166,13 +167,13 @@ def validate_fleet(
 ) -> list[ValidationReport]:
     """Model 2 checks Model 1 on N nodes at once: V1 and V2 (N, d + 1), X (N, n, d).
 
-    Node k draws the perturbation rows of all its samples in one call,
-    ``default_rng(seeds[k]).integers(0, n, size=(n, n_repeats, d))``; sample i
-    uses block i, shared by both models. Each report carries Model 1's
-    explanation of sample 0 against X[k]: block 0 is the draw ``explain`` makes
-    with the same seed, so the two agree up to the rounding of their stacked
-    predictions. Each report equals ``validate_predictions`` of that node
-    alone, bit for bit.
+    Node k draws the perturbation rows of all its samples as the first
+    n·n_repeats·d integers in [0, n) of its seed's stream, shaped
+    (n, n_repeats, d); sample i uses block i, shared by both models. Each
+    report carries Model 1's explanation of sample 0 against X[k]: the draw is
+    prefix-stable, so block 0 is the draw ``explain`` makes with the same seed,
+    and the two agree up to the rounding of their stacked predictions. Each
+    report equals ``validate_predictions`` of that node alone, bit for bit.
     """
     V1 = np.asarray(V1, dtype=np.float64)
     V2 = np.asarray(V2, dtype=np.float64)
@@ -190,9 +191,7 @@ def validate_fleet(
     _check_seeds(seeds, len(V1), n_repeats)
 
     _, n, dim = X.shape
-    rows = np.stack([
-        np.random.default_rng(seed).integers(0, n, size=(n, n_repeats, dim)) for seed in seeds
-    ])
+    rows = integers(seeds, n, n * n_repeats * dim).reshape(len(seeds), n, n_repeats, dim)
     p1, attr1, stability1 = _attribute(V1, X, X, rows)
     p2, attr2, _ = _attribute(V2, X, X, rows)
     same_pred = (p1 >= 0.5) == (p2 >= 0.5)
@@ -217,9 +216,9 @@ def validate_predictions(
     seed: int,
 ) -> ValidationReport:
     """Model 2 checks Model 1: thresholded-prediction agreement plus agreement of
-    the top-attributed feature of each model's explanation. One stream,
-    ``default_rng(seed)``, draws every sample's perturbation rows in sample
-    order; both models share them."""
+    the top-attributed feature of each model's explanation. One stream, the
+    seed's, draws every sample's perturbation rows in sample order; both
+    models share them."""
     return validate_fleet(model1.as_vector()[None], model2.as_vector()[None], [X], n_repeats,
                           [seed])[0]
 

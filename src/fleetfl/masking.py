@@ -32,10 +32,9 @@ the threshold is a property of the modelled protocol, not of the simulation.
 
 The pair PRG is SHAKE-128 over the pair key
 ``enc_u64(round_seed mod 2^64) + enc_u64(round) + enc_str(i) + enc_str(j)``,
-read as 2·dim big-endian uint64 words. The top 53 bits of word k and of word
-dim + k become uniforms u1 in (0, 1] and u2 in [0, 1), and the Box–Muller cos
-branch alone, sqrt(-2 ln u1)·cos(2π u2), gives coordinate k of a standard
-normal vector, scaled by the pair's strength.
+read as 2·dim big-endian uint64 words. ``encoding.normals`` turns them into a
+standard normal vector, coordinate k from word k and word dim + k, which is
+scaled by the pair's strength.
 
 derive_masks draws the pairs in blocks of whole nodes, in roster order, each
 of at most BLOCK_PAIRS = 512 pairs or else of one node: one SHAKE pass, one
@@ -61,7 +60,7 @@ from typing import Mapping
 import numpy as np
 
 from .channel import FreshnessTag
-from .encoding import dec_vec, enc_str, enc_u64, enc_vec, hash_vector
+from .encoding import dec_vec, enc_str, enc_u64, enc_vec, hash_vector, normals
 from .models import GradientUpdate
 
 
@@ -82,6 +81,14 @@ class MaskedUpdate:
             + self.payload_hash
         )
 
+    @staticmethod
+    def payload_encoding(b: bytes) -> bytes:
+        """The ``enc_vec`` bytes of the payload inside the update's encoding b,
+        sliced out without decoding."""
+        (nlen,) = struct.unpack_from(">I", b, 0)
+        (n,) = struct.unpack_from(">I", b, 4 + nlen)
+        return b[4 + nlen : 8 + nlen + 8 * n]
+
     @classmethod
     def from_bytes(cls, b: bytes) -> "MaskedUpdate":
         (nlen,) = struct.unpack_from(">I", b, 0)
@@ -97,17 +104,6 @@ class MaskedUpdate:
             freshness=freshness,
             payload_hash=digest,
         )
-
-
-_U53 = 2.0**-53  # one step of a 53-bit uniform
-
-
-def _pair_normals(stream: bytes, pairs: int, dim: int) -> np.ndarray:
-    """Standard normal rows, one per pair, from that pair's 16·dim stream bytes."""
-    words = np.frombuffer(stream, dtype=">u8").reshape(pairs, 2, dim) >> np.uint64(11)
-    u1 = (words[:, 0] + np.uint64(1)) * _U53
-    u2 = words[:, 1] * _U53
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
 def half_degree(n: int, threat: float) -> int:
@@ -194,7 +190,7 @@ def derive_masks(
             hashlib.shake_128(keys[i] + ids[j]).digest(nbytes)
             for i, j in zip(I.tolist(), J.tolist())
         ])
-        rows = _pair_normals(stream, len(J), dim)
+        rows = normals(np.frombuffer(stream, dtype=">u8").reshape(len(J), 2, dim))
         rows *= np.maximum(s[I], s[J])[:, None]
         np.subtract.at(masks, J, rows)
         starts = np.cumsum(counts) - counts

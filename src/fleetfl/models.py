@@ -6,8 +6,9 @@ noising, masking, and sample-weighted averaging.
 
 Training is fleet-stacked: ``train_fleet`` steps every node's model together
 on ``(N, n, d)`` arrays, one gathered batch and one stacked gradient per step,
-while each node keeps its own seeded batch order. ``train_local`` and
-``gradient`` are its one-model calls. ``predict_fleet`` scores N stacked
+while each node keeps its own seeded batch order: every node's epoch orders
+are drawn by ``encoding.permutations`` in one stacked argsort.
+``train_local`` and ``gradient`` are its one-model calls. ``predict_fleet`` scores N stacked
 models on their own rows in one product, bit for bit as ``predict_batch``.
 ``score_fleet`` scores N stacked models on one shared sample set in one
 product; ``evaluate`` and ``false_positive_rate`` are its one-model calls.
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .encoding import permutations
 from .telemetry import NodePartition
 
 
@@ -133,8 +135,8 @@ def train_fleet(
 ) -> list[GradientUpdate]:
     """Mini-batch SGD of every node's model from its own start, stepped together.
 
-    Each node draws one permutation per epoch from ``default_rng(seed)``; every
-    step gathers all nodes' batches at once and takes one stacked gradient.
+    Each node's stream draws one permutation per epoch, all of them up front;
+    every step gathers all nodes' batches at once and takes one stacked gradient.
     Returns each node's cumulative parameter delta, in partition order.
     Partitions of unequal size cannot be stacked and raise ``ValueError``.
     """
@@ -148,12 +150,12 @@ def train_fleet(
     y = np.stack([p.labels for p in partitions])
     n = y.shape[1]
     rows = np.arange(len(partitions))[:, None]
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    orders = permutations(seeds, epochs, n)
     start = np.stack([p.as_vector() for p in params])
     cur = start
     epoch_losses = []
     for epoch in range(1, epochs + 1):
-        order = np.stack([rng.permutation(n) for rng in rngs])
+        order = orders[:, epoch - 1]
         for lo in range(0, n, batch):
             idx = order[:, lo : lo + batch]
             cur = cur - lr * _gradients(cur, X[rows, idx], y[rows, idx])

@@ -26,7 +26,7 @@ from .channel import (
     Envelope, FreshnessTag, KeyRegistry, Link, NonceSource, UnknownPartyError, open_envelope, seal,
 )
 from .config import RunConfig
-from .encoding import canonical_hash, enc_u64, enc_vec, hash_vector, sub_seed
+from .encoding import canonical_hash, enc_u64, enc_vec, hash_vector, permutations, sub_seed
 # evaluate, false_positive_rate and train_local are unused here but stay bound:
 # the benchmark's tracer patches them by name
 from .models import (  # noqa: F401
@@ -104,8 +104,12 @@ class Simulator:
         self.holdout_X, self.holdout_y = telemetry.generate_holdout(
             fleet, sub_seed(cfg.seed, "holdout"), cfg.holdout_samples
         )
-        # each node's (train, holdout) split, drawn once
-        self._parts = {p.node_id: self._split(p) for p in fleet.partitions}
+        # each node's (train, holdout) split, drawn once: every partition holds
+        # samples_per_node rows, so one stacked argsort orders them all
+        parts = fleet.partitions
+        seeds = [sub_seed(cfg.seed, "split", p.node_id) for p in parts]
+        orders = permutations(seeds, 1, fc.samples_per_node)[:, 0]
+        self._parts = {p.node_id: self._split(p, order) for p, order in zip(parts, orders)}
 
         self.budget = privacy.BudgetLedger(budget_cap=cfg.privacy.budget_cap)
 
@@ -165,11 +169,12 @@ class Simulator:
         )
         return c.fleet.samples_per_node * base * mask_allow * 10.0
 
-    def _split(self, part: telemetry.NodePartition) -> tuple[telemetry.NodePartition, ...]:
-        """The node's (train, holdout) partitions, drawn by its own seed."""
+    @staticmethod
+    def _split(part: telemetry.NodePartition,
+               order: np.ndarray) -> tuple[telemetry.NodePartition, ...]:
+        """The node's (train, holdout) partitions: the first rows of its drawn
+        order are held out."""
         n = part.n_samples
-        rng = np.random.default_rng(sub_seed(self.cfg.seed, "split", part.node_id))
-        order = rng.permutation(n)
         n_hold = max(1, int(round(HOLDOUT_FRACTION * n))) if n > 1 else 0
         hold, train = order[:n_hold], order[n_hold:]
         # a lone row trains and holds out at once
@@ -215,22 +220,34 @@ class Simulator:
             trace.messages.append(WireMessage(kind, env))
         return open_envelope(link, env, self.rules.freshness_window, seen, self.clock)
 
-    def local_update_entry(
-        self, mu: masking.MaskedUpdate, r: int, epsilon: float
-    ) -> tuple[ledger.BlockMeta, ledger.ValidationState]:
-        """The block metadata and contract state of one masked local update: the
-        one admission rule for the pipeline and the adversary harness."""
-        meta = ledger.BlockMeta(
-            kind="local_update", actor_id=mu.node_id, round=r, freshness=mu.freshness,
-            epsilon_charged=0.0 if math.isinf(epsilon) else epsilon,
-            model_version=self.global_params.version + 1,
+    def local_update_entries(
+        self, r: int, updates: list[masking.MaskedUpdate], wires: list[bytes],
+        epsilons: list[float],
+    ) -> list[tuple[ledger.BlockMeta, ledger.ValidationState]]:
+        """The block metadata and contract state of each masked local update,
+        given the bytes the ledger received it as: the one admission rule for
+        the pipeline and the adversary harness. The contract hashes the
+        payload's encoding as it sits in those bytes, and the updates' norms
+        come from one ``privacy.row_norms`` pass."""
+        norms = privacy.row_norms(
+            np.array([mu.payload for mu in updates]).reshape(len(updates), self.dim + 1)
         )
-        state = ledger.ValidationState(
-            seen_nonces=self.contract_nonces, budget=self.budget, now=self.clock,
-            payload=enc_vec(mu.payload), update_norm=float(np.linalg.norm(mu.payload)),
-            n_samples=mu.n_samples,
-        )
-        return meta, state
+        version = self.global_params.version + 1
+        return [
+            (
+                ledger.BlockMeta(
+                    kind="local_update", actor_id=mu.node_id, round=r, freshness=mu.freshness,
+                    epsilon_charged=0.0 if math.isinf(epsilon) else epsilon,
+                    model_version=version,
+                ),
+                ledger.ValidationState(
+                    seen_nonces=self.contract_nonces, budget=self.budget, now=self.clock,
+                    payload=masking.MaskedUpdate.payload_encoding(wire), update_norm=norm,
+                    n_samples=mu.n_samples,
+                ),
+            )
+            for mu, wire, epsilon, norm in zip(updates, wires, epsilons, norms.tolist())
+        ]
 
     def _commit(self, r: int, charged: dict[str, float], global_params: ModelParams,
                 node_params: dict[str, ModelParams], records: list[dict]) -> int:
@@ -348,9 +365,11 @@ class Simulator:
             )
             if got != sent:
                 raise ProtocolViolation(f"logged update of {mu.node_id} corrupted in transit")
-        admitted = [
-            (mu, *self.local_update_entry(mu, r, ctxs[mu.node_id].epsilon)) for mu in cleaned
-        ]
+        entries = self.local_update_entries(
+            r, cleaned, [opened[mu.node_id] for mu in cleaned],
+            [ctxs[mu.node_id].epsilon for mu in cleaned],
+        )
+        admitted = [(mu, meta, state) for mu, (meta, state) in zip(cleaned, entries)]
         for mu, meta, state in admitted:
             result = ledger.stage_block(self.pending, mu.payload_hash, meta, self.rules, state)
             if not result.accepted:

@@ -10,8 +10,9 @@ Clipping and noise each have one fleet form over a stack of updates, one row
 per node: ``clip_fleet`` and ``noise_fleet``. ``clip_vector``/``clip_update``
 and ``gaussian_noise``/``add_dp_noise`` are their one-row forms, so a node's
 update and the published aggregate take the same path as a fleet's. A row's
-noise comes from its own ``default_rng(seed)``; a row with no sigma (eps=inf)
-draws nothing and keeps its bits.
+noise is sigma times the ``encoding.normals`` of its own seed's stream, all
+rows in one stacked transform; a row with no sigma (eps=inf) draws nothing and
+keeps its bits.
 
 ``row_norms`` takes every row's L2 norm as one batched ``np.matmul`` of each
 row with itself, which computes each row's sum of squares with the same
@@ -29,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PrivacyConfig
+from .encoding import normals, streams
 from .models import GradientUpdate
 
 # mask strength rises linearly with threat from MIN (threat 0) to MAX (threat 1)
@@ -161,16 +163,17 @@ def dp_sigma(ctx: PrivacyContext) -> float | None:
 
 
 def noise_fleet(U: np.ndarray, sigmas, rng_seeds) -> np.ndarray:
-    """Each row of U plus i.i.d. Gaussian noise of its sigma, drawn from
-    ``default_rng`` of its own seed: the one Gaussian mechanism, for the
-    fleet's updates and the published aggregate. A row whose sigma is None
-    draws nothing; U itself when no row draws."""
-    rows = [(i, s, seed) for i, (s, seed) in enumerate(zip(sigmas, rng_seeds)) if s is not None]
+    """Each row of U plus i.i.d. Gaussian noise of its sigma, from the stream
+    of its own seed: the one Gaussian mechanism, for the fleet's updates and
+    the published aggregate. A row whose sigma is None draws nothing; U itself
+    when no row draws."""
+    rows = [i for i, s in enumerate(sigmas) if s is not None]
     if not rows:
         return U
     out = np.array(U, dtype=np.float64)
-    for i, sigma, seed in rows:
-        out[i] += np.random.default_rng(seed).normal(0.0, sigma, size=out.shape[1])
+    dim = out.shape[1]
+    words = streams([rng_seeds[i] for i in rows], 2 * dim).reshape(len(rows), 2, dim)
+    out[rows] += np.array([sigmas[i] for i in rows])[:, None] * normals(words)
     return out
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fleetfl import aggregation, masking, privacy, telemetry
+from fleetfl import aggregation, encoding, masking, privacy, telemetry
 from fleetfl.channel import FreshnessTag
 from fleetfl.models import GradientUpdate, ModelParams, evaluate
 
@@ -142,7 +142,7 @@ def test_global_adjust_noise_matches_sigma_oracle():
     out = aggregation.privacy_adjust_global(g, base, 1.0, 1e-5, clip_global=5.0, rng_seed=42)
     clipped = np.array([3.0, 4.0, 0.0])  # delta scaled from norm 10 down to 5
     sigma = 5.0 * math.sqrt(2.0 * math.log(1.25e5)) / 1.0
-    expected_noise = np.random.default_rng(42).normal(0.0, sigma, size=3)
+    expected_noise = sigma * encoding.normals(encoding.stream(42, 6).reshape(2, 3))
     np.testing.assert_allclose(out.delta, clipped + expected_noise, atol=1e-9)
     np.testing.assert_allclose(out.params.as_vector(), out.delta, atol=1e-9)
 

@@ -106,8 +106,10 @@ def test_poison_below_the_bound_is_undetected_by_design():
 def test_entry_rejudges_a_recorded_update_as_a_replay(honest):
     # the entry reads the ledger's live nonce set, so only the nonce fails
     sim, trace = honest
-    for mu in trace.masked.values():
-        meta, state = sim.local_update_entry(mu, trace.round, math.inf)
+    masked = list(trace.masked.values())
+    entries = sim.local_update_entries(trace.round, masked, [mu.to_bytes() for mu in masked],
+                                       [math.inf] * len(masked))
+    for mu, (meta, state) in zip(masked, entries):
         result = ledger.contract_validate(meta, mu.payload_hash, sim.rules, state)
         assert result.reasons == ["replay"]
 
@@ -117,7 +119,8 @@ def test_contract_rejects_more_declared_samples_than_a_node_holds(honest):
     mu = trace.masked["node-0"]
     tag = attacks._forged_tag(np.random.default_rng(0), sim, trace)
     forged = dataclasses.replace(mu, n_samples=10**6, freshness=tag)
-    meta, state = sim.local_update_entry(forged, trace.round, 0.0)
+    ((meta, state),) = sim.local_update_entries(trace.round, [forged], [forged.to_bytes()],
+                                                [0.0])
     result = ledger.contract_validate(meta, forged.payload_hash, sim.rules, state)
     assert result.reasons == ["declared_samples"]
 

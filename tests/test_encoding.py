@@ -1,12 +1,17 @@
 """Canonical encoding and hashing: byte layouts, round trips, digest properties."""
 
 import hashlib
+import itertools
+import math
 
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import stats
 
+from conftest import ref_integers, ref_permutations, ref_words
 from fleetfl import encoding
 
 # published SHA-256 test vector for the empty input
@@ -74,3 +79,89 @@ def test_sub_seed_is_the_first_8_bytes_of_the_joined_parts_digest():
 def test_hash_vector_matches_manual_composition():
     v = np.array([1.5, -2.0])
     assert encoding.hash_vector(v) == hashlib.sha256(encoding.enc_vec(v)).digest()
+
+
+SEEDS = st.integers(0, 2**64 - 1)
+
+
+@given(st.lists(SEEDS, min_size=1, max_size=4), st.integers(0, 40))
+@example([0, 2**64 - 1], 3)
+def test_streams_are_each_seeds_shake128_words(seeds, n_words):
+    words = encoding.streams(seeds, n_words)
+    assert words.dtype == np.uint64 and words.shape == (len(seeds), n_words)
+    for row, seed in zip(words, seeds):
+        assert row.tolist() == ref_words(seed, n_words)
+        assert encoding.stream(seed, n_words).tolist() == row.tolist()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_a_seed_outside_64_bits_raises(seed):
+    with pytest.raises(ValueError, match="2\\^64"):
+        encoding.stream(seed, 2)
+    with pytest.raises(ValueError, match="2\\^64"):
+        encoding.integers([seed], 3, 2)
+    with pytest.raises(ValueError, match="2\\^64"):
+        encoding.permutations([seed], 1, 3)
+
+
+@pytest.mark.parametrize("k", [0, 2**32 + 1])
+def test_an_integer_range_outside_32_bits_raises(k):
+    with pytest.raises(ValueError, match="k must lie"):
+        encoding.integers([1], k, 2)
+
+
+def test_normals_are_the_box_muller_cos_branch():
+    d = 500
+    w = ref_words(3, 2 * d)
+    want = [
+        math.sqrt(-2.0 * math.log(((w[k] >> 11) + 1) * 2.0**-53))
+        * math.cos(2.0 * math.pi * (w[d + k] >> 11) * 2.0**-53)
+        for k in range(d)
+    ]
+    got = encoding.normals(encoding.stream(3, 2 * d).reshape(2, d))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+def test_100k_normals_pass_a_ks_test():
+    z = encoding.normals(encoding.stream(2024, 200_000).reshape(2, 100_000))
+    assert stats.kstest(z, "norm").pvalue > 1e-3
+    assert abs(z.mean()) < 0.02 and abs(z.std() - 1.0) < 0.02
+
+
+@pytest.mark.parametrize("k", [3, 8, 70])
+def test_integers_pass_a_chi_squared_test(k):
+    draws = encoding.integers([k], k, 1000 * k)[0]
+    assert draws.min() >= 0 and draws.max() < k
+    assert stats.chisquare(np.bincount(draws, minlength=k)).pvalue > 1e-3
+
+
+def test_permutations_of_3_items_pass_a_chi_squared_test():
+    orders = list(itertools.permutations(range(3)))
+    perms = encoding.permutations([6], 60_000, 3)[0]
+    counts = np.zeros(len(orders))
+    for p in map(tuple, perms.tolist()):
+        counts[orders.index(p)] += 1
+    assert stats.chisquare(counts).pvalue > 1e-3
+
+
+# k = 2^31 + 1 rejects almost half of all words, 2^32 − 1 one word in 2^32
+@settings(max_examples=60, deadline=None)
+@given(st.lists(SEEDS, min_size=1, max_size=4),
+       st.one_of(st.integers(1, 100), st.sampled_from([2**31 + 1, 2**32 - 1, 2**32])),
+       st.integers(0, 64))
+def test_integers_equal_the_scalar_reference_and_are_prefix_stable(seeds, k, count):
+    got = encoding.integers(seeds, k, count)
+    assert got.dtype == np.int64 and got.shape == (len(seeds), count)
+    for row, seed in zip(got, seeds):
+        assert row.tolist() == list(itertools.islice(ref_integers(seed, k), count))
+        shorter = count // 2
+        assert encoding.integers([seed], k, shorter)[0].tolist() == row[:shorter].tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(SEEDS, min_size=1, max_size=4), st.integers(1, 4), st.integers(1, 30))
+def test_permutations_equal_the_scalar_reference(seeds, count, n):
+    got = encoding.permutations(seeds, count, n)
+    assert got.shape == (len(seeds), count, n)
+    for perms, seed in zip(got, seeds):
+        assert perms.tolist() == ref_permutations(seed, count, n)

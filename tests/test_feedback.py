@@ -1,11 +1,14 @@
 """Dual-model validation, explanations, corrections, and weighted fusion."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fleetfl import feedback
+from conftest import ref_integers
+from fleetfl import encoding, feedback
 from fleetfl.models import ModelParams, evaluate, predict, predict_batch, train_local
 from fleetfl.telemetry import NodePartition
 
@@ -112,8 +115,8 @@ def test_validate_rejects_empty_or_mismatched_inputs():
 def _reference_explain(params, sample, background, n_repeats, seed):
     """Permutation importance with one scalar prediction per perturbation;
     returns (attributions, stability)."""
-    rng = np.random.default_rng(seed)
-    rows = [rng.integers(0, background.shape[0], size=params.dim) for _ in range(n_repeats)]
+    draws = ref_integers(seed, background.shape[0])
+    rows = [list(itertools.islice(draws, params.dim)) for _ in range(n_repeats)]
     return _reference_attributions(params, sample, background, rows)
 
 
@@ -142,10 +145,10 @@ def _reference_validate(model1, model2, X, n_repeats, seed):
     """Per-sample (same prediction, same top feature, top feature clear of the
     runner-up by more than 1e-9 in both models' explanations). One stream
     draws every sample's rows in sample order, one repeat at a time."""
-    rng = np.random.default_rng(seed)
+    draws = ref_integers(seed, len(X))
     out = []
     for x in X:
-        rows = [rng.integers(0, len(X), size=X.shape[1]) for _ in range(n_repeats)]
+        rows = [list(itertools.islice(draws, X.shape[1])) for _ in range(n_repeats)]
         tops, clear = [], True
         for m in (model1, model2):
             attr, _ = _reference_attributions(m, x, X, rows)
@@ -197,10 +200,10 @@ def test_batched_validation_matches_the_scalar_loop(case):
     st.integers(1, 1000), st.integers(1, 8), st.integers(1, 16), st.integers(0, 2**64 - 1)
 )
 def test_one_block_draw_equals_sequential_row_draws(n, repeats, dim, seed):
-    block = np.random.default_rng(seed).integers(0, n, size=(repeats, dim))
-    rng = np.random.default_rng(seed)
-    rows = [rng.integers(0, n, size=dim) for _ in range(repeats)]
-    np.testing.assert_array_equal(block, np.stack(rows))
+    block = encoding.integers([seed], n, repeats * dim)[0].reshape(repeats, dim)
+    draws = ref_integers(seed, n)
+    rows = [list(itertools.islice(draws, dim)) for _ in range(repeats)]
+    np.testing.assert_array_equal(block, np.array(rows))
 
 
 def test_empty_flagged_set_gives_zero_correction():
@@ -252,7 +255,7 @@ def _node_abs_deltas(params, samples, base, background, rows):
 def _node_validate(m1, m2, X, n_repeats, seed):
     """One node's dual-model check: (agreement rate, flagged rows, consistency)."""
     n, dim = X.shape
-    rows = np.random.default_rng(seed).integers(0, n, size=(n, n_repeats, dim))
+    rows = encoding.integers([seed], n, n * n_repeats * dim).reshape(n, n_repeats, dim)
     preds, tops = [], []
     for m in (m1, m2):
         p = predict_batch(m, X)
@@ -265,7 +268,9 @@ def _node_validate(m1, m2, X, n_repeats, seed):
 
 def _node_explain(params, sample, background, n_repeats, seed):
     """One node's stability explanation: (attributions, stability)."""
-    rows = np.random.default_rng(seed).integers(0, len(background), size=(n_repeats, params.dim))
+    rows = encoding.integers([seed], len(background), n_repeats * params.dim).reshape(
+        n_repeats, params.dim
+    )
     base = predict(params, sample)
     diffs = _node_abs_deltas(params, sample[None], np.array([base]), background, rows[None])[0]
     attributions = diffs.mean(axis=0)
@@ -447,3 +452,31 @@ def test_integration_weights_must_be_convex():
         feedback.IntegrationWeights(0.5, 0.6)
     with pytest.raises(ValueError):
         feedback.IntegrationWeights(-0.1, 1.1)
+
+
+def test_a_rejection_inside_block_0_leaves_explain_equal_to_validation(monkeypatch):
+    # words whose top 32 bits are 0 give x·k mod 2^32 = 0, which is below
+    # 2^32 mod k for every k that is not a power of two: both draws skip them
+    n, repeats, dim, seed = 6, 3, 3, 11
+    streams = encoding.streams
+    rejected = [1, 4]  # inside block 0, which holds repeats · dim = 9 words
+
+    def crafted(seeds, n_words):
+        words = streams(seeds, n_words)
+        words[:, [i for i in rejected if i < n_words]] = 0
+        return words
+
+    monkeypatch.setattr(encoding, "streams", crafted)
+    words = crafted([seed], repeats * dim + len(rejected))[0]
+    kept = [(int(w >> np.uint64(32)) * n) >> 32
+            for i, w in enumerate(words) if i not in rejected]
+    assert encoding.integers([seed], n, repeats * dim)[0].tolist() == kept
+
+    rng = np.random.default_rng(5)
+    V1, V2 = rng.normal(size=(2, 1, dim + 1))
+    X = rng.normal(size=(n, dim))
+    report = feedback.validate_fleet(V1, V2, X[None], repeats, [seed])[0]
+    expl = feedback.explain(ModelParams.from_vector(V1[0]), X[0], X, repeats, seed)
+    np.testing.assert_allclose(report.explanation.attributions, expl.attributions,
+                               rtol=0, atol=1e-12)
+    assert abs(report.explanation.stability - expl.stability) <= 1e-12

@@ -15,7 +15,7 @@ from scipy import stats
 
 from fleetfl import masking
 from fleetfl.channel import FreshnessTag
-from fleetfl.encoding import enc_str, enc_u32, enc_u64
+from fleetfl.encoding import enc_str, enc_u32, enc_u64, normals
 from fleetfl.models import GradientUpdate
 
 
@@ -428,7 +428,7 @@ def _per_node_masks(round_seed, participants, dim, strength, round=0, threat=1.0
     for i, later in enumerate(masking.mask_graph(n, h)[:-1]):
         key = prefix + ids[i]
         stream = b"".join([hashlib.shake_128(key + ids[j]).digest(nbytes) for j in later])
-        rows = masking._pair_normals(stream, len(later), dim)
+        rows = normals(np.frombuffer(stream, dtype=">u8").reshape(len(later), 2, dim))
         rows *= np.maximum(s[i], s[later])[:, None]
         masks[i] += rows.sum(axis=0)
         masks[later] -= rows

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ref_permutations
 from fleetfl import models, telemetry
 
 
@@ -45,12 +46,11 @@ def _reference_train_local(params, partition, lr, epochs, batch, seed):
     """The per-node SGD loop as written before training was stacked."""
     X, y = partition.features, partition.labels
     n = len(y)
-    rng = np.random.default_rng(seed)
+    orders = ref_permutations(seed, epochs, n)
     start = params.as_vector()
     cur = models.ModelParams.from_vector(start, version=params.version)
     trace = []
-    for _ in range(epochs):
-        order = rng.permutation(n)
+    for order in map(np.array, orders):
         for lo in range(0, n, batch):
             idx = order[lo : lo + batch]
             g = _reference_gradient(cur, X[idx], y[idx])

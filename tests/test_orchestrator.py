@@ -14,7 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fleetfl import (
-    attacks, channel, config, feedback, ledger, masking, models, orchestrator, privacy, telemetry,
+    attacks, channel, config, encoding, feedback, ledger, masking, models, orchestrator, privacy,
+    telemetry,
 )
 from fleetfl.encoding import canonical_hash, enc_str, hash_vector, sub_seed
 from fleetfl.orchestrator import Simulator, run
@@ -172,8 +173,8 @@ def test_reports_have_convex_fusion_weights():
 
 
 @pytest.mark.parametrize("n_nodes, seed", [
-    pytest.param(5, 2, id="node"),
-    pytest.param(10, 4, id="node-10nodes"),
+    pytest.param(5, 3, id="node"),
+    pytest.param(10, 5, id="node-10nodes"),
 ])
 def test_fusion_matches_a_hand_recomputed_oracle(monkeypatch, n_nodes, seed):
     # at these seeds and with 20 validation rows some corrections gain accuracy,
@@ -240,9 +241,9 @@ def test_small_feedback_run_bytes_are_pinned(tmp_path):
         for name in ("metrics.jsonl", "chain.json", "explanations.jsonl")
     }
     assert digests == {
-        "metrics.jsonl": "66f0338aa56c939e8145e245abdfc96c49f3c8832ab7ef62c864decfa12e74a6",
-        "chain.json": "e57a2873c97a76a8350623dae9759e7e76118752f3e75f9262b852f54e4beb2d",
-        "explanations.jsonl": "df33ead3a40fbac5c4aa57c8eda55499fa2f23a69c026d983a48b2e29444dcc8",
+        "metrics.jsonl": "7f28e5d8256a2673c5ac757c801e46b8cc2cd30f01807dbea71c6cea906b42ea",
+        "chain.json": "cf12f374872cea1eb0d8d3763e3f83ff073cb805f2006dc8246f08b2305fef23",
+        "explanations.jsonl": "f4ce8aed2692b6d9551fd40a35e241d418d6b31103c3eb53f2ef4f1526388793",
     }
 
 
@@ -258,8 +259,8 @@ def test_small_feedback_off_run_bytes_are_pinned(tmp_path):
         for name in ("metrics.jsonl", "chain.json")
     }
     assert digests == {
-        "metrics.jsonl": "6bf038cc9934270b4b87bb1a276c3a6dd077d76d86dac2f25dcaa659cfa85826",
-        "chain.json": "68ae13e2dc5f51b6020b6cde455c9b130c83a8effa733e9d7e90e9ef4c9b5c15",
+        "metrics.jsonl": "666d77cd22e4698c762ce7e59ea08e23c301bdddb897f4e167f1f025065408c5",
+        "chain.json": "c830501d66223efafcb955e991c9679fb37f7f559a6906cafd8ede92fafbf6fa",
     }
     assert (tmp_path / "explanations.jsonl").read_bytes() == b""
 
@@ -276,22 +277,22 @@ def test_small_global_dp_run_bytes_are_pinned(tmp_path):
         for name in ("metrics.jsonl", "chain.json")
     }
     assert digests == {
-        "metrics.jsonl": "eec96a8fc09d4d98ab480e39b6b0f0f5b7b480b2e5832ff6366a70e9370d4449",
-        "chain.json": "e9bba48a8e59143acaaaa94d82f8ef10501b8a24be6f5003a8f33247c7d6e101",
+        "metrics.jsonl": "0d57caf9b1346758eb6e2017f9dba4bce7485011f1cd35667bfa8cab2ccc5f22",
+        "chain.json": "ede80ee20149984505ca5407ea4c6ca0b201d9646c4847d9d8c0051a81ceaf46",
     }
 
 
 def test_small_no_noise_run_bytes_are_pinned(tmp_path):
     # eps_max inf: no node draws noise, so each update is only clipped and
-    # scaled; the digests were recorded before the privacy stage ran as a fleet
+    # scaled; only the split and the batch orders draw from the streams
     run(make_cfg(fleet={"n_nodes": 6}, feedback={"enabled": False}, output_dir=str(tmp_path)))
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in ("metrics.jsonl", "chain.json")
     }
     assert digests == {
-        "metrics.jsonl": "d356a3a3d3dbfb2d003a252c7626c4a904efe51f73de8dae11822e06020ad879",
-        "chain.json": "37c9ee2d22c860c5f68851110a2708bb173a203decaaebcf2d71125d91f23f80",
+        "metrics.jsonl": "1992cfd6cde589a91e14a9ab22253f179f867c7e08c8b4497e50be45eacf0d8c",
+        "chain.json": "2aee3cbdb98c611f0413fcb38a74c54862b56658a825621b43019cf3337dc250",
     }
 
 
@@ -566,9 +567,9 @@ def test_finish_round_scores_each_distinct_model_once(monkeypatch, overrides, no
         assert report.fpr_global == report.fpr_integrated == 0.0
 
 
-def test_a_feedback_round_builds_one_generator_per_node_per_pass(monkeypatch):
-    # training, DP noise, Model 2, validation and correction draw one stream per
-    # node each (31 in all at n = 6); a second explanation draw would add n more
+def test_a_feedback_round_builds_one_generator_for_its_committee(monkeypatch):
+    # training, DP noise, Model 2, validation and correction draw from SHAKE-128
+    # streams; the ledger's committee draw is the round's only numpy Generator
     n = 6
     sim = Simulator(make_cfg(
         rounds=1, fleet={"n_nodes": n}, privacy={"eps_max": 8.0, "budget_cap": 500.0},
@@ -583,7 +584,7 @@ def test_a_feedback_round_builds_one_generator_per_node_per_pass(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", counted)
     report, _ = sim.run_round(0)
     assert not report.aborted
-    assert len(built) <= 5 * n + 2
+    assert len(built) == 1
 
 
 # validator v0 refuses to attest; a committee of (v0, v1) misses the 2/3 stake quorum
@@ -803,7 +804,7 @@ def test_the_wire_bytes_of_a_small_feedback_run_are_pinned():
         assert not report.aborted
         for m in trace.messages:
             h.update(enc_str(m.kind) + m.envelope.to_bytes())
-    assert h.hexdigest() == "e0710b723b2ff44756b52ffc442be866fdd0f8e9d126c490e55b5b946093c0fb"
+    assert h.hexdigest() == "11f3b0a6c0196707e882b0e957466da62c8d2e902992cbc23108439c3ffb1d10"
 
 
 def test_a_round_builds_no_cipher(monkeypatch):
@@ -855,6 +856,33 @@ def test_the_ledger_logs_the_bytes_the_cloud_opened():
     assert {masking.MaskedUpdate.from_bytes(b).node_id: b for b in logged} == opened
 
 
+def test_admission_encodes_no_payload(monkeypatch):
+    # the contract hashes the payload's encoding inside the bytes the ledger
+    # received, so admitting the roster re-encodes nothing
+    sim = Simulator(make_cfg(rounds=1))
+    calls, inside = [], []
+    enc_vec, admit = encoding.enc_vec, Simulator._admit
+
+    def spy(v):
+        if inside:
+            calls.append(v)
+        return enc_vec(v)
+
+    def admitting(self, *args):
+        inside.append(True)
+        try:
+            return admit(self, *args)
+        finally:
+            inside.pop()
+
+    for module in (encoding, masking, orchestrator, attacks):
+        monkeypatch.setattr(module, "enc_vec", spy)
+    monkeypatch.setattr(Simulator, "_admit", admitting)
+    report, _ = sim.run_round(0)
+    assert not report.aborted and report.blocks_appended > 0
+    assert calls == []
+
+
 def test_the_fleet256_benchmark_run_keeps_its_artifact_bytes(tmp_path):
     # the benchmark's fleet256-nofeedback config at seed 5, built here on its own
     cfg = config.from_dict({
@@ -872,8 +900,8 @@ def test_the_fleet256_benchmark_run_keeps_its_artifact_bytes(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("metrics.jsonl", "chain.json")}
     assert digests == {
-        "metrics.jsonl": "d232325c5991d60a6908a9cc12002fc3446b78b9c3777755070d4bafbc6276eb",
-        "chain.json": "6e44f4b9ea6155ccba473e13162fa40efa2aacf515fc0cd88d93004451d7566c",
+        "metrics.jsonl": "672236cf5278d44b0e5edcaedb0ab9b75b4ac6a48a1e137b7b4aaa6a6c627dbf",
+        "chain.json": "0649d8e23835d7f06e33e9d511e92cda8822f1ba449997b07be596b9e5164dfa",
     }
 
 

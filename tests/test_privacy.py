@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fleetfl import privacy
+from fleetfl import encoding, privacy
 from fleetfl.config import PrivacyConfig
 from fleetfl.models import GradientUpdate
 
@@ -242,7 +242,7 @@ def _ref_clip_update(update: GradientUpdate, clip_norm: float) -> GradientUpdate
 def _ref_gaussian_noise(v: np.ndarray, sigma: float, rng_seed: int) -> np.ndarray:
     """v plus i.i.d. Gaussian noise of scale sigma: the one Gaussian mechanism,
     for a node's update and for the published aggregate."""
-    return v + np.random.default_rng(rng_seed).normal(0.0, sigma, size=v.shape)
+    return v + sigma * encoding.normals(encoding.stream(rng_seed, 2 * v.size).reshape(2, v.size))
 
 
 def _ref_add_dp_noise(update: GradientUpdate, ctx: privacy.PrivacyContext,
