@@ -53,7 +53,6 @@ class TrainConfig:
 class PrivacyConfig:
     eps_min: float = _field(0.5, inf=True, gt=0.0)
     eps_max: float = _field(8.0, inf=True, gt=0.0)  # "inf" disables local noise
-    delta: float = _field(1e-5, gt=0.0, lt=1.0)
     clip_norm: float = _field(1.0, gt=0.0)
     budget_cap: float = _field(20.0, inf=True, gt=0.0)
     eps_global: float = _field(math.inf, inf=True, gt=0.0)  # "inf" disables global noise

@@ -1,8 +1,9 @@
 """Logistic-regression local model: prediction, SGD training, evaluation.
 
 The update leaving a node is a cumulative parameter delta (trained params
-minus starting params, bias last), which composes cleanly with clipping,
-noising, masking, and sample-weighted averaging.
+minus starting params, bias last) and its sample count, which compose cleanly
+with clipping, noising, masking, and sample-weighted averaging. Training keeps
+no loss trace: its per-epoch loss pass only raises ``TrainingDivergedError``.
 
 Training is fleet-stacked: ``train_fleet`` steps every node's model together
 on ``(N, n, d)`` arrays, one gathered batch and one stacked gradient per step,
@@ -17,7 +18,7 @@ product; ``evaluate`` and ``false_positive_rate`` are its one-model calls.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +62,6 @@ class ModelParams:
 class GradientUpdate:
     grad: np.ndarray  # length dim + 1, bias component last
     n_samples: int
-    loss_trace: list[float] = field(default_factory=list)
 
     def __post_init__(self):
         self.grad = np.asarray(self.grad, dtype=np.float64)
@@ -153,7 +153,6 @@ def train_fleet(
     orders = permutations(seeds, epochs, n)
     start = np.stack([p.as_vector() for p in params])
     cur = start
-    epoch_losses = []
     for epoch in range(1, epochs + 1):
         order = orders[:, epoch - 1]
         for lo in range(0, n, batch):
@@ -161,17 +160,12 @@ def train_fleet(
             cur = cur - lr * _gradients(cur, X[rows, idx], y[rows, idx])
             if not np.all(np.isfinite(cur)):
                 raise ValueError("model parameters must be finite")
-        losses = _losses(_margins(cur, X), y)
-        bad = np.flatnonzero(~np.isfinite(losses))
+        bad = np.flatnonzero(~np.isfinite(_losses(_margins(cur, X), y)))
         if bad.size:
             raise TrainingDivergedError(
                 f"non-finite loss on node {partitions[bad[0]].node_id} after epoch {epoch}"
             )
-        epoch_losses.append(losses)
-    return [
-        GradientUpdate(grad=delta, n_samples=n, loss_trace=trace)
-        for delta, trace in zip(cur - start, np.stack(epoch_losses, axis=1).tolist())
-    ]
+    return [GradientUpdate(grad=delta, n_samples=n) for delta in cur - start]
 
 
 def train_local(

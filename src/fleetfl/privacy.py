@@ -1,18 +1,16 @@
-"""Adaptive privacy tuning: context assessment, clipping, Gaussian noise, budget ledger.
+"""Adaptive privacy tuning: fleet assessment, clipping, Gaussian noise, budget ledger.
 
-Per-round epsilon comes from a conservative max(sensitivity, threat) mapping
-between the bounds a ``config.PrivacyConfig`` holds (eps_max=inf disables noise
-entirely); the Gaussian mechanism uses
-sigma = clip_norm * sqrt(2 ln(1.25/delta)) / eps per coordinate, and budgets
-compose linearly.
-
-Clipping and noise each have one fleet form over a stack of updates, one row
-per node: ``clip_fleet`` and ``noise_fleet``. ``clip_vector``/``clip_update``
-and ``gaussian_noise``/``add_dp_noise`` are their one-row forms, so a node's
-update and the published aggregate take the same path as a fleet's. A row's
-noise is sigma times the ``encoding.normals`` of its own seed's stream, all
-rows in one stacked transform; a row with no sigma (eps=inf) draws nothing and
-keeps its bits.
+The privacy stage is three passes over the fleet, one row per node:
+``assess_fleet`` maps each node's max(sensitivity, threat) to an epsilon between
+the bounds a ``config.PrivacyConfig`` holds (eps_max=inf disables noise) and the
+threat to the round's mask strength; ``clip_fleet`` clips every row at
+``clip_norm``; ``noise_fleet`` adds sigma = clip_norm * sqrt(2 ln(1.25/DELTA)) /
+eps per coordinate, 0 at eps=inf. Budgets compose linearly. ``assess_context``,
+``clip_vector``/``clip_update`` and ``gaussian_noise``/``add_dp_noise`` are the
+one-row forms, so a node's update and the published aggregate take the fleet's
+path. A row's noise is sigma times the ``encoding.normals`` of its own seed's
+stream, all rows in one stacked transform; a row whose sigma is 0 draws nothing
+and keeps its bits.
 
 ``row_norms`` takes every row's L2 norm as one batched ``np.matmul`` of each
 row with itself, which computes each row's sum of squares with the same
@@ -36,8 +34,8 @@ from .models import GradientUpdate
 # mask strength rises linearly with threat from MIN (threat 0) to MAX (threat 1)
 MASK_STRENGTH_MIN = 0.1
 MASK_STRENGTH_MAX = 2.0
-# a node whose loss has stalled gets this multiple of its clip norm
-STALLED_CLIP_FACTOR = 1.5
+# the delta of every node's Gaussian mechanism
+DELTA = 1e-5
 
 
 class BudgetExceededError(RuntimeError):
@@ -64,39 +62,25 @@ class BudgetLedger:
         return self.spent_for(node_id) + epsilon <= self.budget_cap + 1e-12
 
 
-def _convergence_stalled(loss_trace: list[float]) -> bool:
-    # relative improvement < 1% over the last 5 epochs
-    if len(loss_trace) < 6:
-        return False
-    ref, last = loss_trace[-6], loss_trace[-1]
-    return (ref - last) / max(abs(ref), 1e-12) < 0.01
-
-
-def assess_context(
-    sensitivity: float,
-    threat: float,
-    loss_trace: list[float],
-    bounds: PrivacyConfig,
-) -> PrivacyContext:
-    """Map (sensitivity, threat, convergence) to concrete privacy knobs."""
-    if not 0.0 <= sensitivity <= 1.0:
+def assess_fleet(sensitivities, threat: float, bounds: PrivacyConfig) -> tuple[np.ndarray, float]:
+    """(every node's epsilon as one array, the round's mask strength) from the
+    nodes' sensitivities and the round's threat."""
+    s = np.asarray(sensitivities, dtype=np.float64)
+    if not np.all((0.0 <= s) & (s <= 1.0)):
         raise ValueError("sensitivity must lie in [0, 1]")
     if not 0.0 <= threat <= 1.0:
         raise ValueError("threat must lie in [0, 1]")
     if math.isinf(bounds.eps_max):
-        eps = math.inf
+        eps = np.full(s.shape, math.inf)
     else:
-        eps = bounds.eps_min + (bounds.eps_max - bounds.eps_min) * (1.0 - max(sensitivity, threat))
-    strength = MASK_STRENGTH_MIN + (MASK_STRENGTH_MAX - MASK_STRENGTH_MIN) * threat
-    clip = bounds.clip_norm
-    if _convergence_stalled(loss_trace):
-        clip *= STALLED_CLIP_FACTOR
-    return PrivacyContext(
-        epsilon=eps,
-        delta=bounds.delta,
-        clip_norm=clip,
-        mask_strength=strength,
-    )
+        eps = bounds.eps_min + (bounds.eps_max - bounds.eps_min) * (1.0 - np.maximum(s, threat))
+    return eps, MASK_STRENGTH_MIN + (MASK_STRENGTH_MAX - MASK_STRENGTH_MIN) * threat
+
+
+def assess_context(sensitivity: float, threat: float, bounds: PrivacyConfig) -> PrivacyContext:
+    """One node's privacy knobs: assess_fleet's one-node form."""
+    eps, strength = assess_fleet([sensitivity], threat, bounds)
+    return PrivacyContext(float(eps[0]), DELTA, bounds.clip_norm, strength)
 
 
 def row_norms(U: np.ndarray) -> np.ndarray:
@@ -109,8 +93,8 @@ def row_norms(U: np.ndarray) -> np.ndarray:
 
 
 def clip_fleet(U: np.ndarray, clip_norms) -> np.ndarray:
-    """Each row of U scaled down to L2 norm at most its clip norm; U itself
-    when every row is already within."""
+    """Each row of U scaled down to L2 norm at most its clip norm (one for all
+    rows, or one per row); U itself when every row is already within."""
     clip_norms = np.asarray(clip_norms, dtype=np.float64)
     if np.any(clip_norms <= 0):
         raise ValueError("clip_norm must be positive")
@@ -141,54 +125,50 @@ def clip_update(update: GradientUpdate, clip_norm: float) -> GradientUpdate:
     g = clip_vector(update.grad, clip_norm)
     if g is update.grad:
         return update
-    return GradientUpdate(grad=g, n_samples=update.n_samples, loss_trace=list(update.loss_trace))
+    return GradientUpdate(grad=g, n_samples=update.n_samples)
 
 
-def gaussian_sigma(clip_norm: float, epsilon: float, delta: float) -> float:
-    """Per-coordinate noise scale of the Gaussian mechanism."""
+def gaussian_sigma(clip_norm: float, epsilon, delta: float):
+    """Per-coordinate noise scale of the Gaussian mechanism, for one epsilon or
+    an array of them; 0 at eps=inf."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if epsilon <= 0:
+    if np.any(np.asarray(epsilon) <= 0):
         raise ValueError("epsilon must be positive")
-    if math.isinf(epsilon):
-        return 0.0
     return clip_norm * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
-
-
-def dp_sigma(ctx: PrivacyContext) -> float | None:
-    """The context's per-coordinate noise scale; None when eps=inf adds no noise."""
-    if math.isinf(ctx.epsilon):
-        return None
-    return gaussian_sigma(ctx.clip_norm, ctx.epsilon, ctx.delta)
 
 
 def noise_fleet(U: np.ndarray, sigmas, rng_seeds) -> np.ndarray:
     """Each row of U plus i.i.d. Gaussian noise of its sigma, from the stream
     of its own seed: the one Gaussian mechanism, for the fleet's updates and
-    the published aggregate. A row whose sigma is None draws nothing; U itself
+    the published aggregate. A row whose sigma is 0 draws nothing; U itself
     when no row draws."""
-    rows = [i for i, s in enumerate(sigmas) if s is not None]
-    if not rows:
+    sigmas = np.asarray(sigmas, dtype=np.float64)
+    rows = np.flatnonzero(sigmas)
+    if not rows.size:
         return U
     out = np.array(U, dtype=np.float64)
     dim = out.shape[1]
     words = streams([rng_seeds[i] for i in rows], 2 * dim).reshape(len(rows), 2, dim)
-    out[rows] += np.array([sigmas[i] for i in rows])[:, None] * normals(words)
+    out[rows] += sigmas[rows, None] * normals(words)
     return out
 
 
 def gaussian_noise(v: np.ndarray, sigma: float, rng_seed: int) -> np.ndarray:
-    """v plus i.i.d. Gaussian noise of scale sigma: noise_fleet's one-row form."""
-    return noise_fleet(v[None, :], [sigma], [rng_seed])[0]
+    """v plus i.i.d. Gaussian noise of scale sigma: noise_fleet's one-row form;
+    v itself when sigma is 0."""
+    V = v[None, :]
+    out = noise_fleet(V, [sigma], [rng_seed])
+    return v if out is V else out[0]
 
 
 def add_dp_noise(update: GradientUpdate, ctx: PrivacyContext, rng_seed: int) -> GradientUpdate:
     """Add i.i.d. Gaussian noise calibrated to the context; eps=inf is identity."""
-    sigma = dp_sigma(ctx)
-    if sigma is None:
-        return update
+    sigma = gaussian_sigma(ctx.clip_norm, ctx.epsilon, ctx.delta)
     grad = gaussian_noise(update.grad, sigma, rng_seed)
-    return GradientUpdate(grad=grad, n_samples=update.n_samples, loss_trace=list(update.loss_trace))
+    if grad is update.grad:
+        return update
+    return GradientUpdate(grad=grad, n_samples=update.n_samples)
 
 
 def charge_budget(ledger: BudgetLedger, node_id: str, epsilon: float) -> BudgetLedger:

@@ -84,15 +84,17 @@ def test_feedback_constants_are_not_config_keys(tmp_path, capsys, key):
     assert "unknown config keys" in capsys.readouterr().err
 
 
-# each value lies in range, so the key alone is what the load refuses
+# each value but delta's lies in range, so the key alone is what the load
+# refuses; delta's "inf" is refused as an unknown key before any value check
 @pytest.mark.parametrize("raw", [
     {"privacy": {"mask_strength_min": 0.75}},
     {"privacy": {"mask_strength_max": 3.0}},
+    {"privacy": {"delta": "inf"}},
     {"privacy": {"delta_global": 0.75}},
     {"privacy": {"clip_global": 0.75}},
     {"ledger": {"quorum_fraction": 0.75}},
     {"freshness_window": 3},
-], ids=["mask_strength_min", "mask_strength_max", "delta_global", "clip_global",
+], ids=["mask_strength_min", "mask_strength_max", "delta", "delta_global", "clip_global",
         "quorum_fraction", "freshness_window"])
 def test_privacy_and_ledger_constants_are_not_config_keys(tmp_path, capsys, raw):
     path = tmp_path / "bad.json"
@@ -120,7 +122,7 @@ def test_config_holds_exactly_the_values_a_run_chooses():
         "output_dir",
         "fleet.n_nodes", "fleet.samples_per_node", "fleet.feature_dim", "fleet.heterogeneity",
         "train.lr", "train.epochs", "train.batch",
-        "privacy.eps_min", "privacy.eps_max", "privacy.delta", "privacy.clip_norm",
+        "privacy.eps_min", "privacy.eps_max", "privacy.clip_norm",
         "privacy.budget_cap", "privacy.eps_global",
         "ledger.stakes", "ledger.committee_size", "ledger.byzantine_refuse",
         "ledger.byzantine_false", "ledger.max_update_norm",
@@ -134,7 +136,6 @@ def test_config_holds_exactly_the_values_a_run_chooses():
         {"privacy": {"clip_norm": "inf"}},
         {"train": {"lr": "inf"}},
         {"fleet": {"heterogeneity": "inf"}},
-        {"privacy": {"delta": "inf"}},
         {"ledger": {"stakes": {"v0": math.inf}}},  # JSON's Infinity
         {"ledger": {"stakes": {"v0": math.nan, "v1": 1.0}}},
         {"threat_schedule": [0.1, math.inf]},

@@ -297,35 +297,53 @@ def test_small_no_noise_run_bytes_are_pinned(tmp_path):
 
 
 def _per_node_train_and_privatise(sim, r):
-    """The privacy stage as a loop of one clip and one noise call per node,
-    returning the sample-scaled updates stacked in node order."""
+    """The privacy stage as a loop of one assessment, one clip and one noise
+    call per node, returning the sample-scaled updates stacked in node order,
+    the contexts in node order and the raw updates."""
     cfg = sim.cfg
     threat = cfg.threat_for_round(r)
     trains = [sim._parts[n][0] for n in sim.node_ids]
     updates = sim._train([sim.node_params[n] for n in sim.node_ids], trains, "train", r)
-    scaled = []
+    scaled, ctxs = [], []
     for node, train, upd in zip(sim.node_ids, trains, updates):
-        ctx = privacy.assess_context(train.sensitivity, threat, upd.loss_trace, cfg.privacy)
+        ctx = privacy.assess_context(train.sensitivity, threat, cfg.privacy)
         clipped = privacy.clip_update(upd, ctx.clip_norm)
         noised = privacy.add_dp_noise(clipped, ctx, sub_seed(cfg.seed, "noise", r, node))
         scaled.append(noised.grad * upd.n_samples)
-    return np.stack(scaled), updates
+        ctxs.append(ctx)
+    return np.stack(scaled), ctxs, updates
 
 
-def test_the_stacked_privacy_stage_equals_a_per_node_loop():
-    # clip norm 0.4 clips three of the six updates and leaves three within it
+# 6 epochs is a run long enough for the removed loss-stall signal to have
+# acted; at each clip norm three of the six updates are clipped and three are
+# left within it
+@pytest.mark.parametrize("epochs, clip", [(2, 0.65), (6, 1.35)], ids=["2-epochs", "6-epochs"])
+def test_the_stacked_privacy_stage_equals_a_per_node_loop(epochs, clip):
     sim = Simulator(make_cfg(
-        rounds=1, fleet={"n_nodes": 6},
-        privacy={"eps_max": 8.0, "budget_cap": 500.0, "clip_norm": 0.4},
+        rounds=1, fleet={"n_nodes": 6}, train={"epochs": epochs},
+        privacy={"eps_max": 8.0, "budget_cap": 500.0, "clip_norm": clip},
     ))
-    scaled, ctxs, updates = sim._train_and_privatise(0)
-    expected, ref_updates = _per_node_train_and_privatise(sim, 0)
-    assert list(ctxs) == sim.node_ids
+    scaled, epsilons, strength, updates = sim._train_and_privatise(0)
+    expected, ctxs, ref_updates = _per_node_train_and_privatise(sim, 0)
+    assert list(epsilons) == sim.node_ids
     raw_norms = [float(np.linalg.norm(u.grad)) for u in updates]
-    assert 0 < sum(norm > 0.4 for norm in raw_norms) < len(raw_norms)
-    assert len({c.epsilon for c in ctxs.values()}) > 1
+    assert sum(norm > clip for norm in raw_norms) == 3
+    assert len(set(epsilons.values())) > 1
+    assert list(epsilons.values()) == [c.epsilon for c in ctxs]
+    assert all(c.mask_strength == strength for c in ctxs)
     assert np.array_equal(scaled, expected)
     assert all(np.array_equal(u.grad, v.grad) for u, v in zip(updates, ref_updates))
+
+
+def test_a_round_assesses_the_fleet_without_per_node_contexts(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a round assesses its privacy in one fleet pass")
+
+    monkeypatch.setattr(privacy, "assess_context", refused)
+    monkeypatch.setattr(privacy, "PrivacyContext", refused)
+    sim = Simulator(make_cfg(rounds=1, privacy={"eps_max": 8.0, "budget_cap": 500.0}))
+    report, _ = sim.run_round(0)
+    assert not report.aborted and report.blocks_appended > 0
 
 
 def test_every_logged_explanation_is_the_one_validation_compared(monkeypatch):
@@ -881,6 +899,33 @@ def test_admission_encodes_no_payload(monkeypatch):
     report, _ = sim.run_round(0)
     assert not report.aborted and report.blocks_appended > 0
     assert calls == []
+
+
+def test_the_cloud_encodes_each_update_twice_while_masking_and_sending(monkeypatch):
+    # the node encodes its payload once to hash it and once to send it; the
+    # cloud hashes the payload's encoding inside the bytes it received
+    sim = Simulator(make_cfg(rounds=1))
+    calls, inside = [], []
+    enc_vec, mask_and_send = encoding.enc_vec, Simulator._mask_and_send
+
+    def spy(v):
+        if inside:
+            calls.append(v)
+        return enc_vec(v)
+
+    def sending(self, *args):
+        inside.append(True)
+        try:
+            return mask_and_send(self, *args)
+        finally:
+            inside.pop()
+
+    for module in (encoding, masking, orchestrator, attacks):
+        monkeypatch.setattr(module, "enc_vec", spy)
+    monkeypatch.setattr(Simulator, "_mask_and_send", sending)
+    report, _ = sim.run_round(0)
+    assert not report.aborted and report.blocks_appended > 0
+    assert len(calls) == 2 * len(NODES)
 
 
 def test_the_fleet256_benchmark_run_keeps_its_artifact_bytes(tmp_path):

@@ -15,55 +15,80 @@ BOUNDS = PrivacyConfig(eps_min=0.5, eps_max=8.0)
 
 
 def test_epsilon_boundary_no_signal():
-    ctx = privacy.assess_context(0.0, 0.0, [], BOUNDS)
+    ctx = privacy.assess_context(0.0, 0.0, BOUNDS)
     assert ctx.epsilon == BOUNDS.eps_max
 
 
 def test_epsilon_boundary_full_sensitivity():
     for threat in (0.0, 0.5, 1.0):
-        assert privacy.assess_context(1.0, threat, [], BOUNDS).epsilon == BOUNDS.eps_min
+        assert privacy.assess_context(1.0, threat, BOUNDS).epsilon == BOUNDS.eps_min
 
 
 def test_epsilon_hand_value():
     # eps = 0.5 + 7.5 * (1 - max(0.5, 0.2)) = 4.25
-    ctx = privacy.assess_context(0.5, 0.2, [], BOUNDS)
+    ctx = privacy.assess_context(0.5, 0.2, BOUNDS)
     assert ctx.epsilon == pytest.approx(4.25, abs=1e-12)
 
 
 def test_mask_strength_interpolates_with_threat():
-    lo = privacy.assess_context(0.0, 0.0, [], BOUNDS).mask_strength
-    hi = privacy.assess_context(0.0, 1.0, [], BOUNDS).mask_strength
-    mid = privacy.assess_context(0.0, 0.5, [], BOUNDS).mask_strength
+    lo = privacy.assess_context(0.0, 0.0, BOUNDS).mask_strength
+    hi = privacy.assess_context(0.0, 1.0, BOUNDS).mask_strength
+    mid = privacy.assess_context(0.0, 0.5, BOUNDS).mask_strength
     assert lo == privacy.MASK_STRENGTH_MIN
     assert hi == privacy.MASK_STRENGTH_MAX
     assert mid == pytest.approx((lo + hi) / 2.0)
 
 
-def test_stalled_convergence_relaxes_clip():
-    stalled = [1.0, 1.0, 1.0, 1.0, 1.0, 0.999]
-    improving = [1.0, 0.9, 0.8, 0.7, 0.6, 0.5]
-    assert privacy.assess_context(0.0, 0.0, stalled, BOUNDS).clip_norm == pytest.approx(
-        1.5 * BOUNDS.clip_norm
-    )
-    assert privacy.assess_context(0.0, 0.0, improving, BOUNDS).clip_norm == BOUNDS.clip_norm
-    # fewer than 6 epochs: no stall signal yet
-    assert privacy.assess_context(0.0, 0.0, [1.0, 1.0], BOUNDS).clip_norm == BOUNDS.clip_norm
-
-
 def test_out_of_range_inputs_rejected():
     with pytest.raises(ValueError):
-        privacy.assess_context(-0.1, 0.0, [], BOUNDS)
+        privacy.assess_context(-0.1, 0.0, BOUNDS)
     with pytest.raises(ValueError):
-        privacy.assess_context(0.0, 1.1, [], BOUNDS)
+        privacy.assess_context(0.0, 1.1, BOUNDS)
+    for sensitivities in ([0.5, 1.1], [0.5, math.nan], [-0.1]):
+        with pytest.raises(ValueError, match="sensitivity must lie in"):
+            privacy.assess_fleet(sensitivities, 0.5, BOUNDS)
+    with pytest.raises(ValueError, match="threat must lie in"):
+        privacy.assess_fleet([0.5, 0.5], -0.1, BOUNDS)
+
+
+def _ref_epsilon(sensitivity: float, threat: float, bounds: PrivacyConfig) -> float:
+    """One node's epsilon as the per-node assessment computed it, kept here as
+    the reference."""
+    if math.isinf(bounds.eps_max):
+        return math.inf
+    return bounds.eps_min + (bounds.eps_max - bounds.eps_min) * (1.0 - max(sensitivity, threat))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=1,
+             max_size=40),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    st.one_of(st.just(math.inf), st.floats(1e-3, 50.0)),
+    st.one_of(st.just(math.inf), st.floats(0.0, 50.0)),
+)
+def test_assess_fleet_equals_the_per_node_epsilon_bit_for_bit(sensitivities, threat, eps_min,
+                                                              span):
+    bounds = PrivacyConfig(eps_min=eps_min, eps_max=eps_min + span, clip_norm=0.7)
+    eps, strength = privacy.assess_fleet(sensitivities, threat, bounds)
+    want = np.array([_ref_epsilon(s, threat, bounds) for s in sensitivities])
+    assert eps.tobytes() == want.tobytes()
+    assert strength == privacy.MASK_STRENGTH_MIN + (
+        privacy.MASK_STRENGTH_MAX - privacy.MASK_STRENGTH_MIN
+    ) * threat
+    for k, s in enumerate(sensitivities):
+        ctx = privacy.assess_context(s, threat, bounds)
+        assert np.float64(ctx.epsilon).tobytes() == eps[k].tobytes()
+        assert (ctx.delta, ctx.clip_norm, ctx.mask_strength) == (privacy.DELTA, 0.7, strength)
 
 
 def test_epsilon_monotone_in_sensitivity_and_threat():
     grid = np.linspace(0.0, 1.0, 11)
     for threat in grid:
-        eps = [privacy.assess_context(s, threat, [], BOUNDS).epsilon for s in grid]
+        eps = [privacy.assess_context(s, threat, BOUNDS).epsilon for s in grid]
         assert all(a >= b for a, b in zip(eps, eps[1:]))
     for sens in grid:
-        eps = [privacy.assess_context(sens, t, [], BOUNDS).epsilon for t in grid]
+        eps = [privacy.assess_context(sens, t, BOUNDS).epsilon for t in grid]
         assert all(a >= b for a, b in zip(eps, eps[1:]))
 
 
@@ -120,6 +145,15 @@ def test_sigma_formula_value():
     # and agrees with the conventional quoted value to within 2%
     assert abs(sigma - 4.8239) / 4.8239 < 0.02
     assert privacy.gaussian_sigma(1.0, math.inf, 1e-5) == 0.0
+
+
+def test_sigma_of_an_epsilon_array_is_each_epsilons_sigma():
+    eps = np.array([0.5, 1.0, 3.7, math.inf])
+    sigmas = privacy.gaussian_sigma(0.4, eps, 1e-5)
+    assert sigmas.tolist() == [privacy.gaussian_sigma(0.4, float(e), 1e-5) for e in eps]
+    assert sigmas[-1] == 0.0
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        privacy.gaussian_sigma(0.4, np.array([1.0, 0.0]), 1e-5)
 
 
 def test_sigma_rejects_bad_delta():
@@ -236,7 +270,7 @@ def _ref_clip_update(update: GradientUpdate, clip_norm: float) -> GradientUpdate
     g = _ref_clip_vector(update.grad, clip_norm)
     if g is update.grad:
         return update
-    return GradientUpdate(grad=g, n_samples=update.n_samples, loss_trace=list(update.loss_trace))
+    return GradientUpdate(grad=g, n_samples=update.n_samples)
 
 
 def _ref_gaussian_noise(v: np.ndarray, sigma: float, rng_seed: int) -> np.ndarray:
@@ -252,7 +286,7 @@ def _ref_add_dp_noise(update: GradientUpdate, ctx: privacy.PrivacyContext,
         return update
     sigma = privacy.gaussian_sigma(ctx.clip_norm, ctx.epsilon, ctx.delta)
     grad = _ref_gaussian_noise(update.grad, sigma, rng_seed)
-    return GradientUpdate(grad=grad, n_samples=update.n_samples, loss_trace=list(update.loss_trace))
+    return GradientUpdate(grad=grad, n_samples=update.n_samples)
 
 
 ROW_KINDS = ["any", "under", "at", "over", "zero", "near-1e200", "near-1e300"]
@@ -292,7 +326,8 @@ def fleet_rows(draw):
 def test_fleet_privacy_equals_per_node_calls_bit_for_bit(fleet):
     U, clips, ctxs, seeds = fleet
     clipped = privacy.clip_fleet(U, clips)
-    noised = privacy.noise_fleet(clipped, [privacy.dp_sigma(c) for c in ctxs], seeds)
+    sigmas = [privacy.gaussian_sigma(c.clip_norm, c.epsilon, c.delta) for c in ctxs]
+    noised = privacy.noise_fleet(clipped, sigmas, seeds)
     assert noised.shape == U.shape
     for i, (clip, ctx, seed) in enumerate(zip(clips, ctxs, seeds)):
         upd = GradientUpdate(grad=U[i].copy(), n_samples=1)
@@ -330,8 +365,8 @@ def test_row_norms_equal_numpy_norm_of_each_row(n, d, exponent, seed, huge):
 def test_fleet_forms_return_their_input_when_nothing_changes():
     U = np.array([[3.0, 4.0], [0.0, 0.0], [-0.0, 1.0]])
     assert privacy.clip_fleet(U, [5.0, 1.0, 1.0]) is U
-    assert privacy.noise_fleet(U, [None, None, None], [1, 2, 3]) is U
-    noised = privacy.noise_fleet(U, [None, 0.5, None], [1, 2, 3])
+    assert privacy.noise_fleet(U, [0.0, 0.0, 0.0], [1, 2, 3]) is U
+    noised = privacy.noise_fleet(U, [0.0, 0.5, 0.0], [1, 2, 3])
     assert noised[0].tobytes() == U[0].tobytes() and noised[2].tobytes() == U[2].tobytes()
     assert noised[1].tobytes() != U[1].tobytes()
 
