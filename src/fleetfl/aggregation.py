@@ -15,7 +15,7 @@ import numpy as np
 
 from .masking import MaskedUpdate
 from .models import ModelParams
-from .privacy import clip_vector, gaussian_noise, gaussian_sigma
+from .privacy import clip_fleet, gaussian_sigma, noise_fleet
 
 # the global mechanism's delta and clip norm; config.PrivacyConfig.eps_global turns it on
 DELTA_GLOBAL = 1e-5
@@ -96,15 +96,13 @@ def privacy_adjust_global(
     g: GlobalUpdate,
     base: ModelParams,
     epsilon_global: float,
-    delta: float,
-    clip_global: float,
     rng_seed: int,
 ) -> GlobalUpdate:
-    """Clip the aggregate delta and apply the Gaussian mechanism; the published
-    params are exactly base + the published delta. eps=inf is identity."""
+    """Clip the aggregate delta and apply the Gaussian mechanism as one row of the fleet's
+    passes; the published params are exactly base + the published delta. eps=inf is identity."""
     if math.isinf(epsilon_global):
         return g
-    sigma = gaussian_sigma(clip_global, epsilon_global, delta)
-    agg = gaussian_noise(clip_vector(g.delta, clip_global), sigma, rng_seed)
+    sigma = gaussian_sigma(CLIP_GLOBAL, epsilon_global, DELTA_GLOBAL)
+    agg = noise_fleet(clip_fleet(g.delta[None, :], CLIP_GLOBAL), [sigma], [rng_seed])[0]
     params = ModelParams.from_vector(base.as_vector() + agg, version=g.params.version)
     return GlobalUpdate(params=params, delta=agg, total_samples=g.total_samples)

@@ -34,6 +34,7 @@ ATTACK_KINDS = (
     "impersonate",
     "mitm_swap",
 )
+POISON_FACTOR = 100.0  # poison_update scales a raw update by this, then masks it honestly
 
 
 @dataclass
@@ -150,7 +151,7 @@ def _attack_wrong_key(sim, trace, seeds, kind) -> AttackReport:
     return _deliver(sim, kind, seeds, forge)
 
 
-def _attack_poison(sim, trace, seeds, factor: float = 100.0) -> AttackReport:
+def _attack_poison(sim, trace, seeds) -> AttackReport:
     """Scale a raw update before masking; the norm-bound contract rule is the defense."""
     detected = 0
     notes = {}
@@ -164,7 +165,7 @@ def _attack_poison(sim, trace, seeds, factor: float = 100.0) -> AttackReport:
         rng = _rng(seed)
         node = sorted(trace.raw_updates)[int(rng.integers(len(trace.raw_updates)))]
         raw, honest = trace.raw_updates[node], trace.masked[node]
-        payload = raw * factor + (honest.payload - raw)  # adversary masks honestly
+        payload = raw * POISON_FACTOR + (honest.payload - raw)  # adversary masks honestly
         tag = _forged_tag(rng, sim, trace)
         forged = dataclasses.replace(honest, payload=payload, freshness=tag,
                                      payload_hash=hash_vector(payload))
@@ -176,8 +177,6 @@ def _attack_poison(sim, trace, seeds, factor: float = 100.0) -> AttackReport:
         elif result.accepted:
             notes["accepted"] = notes.get("accepted", 0) + 1
     note = json.dumps(notes, sort_keys=True) if notes else ""
-    if factor <= 1.5:
-        note = "below the norm bound: undetected by design (the bound is the defense)"
     return AttackReport(kind="poison_update", injected=len(seeds), detected=detected, notes=note)
 
 

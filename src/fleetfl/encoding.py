@@ -103,11 +103,6 @@ def streams(seeds, n_words: int) -> np.ndarray:
     return np.frombuffer(raw, dtype=">u8").reshape(len(seeds), n_words).astype(np.uint64)
 
 
-def stream(seed: int, n_words: int) -> np.ndarray:
-    """The big-endian uint64 words of ``shake_128(enc_u64(seed)).digest(8·n_words)``."""
-    return streams([seed], n_words)[0]
-
-
 def normals(words: np.ndarray) -> np.ndarray:
     """Standard normals by the Box–Muller cos branch from words (..., 2, d):
     u1 from words[..., 0, :] and u2 from words[..., 1, :] -> (..., d)."""

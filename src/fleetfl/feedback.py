@@ -71,15 +71,9 @@ class IntegrationWeights:
 
 
 @dataclass
-class FeedbackQuality:
-    accuracy_gain: float
-    explanation_stability: float
-
-
-@dataclass
 class FeedbackUpdate:
     delta: np.ndarray
-    quality: FeedbackQuality
+    accuracy_gain: float
 
 
 def _stack(arrays, what: str) -> np.ndarray:
@@ -232,7 +226,6 @@ def correct_fleet(
     lr: float,
     steps: int,
     seeds: Sequence[int],
-    explanation_stability: Sequence[float],
 ) -> list[FeedbackUpdate]:
     """Full-batch SGD of each of N stacked models V (N, d + 1) on its own flagged
     rows, with its gain measured on its own holdout rows (N, h, d).
@@ -247,9 +240,8 @@ def correct_fleet(
     n_models = len(V)
     holdout_X = _stack(holdout_X, "holdout rows")
     holdout_y = np.asarray(holdout_y)
-    if not (len(flagged_X) == len(flagged_y) == len(seeds) == len(explanation_stability)
-            == n_models):
-        raise ValueError("need flagged rows, a seed and a stability per model")
+    if not len(flagged_X) == len(flagged_y) == len(seeds) == n_models:
+        raise ValueError("need flagged rows and a seed per model")
     if (holdout_X.ndim != 3 or holdout_X.shape[0] != n_models
             or holdout_X.shape[2] != V.shape[1] - 1 or holdout_y.shape != holdout_X.shape[:2]):
         raise ValueError("holdout rows must be (N, h, d) with (N, h) labels")
@@ -274,13 +266,8 @@ def correct_fleet(
                              np.concatenate([holdout_X, holdout_X]))
     acc = np.mean((p >= 0.5).astype(np.int64) == np.concatenate([holdout_y, holdout_y]), axis=1)
     gains = acc[n_models:] - acc[:n_models]
-    return [
-        FeedbackUpdate(
-            delta=delta,
-            quality=FeedbackQuality(accuracy_gain=float(gain), explanation_stability=stability),
-        )
-        for delta, gain, stability in zip(deltas, gains, explanation_stability)
-    ]
+    return [FeedbackUpdate(delta=delta, accuracy_gain=float(gain))
+            for delta, gain in zip(deltas, gains)]
 
 
 def local_correction(
@@ -292,27 +279,24 @@ def local_correction(
     lr: float,
     steps: int,
     seed: int,
-    explanation_stability: float = 1.0,
 ) -> FeedbackUpdate:
     """Full-batch SGD on the flagged subset only; gain is measured on the held-out split."""
     return correct_fleet(
         model1.as_vector()[None], [flagged_X], [flagged_y], [holdout_X], [holdout_y], lr, steps,
-        [seed], [explanation_stability],
+        [seed],
     )[0]
 
 
 def compute_weights(
-    quality: FeedbackQuality, total_samples: int, w_min: float = W_MIN, n_ref: int = N_REF
+    accuracy_gain: float, explanation_stability: float, total_samples: int
 ) -> IntegrationWeights:
     """Convex fusion weights: the local score rewards measured accuracy gain and
     explanation stability, the global score rewards data volume."""
-    if not 0.0 < w_min < 0.5:
-        raise ValueError("w_min must lie in (0, 0.5)")
     if total_samples < 1:
         raise ValueError("total_samples must be positive")
-    score_local = max(0.0, quality.accuracy_gain) * quality.explanation_stability
-    score_global = math.log1p(total_samples) / math.log1p(n_ref)  # > 0
-    w_local = min(max(score_local / (score_local + score_global), w_min), 1.0 - w_min)
+    score_local = max(0.0, accuracy_gain) * explanation_stability
+    score_global = math.log1p(total_samples) / math.log1p(N_REF)  # > 0
+    w_local = min(max(score_local / (score_local + score_global), W_MIN), 1.0 - W_MIN)
     return IntegrationWeights(w_local=w_local, w_global=1.0 - w_local)
 
 

@@ -32,6 +32,7 @@ from .encoding import (
 from .privacy import BudgetLedger
 
 BLOCK_KINDS = ("genesis", "local_update", "global_model", "feedback")
+QUORUM_FRACTION = 2.0 / 3.0  # the share of a committee's stake that must attest validly
 
 
 class ContractRejected(RuntimeError):
@@ -81,7 +82,6 @@ class LedgerBlock:
 @dataclass
 class ValidatorSet:
     stakes: dict[str, float]
-    quorum_fraction: float = 2.0 / 3.0
     secret_seed: int = 0
     byzantine_refuse: set[str] = field(default_factory=set)
     byzantine_false: set[str] = field(default_factory=set)
@@ -91,8 +91,6 @@ class ValidatorSet:
             raise ValueError("validator set is empty")
         if any(s < 0 for s in self.stakes.values()) or sum(self.stakes.values()) <= 0:
             raise ValueError("stakes must be non-negative with positive total")
-        if not 0.5 < self.quorum_fraction <= 1.0:
-            raise ValueError("quorum_fraction must lie in (1/2, 1]")
 
     def secret(self, validator_id: str) -> bytes:
         return hashlib.sha256(
@@ -244,10 +242,10 @@ def _attest(vset: ValidatorSet, committee: list[str], core: bytes) -> list[tuple
             valid_stake += vset.stakes[vid]
 
     committee_stake = sum(vset.stakes[v] for v in committee)
-    if valid_stake + 1e-12 < vset.quorum_fraction * committee_stake:
+    if valid_stake + 1e-12 < QUORUM_FRACTION * committee_stake:
         raise QuorumNotReached(
             f"attesting stake {valid_stake} < quorum "
-            f"{vset.quorum_fraction} x {committee_stake}"
+            f"{QUORUM_FRACTION} x {committee_stake}"
         )
     return attestations
 
@@ -384,6 +382,10 @@ def import_chain(text: str) -> list[LedgerBlock]:
     for i, rec in enumerate(records):
         try:
             m = rec["meta"]
+            numbers = (rec["index"], m["round"], m["timestamp"], m["freshness_round"],
+                       m["model_version"], m["epsilon_charged"])
+            if any(isinstance(x, bool) for x in numbers):  # enc_u64(True) packs as 1
+                raise TypeError("a JSON boolean is not a number")
             meta = BlockMeta(
                 kind=m["kind"],
                 actor_id=m["actor_id"],

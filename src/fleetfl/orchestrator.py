@@ -184,12 +184,14 @@ class Simulator:
             for idx in (train, hold if len(hold) else train)
         )
 
+    def _seeds(self, stream: str, r: int) -> list[int]:
+        """Each node's seed for the named per-node stream of round r, in node order."""
+        return [sub_seed(self.cfg.seed, stream, r, node) for node in self.node_ids]
+
     def _train(self, params: list[ModelParams], parts: list[telemetry.NodePartition],
-               *seed_parts) -> list[GradientUpdate]:
-        """One stacked local SGD of every node under the run's training config;
-        each node is seeded by the seed parts and its id."""
+               seeds: list[int]) -> list[GradientUpdate]:
+        """One stacked local SGD of every node under the run's training config."""
         t = self.cfg.train
-        seeds = [sub_seed(self.cfg.seed, *seed_parts, p.node_id) for p in parts]
         return train_fleet(params, parts, lr=t.lr, epochs=t.epochs, batch=t.batch, seeds=seeds)
 
     def _tag(self, party: str, rnd: int) -> FreshnessTag:
@@ -291,7 +293,7 @@ class Simulator:
         strength and the raw local updates in node order."""
         cfg, ids = self.cfg, self.node_ids
         trains = [self._parts[n][0] for n in ids]
-        updates = self._train([self.node_params[n] for n in ids], trains, "train", r)
+        updates = self._train([self.node_params[n] for n in ids], trains, self._seeds("train", r))
         eps, strength = privacy.assess_fleet(
             [t.sensitivity for t in trains], cfg.threat_for_round(r), cfg.privacy
         )
@@ -299,7 +301,7 @@ class Simulator:
         noised = privacy.noise_fleet(
             privacy.clip_fleet(np.stack([u.grad for u in updates]), clip),
             privacy.gaussian_sigma(clip, eps, privacy.DELTA),
-            [sub_seed(cfg.seed, "noise", r, node) for node in ids],
+            self._seeds("noise", r),
         )
         # sender-side sample weighting keeps the aggregator blind to raw updates
         scaled = noised * np.array([u.n_samples for u in updates])[:, None]
@@ -388,8 +390,6 @@ class Simulator:
             g,
             self.global_params,
             cfg.privacy.eps_global,
-            aggregation.DELTA_GLOBAL,
-            aggregation.CLIP_GLOBAL,
             sub_seed(cfg.seed, "global-noise", r),
         )
 
@@ -427,24 +427,21 @@ class Simulator:
         pass each, then fusion at each node; returns (node models, explanation
         records, mean agreement, mean w_local). Each node's logged explanation,
         whose stability weighs its fusion, is the one its validation compared."""
-        cfg = self.cfg
-        fb = cfg.feedback
+        fb = self.cfg.feedback
         ids = self.node_ids
         if not fb.enabled:
             return dict.fromkeys(ids, g.params), [], 1.0, 0.0
 
-        def seeds(stream: str) -> list[int]:
-            return [sub_seed(cfg.seed, stream, r, node) for node in ids]
-
         trains, holds = zip(*(self._parts[node] for node in ids))
         # Model 1: each node's local model; Model 2: the global model tuned on its holdout rows
-        model2_updates = self._train([g.params] * len(ids), holds, "model2", r)
+        model2_updates = self._train([g.params] * len(ids), holds, self._seeds("model2", r))
         V1 = np.stack([self.node_params[n].as_vector() + u.grad for n, u in zip(ids, updates)])
         V2 = g.params.as_vector() + np.stack([u.grad for u in model2_updates])
         val_X = np.stack([t.features[: fb.max_validation_samples] for t in trains])
         val_y = np.stack([t.labels[: fb.max_validation_samples] for t in trains])
 
-        reports = feedback.validate_fleet(V1, V2, val_X, fb.explain_repeats, seeds("explain"))
+        reports = feedback.validate_fleet(V1, V2, val_X, fb.explain_repeats,
+                                          self._seeds("explain", r))
         records = [{
             "round": r, "node": node, "sample": 0,
             "attributions": [float(a) for a in rep.explanation.attributions],
@@ -454,23 +451,23 @@ class Simulator:
             V1, [x[rep.flagged] for x, rep in zip(val_X, reports)],
             [y[rep.flagged] for y, rep in zip(val_y, reports)],
             [h.features for h in holds], [h.labels for h in holds],
-            lr=feedback.CORRECTION_LR, steps=feedback.CORRECTION_STEPS, seeds=seeds("correct"),
-            explanation_stability=[rep.explanation.stability for rep in reports],
+            lr=feedback.CORRECTION_LR, steps=feedback.CORRECTION_STEPS,
+            seeds=self._seeds("correct", r),
         )
 
         agreement = float(np.mean([rep.agreement_rate for rep in reports]))
-        node_params, w_local = self._integrate(trace, r, g, corrections)
+        node_params, w_local = self._integrate(trace, r, g, corrections, reports)
         return node_params, records, agreement, w_local
 
-    def _integrate(self, trace, r: int, g: aggregation.GlobalUpdate,
-                   corrections: list[feedback.FeedbackUpdate]):
-        """Fuse each node's correction with the global delta onto the previous
-        global model and submit the result through the cloud, which stages its
-        block; returns (node models, mean w_local)."""
+    def _integrate(self, trace, r: int, g: aggregation.GlobalUpdate, corrections, reports):
+        """Fuse each node's correction, weighed by its gain and its report's explanation
+        stability, with the global delta onto the previous global model and submit the
+        result through the cloud, which stages its block; returns (node models, mean w_local)."""
         base = self.global_params.as_vector()
         node_params, w_locals = {}, []
-        for node, corr in zip(self.node_ids, corrections):
-            w = feedback.compute_weights(corr.quality, g.total_samples)
+        for node, corr, rep in zip(self.node_ids, corrections, reports):
+            w = feedback.compute_weights(corr.accuracy_gain, rep.explanation.stability,
+                                         g.total_samples)
             integrated = ModelParams.from_vector(
                 base + feedback.integrate(corr.delta, g.delta, w), version=g.params.version
             )

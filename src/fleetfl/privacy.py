@@ -6,11 +6,10 @@ the bounds a ``config.PrivacyConfig`` holds (eps_max=inf disables noise) and the
 threat to the round's mask strength; ``clip_fleet`` clips every row at
 ``clip_norm``; ``noise_fleet`` adds sigma = clip_norm * sqrt(2 ln(1.25/DELTA)) /
 eps per coordinate, 0 at eps=inf. Budgets compose linearly. ``assess_context``,
-``clip_vector``/``clip_update`` and ``gaussian_noise``/``add_dp_noise`` are the
-one-row forms, so a node's update and the published aggregate take the fleet's
-path. A row's noise is sigma times the ``encoding.normals`` of its own seed's
-stream, all rows in one stacked transform; a row whose sigma is 0 draws nothing
-and keeps its bits.
+``clip_update`` and ``add_dp_noise`` are the one-node forms and the published
+aggregate is one row, so every update takes the fleet's path. A row's noise is
+sigma times the ``encoding.normals`` of its own seed's stream, all rows in one
+stacked transform; a row whose sigma is 0 draws nothing and keeps its bits.
 
 ``row_norms`` takes every row's L2 norm as one batched ``np.matmul`` of each
 row with itself, which computes each row's sum of squares with the same
@@ -113,19 +112,13 @@ def clip_fleet(U: np.ndarray, clip_norms) -> np.ndarray:
     return U * scale[:, None]
 
 
-def clip_vector(v: np.ndarray, clip_norm: float) -> np.ndarray:
-    """Scale v down to L2 norm clip_norm; v itself when already within."""
-    V = v[None, :]
-    out = clip_fleet(V, [clip_norm])
-    return v if out is V else out[0]
-
-
 def clip_update(update: GradientUpdate, clip_norm: float) -> GradientUpdate:
-    """The update with its grad clipped by clip_vector; itself when already within."""
-    g = clip_vector(update.grad, clip_norm)
-    if g is update.grad:
+    """The update with its grad clipped by clip_fleet; itself when already within."""
+    U = update.grad[None, :]
+    out = clip_fleet(U, [clip_norm])
+    if out is U:
         return update
-    return GradientUpdate(grad=g, n_samples=update.n_samples)
+    return GradientUpdate(grad=out[0], n_samples=update.n_samples)
 
 
 def gaussian_sigma(clip_norm: float, epsilon, delta: float):
@@ -154,21 +147,14 @@ def noise_fleet(U: np.ndarray, sigmas, rng_seeds) -> np.ndarray:
     return out
 
 
-def gaussian_noise(v: np.ndarray, sigma: float, rng_seed: int) -> np.ndarray:
-    """v plus i.i.d. Gaussian noise of scale sigma: noise_fleet's one-row form;
-    v itself when sigma is 0."""
-    V = v[None, :]
-    out = noise_fleet(V, [sigma], [rng_seed])
-    return v if out is V else out[0]
-
-
 def add_dp_noise(update: GradientUpdate, ctx: PrivacyContext, rng_seed: int) -> GradientUpdate:
-    """Add i.i.d. Gaussian noise calibrated to the context; eps=inf is identity."""
-    sigma = gaussian_sigma(ctx.clip_norm, ctx.epsilon, ctx.delta)
-    grad = gaussian_noise(update.grad, sigma, rng_seed)
-    if grad is update.grad:
+    """Add i.i.d. Gaussian noise calibrated to the context by noise_fleet;
+    eps=inf is identity."""
+    U = update.grad[None, :]
+    out = noise_fleet(U, [gaussian_sigma(ctx.clip_norm, ctx.epsilon, ctx.delta)], [rng_seed])
+    if out is U:
         return update
-    return GradientUpdate(grad=grad, n_samples=update.n_samples)
+    return GradientUpdate(grad=out[0], n_samples=update.n_samples)
 
 
 def charge_budget(ledger: BudgetLedger, node_id: str, epsilon: float) -> BudgetLedger:

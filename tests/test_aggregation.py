@@ -133,28 +133,32 @@ def test_fedavg_from_masked_sum_matches_direct_fedavg():
 def test_global_adjust_infinite_epsilon_is_identity():
     base = ModelParams.zeros(1)
     g = aggregation.fedavg([(np.array([1.0, 1.0]), 10)], base)
-    assert aggregation.privacy_adjust_global(g, base, math.inf, 1e-5, 1.0, rng_seed=1) is g
+    assert aggregation.privacy_adjust_global(g, base, math.inf, rng_seed=1) is g
 
 
 def test_global_adjust_noise_matches_sigma_oracle():
+    assert (aggregation.CLIP_GLOBAL, aggregation.DELTA_GLOBAL) == (1.0, 1e-5)
     base = ModelParams.zeros(2)
-    g = aggregation.fedavg([(np.array([6.0, 8.0, 0.0]), 10)], base)
-    out = aggregation.privacy_adjust_global(g, base, 1.0, 1e-5, clip_global=5.0, rng_seed=42)
-    clipped = np.array([3.0, 4.0, 0.0])  # delta scaled from norm 10 down to 5
-    sigma = 5.0 * math.sqrt(2.0 * math.log(1.25e5)) / 1.0
-    expected_noise = sigma * encoding.normals(encoding.stream(42, 6).reshape(2, 3))
-    np.testing.assert_allclose(out.delta, clipped + expected_noise, atol=1e-9)
-    np.testing.assert_allclose(out.params.as_vector(), out.delta, atol=1e-9)
+    sigma = 1.0 * math.sqrt(2.0 * math.log(1.25e5)) / 1.0
+    expected_noise = sigma * encoding.normals(encoding.streams([42], 6).reshape(2, 3))
+    # a delta of norm 10 is scaled down to norm 1; one of norm 0.5 is kept
+    for delta, kept in [([6.0, 8.0, 0.0], [0.6, 0.8, 0.0]), ([0.3, 0.4, 0.0], [0.3, 0.4, 0.0])]:
+        g = aggregation.fedavg([(np.array(delta), 10)], base)
+        out = aggregation.privacy_adjust_global(g, base, 1.0, rng_seed=42)
+        np.testing.assert_allclose(out.delta, np.array(kept) + expected_noise, atol=1e-9)
+        np.testing.assert_allclose(out.params.as_vector(), out.delta, atol=1e-9)
 
 
 @pytest.mark.parametrize("scale", [0.1, 10.0], ids=["within-clip", "clipped"])
 def test_global_adjust_is_the_edge_mechanism_bit_for_bit(scale):
     base = ModelParams.zeros(3)
     g = aggregation.fedavg([(np.array([1.0, -2.0, 0.5, 3.0]) * scale, 7)], base)
-    out = aggregation.privacy_adjust_global(g, base, 2.0, 1e-5, clip_global=1.0, rng_seed=9)
-    ctx = privacy.PrivacyContext(epsilon=2.0, delta=1e-5, clip_norm=1.0, mask_strength=0.0)
+    out = aggregation.privacy_adjust_global(g, base, 2.0, rng_seed=9)
+    clip = aggregation.CLIP_GLOBAL
+    ctx = privacy.PrivacyContext(epsilon=2.0, delta=aggregation.DELTA_GLOBAL, clip_norm=clip,
+                                 mask_strength=0.0)
     edge = privacy.add_dp_noise(
-        privacy.clip_update(GradientUpdate(grad=g.delta, n_samples=7), 1.0), ctx, rng_seed=9
+        privacy.clip_update(GradientUpdate(grad=g.delta, n_samples=7), clip), ctx, rng_seed=9
     )
     assert out.delta.tobytes() == edge.grad.tobytes()
 
@@ -168,7 +172,7 @@ def test_global_adjust_publishes_exactly_base_plus_delta():
         scale = 10.0 ** int(rng.integers(-3, 4))
         base = ModelParams.from_vector(rng.normal(size=dim + 1) * scale, version=seed)
         g = aggregation.fedavg([(rng.normal(size=dim + 1), 10)], base)
-        out = aggregation.privacy_adjust_global(g, base, 2.0, 1e-5, 1.0, rng_seed=seed)
+        out = aggregation.privacy_adjust_global(g, base, 2.0, rng_seed=seed)
         assert out.params.version == base.version + 1
         if not np.array_equal(out.params.as_vector(), base.as_vector() + out.delta):
             drifted.append(seed)
@@ -183,9 +187,9 @@ def test_global_adjust_small_sigma_barely_moves_accuracy():
     delta = delta / np.linalg.norm(delta)
     base = ModelParams.zeros(4)
     g = aggregation.fedavg([(delta, 10)], base)
-    clip = 1.0
-    eps = clip * math.sqrt(2.0 * math.log(1.25 / 1e-5)) / 0.01
-    noisy = aggregation.privacy_adjust_global(g, base, eps, 1e-5, clip, rng_seed=3)
+    clip, delta = aggregation.CLIP_GLOBAL, aggregation.DELTA_GLOBAL
+    eps = clip * math.sqrt(2.0 * math.log(1.25 / delta)) / 0.01
+    noisy = aggregation.privacy_adjust_global(g, base, eps, rng_seed=3)
     acc_clean, _ = evaluate(g.params, X, y)
     acc_noisy, _ = evaluate(noisy.params, X, y)
     assert abs(acc_clean - acc_noisy) < 0.02

@@ -91,13 +91,13 @@ def test_streams_are_each_seeds_shake128_words(seeds, n_words):
     assert words.dtype == np.uint64 and words.shape == (len(seeds), n_words)
     for row, seed in zip(words, seeds):
         assert row.tolist() == ref_words(seed, n_words)
-        assert encoding.stream(seed, n_words).tolist() == row.tolist()
+        assert encoding.streams([seed], n_words)[0].tolist() == row.tolist()
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_a_seed_outside_64_bits_raises(seed):
     with pytest.raises(ValueError, match="2\\^64"):
-        encoding.stream(seed, 2)
+        encoding.streams([seed], 2)
     with pytest.raises(ValueError, match="2\\^64"):
         encoding.integers([seed], 3, 2)
     with pytest.raises(ValueError, match="2\\^64"):
@@ -118,12 +118,12 @@ def test_normals_are_the_box_muller_cos_branch():
         * math.cos(2.0 * math.pi * (w[d + k] >> 11) * 2.0**-53)
         for k in range(d)
     ]
-    got = encoding.normals(encoding.stream(3, 2 * d).reshape(2, d))
+    got = encoding.normals(encoding.streams([3], 2 * d).reshape(2, d))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
 def test_100k_normals_pass_a_ks_test():
-    z = encoding.normals(encoding.stream(2024, 200_000).reshape(2, 100_000))
+    z = encoding.normals(encoding.streams([2024], 200_000).reshape(2, 100_000))
     assert stats.kstest(z, "norm").pvalue > 1e-3
     assert abs(z.mean()) < 0.02 and abs(z.std() - 1.0) < 0.02
 

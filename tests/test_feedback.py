@@ -1,6 +1,7 @@
 """Dual-model validation, explanations, corrections, and weighted fusion."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -210,11 +211,10 @@ def test_empty_flagged_set_gives_zero_correction():
     m = ModelParams(np.array([1.0, 2.0]), 0.0)
     out = feedback.local_correction(
         m, np.zeros((0, 2)), np.zeros(0), np.ones((3, 2)), np.ones(3, dtype=np.int64),
-        lr=0.1, steps=5, seed=0, explanation_stability=0.7,
+        lr=0.1, steps=5, seed=0,
     )
     np.testing.assert_array_equal(out.delta, np.zeros(3))
-    assert out.quality.accuracy_gain == 0.0
-    assert out.quality.explanation_stability == 0.7
+    assert out.accuracy_gain == 0.0
 
 
 def test_correction_on_whole_set_matches_train_local():
@@ -239,7 +239,7 @@ def test_correction_gain_is_measured_on_holdout():
     after, _ = evaluate(
         ModelParams.from_vector(m.as_vector() + out.delta), hold_X, hold_y
     )
-    assert out.quality.accuracy_gain == pytest.approx(after - before)
+    assert out.accuracy_gain == pytest.approx(after - before)
 
 
 def _node_abs_deltas(params, samples, base, background, rows):
@@ -320,10 +320,9 @@ def test_fleet_passes_equal_per_node_calls_bit_for_bit(case):
 
     reports = feedback.validate_fleet(V1, V2, X, repeats, seeds)
     expls = [feedback.explain(m, x[0], x, repeats, s) for m, x, s in zip(m1, X, seeds)]
-    stability = [e.stability for e in expls]
     corrections = feedback.correct_fleet(
         V1, [x[i] for x, i in zip(X, picks)], [t[i] for t, i in zip(y, picks)], hold_X, hold_y,
-        lr=0.3, steps=3, seeds=seeds, explanation_stability=stability,
+        lr=0.3, steps=3, seeds=seeds,
     )
     for k in range(n_models):
         agreement, flagged, consistency = _node_validate(m1[k], m2[k], X[k], repeats, seeds[k])
@@ -341,8 +340,7 @@ def test_fleet_passes_equal_per_node_calls_bit_for_bit(case):
         delta, gain = _node_correction(m1[k], X[k][picks[k]], y[k][picks[k]], hold_X[k],
                                        hold_y[k], 0.3, 3, seeds[k])
         assert np.array_equal(corrections[k].delta, delta)
-        assert corrections[k].quality.accuracy_gain == gain
-        assert corrections[k].quality.explanation_stability == stability[k]
+        assert corrections[k].accuracy_gain == gain
         # the one-node forms are the fleet forms at N = 1
         one = feedback.validate_predictions(m1[k], m2[k], X[k], repeats, seeds[k])
         assert (one.flagged, one.agreement_rate) == (flagged, agreement)
@@ -361,53 +359,48 @@ def test_fleet_passes_reject_rows_of_unequal_shape():
         feedback.validate_fleet(V, V, ragged, 2, [0, 1])
     with pytest.raises(ValueError, match="one shape"):
         feedback.correct_fleet(V, [np.zeros((1, 2))] * 2, [np.zeros(1)] * 2, ragged,
-                               [np.zeros(3), np.zeros(4)], lr=0.1, steps=1, seeds=[0, 1],
-                               explanation_stability=[1.0, 1.0])
+                               [np.zeros(3), np.zeros(4)], lr=0.1, steps=1, seeds=[0, 1])
     with pytest.raises(ValueError, match="one seed per model"):
         feedback.validate_fleet(V, V, np.zeros((2, 3, 2)), 2, [0])
 
 
-def _quality(gain, stability):
-    return feedback.FeedbackQuality(accuracy_gain=gain, explanation_stability=stability)
-
-
 def test_weights_symmetric_scores_split_evenly():
-    # score_local = 1.0 * 0.5 = 0.5; score_global = log1p(9)/log1p(99) = ln 10/ln 100 = 0.5
-    w = feedback.compute_weights(_quality(1.0, 0.5), 9, w_min=0.05, n_ref=99)
+    # score_local = 1.0 * 1.0 = 1; score_global = log1p(1000)/log1p(N_REF) = 1
+    w = feedback.compute_weights(1.0, 1.0, 1000)
     assert w.w_local == pytest.approx(0.5)
     assert w.w_global == pytest.approx(0.5)
 
 
 def test_weights_zero_gain_floors_at_w_min():
-    w = feedback.compute_weights(_quality(0.0, 1.0), 500, w_min=0.05, n_ref=1000)
+    w = feedback.compute_weights(0.0, 1.0, 500)
     assert w.w_local == 0.05
     assert w.w_global == 0.95
 
 
 def test_weights_hand_value():
-    # score_local = 0.6 * 0.5 = 0.3; score_global = ln 10/ln 10^10 = 0.1 -> w_local = 0.75
-    w = feedback.compute_weights(_quality(0.6, 0.5), 9, w_min=0.05, n_ref=10**10 - 1)
-    assert w.w_local == pytest.approx(0.75)
-    assert w.w_global == pytest.approx(0.25)
+    # score_local = 0.6 * 0.5 = 0.3; score_global = ln 10/ln 1001 = 0.33329
+    w = feedback.compute_weights(0.6, 0.5, 9)
+    assert w.w_local == pytest.approx(0.3 / (0.3 + math.log(10) / math.log(1001)))
+    assert w.w_local == pytest.approx(0.47372, abs=1e-5)
+    assert w.w_global == pytest.approx(1.0 - w.w_local)
 
 
 def test_weights_global_score_is_the_data_volume_alone():
-    # at n_ref = 1000 a round of 1000 samples scores exactly 1
-    w = feedback.compute_weights(_quality(0.25, 1.0), 1000, w_min=0.05, n_ref=1000)
-    assert w.w_local == pytest.approx(0.25 / 1.25)
+    # at N_REF = 1000 a round of 1000 samples scores exactly 1, whatever the local score
+    for gain, stability in [(0.25, 1.0), (0.5, 0.5), (1.0, 0.25)]:
+        w = feedback.compute_weights(gain, stability, 1000)
+        assert w.w_local == pytest.approx(0.25 / 1.25)
 
 
 def test_weights_capped_at_one_minus_w_min():
     # score_local = 10 dwarfs score_global = ln 3/ln 1001
-    w = feedback.compute_weights(_quality(10.0, 1.0), 2, w_min=0.1, n_ref=1000)
-    assert w.w_local == pytest.approx(0.9)
+    w = feedback.compute_weights(10.0, 1.0, 2)
+    assert w.w_local == pytest.approx(0.95)
 
 
 def test_weights_validate_inputs():
-    with pytest.raises(ValueError):
-        feedback.compute_weights(_quality(0.1, 1.0), 100, w_min=0.6, n_ref=1000)
-    with pytest.raises(ValueError):
-        feedback.compute_weights(_quality(0.1, 1.0), 0, w_min=0.05, n_ref=1000)
+    with pytest.raises(ValueError, match="total_samples must be positive"):
+        feedback.compute_weights(0.1, 1.0, 0)
 
 
 def test_integrate_equal_vectors_is_identity():

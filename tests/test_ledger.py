@@ -89,11 +89,6 @@ def test_empty_validator_set_rejected():
         ledger.ValidatorSet(stakes={})
 
 
-def test_quorum_fraction_must_exceed_half():
-    with pytest.raises(ValueError):
-        ledger.ValidatorSet(stakes={"A": 1.0}, quorum_fraction=0.5)
-
-
 def test_contract_accepts_clean_update():
     payload = b"fine"
     result = ledger.contract_validate(
@@ -286,10 +281,16 @@ def test_export_import_round_trip():
     assert back[3].meta == chain[3].meta
 
 
-@pytest.mark.parametrize("field, value", [("round", "x"), ("round", -1), ("actor_id", 5)])
+@pytest.mark.parametrize("field, value", [
+    ("round", "x"), ("round", -1), ("actor_id", 5),
+    # a JSON boolean in a numeric field would encode as 0 or 1
+    ("index", True), ("round", False), ("timestamp", True), ("freshness_round", True),
+    ("model_version", True), ("epsilon_charged", True),
+])
 def test_import_rejects_a_record_that_does_not_encode(field, value):
     recs = json.loads(ledger.export_chain(_build_chain(3)))
-    recs[1]["meta"][field] = value
+    # index is the one top-level field named here; the rest are meta fields
+    (recs[1] if field in recs[1] else recs[1]["meta"])[field] = value
     with pytest.raises(ValueError, match="malformed chain: block record 1"):
         ledger.import_chain(json.dumps(recs))
 

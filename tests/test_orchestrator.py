@@ -214,11 +214,12 @@ def test_fusion_matches_a_hand_recomputed_oracle(monkeypatch, n_nodes, seed):
         w_local = min(max(score_local / (score_local + score_global), w_min), 1.0 - w_min)
         return prev + w_local * x + (1.0 - w_local) * y, w_local
 
+    # each node's fusion is weighed by the stability of the explanation the round logged
+    records = sim.explanation_records
+    assert [rec["node"] for rec in records] == sim.node_ids
     expected, w_locals = {}, []
-    for node, c in zip(sim.node_ids, corrections):
-        expected[node], w_local = fused(
-            c.delta, c.quality.accuracy_gain, c.quality.explanation_stability
-        )
+    for node, c, rec in zip(sim.node_ids, corrections, records):
+        expected[node], w_local = fused(c.delta, c.accuracy_gain, rec["stability"])
         w_locals.append(w_local)
     assert max(w_locals) > w_min
     for node in sim.node_ids:
@@ -303,7 +304,8 @@ def _per_node_train_and_privatise(sim, r):
     cfg = sim.cfg
     threat = cfg.threat_for_round(r)
     trains = [sim._parts[n][0] for n in sim.node_ids]
-    updates = sim._train([sim.node_params[n] for n in sim.node_ids], trains, "train", r)
+    seeds = [sub_seed(cfg.seed, "train", r, n) for n in sim.node_ids]
+    updates = sim._train([sim.node_params[n] for n in sim.node_ids], trains, seeds)
     scaled, ctxs = [], []
     for node, train, upd in zip(sim.node_ids, trains, updates):
         ctx = privacy.assess_context(train.sensitivity, threat, cfg.privacy)
@@ -389,8 +391,7 @@ def test_feedback_disabled_round_has_fewer_blocks():
 def test_diversity_of_equal_counts_is_at_most_one(n):
     # n equal train splits have full diversity, which the global score counts as exactly
     # one: no entropy rounding (1 - ulp at 10 or 14 nodes) reaches w_local
-    quality = feedback.FeedbackQuality(accuracy_gain=0.3, explanation_stability=0.5)
-    w = feedback.compute_weights(quality, 100 * n, 0.05, 1000)
+    w = feedback.compute_weights(0.3, 0.5, 100 * n)
     score_local = 0.3 * 0.5
     score_global = 1.0 * math.log1p(100 * n) / math.log1p(1000)
     assert 0.05 < w.w_local == score_local / (score_local + score_global) < 0.95
@@ -737,7 +738,7 @@ def test_after_any_run_the_chain_is_genesis_plus_whole_rounds(
             if _attestation_is_valid(vset, closing, vid, digest)
         )
         assert {vid for vid, _ in closing.attestations} <= set(committee)
-        assert valid + 1e-12 >= vset.quorum_fraction * sum(vset.stakes[v] for v in committee)
+        assert valid + 1e-12 >= ledger.QUORUM_FRACTION * sum(vset.stakes[v] for v in committee)
     assert start == len(chain)
 
 

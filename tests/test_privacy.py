@@ -266,7 +266,7 @@ def _ref_clip_vector(v: np.ndarray, clip_norm: float) -> np.ndarray:
 
 
 def _ref_clip_update(update: GradientUpdate, clip_norm: float) -> GradientUpdate:
-    """The update with its grad clipped by clip_vector; itself when already within."""
+    """The update with its grad clipped by _ref_clip_vector; itself when already within."""
     g = _ref_clip_vector(update.grad, clip_norm)
     if g is update.grad:
         return update
@@ -276,7 +276,7 @@ def _ref_clip_update(update: GradientUpdate, clip_norm: float) -> GradientUpdate
 def _ref_gaussian_noise(v: np.ndarray, sigma: float, rng_seed: int) -> np.ndarray:
     """v plus i.i.d. Gaussian noise of scale sigma: the one Gaussian mechanism,
     for a node's update and for the published aggregate."""
-    return v + sigma * encoding.normals(encoding.stream(rng_seed, 2 * v.size).reshape(2, v.size))
+    return v + sigma * encoding.normals(encoding.streams([rng_seed], 2 * v.size).reshape(2, v.size))
 
 
 def _ref_add_dp_noise(update: GradientUpdate, ctx: privacy.PrivacyContext,
