@@ -98,8 +98,12 @@ def _cmd_attack(args) -> int:
 
 def _cmd_ledger_verify(args) -> int:
     _require_file(args.chain, "chain")
-    with open(args.chain) as f:
-        chain = ledger.import_chain(f.read())
+    try:
+        with open(args.chain, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:  # JSON text is UTF-8 (RFC 8259)
+        raise ValueError(f"malformed chain: not JSON: {exc}") from None
+    chain = ledger.import_chain(text)
     bad = ledger.verify_chain(chain)
     if bad is None:
         print(

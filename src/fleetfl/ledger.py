@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -24,7 +26,6 @@ from .channel import FreshnessTag
 from .encoding import (
     ZERO_DIGEST,
     canonical_hash,
-    enc_f64,
     enc_str,
     enc_u32,
     enc_u64,
@@ -33,6 +34,8 @@ from .privacy import BudgetLedger
 
 BLOCK_KINDS = ("genesis", "local_update", "global_model", "feedback")
 QUORUM_FRACTION = 2.0 / 3.0  # the share of a committee's stake that must attest validly
+# round, then the freshness tag (16-byte nonce, timestamp, round), epsilon, model version
+_META_FIELDS = struct.Struct(">Q16sQQdQ")
 
 
 class ContractRejected(RuntimeError):
@@ -59,13 +62,9 @@ class BlockMeta:
             raise ValueError(f"unknown block kind {self.kind!r}")
 
     def to_bytes(self) -> bytes:
-        return (
-            enc_str(self.kind)
-            + enc_str(self.actor_id)
-            + enc_u64(self.round)
-            + self.freshness.to_bytes()
-            + enc_f64(self.epsilon_charged)
-            + enc_u64(self.model_version)
+        f = self.freshness
+        return enc_str(self.kind) + enc_str(self.actor_id) + _META_FIELDS.pack(
+            self.round, f.nonce, f.timestamp, f.round, self.epsilon_charged, self.model_version
         )
 
 
@@ -346,36 +345,40 @@ def verify_chain(chain: list[LedgerBlock]) -> int | None:
     return None
 
 
+# One block of json.dumps(records, sort_keys=True, indent=0), the chain.json layout
+_BLOCK_JSON = (
+    '{\n"attestations": %s,\n"block_hash": "%s",\n"index": %d,\n"meta": {\n'
+    '"actor_id": %s,\n"epsilon_charged": %s,\n"freshness_round": %d,\n"kind": %s,\n'
+    '"model_version": %d,\n"nonce": "%s",\n"round": %d,\n"timestamp": %d\n},\n'
+    '"payload_hash": "%s",\n"prev_hash": "%s"\n}'
+)
+
+
 def export_chain(chain: list[LedgerBlock]) -> str:
-    """JSON array of blocks with hex digests."""
+    """JSON array of blocks with hex digests, byte for byte as json.dumps with
+    sort_keys=True and indent=0 writes it; read from the live blocks each call."""
     out = []
     for b in chain:
-        out.append(
-            {
-                "index": b.index,
-                "prev_hash": b.prev_hash.hex(),
-                "payload_hash": b.payload_hash.hex(),
-                "meta": {
-                    "kind": b.meta.kind,
-                    "actor_id": b.meta.actor_id,
-                    "round": b.meta.round,
-                    "nonce": b.meta.freshness.nonce.hex(),
-                    "timestamp": b.meta.freshness.timestamp,
-                    "freshness_round": b.meta.freshness.round,
-                    "epsilon_charged": b.meta.epsilon_charged,
-                    "model_version": b.meta.model_version,
-                },
-                "attestations": [[vid, d.hex()] for vid, d in b.attestations],
-                "block_hash": b.block_hash.hex(),
-            }
-        )
-    return json.dumps(out, sort_keys=True, indent=0)
+        m, f = b.meta, b.meta.freshness
+        eps = m.epsilon_charged  # json's number rule: float repr unless int, inf or nan
+        finite = isinstance(eps, float) and math.isfinite(eps)
+        att = ",\n".join('[\n%s,\n"%s"\n]' % (_json_str(v), d.hex()) for v, d in b.attestations)
+        out.append(_BLOCK_JSON % (
+            f"[\n{att}\n]" if b.attestations else "[]", b.block_hash.hex(), b.index,
+            _json_str(m.actor_id), float.__repr__(eps) if finite else json.dumps(eps), f.round,
+            _json_str(m.kind), m.model_version, f.nonce.hex(), m.round, f.timestamp,
+            b.payload_hash.hex(), b.prev_hash.hex(),
+        ))
+    return "[\n" + ",\n".join(out) + "\n]" if out else "[]"
 
 
 def import_chain(text: str) -> list[LedgerBlock]:
     """Parse export_chain's JSON; ValueError("malformed chain: ...") for any
     record that does not have its shape or does not encode."""
-    records = json.loads(text)
+    try:
+        records = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed chain: not JSON: {exc}") from None
     if not isinstance(records, list):
         raise ValueError("malformed chain: expected a JSON array of blocks")
     chain = []

@@ -349,6 +349,20 @@ def test_malformed_chain_or_explanation_file_exits_1(tmp_path, capsys, name, tex
     assert "error: malformed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["truncated", "not-utf8"])
+def test_chain_file_that_is_not_json_is_a_malformed_chain(tmp_path, capsys, case):
+    path = tmp_path / "chain.json"
+    if case == "truncated":
+        sim = Simulator(make_cfg(rounds=1))
+        sim.run()
+        text = ledger.export_chain(sim.chain)
+        path.write_text(text[: len(text) // 2])
+    else:
+        path.write_bytes(b"\xff\xfe")
+    assert main(["ledger", "verify", "--chain", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: malformed chain: not JSON: ")
+
+
 def test_ledger_verify_missing_file_exits_2():
     assert main(["ledger", "verify", "--chain", "nope.json"]) == 2
 

@@ -2,13 +2,19 @@
 
 import dataclasses
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
+from conftest import make_cfg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fleetfl import ledger
 from fleetfl.channel import FreshnessTag
-from fleetfl.encoding import ZERO_DIGEST, canonical_hash
+from fleetfl.encoding import ZERO_DIGEST, canonical_hash, enc_f64, enc_str, enc_u64
+from fleetfl.orchestrator import Simulator
 from fleetfl.privacy import BudgetLedger
 
 RULES = ledger.ContractRules(freshness_window=100, max_update_norm=10.0)
@@ -279,6 +285,137 @@ def test_export_import_round_trip():
     assert ledger.verify_chain(back) is None
     assert [b.block_hash for b in back] == [b.block_hash for b in chain]
     assert back[3].meta == chain[3].meta
+
+
+def test_import_rejects_text_that_is_not_json():
+    text = ledger.export_chain(_build_chain(3))
+    with pytest.raises(ValueError, match="malformed chain: not JSON: "):
+        ledger.import_chain(text[: len(text) // 2])
+
+
+def _reference_export_chain(chain):
+    """The dict-building exporter: json.dumps(records, sort_keys=True, indent=0)."""
+    out = []
+    for b in chain:
+        out.append(
+            {
+                "index": b.index,
+                "prev_hash": b.prev_hash.hex(),
+                "payload_hash": b.payload_hash.hex(),
+                "meta": {
+                    "kind": b.meta.kind,
+                    "actor_id": b.meta.actor_id,
+                    "round": b.meta.round,
+                    "nonce": b.meta.freshness.nonce.hex(),
+                    "timestamp": b.meta.freshness.timestamp,
+                    "freshness_round": b.meta.freshness.round,
+                    "epsilon_charged": b.meta.epsilon_charged,
+                    "model_version": b.meta.model_version,
+                },
+                "attestations": [[vid, d.hex()] for vid, d in b.attestations],
+                "block_hash": b.block_hash.hex(),
+            }
+        )
+    return json.dumps(out, sort_keys=True, indent=0)
+
+
+U64 = st.integers(0, 2**64 - 1)
+TEXT = st.text(st.characters(exclude_categories=("Cs",)))  # json.dumps output is never a surrogate
+HEX32 = st.binary(min_size=32, max_size=32).map(bytes.hex)
+# every branch of json's number rule: float repr, signed zero, subnormal, the
+# largest finite magnitudes, Infinity/-Infinity/NaN and an int
+SPECIAL_EPS = [-0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan, 0, 2**63]
+EPSILON = st.one_of(st.sampled_from(SPECIAL_EPS), st.floats(), st.integers(-(2**63), 2**63))
+
+
+def _record(eps, actor="a\"b\\c\n\x00\u00e9\u65e5\U0001f600", attestations=2):
+    return {
+        "index": 1, "prev_hash": "00" * 32, "payload_hash": "11" * 32, "block_hash": "22" * 32,
+        "meta": {"kind": "local_update", "actor_id": actor, "round": 2**64 - 1,
+                 "nonce": "33" * 16, "timestamp": 0, "freshness_round": 7,
+                 "epsilon_charged": eps, "model_version": 3},
+        "attestations": [[actor + str(i), "44" * 32] for i in range(attestations)],
+    }
+
+
+RECORDS = st.lists(
+    st.fixed_dictionaries({
+        "index": U64, "prev_hash": HEX32, "payload_hash": HEX32, "block_hash": HEX32,
+        "meta": st.fixed_dictionaries({
+            "kind": st.sampled_from(ledger.BLOCK_KINDS), "actor_id": TEXT, "round": U64,
+            "nonce": st.binary(min_size=16, max_size=16).map(bytes.hex), "timestamp": U64,
+            "freshness_round": U64, "epsilon_charged": EPSILON, "model_version": U64,
+        }),
+        "attestations": st.lists(st.tuples(TEXT, HEX32), max_size=5),
+    }),
+    max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(RECORDS)
+@example([])
+@example([_record(eps, attestations=k % 2) for k, eps in enumerate(SPECIAL_EPS)])
+def test_export_matches_the_dict_building_reference(records):
+    chain = ledger.import_chain(json.dumps(records))
+    assert ledger.export_chain(chain) == _reference_export_chain(chain)
+
+
+def _reference_meta_bytes(meta):
+    return (
+        enc_str(meta.kind)
+        + enc_str(meta.actor_id)
+        + enc_u64(meta.round)
+        + meta.freshness.to_bytes()
+        + enc_f64(meta.epsilon_charged)
+        + enc_u64(meta.model_version)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ledger.BLOCK_KINDS), TEXT, U64, st.binary(min_size=16, max_size=16),
+       U64, U64, EPSILON, U64)
+def test_meta_bytes_match_the_field_by_field_encoding(kind, actor, rnd, nonce, ts, f_rnd, eps,
+                                                      version):
+    meta = ledger.BlockMeta(kind, actor, rnd, FreshnessTag(nonce, ts, f_rnd), eps, version)
+    assert meta.to_bytes() == _reference_meta_bytes(meta)
+
+
+@pytest.mark.parametrize("field, value", [
+    *[(f, v) for f in ("round", "model_version") for v in (-1, 2**64, 1.5)],
+    # a tag's negative timestamp or round is refused when the tag is built
+    *[(f, v) for f in ("timestamp", "freshness_round") for v in (2**64, 1.5)],
+    ("epsilon_charged", "x"),
+])
+def test_meta_bytes_reject_what_the_field_by_field_encoding_rejects(field, value):
+    meta = _meta()
+    if field in ("timestamp", "freshness_round"):
+        tag_field = field.removeprefix("freshness_")
+        meta.freshness = dataclasses.replace(meta.freshness, **{tag_field: value})
+    else:
+        setattr(meta, field, value)
+    with pytest.raises(struct.error):
+        _reference_meta_bytes(meta)
+    with pytest.raises(struct.error):
+        meta.to_bytes()
+
+
+def test_export_and_verify_read_blocks_mutated_in_place():
+    sim = Simulator(make_cfg(rounds=1))
+    sim.run()
+    chain = sim.chain
+    k = next(i for i, b in enumerate(chain) if i and b.attestations)
+    ledger.export_chain(chain)
+    assert ledger.verify_chain(chain) is None
+    chain[k].meta.round += 1
+    vid, digest = chain[k].attestations[0]
+    chain[k].attestations[0] = (vid, bytes(len(digest)))
+    chain[k].attestations.append(("intruder", digest))
+    rec = json.loads(ledger.export_chain(chain))[k]
+    assert rec["meta"]["round"] == chain[k].meta.round
+    assert rec["attestations"][0] == [vid, "00" * len(digest)]
+    assert rec["attestations"][-1] == ["intruder", digest.hex()]
+    assert ledger.verify_chain(ledger.import_chain(ledger.export_chain(chain))) == k
 
 
 @pytest.mark.parametrize("field, value", [
