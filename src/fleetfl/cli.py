@@ -121,9 +121,12 @@ def _cmd_explain(args) -> int:
         print(f"error: no explanations found under {args.run_dir}", file=sys.stderr)
         return 2
     found = 0
-    with open(path) as f:
+    with open(path, "rb") as f:
         for i, line in enumerate(f, 1):
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError):
+                rec = None
             if not isinstance(rec, dict) or "node" not in rec:
                 raise ValueError(f"malformed explanation record on line {i}")
             if rec["node"] == args.node:

@@ -10,16 +10,15 @@ The module also holds the one randomness rule of a round. A draw is keyed by
 a 64-bit seed from ``sub_seed``, and its stream is the SHAKE-128 (FIPS 202)
 output of ``enc_u64(seed)``, read as big-endian uint64 words. From the words:
 
-- a standard normal takes two words, the top 53 bits of word k and of word
-  d + k of a 2·d-word block as uniforms u1 in (0, 1] and u2 in [0, 1), and
-  the Box–Muller cos branch alone, sqrt(-2 ln u1)·cos(2π u2) (``normals``);
-- an integer in [0, k) takes the top 32 bits x of one word, by Lemire's
-  multiply-shift ("Fast Random Integer Generation in an Interval", ACM
-  TOMACS 2019): x·k >> 32, with the word rejected when the low 32 bits of
-  x·k fall below 2^32 mod k. The i-th integer comes from the i-th accepted
-  word, so a shorter draw is a prefix of a longer one (``integers``);
-- a permutation of n items is the stable argsort of n words
-  (``permutations``).
+- a uniform in (0, 1] is (top 53 bits + 1)·2^-53 of one word
+  (``uniforms``);
+- a standard normal takes two words, word k and word d + k of a 2·d-word
+  block: u1, the uniform of word k, and u2 in [0, 1), the top 53 bits of
+  word d + k times 2^-53, by the Box–Muller cos branch alone,
+  sqrt(-2 ln u1)·cos(2π u2) (``normals``);
+- a permutation of n items is the stable argsort of n words, and the j-th of
+  a run of permutations sorts words j·n .. (j + 1)·n − 1, so a shorter run is
+  a prefix of a longer one (``permutations``).
 
 Each form takes a list of seeds and draws every stream in one SHAKE pass per
 seed and one stacked transform; row i equals the draw of seed i alone.
@@ -103,38 +102,17 @@ def streams(seeds, n_words: int) -> np.ndarray:
     return np.frombuffer(raw, dtype=">u8").reshape(len(seeds), n_words).astype(np.uint64)
 
 
+def uniforms(words: np.ndarray) -> np.ndarray:
+    """One uniform in (0, 1] per word: (top 53 bits + 1)·2^-53."""
+    return ((words >> np.uint64(11)) + np.uint64(1)) * _U53
+
+
 def normals(words: np.ndarray) -> np.ndarray:
     """Standard normals by the Box–Muller cos branch from words (..., 2, d):
     u1 from words[..., 0, :] and u2 from words[..., 1, :] -> (..., d)."""
-    top = words >> np.uint64(11)
-    u1 = (top[..., 0, :] + np.uint64(1)) * _U53
-    u2 = top[..., 1, :] * _U53
+    u1 = uniforms(words[..., 0, :])
+    u2 = (words[..., 1, :] >> np.uint64(11)) * _U53
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-
-
-def integers(seeds, k: int, count: int) -> np.ndarray:
-    """count integers in [0, k) from each seed's stream by Lemire's method:
-    (len(seeds), count) int64. A seed whose first count words hold a rejected
-    one reads on along its stream until count words are accepted."""
-    if not 1 <= k <= 1 << 32:
-        raise ValueError("k must lie in [1, 2^32]")
-    reject_below = np.uint64((1 << 32) % k)
-
-    def draw(row_seeds, n_words):
-        m = (streams(row_seeds, n_words) >> np.uint64(32)) * np.uint64(k)
-        return (m >> np.uint64(32)).astype(np.int64), (m & np.uint64(0xFFFFFFFF)) >= reject_below
-
-    out, accepted = draw(seeds, count)
-    for i in np.flatnonzero(~accepted.all(axis=1)):
-        n_words = count
-        while True:
-            n_words *= 2
-            values, ok = draw([seeds[i]], n_words)
-            values = values[0][ok[0]]
-            if len(values) >= count:
-                out[i] = values[:count]
-                break
-    return out
 
 
 def permutations(seeds, count: int, n: int) -> np.ndarray:

@@ -9,9 +9,10 @@ Validation and correction each have a fleet form that takes N models stacked
 as (N, d + 1) and their rows as (N, n, d); the one-model functions are those
 forms at N = 1, so a fleet pass equals N one-model calls bit for bit.
 ``explain`` is the shared attribution kernel at N = 1. Each pass draws from
-one stream per node: validation draws every sample's perturbation rows from
-its node's seed by ``encoding.integers``, and its report carries Model 1's
-explanation of the first sample, made from block 0 of those rows.
+one stream per node: validation's sample i swaps in distinct rows of the
+node's own validation rows, read from permutation i of its stream, and its
+report carries Model 1's explanation of the first sample, made from
+permutation 0, which is ``explain``'s draw.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .encoding import integers
+from .encoding import permutations
 # evaluate, predict and train_local are unused here but stay bound: the
 # benchmark's tracer patches them by name
 from .models import ModelParams, evaluate, predict, train_fleet, train_local  # noqa: F401
@@ -98,6 +99,16 @@ def _check_seeds(seeds, n_models: int, n_repeats: int) -> None:
         raise ValueError("n_repeats must be positive")
 
 
+def _rows(seeds, n: int, background_size: int, n_repeats: int, dim: int) -> np.ndarray:
+    """The background row each feature of each sample swaps in, per repeat:
+    (len(seeds), n, R, dim) with R = min(n_repeats, B). Sample i takes
+    permutation i of its seed's stream over the B rows, and feature j in
+    repeat r takes row π_i[(j + r) mod B]."""
+    repeats = np.arange(min(n_repeats, background_size))
+    window = (repeats[:, None] + np.arange(dim)) % background_size
+    return permutations(seeds, n, background_size)[:, :, window]
+
+
 def _attribute(
     V: np.ndarray, samples: np.ndarray, background: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -133,8 +144,9 @@ def explain(
     seed: int,
 ) -> Explanation:
     """Permutation importance: per-feature mean |prediction change| when the
-    feature is swapped in from a random background row. The seed's stream
-    draws the n_repeats x dim rows by ``encoding.integers``, and all
+    feature is swapped in from min(n_repeats, B) distinct background rows,
+    read from one permutation of the B rows drawn from the seed's stream. At
+    n_repeats >= B that is the exact mean over the background. All
     perturbations are scored in one batched prediction."""
     V = params.as_vector()[None]
     _check_models(V)
@@ -146,9 +158,8 @@ def explain(
     if sample.shape != (dim,) or background.shape[1] != dim:
         raise ValueError("feature dimension mismatch")
     _check_seeds([seed], 1, n_repeats)
-    rows = integers([seed], len(background), n_repeats * dim).reshape(n_repeats, dim)
-    _, attributions, stability = _attribute(V, sample[None, None], background[None],
-                                            rows[None, None])
+    rows = _rows([seed], 1, len(background), n_repeats, dim)
+    _, attributions, stability = _attribute(V, sample[None, None], background[None], rows)
     return Explanation(attributions=attributions[0, 0], stability=float(stability[0, 0]))
 
 
@@ -161,13 +172,13 @@ def validate_fleet(
 ) -> list[ValidationReport]:
     """Model 2 checks Model 1 on N nodes at once: V1 and V2 (N, d + 1), X (N, n, d).
 
-    Node k draws the perturbation rows of all its samples as the first
-    n·n_repeats·d integers in [0, n) of its seed's stream, shaped
-    (n, n_repeats, d); sample i uses block i, shared by both models. Each
-    report carries Model 1's explanation of sample 0 against X[k]: the draw is
-    prefix-stable, so block 0 is the draw ``explain`` makes with the same seed,
-    and the two agree up to the rounding of their stacked predictions. Each
-    report equals ``validate_predictions`` of that node alone, bit for bit.
+    Node k's background is X[k]: sample i swaps in rows from permutation i
+    of the n rows, the first n permutations of its seed's stream, shared by
+    both models. Each report carries Model 1's explanation of sample 0
+    against X[k]: the permutations are prefix-stable, so permutation 0 is the
+    draw ``explain`` makes with the same seed, and the two agree up to the
+    rounding of their stacked predictions. Each report equals
+    ``validate_predictions`` of that node alone, bit for bit.
     """
     V1 = np.asarray(V1, dtype=np.float64)
     V2 = np.asarray(V2, dtype=np.float64)
@@ -185,7 +196,7 @@ def validate_fleet(
     _check_seeds(seeds, len(V1), n_repeats)
 
     _, n, dim = X.shape
-    rows = integers(seeds, n, n * n_repeats * dim).reshape(len(seeds), n, n_repeats, dim)
+    rows = _rows(seeds, n, n, n_repeats, dim)
     p1, attr1, stability1 = _attribute(V1, X, X, rows)
     p2, attr2, _ = _attribute(V2, X, X, rows)
     same_pred = (p1 >= 0.5) == (p2 >= 0.5)
@@ -211,8 +222,8 @@ def validate_predictions(
 ) -> ValidationReport:
     """Model 2 checks Model 1: thresholded-prediction agreement plus agreement of
     the top-attributed feature of each model's explanation. One stream, the
-    seed's, draws every sample's perturbation rows in sample order; both
-    models share them."""
+    seed's, draws one permutation of X's rows per sample, in sample order;
+    both models share them."""
     return validate_fleet(model1.as_vector()[None], model2.as_vector()[None], [X], n_repeats,
                           [seed])[0]
 

@@ -4,11 +4,11 @@ Blocks are SHA-256 hash-chained over a canonical byte layout. Each block is
 checked against the contract rules once, when it is staged: payload-hash
 integrity, freshness, privacy budget, an update-norm poisoning guard and a
 declared sample count. A round's staged blocks are committed as one unit: one
-stake-weighted committee attests once, with keyed digests (a signature
-stand-in), to the closing block's core. That core holds its predecessor's
-hash, so the one attestation binds the whole round and everything before it.
-If attesting stake falls short of the quorum fraction of the committee, no
-block of the unit is appended.
+stake-weighted committee, drawn by keys from one ``encoding`` stream, attests
+once, with keyed digests (a signature stand-in), to the closing block's core.
+That core holds its predecessor's hash, so the one attestation binds the whole
+round and everything before it. If attesting stake falls short of the quorum
+fraction of the committee, no block of the unit is appended.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from .encoding import (
     enc_str,
     enc_u32,
     enc_u64,
+    streams,
+    uniforms,
 )
 from .privacy import BudgetLedger
 
@@ -154,25 +156,24 @@ def attestation_digest(validator_id: str, preimage_core: bytes, secret: bytes) -
 
 
 def select_committee(vset: ValidatorSet, round_seed: int, committee_size: int) -> list[str]:
-    """Stake-weighted sampling without replacement, deterministic per round_seed."""
+    """Stake-weighted sampling without replacement by keys (Efraimidis &
+    Spirakis, IPL 2006): the v-th validator in id order takes the uniform u_v
+    of word v of round_seed's stream and the key ln(u_v)/stake_v, and the
+    committee is the committee_size largest keys, largest first. That order is
+    successive sampling: each next member is drawn with probability
+    proportional to its stake among those left. Zero-stake validators come
+    after every staked one, largest u first."""
     ids = sorted(vset.stakes)
     if committee_size < 1 or committee_size > len(ids):
         raise ValueError("committee_size out of range")
-    weights = np.array([vset.stakes[v] for v in ids], dtype=np.float64)
-    rng = np.random.default_rng(round_seed & 0xFFFFFFFFFFFFFFFF)
-    chosen = []
-    avail = list(range(len(ids)))
-    for _ in range(committee_size):
-        w = weights[avail]
-        total = w.sum()
-        if total <= 0:
-            # only zero-stake validators left; fall back to uniform over them
-            pick = avail[int(rng.integers(len(avail)))]
-        else:
-            pick = avail[int(rng.choice(len(avail), p=w / total))]
-        chosen.append(ids[pick])
-        avail.remove(pick)
-    return chosen
+    stakes = np.array([vset.stakes[v] for v in ids], dtype=np.float64)
+    keys = np.log(uniforms(streams([round_seed & 0xFFFFFFFFFFFFFFFF], len(ids))[0]))
+    staked = stakes > 0
+    # a subnormal stake's key overflows to -inf, which sorts after every finite key
+    with np.errstate(over="ignore"):
+        keys[staked] /= stakes[staked]
+    order = np.lexsort((-keys, ~staked))
+    return [ids[i] for i in order[:committee_size]]
 
 
 def contract_validate(

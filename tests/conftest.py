@@ -35,19 +35,6 @@ def ref_words(seed: int, n: int) -> list[int]:
     return [int.from_bytes(raw[i : i + 8], "big") for i in range(0, 8 * n, 8)]
 
 
-def ref_integers(seed: int, k: int):
-    """The seed's integers in [0, k), one word at a time: Lemire's x·k >> 32 on
-    the word's top 32 bits x, skipping a word whose x·k mod 2^32 is below
-    2^32 mod k."""
-    read, n = 0, 64
-    while True:  # each pass reads on along a stream twice as long
-        for w in ref_words(seed, n)[read:]:
-            m = (w >> 32) * k
-            if m % 2**32 >= 2**32 % k:
-                yield m >> 32
-        read, n = n, 2 * n
-
-
 def ref_permutations(seed: int, count: int, n: int) -> list[list[int]]:
     """count permutations of range(n): the j-th orders words j·n .. (j + 1)·n − 1
     of the seed's stream, ties by position."""

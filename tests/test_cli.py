@@ -363,6 +363,22 @@ def test_chain_file_that_is_not_json_is_a_malformed_chain(tmp_path, capsys, case
     assert capsys.readouterr().err.startswith("error: malformed chain: not JSON: ")
 
 
+@pytest.mark.parametrize("case", ["truncated", "not-utf8"])
+def test_explanation_line_that_is_not_json_is_a_malformed_record(tmp_path, capsys, case):
+    path = tmp_path / "explanations.jsonl"
+    if case == "truncated":
+        sim = Simulator(make_cfg(rounds=1, output_dir=str(tmp_path)))
+        sim.run()
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(lines[0] + lines[1][: len(lines[1]) // 2])
+        line = 2
+    else:
+        path.write_bytes(b"\xff\xfe")
+        line = 1
+    assert main(["explain", "--run", str(tmp_path), "--node", "node-0"]) == 1
+    assert capsys.readouterr().err == f"error: malformed explanation record on line {line}\n"
+
+
 def test_ledger_verify_missing_file_exits_2():
     assert main(["ledger", "verify", "--chain", "nope.json"]) == 2
 

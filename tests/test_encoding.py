@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
 
-from conftest import ref_integers, ref_permutations, ref_words
+from conftest import ref_permutations, ref_words
 from fleetfl import encoding
 
 # published SHA-256 test vector for the empty input
@@ -99,15 +99,15 @@ def test_a_seed_outside_64_bits_raises(seed):
     with pytest.raises(ValueError, match="2\\^64"):
         encoding.streams([seed], 2)
     with pytest.raises(ValueError, match="2\\^64"):
-        encoding.integers([seed], 3, 2)
-    with pytest.raises(ValueError, match="2\\^64"):
         encoding.permutations([seed], 1, 3)
 
 
-@pytest.mark.parametrize("k", [0, 2**32 + 1])
-def test_an_integer_range_outside_32_bits_raises(k):
-    with pytest.raises(ValueError, match="k must lie"):
-        encoding.integers([1], k, 2)
+def test_uniforms_lie_in_the_half_open_unit_interval_0_1():
+    words = np.array([0, 2**11 - 1, 2**11, 2**64 - 1], dtype=np.uint64)
+    assert encoding.uniforms(words).tolist() == [2.0**-53, 2.0**-53, 2.0**-52, 1.0]
+    w = ref_words(4, 100)
+    got = encoding.uniforms(encoding.streams([4], 100)[0])
+    assert got.tolist() == [((x >> 11) + 1) * 2.0**-53 for x in w]
 
 
 def test_normals_are_the_box_muller_cos_branch():
@@ -128,13 +128,6 @@ def test_100k_normals_pass_a_ks_test():
     assert abs(z.mean()) < 0.02 and abs(z.std() - 1.0) < 0.02
 
 
-@pytest.mark.parametrize("k", [3, 8, 70])
-def test_integers_pass_a_chi_squared_test(k):
-    draws = encoding.integers([k], k, 1000 * k)[0]
-    assert draws.min() >= 0 and draws.max() < k
-    assert stats.chisquare(np.bincount(draws, minlength=k)).pvalue > 1e-3
-
-
 def test_permutations_of_3_items_pass_a_chi_squared_test():
     orders = list(itertools.permutations(range(3)))
     perms = encoding.permutations([6], 60_000, 3)[0]
@@ -142,20 +135,6 @@ def test_permutations_of_3_items_pass_a_chi_squared_test():
     for p in map(tuple, perms.tolist()):
         counts[orders.index(p)] += 1
     assert stats.chisquare(counts).pvalue > 1e-3
-
-
-# k = 2^31 + 1 rejects almost half of all words, 2^32 − 1 one word in 2^32
-@settings(max_examples=60, deadline=None)
-@given(st.lists(SEEDS, min_size=1, max_size=4),
-       st.one_of(st.integers(1, 100), st.sampled_from([2**31 + 1, 2**32 - 1, 2**32])),
-       st.integers(0, 64))
-def test_integers_equal_the_scalar_reference_and_are_prefix_stable(seeds, k, count):
-    got = encoding.integers(seeds, k, count)
-    assert got.dtype == np.int64 and got.shape == (len(seeds), count)
-    for row, seed in zip(got, seeds):
-        assert row.tolist() == list(itertools.islice(ref_integers(seed, k), count))
-        shorter = count // 2
-        assert encoding.integers([seed], k, shorter)[0].tolist() == row[:shorter].tolist()
 
 
 @settings(max_examples=60, deadline=None)

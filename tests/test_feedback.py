@@ -1,15 +1,15 @@
 """Dual-model validation, explanations, corrections, and weighted fusion."""
 
-import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ref_integers
-from fleetfl import encoding, feedback
+from conftest import ref_permutations
+from fleetfl import feedback
 from fleetfl.models import ModelParams, evaluate, predict, predict_batch, train_local
 from fleetfl.telemetry import NodePartition
 
@@ -113,12 +113,20 @@ def test_validate_rejects_empty_or_mismatched_inputs():
         feedback.validate_predictions(m, m, np.zeros((2, 2)), n_repeats=0, seed=0)
 
 
+def _window(perm, n_repeats, dim):
+    """The rows one sample swaps in from its permutation perm of the B
+    background rows: feature j in repeat r < min(n_repeats, B) takes
+    perm[(j + r) mod B]."""
+    b = len(perm)
+    return [[perm[(j + r) % b] for j in range(dim)] for r in range(min(n_repeats, b))]
+
+
 def _reference_explain(params, sample, background, n_repeats, seed):
     """Permutation importance with one scalar prediction per perturbation;
     returns (attributions, stability)."""
-    draws = ref_integers(seed, background.shape[0])
-    rows = [list(itertools.islice(draws, params.dim)) for _ in range(n_repeats)]
-    return _reference_attributions(params, sample, background, rows)
+    [perm] = ref_permutations(seed, 1, len(background))
+    return _reference_attributions(params, sample, background,
+                                   _window(perm, n_repeats, params.dim))
 
 
 def _reference_attributions(params, sample, background, rows):
@@ -145,11 +153,10 @@ def _top_feature(attributions):
 def _reference_validate(model1, model2, X, n_repeats, seed):
     """Per-sample (same prediction, same top feature, top feature clear of the
     runner-up by more than 1e-9 in both models' explanations). One stream
-    draws every sample's rows in sample order, one repeat at a time."""
-    draws = ref_integers(seed, len(X))
+    draws one permutation of X's rows per sample, in sample order."""
     out = []
-    for x in X:
-        rows = [list(itertools.islice(draws, X.shape[1])) for _ in range(n_repeats)]
+    for x, perm in zip(X, ref_permutations(seed, len(X), len(X))):
+        rows = _window(perm, n_repeats, X.shape[1])
         tops, clear = [], True
         for m in (model1, model2):
             attr, _ = _reference_attributions(m, x, X, rows)
@@ -196,15 +203,87 @@ def test_batched_validation_matches_the_scalar_loop(case):
         assert report.explanation_consistency == sum(t for _, t, _ in ref) / len(X)
 
 
+def _rows_seen(call):
+    """call()'s result and the rows argument of every ``feedback._attribute``
+    call it makes."""
+    seen, attribute = [], feedback._attribute
+
+    def recorded(V, samples, background, rows):
+        seen.append(rows)
+        return attribute(V, samples, background, rows)
+
+    with mock.patch.object(feedback, "_attribute", recorded):
+        return call(), seen
+
+
 @settings(max_examples=100, deadline=None)
 @given(
-    st.integers(1, 1000), st.integers(1, 8), st.integers(1, 16), st.integers(0, 2**64 - 1)
+    st.integers(1, 30), st.integers(1, 8), st.integers(1, 16), st.integers(0, 2**64 - 1)
 )
 def test_one_block_draw_equals_sequential_row_draws(n, repeats, dim, seed):
-    block = encoding.integers([seed], n, repeats * dim)[0].reshape(repeats, dim)
-    draws = ref_integers(seed, n)
-    rows = [list(itertools.islice(draws, dim)) for _ in range(repeats)]
-    np.testing.assert_array_equal(block, np.array(rows))
+    # validation draws every sample's rows at once; sample i's are permutation
+    # i of the stream read on from sample i - 1's
+    X = np.zeros((n, dim))
+    V = np.zeros((1, dim + 1))
+    _, (block, _) = _rows_seen(lambda: feedback.validate_fleet(V, V, X[None], repeats, [seed]))
+    perms = ref_permutations(seed, n, n)
+    np.testing.assert_array_equal(block[0], [_window(p, repeats, dim) for p in perms])
+
+
+def _exact_attributions(w, bias, x, background):
+    """|σ(z) − σ(z + w_j(b_j − x_j))| for every background row b and feature j,
+    z = w·x + bias: (B, d). σ(t) = (1 + tanh(t/2))/2."""
+    z = w @ x + bias
+    sigma = lambda t: 0.5 * (1.0 + np.tanh(0.5 * t))  # noqa: E731
+    return np.abs(sigma(z) - sigma(z + w * (background - x)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 12), st.integers(0, 4), st.integers(1, 12),
+       st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1))
+def test_explain_at_full_background_is_the_exact_mean(dim, b, extra, repeats, seed, data_seed):
+    rng = np.random.default_rng(data_seed)
+    w, bias = rng.normal(scale=2.0, size=dim), float(rng.normal())
+    X = rng.normal(size=(b, dim))
+    params = ModelParams(w, bias)
+    exact = _exact_attributions(w, bias, X[0], X)
+
+    expl, [rows] = _rows_seen(lambda: feedback.explain(params, X[0], X, b + extra, seed))
+    np.testing.assert_allclose(expl.attributions, exact.mean(axis=0), rtol=0, atol=1e-12)
+    # stability is the spread of the prediction change over the B distinct rows
+    stability = np.clip(1.0 - exact.std(axis=0).mean() / (exact.mean() + 1e-12), 0.0, 1.0)
+    assert abs(expl.stability - stability) <= 1e-12
+    assert rows.shape == (1, 1, b, dim)
+    assert all(sorted(rows[0, 0, :, j]) == list(range(b)) for j in range(dim))
+
+    # validation at any repeat count: each (sample, feature) draws
+    # min(repeats, B) distinct rows, and sample 0's are explain's
+    V = np.concatenate([w, [bias]])[None]
+    _, (block, _) = _rows_seen(lambda: feedback.validate_fleet(V, V, X[None], repeats, [seed]))
+    _, [explained] = _rows_seen(lambda: feedback.explain(params, X[0], X, repeats, seed))
+    assert block.shape == (1, b, min(repeats, b), dim)
+    assert all(len(set(block[0, i, :, j])) == min(repeats, b)
+               for i in range(b) for j in range(dim))
+    np.testing.assert_array_equal(block[0, :1], explained[0])
+
+
+def test_explain_with_fewer_repeats_than_rows_averages_to_the_exact_mean():
+    # each seed's window of R distinct rows is a uniform ordered R-subset, so
+    # the attribution is unbiased; over S seeds its mean lies within 5
+    # standard errors sqrt(var/R · (B − R)/(B − 1) / S) of the exact mean
+    rng = np.random.default_rng(3)
+    w, bias = np.array([1.5, -2.0, 0.7]), 0.2
+    background = rng.normal(size=(10, 3))
+    x = rng.normal(size=3)
+    b, r, s = len(background), 3, 4000
+    exact = _exact_attributions(w, bias, x, background)
+    mean = np.mean([feedback.explain(ModelParams(w, bias), x, background, r, seed).attributions
+                    for seed in range(s)], axis=0)
+    se = np.sqrt(exact.var(axis=0) / r * (b - r) / (b - 1) / s)
+    assert np.all(np.abs(mean - exact.mean(axis=0)) <= 5 * se)
+    # and a single seed is not the exact mean: R < B draws a sample of the rows
+    single = feedback.explain(ModelParams(w, bias), x, background, r, 0).attributions
+    assert np.abs(single - exact.mean(axis=0)).max() > 10 * se.max()
 
 
 def test_empty_flagged_set_gives_zero_correction():
@@ -255,7 +334,7 @@ def _node_abs_deltas(params, samples, base, background, rows):
 def _node_validate(m1, m2, X, n_repeats, seed):
     """One node's dual-model check: (agreement rate, flagged rows, consistency)."""
     n, dim = X.shape
-    rows = encoding.integers([seed], n, n * n_repeats * dim).reshape(n, n_repeats, dim)
+    rows = np.array([_window(p, n_repeats, dim) for p in ref_permutations(seed, n, n)])
     preds, tops = [], []
     for m in (m1, m2):
         p = predict_batch(m, X)
@@ -268,9 +347,8 @@ def _node_validate(m1, m2, X, n_repeats, seed):
 
 def _node_explain(params, sample, background, n_repeats, seed):
     """One node's stability explanation: (attributions, stability)."""
-    rows = encoding.integers([seed], len(background), n_repeats * params.dim).reshape(
-        n_repeats, params.dim
-    )
+    [perm] = ref_permutations(seed, 1, len(background))
+    rows = np.array(_window(perm, n_repeats, params.dim))
     base = predict(params, sample)
     diffs = _node_abs_deltas(params, sample[None], np.array([base]), background, rows[None])[0]
     attributions = diffs.mean(axis=0)
@@ -332,8 +410,8 @@ def test_fleet_passes_equal_per_node_calls_bit_for_bit(case):
         attributions, stab = _node_explain(m1[k], X[k, 0], X[k], repeats, seeds[k])
         assert np.array_equal(expls[k].attributions, attributions)
         assert expls[k].stability == stab
-        # validation explains sample 0 from block 0 of its rows, which is explain's
-        # draw; only the stacked predictions' rounding may differ
+        # validation explains sample 0 from permutation 0 of its stream, which is
+        # explain's draw; only the stacked predictions' rounding may differ
         np.testing.assert_allclose(reports[k].explanation.attributions, attributions,
                                    rtol=0, atol=1e-12)
         assert abs(reports[k].explanation.stability - stab) <= 1e-12
@@ -445,31 +523,3 @@ def test_integration_weights_must_be_convex():
         feedback.IntegrationWeights(0.5, 0.6)
     with pytest.raises(ValueError):
         feedback.IntegrationWeights(-0.1, 1.1)
-
-
-def test_a_rejection_inside_block_0_leaves_explain_equal_to_validation(monkeypatch):
-    # words whose top 32 bits are 0 give x·k mod 2^32 = 0, which is below
-    # 2^32 mod k for every k that is not a power of two: both draws skip them
-    n, repeats, dim, seed = 6, 3, 3, 11
-    streams = encoding.streams
-    rejected = [1, 4]  # inside block 0, which holds repeats · dim = 9 words
-
-    def crafted(seeds, n_words):
-        words = streams(seeds, n_words)
-        words[:, [i for i in rejected if i < n_words]] = 0
-        return words
-
-    monkeypatch.setattr(encoding, "streams", crafted)
-    words = crafted([seed], repeats * dim + len(rejected))[0]
-    kept = [(int(w >> np.uint64(32)) * n) >> 32
-            for i, w in enumerate(words) if i not in rejected]
-    assert encoding.integers([seed], n, repeats * dim)[0].tolist() == kept
-
-    rng = np.random.default_rng(5)
-    V1, V2 = rng.normal(size=(2, 1, dim + 1))
-    X = rng.normal(size=(n, dim))
-    report = feedback.validate_fleet(V1, V2, X[None], repeats, [seed])[0]
-    expl = feedback.explain(ModelParams.from_vector(V1[0]), X[0], X, repeats, seed)
-    np.testing.assert_allclose(report.explanation.attributions, expl.attributions,
-                               rtol=0, atol=1e-12)
-    assert abs(report.explanation.stability - expl.stability) <= 1e-12

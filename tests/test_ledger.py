@@ -1,5 +1,6 @@
 """Hash-chained ledger: committees, contract rules, quorum, tamper evidence."""
 
+import collections
 import dataclasses
 import json
 import math
@@ -7,7 +8,7 @@ import struct
 
 import numpy as np
 import pytest
-from conftest import make_cfg
+from conftest import make_cfg, ref_words
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -83,6 +84,58 @@ def test_committee_is_deterministic_and_without_replacement():
     b = ledger.select_committee(vset, 99, 3)
     assert a == b
     assert sorted(a) == ["A", "B", "C"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.text("abcdef", min_size=1, max_size=3),
+                       st.sampled_from([0.0, 0.5, 1.0, 2.0, 7.5]), min_size=1, max_size=6)
+       .filter(lambda stakes: sum(stakes.values()) > 0),
+       st.integers(0, 2**64 - 1), st.data())
+def test_committee_is_the_largest_stake_weighted_keys(stakes, seed, data):
+    # validator v (in id order) keys ln(u_v)/stake_v on the (0, 1] uniform of
+    # word v of the seed's stream; zero stakes follow, largest u first
+    ids = sorted(stakes)
+    u = [((w >> 11) + 1) * 2.0**-53 for w in ref_words(seed, len(ids))]
+    def key(v):
+        stake = stakes[ids[v]]
+        return (1, -u[v]) if stake == 0 else (0, -math.log(u[v]) / stake)
+
+    order = [ids[v] for v in sorted(range(len(ids)), key=key)]
+    size = data.draw(st.integers(1, len(ids)))
+    assert ledger.select_committee(ledger.ValidatorSet(stakes=stakes), seed, size) == order[:size]
+
+
+def test_committee_pairs_follow_successive_stake_weighted_sampling():
+    # exact successive sampling of 2 from stakes {A: 1, B: 1, C: 2}: the first
+    # member with probability stake/4, the second stake/(4 - first's stake)
+    vset = _vset()
+    n = 20_000
+    counts = collections.Counter(tuple(ledger.select_committee(vset, seed, 2))
+                                 for seed in range(n))
+    expected = {("C", "A"): 1 / 4, ("C", "B"): 1 / 4, ("A", "C"): 1 / 6, ("B", "C"): 1 / 6,
+                ("A", "B"): 1 / 12, ("B", "A"): 1 / 12}
+    assert set(counts) == set(expected)
+    for pair, p in expected.items():
+        assert abs(counts[pair] / n - p) < 0.015, (pair, counts[pair] / n)
+
+
+def test_zero_stake_validators_are_drawn_last_and_uniformly():
+    vset = ledger.ValidatorSet(stakes={"A": 1.0, "B": 3.0, "X": 0.0, "Y": 0.0, "Z": 0.0})
+    n = 12_000
+    tails = collections.Counter()
+    for seed in range(n):
+        committee = ledger.select_committee(vset, seed, 5)
+        assert sorted(committee[:2]) == ["A", "B"]
+        tails[tuple(committee[2:])] += 1
+    assert len(tails) == 6
+    for tail, count in tails.items():
+        assert abs(count / n - 1 / 6) < 0.015, (tail, count / n)
+
+
+def test_a_subnormal_stake_is_drawn_after_every_normal_one():
+    # ln(u)/5e-324 overflows to -inf for every u < 1
+    vset = ledger.ValidatorSet(stakes={"A": 5e-324, "B": 1.0})
+    assert all(ledger.select_committee(vset, seed, 2) == ["B", "A"] for seed in range(50))
 
 
 def test_committee_size_out_of_range():

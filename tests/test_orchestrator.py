@@ -242,9 +242,9 @@ def test_small_feedback_run_bytes_are_pinned(tmp_path):
         for name in ("metrics.jsonl", "chain.json", "explanations.jsonl")
     }
     assert digests == {
-        "metrics.jsonl": "7f28e5d8256a2673c5ac757c801e46b8cc2cd30f01807dbea71c6cea906b42ea",
-        "chain.json": "cf12f374872cea1eb0d8d3763e3f83ff073cb805f2006dc8246f08b2305fef23",
-        "explanations.jsonl": "f4ce8aed2692b6d9551fd40a35e241d418d6b31103c3eb53f2ef4f1526388793",
+        "metrics.jsonl": "b7314adbee16d000ec0ecbb99544a581c7a2c27de76bc80b1387342f7afa12e0",
+        "chain.json": "01bfe26402632aa98558322ad8d7121f9f147046dcd8bcff40914decc0495ecb",
+        "explanations.jsonl": "a9d832e2b98784f48a5034053340c42aa85f5940e5c645677717a9ba907963bf",
     }
 
 
@@ -261,7 +261,7 @@ def test_small_feedback_off_run_bytes_are_pinned(tmp_path):
     }
     assert digests == {
         "metrics.jsonl": "666d77cd22e4698c762ce7e59ea08e23c301bdddb897f4e167f1f025065408c5",
-        "chain.json": "c830501d66223efafcb955e991c9679fb37f7f559a6906cafd8ede92fafbf6fa",
+        "chain.json": "f3db7df7a8227973848a996e21ba9805db5209a36f6f65e84c261351f3ff4f63",
     }
     assert (tmp_path / "explanations.jsonl").read_bytes() == b""
 
@@ -279,7 +279,7 @@ def test_small_global_dp_run_bytes_are_pinned(tmp_path):
     }
     assert digests == {
         "metrics.jsonl": "0d57caf9b1346758eb6e2017f9dba4bce7485011f1cd35667bfa8cab2ccc5f22",
-        "chain.json": "ede80ee20149984505ca5407ea4c6ca0b201d9646c4847d9d8c0051a81ceaf46",
+        "chain.json": "76f803357f9070bb894e6e8e45fd99dc45b6eecc47e50a130292a5377b0810f7",
     }
 
 
@@ -293,7 +293,7 @@ def test_small_no_noise_run_bytes_are_pinned(tmp_path):
     }
     assert digests == {
         "metrics.jsonl": "1992cfd6cde589a91e14a9ab22253f179f867c7e08c8b4497e50be45eacf0d8c",
-        "chain.json": "2aee3cbdb98c611f0413fcb38a74c54862b56658a825621b43019cf3337dc250",
+        "chain.json": "2090525c3f479e03c27da4c4b24cc6114225e163624c4d9c3850dff73037750d",
     }
 
 
@@ -586,9 +586,9 @@ def test_finish_round_scores_each_distinct_model_once(monkeypatch, overrides, no
         assert report.fpr_global == report.fpr_integrated == 0.0
 
 
-def test_a_feedback_round_builds_one_generator_for_its_committee(monkeypatch):
-    # training, DP noise, Model 2, validation and correction draw from SHAKE-128
-    # streams; the ledger's committee draw is the round's only numpy Generator
+def test_a_feedback_round_builds_no_generator(monkeypatch):
+    # training, DP noise, Model 2, validation, correction and the committee draw
+    # from SHAKE-128 streams; a round builds no numpy Generator
     n = 6
     sim = Simulator(make_cfg(
         rounds=1, fleet={"n_nodes": n}, privacy={"eps_max": 8.0, "budget_cap": 500.0},
@@ -603,7 +603,7 @@ def test_a_feedback_round_builds_one_generator_for_its_committee(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", counted)
     report, _ = sim.run_round(0)
     assert not report.aborted
-    assert len(built) == 1
+    assert built == []
 
 
 # validator v0 refuses to attest; a committee of (v0, v1) misses the 2/3 stake quorum
@@ -823,7 +823,7 @@ def test_the_wire_bytes_of_a_small_feedback_run_are_pinned():
         assert not report.aborted
         for m in trace.messages:
             h.update(enc_str(m.kind) + m.envelope.to_bytes())
-    assert h.hexdigest() == "11f3b0a6c0196707e882b0e957466da62c8d2e902992cbc23108439c3ffb1d10"
+    assert h.hexdigest() == "758c8a16e3490a2a3fb1557b3a52a3615d6355d73b0b498b2ab6489940c1d021"
 
 
 def test_a_round_builds_no_cipher(monkeypatch):
@@ -947,7 +947,7 @@ def test_the_fleet256_benchmark_run_keeps_its_artifact_bytes(tmp_path):
                for name in ("metrics.jsonl", "chain.json")}
     assert digests == {
         "metrics.jsonl": "672236cf5278d44b0e5edcaedb0ab9b75b4ac6a48a1e137b7b4aaa6a6c627dbf",
-        "chain.json": "0649d8e23835d7f06e33e9d511e92cda8822f1ba449997b07be596b9e5164dfa",
+        "chain.json": "4d41a241412ae3afa853667aca2d61c478c05af3ba29e81f9a1f24544aafa2f3",
     }
 
 
