@@ -53,7 +53,7 @@ def _load_config(path: str) -> config.RunConfig:
     _require_file(path, "config")
     try:
         cfg = config.load(path)
-    except (config.ConfigError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (config.ConfigError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
         raise SystemExit(2)
     outdir = os.environ.get("FLEETFL_OUTPUT_DIR")
@@ -125,7 +125,7 @@ def _cmd_explain(args) -> int:
         for i, line in enumerate(f, 1):
             try:
                 rec = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
+            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
                 rec = None
             if not isinstance(rec, dict) or "node" not in rec:
                 raise ValueError(f"malformed explanation record on line {i}")

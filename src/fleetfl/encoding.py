@@ -43,10 +43,6 @@ def enc_u64(n: int) -> bytes:
     return struct.pack(">Q", n)
 
 
-def enc_f64(x: float) -> bytes:
-    return struct.pack(">d", x)
-
-
 def enc_bytes(b: bytes) -> bytes:
     return enc_u32(len(b)) + b
 

@@ -6,8 +6,9 @@ drive a local SGD correction, and the correction delta is fused with the
 global delta as w_local * x + w_global * y.
 
 Validation and correction each have a fleet form that takes N models stacked
-as (N, d + 1) and their rows as (N, n, d); the one-model functions are those
-forms at N = 1, so a fleet pass equals N one-model calls bit for bit.
+as (N, d + 1) and their rows as (N, n, d), as the simulator holds them; the
+one-model functions are those forms at N = 1, so a fleet pass equals N
+one-model calls bit for bit.
 ``explain`` is the shared attribution kernel at N = 1. Each pass draws from
 one stream per node: validation's sample i swaps in distinct rows of the
 node's own validation rows, read from permutation i of its stream, and its
@@ -28,7 +29,6 @@ from .encoding import permutations
 # evaluate, predict and train_local are unused here but stay bound: the
 # benchmark's tracer patches them by name
 from .models import ModelParams, evaluate, predict, train_fleet, train_local  # noqa: F401
-from .telemetry import NodePartition
 
 _EPS = 1e-12
 # the local correction: full-batch SGD steps on the flagged rows
@@ -242,8 +242,9 @@ def correct_fleet(
     rows, with its gain measured on its own holdout rows (N, h, d).
 
     The flagged sets may differ in size: nodes with equal counts train in one
-    ``train_fleet`` call, so each delta equals ``local_correction`` of that node
-    alone, bit for bit. A node with no flagged rows gets a zero delta and gain.
+    ``train_fleet`` call on their stacked rows, so each delta equals
+    ``local_correction`` of that node alone, bit for bit. A node with no flagged
+    rows gets a zero delta and gain.
     Every node is scored before and after in one stacked prediction.
     """
     V = np.asarray(V, dtype=np.float64)
@@ -265,13 +266,11 @@ def correct_fleet(
             groups.setdefault(len(y), []).append(k)
     deltas = np.zeros_like(V)
     for count, ks in groups.items():
-        updates = train_fleet(
-            [ModelParams.from_vector(V[k]) for k in ks],
-            [NodePartition("correction", np.asarray(flagged_X[k], dtype=np.float64),
-                           np.asarray(flagged_y[k], dtype=np.int64)) for k in ks],
-            lr=lr, epochs=steps, batch=count, seeds=[seeds[k] for k in ks],
+        deltas[ks] = train_fleet(
+            V[ks], _stack([flagged_X[k] for k in ks], "flagged rows"),
+            np.array([flagged_y[k] for k in ks]), lr, steps, count, [seeds[k] for k in ks],
+            [f"correction-{k}" for k in ks],
         )
-        deltas[ks] = [u.grad for u in updates]
     # accuracy at threshold 0.5 of every model before and after its correction
     p = models.predict_fleet(np.concatenate([V, V + deltas]),
                              np.concatenate([holdout_X, holdout_X]))

@@ -378,7 +378,7 @@ def import_chain(text: str) -> list[LedgerBlock]:
     record that does not have its shape or does not encode."""
     try:
         records = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"malformed chain: not JSON: {exc}") from None
     if not isinstance(records, list):
         raise ValueError("malformed chain: expected a JSON array of blocks")

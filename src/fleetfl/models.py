@@ -5,11 +5,12 @@ minus starting params, bias last) and its sample count, which compose cleanly
 with clipping, noising, masking, and sample-weighted averaging. Training keeps
 no loss trace: its per-epoch loss pass only raises ``TrainingDivergedError``.
 
-Training is fleet-stacked: ``train_fleet`` steps every node's model together
-on ``(N, n, d)`` arrays, one gathered batch and one stacked gradient per step,
-while each node keeps its own seeded batch order: every node's epoch orders
-are drawn by ``encoding.permutations`` in one stacked argsort.
-``train_local`` and ``gradient`` are its one-model calls. ``predict_fleet`` scores N stacked
+Training is fleet-stacked: ``train_fleet`` steps N start models, stacked as
+``(N, d + 1)``, on their ``(N, n, d)`` rows together, one gathered batch and
+one stacked gradient per step, and returns their ``(N, d + 1)`` deltas; each
+model keeps its own seeded batch order, every epoch order drawn by
+``encoding.permutations`` in one stacked argsort. ``train_local`` and
+``gradient`` are its one-model calls. ``predict_fleet`` scores N stacked
 models on their own rows in one product, bit for bit as ``predict_batch``.
 ``score_fleet`` scores N stacked models on one shared sample set in one
 product; ``evaluate`` and ``false_positive_rate`` are its one-model calls.
@@ -126,33 +127,34 @@ def gradient(params: ModelParams, X: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def train_fleet(
-    params: Sequence[ModelParams],
-    partitions: Sequence[NodePartition],
+    V: np.ndarray,
+    X: np.ndarray,
+    y: np.ndarray,
     lr: float,
     epochs: int,
     batch: int,
     seeds: Sequence[int],
-) -> list[GradientUpdate]:
-    """Mini-batch SGD of every node's model from its own start, stepped together.
+    names: Sequence[str],
+) -> np.ndarray:
+    """Mini-batch SGD of N stacked models V (N, d + 1), bias last, each on its
+    own rows X (N, n, d) with labels y (N, n), stepped together; returns each
+    model's cumulative parameter delta, (N, d + 1).
 
-    Each node's stream draws one permutation per epoch, all of them up front;
-    every step gathers all nodes' batches at once and takes one stacked gradient.
-    Returns each node's cumulative parameter delta, in partition order.
-    Partitions of unequal size cannot be stacked and raise ``ValueError``.
+    Each model's stream draws one permutation per epoch, all of them up front;
+    every step gathers all models' batches at once and takes one stacked
+    gradient. names only label the models: a non-finite epoch loss raises
+    ``TrainingDivergedError`` naming the first model that diverged.
     """
     if lr <= 0:
         raise ValueError("lr must be positive")
     if epochs < 1 or batch < 1:
         raise ValueError("epochs and batch must be positive")
-    if len(params) != len(partitions) or len(seeds) != len(partitions):
-        raise ValueError("need one start model and one seed per partition")
-    X = np.stack([p.features for p in partitions])
-    y = np.stack([p.labels for p in partitions])
+    if not len(V) == len(X) == len(y) == len(seeds) == len(names) > 0:
+        raise ValueError("need one start model, row set, seed and name per model")
     n = y.shape[1]
-    rows = np.arange(len(partitions))[:, None]
+    rows = np.arange(len(V))[:, None]
     orders = permutations(seeds, epochs, n)
-    start = np.stack([p.as_vector() for p in params])
-    cur = start
+    cur = V
     for epoch in range(1, epochs + 1):
         order = orders[:, epoch - 1]
         for lo in range(0, n, batch):
@@ -163,9 +165,9 @@ def train_fleet(
         bad = np.flatnonzero(~np.isfinite(_losses(_margins(cur, X), y)))
         if bad.size:
             raise TrainingDivergedError(
-                f"non-finite loss on node {partitions[bad[0]].node_id} after epoch {epoch}"
+                f"non-finite loss on node {names[bad[0]]} after epoch {epoch}"
             )
-    return [GradientUpdate(grad=delta, n_samples=n) for delta in cur - start]
+    return cur - V
 
 
 def train_local(
@@ -177,7 +179,9 @@ def train_local(
     seed: int,
 ) -> GradientUpdate:
     """Mini-batch SGD on the partition; returns the cumulative parameter delta."""
-    return train_fleet([params], [partition], lr, epochs, batch, [seed])[0]
+    delta = train_fleet(params.as_vector()[None], partition.features[None],
+                        partition.labels[None], lr, epochs, batch, [seed], [partition.node_id])
+    return GradientUpdate(grad=delta[0], n_samples=partition.n_samples)
 
 
 def score_fleet(

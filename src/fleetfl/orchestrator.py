@@ -3,13 +3,15 @@
 Each round: local SGD, adaptive privacy tuning, clip/noise/mask, sealed
 transmission, ledger admission, masked-sum FedAvg, global privacy adjustment,
 sealed redistribution, dual-model validation with local correction, and
-weighted local/global fusion. Every block of the round is staged as it is
-made and the round commits them as one unit under one committee. No stage
-before the commit changes the models or the explanation records: only the
-commit installs them, so a round that misses quorum or fails before its
-commit leaves the chain, the budgets, the models and the records as they
-were. All randomness is derived from the config seed, so identical configs
-produce byte-identical artifacts.
+weighted local/global fusion. The simulator stacks every node's rows once, at
+construction, as ``(N, n, d)`` training and holdout arrays in node order;
+every round trains, validates and corrects from them as they are. Every block
+of the round is staged as it is made and the round commits them as one unit
+under one committee. No stage before the commit changes the models or the
+explanation records: only the commit installs them, so a round that misses
+quorum or fails before its commit leaves the chain, the budgets, the models
+and the records as they were. All randomness is derived from the config
+seed, so identical configs produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -99,17 +101,24 @@ class Simulator:
         fleet = telemetry.generate_fleet(
             cfg.seed, fc.n_nodes, fc.samples_per_node, fc.feature_dim, fc.heterogeneity
         )
-        self.node_ids = sorted(p.node_id for p in fleet.partitions)
+        parts = sorted(fleet.partitions, key=lambda p: p.node_id)
+        self.node_ids = [p.node_id for p in parts]
         self.dim = fc.feature_dim
         self.holdout_X, self.holdout_y = telemetry.generate_holdout(
             fleet, sub_seed(cfg.seed, "holdout"), cfg.holdout_samples
         )
-        # each node's (train, holdout) split, drawn once: every partition holds
-        # samples_per_node rows, so one stacked argsort orders them all
-        parts = fleet.partitions
-        seeds = [sub_seed(cfg.seed, "split", p.node_id) for p in parts]
-        orders = permutations(seeds, 1, fc.samples_per_node)[:, 0]
-        self._parts = {p.node_id: self._split(p, order) for p, order in zip(parts, orders)}
+        # every node's rows stacked once in node order and split by one fancy
+        # index: the first rows of each node's drawn order are held out, and a
+        # lone row trains and holds out at once
+        n = fc.samples_per_node
+        n_hold = max(1, round(HOLDOUT_FRACTION * n))
+        orders = permutations([sub_seed(cfg.seed, "split", p.node_id) for p in parts], 1, n)[:, 0]
+        rows, hold = np.arange(len(parts))[:, None], orders[:, :n_hold]
+        train = orders[:, n_hold:] if n > 1 else hold
+        X, y = np.stack([p.features for p in parts]), np.stack([p.labels for p in parts])
+        self.train_X, self.train_y = X[rows, train], y[rows, train]
+        self.hold_X, self.hold_y = X[rows, hold], y[rows, hold]
+        self.sensitivity = np.array([p.sensitivity for p in parts])
 
         self.budget = privacy.BudgetLedger(budget_cap=cfg.privacy.budget_cap)
 
@@ -168,31 +177,16 @@ class Simulator:
         )
         return c.fleet.samples_per_node * base * mask_allow * 10.0
 
-    @staticmethod
-    def _split(part: telemetry.NodePartition,
-               order: np.ndarray) -> tuple[telemetry.NodePartition, ...]:
-        """The node's (train, holdout) partitions: the first rows of its drawn
-        order are held out."""
-        n = part.n_samples
-        n_hold = max(1, int(round(HOLDOUT_FRACTION * n))) if n > 1 else 0
-        hold, train = order[:n_hold], order[n_hold:]
-        # a lone row trains and holds out at once
-        return tuple(
-            telemetry.NodePartition(
-                part.node_id, part.features[idx], part.labels[idx], part.sensitivity
-            )
-            for idx in (train, hold if len(hold) else train)
-        )
-
     def _seeds(self, stream: str, r: int) -> list[int]:
         """Each node's seed for the named per-node stream of round r, in node order."""
         return [sub_seed(self.cfg.seed, stream, r, node) for node in self.node_ids]
 
-    def _train(self, params: list[ModelParams], parts: list[telemetry.NodePartition],
-               seeds: list[int]) -> list[GradientUpdate]:
-        """One stacked local SGD of every node under the run's training config."""
+    def _train(self, V: np.ndarray, X: np.ndarray, y: np.ndarray, stream: str,
+               r: int) -> np.ndarray:
+        """Every node's delta from one stacked local SGD of its model V[k] on its
+        rows X[k], y[k], under the run's training config and the named stream."""
         t = self.cfg.train
-        return train_fleet(params, parts, lr=t.lr, epochs=t.epochs, batch=t.batch, seeds=seeds)
+        return train_fleet(V, X, y, t.lr, t.epochs, t.batch, self._seeds(stream, r), self.node_ids)
 
     def _tag(self, party: str, rnd: int) -> FreshnessTag:
         """The party's next nonce, stamped one clock tick later."""
@@ -271,14 +265,14 @@ class Simulator:
     def run_round(self, r: int, record: bool = False) -> tuple[RoundReport, RoundTrace | None]:
         trace = RoundTrace(round=r) if record else None
         self.pending = []
-        scaled, epsilons, strength, updates = self._train_and_privatise(r)
-        received, opened = self._mask_and_send(trace, r, scaled, strength, updates)
+        scaled, epsilons, strength, V1 = self._train_and_privatise(r)
+        received, opened = self._mask_and_send(trace, r, scaled, strength)
         admitted, rejected, charged = self._admit(trace, r, received, opened, epsilons)
         agreement, w_local, blocks = 0.0, 0.0, 0
         if not rejected:
             g = self._aggregate(r, admitted)
             self._distribute(trace, r, g)
-            node_params, records, agreement, w_local = self._feedback_phase(trace, r, g, updates)
+            node_params, records, agreement, w_local = self._feedback_phase(trace, r, g, V1)
             try:
                 blocks = self._commit(r, charged, g.params, node_params, records)
             except ledger.QuorumNotReached:
@@ -290,25 +284,23 @@ class Simulator:
         """Local SGD, then the privacy stage as three fleet passes: every node's
         epsilon, clipping at clip_norm and DP noise. Returns the sample-scaled
         updates stacked in node order, epsilon keyed by node, the round's mask
-        strength and the raw local updates in node order."""
-        cfg, ids = self.cfg, self.node_ids
-        trains = [self._parts[n][0] for n in ids]
-        updates = self._train([self.node_params[n] for n in ids], trains, self._seeds("train", r))
-        eps, strength = privacy.assess_fleet(
-            [t.sensitivity for t in trains], cfg.threat_for_round(r), cfg.privacy
-        )
+        strength and the trained local models (Model 1) stacked in node order."""
+        cfg = self.cfg
+        V = np.stack([self.node_params[n].as_vector() for n in self.node_ids])
+        deltas = self._train(V, self.train_X, self.train_y, "train", r)
+        eps, strength = privacy.assess_fleet(self.sensitivity, cfg.threat_for_round(r), cfg.privacy)
         clip = cfg.privacy.clip_norm
         noised = privacy.noise_fleet(
-            privacy.clip_fleet(np.stack([u.grad for u in updates]), clip),
+            privacy.clip_fleet(deltas, clip),
             privacy.gaussian_sigma(clip, eps, privacy.DELTA),
             self._seeds("noise", r),
         )
         # sender-side sample weighting keeps the aggregator blind to raw updates
-        scaled = noised * np.array([u.n_samples for u in updates])[:, None]
-        return scaled, dict(zip(ids, eps.tolist())), strength, updates
+        scaled = noised * self.train_y.shape[1]
+        return scaled, dict(zip(self.node_ids, eps.tolist())), strength, V + deltas
 
     def _mask_and_send(
-        self, trace, r: int, scaled, strength: float, updates
+        self, trace, r: int, scaled, strength: float
     ) -> tuple[list[masking.MaskedUpdate], dict[str, bytes]]:
         """Mask every update and send it to the cloud, which checks its hash and
         origin; returns the updates the cloud received and, keyed by node, the
@@ -323,10 +315,10 @@ class Simulator:
         masked: dict[str, masking.MaskedUpdate] = {}
         received: list[masking.MaskedUpdate] = []
         opened: dict[str, bytes] = {}
-        for node, grad, upd in zip(ids, scaled, updates):
+        for node, grad in zip(ids, scaled):
             tag = self._tag(node, r)
             masked[node] = masking.apply_mask(
-                node, GradientUpdate(grad=grad, n_samples=upd.n_samples), masks[node], tag
+                node, GradientUpdate(grad=grad, n_samples=self.train_y.shape[1]), masks[node], tag
             )
             payload = opened[node] = self._transmit(
                 trace, tag, node, CLOUD_ID, "local_update", masked[node].to_bytes()
@@ -422,23 +414,23 @@ class Simulator:
         if not result.accepted:
             raise ledger.ContractRejected(result.reasons)
 
-    def _feedback_phase(self, trace, r: int, g: aggregation.GlobalUpdate, updates):
+    def _feedback_phase(self, trace, r: int, g: aggregation.GlobalUpdate, V1: np.ndarray):
         """Dual-model validation and local correction of the whole fleet in one
         pass each, then fusion at each node; returns (node models, explanation
-        records, mean agreement, mean w_local). Each node's logged explanation,
+        records, mean agreement, mean w_local). V1 holds every node's local
+        model (Model 1), stacked in node order; each node's validation rows are
+        the first rows of its training split. Each node's logged explanation,
         whose stability weighs its fusion, is the one its validation compared."""
         fb = self.cfg.feedback
         ids = self.node_ids
         if not fb.enabled:
             return dict.fromkeys(ids, g.params), [], 1.0, 0.0
 
-        trains, holds = zip(*(self._parts[node] for node in ids))
-        # Model 1: each node's local model; Model 2: the global model tuned on its holdout rows
-        model2_updates = self._train([g.params] * len(ids), holds, self._seeds("model2", r))
-        V1 = np.stack([self.node_params[n].as_vector() + u.grad for n, u in zip(ids, updates)])
-        V2 = g.params.as_vector() + np.stack([u.grad for u in model2_updates])
-        val_X = np.stack([t.features[: fb.max_validation_samples] for t in trains])
-        val_y = np.stack([t.labels[: fb.max_validation_samples] for t in trains])
+        # Model 2: the global model tuned on each node's holdout rows
+        gv = g.params.as_vector()
+        V2 = gv + self._train(np.tile(gv, (len(ids), 1)), self.hold_X, self.hold_y, "model2", r)
+        val_X = self.train_X[:, : fb.max_validation_samples]
+        val_y = self.train_y[:, : fb.max_validation_samples]
 
         reports = feedback.validate_fleet(V1, V2, val_X, fb.explain_repeats,
                                           self._seeds("explain", r))
@@ -450,7 +442,7 @@ class Simulator:
         corrections = feedback.correct_fleet(
             V1, [x[rep.flagged] for x, rep in zip(val_X, reports)],
             [y[rep.flagged] for y, rep in zip(val_y, reports)],
-            [h.features for h in holds], [h.labels for h in holds],
+            self.hold_X, self.hold_y,
             lr=feedback.CORRECTION_LR, steps=feedback.CORRECTION_STEPS,
             seeds=self._seeds("correct", r),
         )

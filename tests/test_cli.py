@@ -39,6 +39,11 @@ def _write_cfg(tmp_path, **overrides):
     return path
 
 
+# an array nested far past the interpreter's recursion limit: json raises
+# RecursionError on it, not JSONDecodeError
+DEEP_JSON = "[" * 10_000 + "]" * 10_000
+
+
 def test_run_with_missing_config_exits_2(capsys):
     assert main(["run", "--config", "does-not-exist.json"]) == 2
     assert "not found" in capsys.readouterr().err
@@ -51,6 +56,12 @@ def test_run_with_malformed_config_exits_2(tmp_path, capsys):
     unknown = tmp_path / "unknown.json"
     unknown.write_text('{"seed": 1, "wormhole": true}')
     assert main(["run", "--config", str(unknown)]) == 2
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    capsys.readouterr()
+    for command in ("run", "attack"):
+        assert main([command, "--config", str(deep)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad config: ")
 
 
 @pytest.mark.parametrize(
@@ -349,7 +360,7 @@ def test_malformed_chain_or_explanation_file_exits_1(tmp_path, capsys, name, tex
     assert "error: malformed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["truncated", "not-utf8"])
+@pytest.mark.parametrize("case", ["truncated", "not-utf8", "too-deep"])
 def test_chain_file_that_is_not_json_is_a_malformed_chain(tmp_path, capsys, case):
     path = tmp_path / "chain.json"
     if case == "truncated":
@@ -357,13 +368,15 @@ def test_chain_file_that_is_not_json_is_a_malformed_chain(tmp_path, capsys, case
         sim.run()
         text = ledger.export_chain(sim.chain)
         path.write_text(text[: len(text) // 2])
+    elif case == "too-deep":
+        path.write_text(DEEP_JSON)
     else:
         path.write_bytes(b"\xff\xfe")
     assert main(["ledger", "verify", "--chain", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: malformed chain: not JSON: ")
 
 
-@pytest.mark.parametrize("case", ["truncated", "not-utf8"])
+@pytest.mark.parametrize("case", ["truncated", "not-utf8", "too-deep"])
 def test_explanation_line_that_is_not_json_is_a_malformed_record(tmp_path, capsys, case):
     path = tmp_path / "explanations.jsonl"
     if case == "truncated":
@@ -372,6 +385,9 @@ def test_explanation_line_that_is_not_json_is_a_malformed_record(tmp_path, capsy
         lines = path.read_bytes().splitlines(keepends=True)
         path.write_bytes(lines[0] + lines[1][: len(lines[1]) // 2])
         line = 2
+    elif case == "too-deep":
+        path.write_text(DEEP_JSON + "\n")
+        line = 1
     else:
         path.write_bytes(b"\xff\xfe")
         line = 1

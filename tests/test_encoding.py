@@ -21,7 +21,6 @@ SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 def test_scalar_encodings_are_big_endian_fixed_width():
     assert encoding.enc_u32(1) == b"\x00\x00\x00\x01"
     assert encoding.enc_u64(1) == b"\x00" * 7 + b"\x01"
-    assert encoding.enc_f64(1.0) == b"\x3f\xf0\x00\x00\x00\x00\x00\x00"
     assert encoding.enc_bytes(b"ab") == b"\x00\x00\x00\x02ab"
     assert encoding.enc_str("ab") == encoding.enc_bytes(b"ab")
 

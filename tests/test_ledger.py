@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from fleetfl import ledger
 from fleetfl.channel import FreshnessTag
-from fleetfl.encoding import ZERO_DIGEST, canonical_hash, enc_f64, enc_str, enc_u64
+from fleetfl.encoding import ZERO_DIGEST, canonical_hash, enc_str, enc_u64
 from fleetfl.orchestrator import Simulator
 from fleetfl.privacy import BudgetLedger
 
@@ -420,7 +420,7 @@ def _reference_meta_bytes(meta):
         + enc_str(meta.actor_id)
         + enc_u64(meta.round)
         + meta.freshness.to_bytes()
-        + enc_f64(meta.epsilon_charged)
+        + struct.pack(">d", meta.epsilon_charged)
         + enc_u64(meta.model_version)
     )
 

@@ -95,12 +95,15 @@ def _fleets(draw):
 def test_train_fleet_matches_the_per_node_reference(fleet, lr, epochs, batch_pad):
     parts, starts, seeds = fleet
     batch = 1 + batch_pad % (parts[0].n_samples + 3)  # 1 to n + 3
-    got = models.train_fleet(starts, parts, lr, epochs, batch, seeds)
-    assert len(got) == len(parts)
-    for upd, start, part, seed in zip(got, starts, parts, seeds):
+    got = models.train_fleet(
+        np.stack([s.as_vector() for s in starts]), np.stack([p.features for p in parts]),
+        np.stack([p.labels for p in parts]), lr, epochs, batch, seeds,
+        [p.node_id for p in parts],
+    )
+    assert got.shape == (len(parts), starts[0].dim + 1)
+    for delta, start, part, seed in zip(got, starts, parts, seeds):
         want = _reference_train_local(start, part, lr, epochs, batch, seed)
-        np.testing.assert_allclose(upd.grad, want.grad, rtol=1e-12, atol=0)
-        assert upd.n_samples == want.n_samples
+        np.testing.assert_allclose(delta, want.grad, rtol=1e-12, atol=0)
 
 
 def test_gradient_is_the_reference_gradient():
@@ -117,28 +120,26 @@ def test_gradient_is_the_reference_gradient():
 
 
 @pytest.mark.parametrize(
-    "sizes, n_params, n_seeds",
-    [([5, 6], 2, 2), ([5, 5], 1, 2), ([5, 5], 2, 3), ([], 0, 0)],
-    ids=["unequal-sizes", "too-few-models", "too-many-seeds", "empty"],
+    "n_rows, n_params, n_seeds, n_names",
+    [(2, 1, 2, 2), (2, 2, 3, 2), (0, 0, 0, 0), (2, 2, 2, 1)],
+    ids=["too-few-models", "too-many-seeds", "empty", "too-few-names"],
 )
-def test_train_fleet_rejects_mismatched_inputs(sizes, n_params, n_seeds):
-    parts = [
-        telemetry.NodePartition(f"n{i}", np.ones((k, 2)), np.zeros(k, dtype=np.int64))
-        for i, k in enumerate(sizes)
-    ]
-    starts = [models.ModelParams.zeros(2)] * n_params
+def test_train_fleet_rejects_mismatched_inputs(n_rows, n_params, n_seeds, n_names):
     with pytest.raises(ValueError):
-        models.train_fleet(starts, parts, lr=0.1, epochs=1, batch=2, seeds=list(range(n_seeds)))
+        models.train_fleet(
+            np.zeros((n_params, 3)), np.ones((n_rows, 5, 2)), np.zeros((n_rows, 5), dtype=np.int64),
+            lr=0.1, epochs=1, batch=2, seeds=list(range(n_seeds)),
+            names=[f"n{i}" for i in range(n_names)],
+        )
 
 
 def test_train_fleet_names_a_diverging_node_that_is_not_the_first():
-    ok = telemetry.NodePartition("node-0", np.ones((4, 2)), np.ones(4, dtype=np.int64))
-    bad = telemetry.NodePartition("node-1", np.full((4, 2), 1e200), np.ones(4, dtype=np.int64))
-    starts = [models.ModelParams.zeros(2)] * 2
+    X = np.stack([np.ones((4, 2)), np.full((4, 2), 1e200)])
     with np.errstate(all="ignore"), pytest.raises(
         models.TrainingDivergedError, match="on node node-1 after epoch 1"
     ):
-        models.train_fleet(starts, [ok, bad], lr=0.5, epochs=2, batch=2, seeds=[0, 1])
+        models.train_fleet(np.zeros((2, 3)), X, np.ones((2, 4), dtype=np.int64), lr=0.5,
+                           epochs=2, batch=2, seeds=[0, 1], names=["node-0", "node-1"])
 
 
 def test_predict_zero_model_is_half():

@@ -205,7 +205,7 @@ def test_fusion_matches_a_hand_recomputed_oracle(monkeypatch, n_nodes, seed):
     assert all(np.array_equal(d, y) for d in global_deltas)
     np.testing.assert_allclose(sim.global_params.as_vector(), prev + y, rtol=0, atol=1e-12)
 
-    total = sum(sim._parts[n][0].n_samples for n in sim.node_ids)
+    total = sim.train_y.size
     w_min, n_ref = feedback.W_MIN, feedback.N_REF
 
     def fused(x, gain, stability):
@@ -298,17 +298,22 @@ def test_small_no_noise_run_bytes_are_pinned(tmp_path):
 
 
 def _per_node_train_and_privatise(sim, r):
-    """The privacy stage as a loop of one assessment, one clip and one noise
-    call per node, returning the sample-scaled updates stacked in node order,
-    the contexts in node order and the raw updates."""
-    cfg = sim.cfg
+    """Local training and the privacy stage as a loop of one training, one
+    assessment, one clip and one noise call per node, returning the
+    sample-scaled updates stacked in node order, the contexts in node order
+    and the raw updates."""
+    cfg, t = sim.cfg, sim.cfg.train
     threat = cfg.threat_for_round(r)
-    trains = [sim._parts[n][0] for n in sim.node_ids]
-    seeds = [sub_seed(cfg.seed, "train", r, n) for n in sim.node_ids]
-    updates = sim._train([sim.node_params[n] for n in sim.node_ids], trains, seeds)
+    updates = [
+        models.train_local(
+            sim.node_params[node], telemetry.NodePartition(node, X, y), t.lr, t.epochs, t.batch,
+            sub_seed(cfg.seed, "train", r, node),
+        )
+        for node, X, y in zip(sim.node_ids, sim.train_X, sim.train_y)
+    ]
     scaled, ctxs = [], []
-    for node, train, upd in zip(sim.node_ids, trains, updates):
-        ctx = privacy.assess_context(train.sensitivity, threat, cfg.privacy)
+    for node, sensitivity, upd in zip(sim.node_ids, sim.sensitivity, updates):
+        ctx = privacy.assess_context(sensitivity, threat, cfg.privacy)
         clipped = privacy.clip_update(upd, ctx.clip_norm)
         noised = privacy.add_dp_noise(clipped, ctx, sub_seed(cfg.seed, "noise", r, node))
         scaled.append(noised.grad * upd.n_samples)
@@ -325,8 +330,9 @@ def test_the_stacked_privacy_stage_equals_a_per_node_loop(epochs, clip):
         rounds=1, fleet={"n_nodes": 6}, train={"epochs": epochs},
         privacy={"eps_max": 8.0, "budget_cap": 500.0, "clip_norm": clip},
     ))
-    scaled, epsilons, strength, updates = sim._train_and_privatise(0)
-    expected, ctxs, ref_updates = _per_node_train_and_privatise(sim, 0)
+    starts = [sim.node_params[n].as_vector() for n in sim.node_ids]
+    scaled, epsilons, strength, V1 = sim._train_and_privatise(0)
+    expected, ctxs, updates = _per_node_train_and_privatise(sim, 0)
     assert list(epsilons) == sim.node_ids
     raw_norms = [float(np.linalg.norm(u.grad)) for u in updates]
     assert sum(norm > clip for norm in raw_norms) == 3
@@ -334,7 +340,8 @@ def test_the_stacked_privacy_stage_equals_a_per_node_loop(epochs, clip):
     assert list(epsilons.values()) == [c.epsilon for c in ctxs]
     assert all(c.mask_strength == strength for c in ctxs)
     assert np.array_equal(scaled, expected)
-    assert all(np.array_equal(u.grad, v.grad) for u, v in zip(updates, ref_updates))
+    # the returned Model 1 is each node's start model plus its raw update
+    assert np.array_equal(V1, np.stack([v + u.grad for v, u in zip(starts, updates)]))
 
 
 def test_a_round_assesses_the_fleet_without_per_node_contexts(monkeypatch):
@@ -500,29 +507,39 @@ def test_benchmark_tracer_bindings_exist():
     assert tracer.summary()["calls"]["attacks.inject"] == 6  # three wire kinds, two seeds
 
 
-def _replace_train_features(sim, node, features):
-    train, hold = sim._parts[node]
-    sim._parts[node] = (
-        telemetry.NodePartition(node, features, train.labels, train.sensitivity), hold
-    )
-
-
 def test_divergence_names_the_node_that_diverged_when_it_is_not_the_first():
     sim = Simulator(make_cfg(rounds=1))
-    train = sim._parts["node-1"][0]
     # margins overflow after the first step, so the epoch loss is not finite
-    _replace_train_features(sim, "node-1", np.full_like(train.features, 1e200))
+    sim.train_X[sim.node_ids.index("node-1")] = 1e200
     with np.errstate(all="ignore"), pytest.raises(
         models.TrainingDivergedError, match="on node node-1 after epoch 1"
     ):
         sim._train_and_privatise(0)
 
 
+@pytest.mark.parametrize("rows", ["train_X", "hold_X"], ids=["local", "model2"])
+def test_a_diverging_node_is_named_and_leaves_the_round_state_as_it_was(rows):
+    # train_X diverges in local training (Model 1), hold_X in Model 2's training
+    sim = Simulator(make_cfg(rounds=1, privacy={"eps_max": 8.0, "budget_cap": 500.0}))
+    getattr(sim, rows)[sim.node_ids.index("node-1")] = 1e200
+    global_params, node_params = sim.global_params, dict(sim.node_params)
+    with np.errstate(all="ignore"), pytest.raises(
+        models.TrainingDivergedError, match="on node node-1 after epoch 1"
+    ):
+        sim.run_round(0)
+    # Model 2 trains after the local updates and the global model are staged
+    assert len(sim.pending) == (len(sim.node_ids) + 1 if rows == "hold_X" else 0)
+    assert len(sim.chain) == 1
+    assert all(sim.budget.spent_for(n) == 0.0 for n in sim.node_ids)
+    assert sim.global_params is global_params
+    assert all(sim.node_params[n] is node_params[n] for n in sim.node_ids)
+    assert sim.explanation_records == []
+
+
 def test_a_step_that_overflows_a_parameter_raises_value_error():
     sim = Simulator(make_cfg(rounds=1, train={"lr": 1e300}))
-    train = sim._parts["node-2"][0]
     # lr * gradient overflows on the first step of node-2 only
-    _replace_train_features(sim, "node-2", np.full_like(train.features, 1e10))
+    sim.train_X[sim.node_ids.index("node-2")] = 1e10
     with np.errstate(all="ignore"), pytest.raises(
         ValueError, match="model parameters must be finite"
     ):
@@ -533,9 +550,9 @@ def test_a_step_that_overflows_a_parameter_raises_value_error():
 def test_a_round_trains_the_fleet_in_stacked_calls(monkeypatch, enabled, fleet_calls):
     calls = {"train_fleet": [], "train_local": 0}
 
-    def fleet(params, parts, **kwargs):
-        calls["train_fleet"].append(len(parts))
-        return models.train_fleet(params, parts, **kwargs)
+    def fleet(V, *args):
+        calls["train_fleet"].append(len(V))
+        return models.train_fleet(V, *args)
 
     def local(*args, **kwargs):
         calls["train_local"] += 1
@@ -929,26 +946,66 @@ def test_the_cloud_encodes_each_update_twice_while_masking_and_sending(monkeypat
     assert len(calls) == 2 * len(NODES)
 
 
-def test_the_fleet256_benchmark_run_keeps_its_artifact_bytes(tmp_path):
-    # the benchmark's fleet256-nofeedback config at seed 5, built here on its own
-    cfg = config.from_dict({
+def _benchmark_cfg(n_nodes, feedback, rounds, output_dir=None):
+    """A benchmark workload's config at seed 5, built here on its own."""
+    return config.from_dict({
         "seed": 5,
-        "rounds": 2,
-        "fleet": {"n_nodes": 256, "samples_per_node": 100, "feature_dim": 8,
+        "rounds": rounds,
+        "fleet": {"n_nodes": n_nodes, "samples_per_node": 100, "feature_dim": 8,
                   "heterogeneity": 0.3},
         "privacy": {"eps_max": 8.0, "budget_cap": 500.0},
-        "feedback": {"enabled": False},
+        "feedback": {"enabled": feedback},
         "integration_site": "node",
         "threat_schedule": 0.1,
-        "output_dir": str(tmp_path),
+        "output_dir": output_dir,
     })
+
+
+def _artifact_digests(cfg):
     Simulator(cfg).run()
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in ("metrics.jsonl", "chain.json")}
+    return {name: hashlib.sha256(pathlib.Path(cfg.output_dir, name).read_bytes()).hexdigest()
+            for name in ("metrics.jsonl", "chain.json", "explanations.jsonl")}
+
+
+def test_the_fleet256_benchmark_run_keeps_its_artifact_bytes(tmp_path):
+    digests = _artifact_digests(_benchmark_cfg(256, False, 2, str(tmp_path)))
     assert digests == {
         "metrics.jsonl": "672236cf5278d44b0e5edcaedb0ab9b75b4ac6a48a1e137b7b4aaa6a6c627dbf",
         "chain.json": "4d41a241412ae3afa853667aca2d61c478c05af3ba29e81f9a1f24544aafa2f3",
+        "explanations.jsonl": hashlib.sha256(b"").hexdigest(),
     }
+
+
+def test_the_fleet64_feedback_benchmark_run_keeps_its_artifact_bytes(tmp_path):
+    # 64 nodes sort as node-0, node-1, node-10, ...: a pass that mixed node
+    # order with generation order would change these digests
+    digests = _artifact_digests(_benchmark_cfg(64, True, 2, str(tmp_path)))
+    assert digests == {
+        "metrics.jsonl": "74be091100f785fe53782a3a02383bffb437782f8d5413a2ea49042866f9b78c",
+        "chain.json": "95009dbfb0de99b0b4cde64b37838b217aedccf235f9630cb71b76ecf0b465f3",
+        "explanations.jsonl": "0f62bd65f69b5ed65347fd9098c76b73a25b3b83e6792d8f18b61be44547f03b",
+    }
+
+
+def test_the_attack_fleet16_benchmark_run_and_suite_keep_their_bytes(tmp_path):
+    digests = _artifact_digests(_benchmark_cfg(16, True, 4, str(tmp_path)))
+    assert digests == {
+        "metrics.jsonl": "10003b745468d2b2ed0582efff2443055bfd16e66bedabb64c38107aa8c991ec",
+        "chain.json": "b17339700f296c49e57a7b1e026d4a9e70d3f1ea0c50c2c0996d1c70fe6b5222",
+        "explanations.jsonl": "f561669a90b1261bf34f5088e9aa5c46a73a85d06e9eb52eff2da8696ae2e493",
+    }
+    # the benchmark's 50 injection seeds per kind at seed 5
+    seeds = [int.from_bytes(hashlib.sha256(f"attack:5:{i}".encode()).digest()[:4], "big")
+             for i in range(50)]
+    reports = attacks.run_attack_suite(_benchmark_cfg(16, True, 4), seeds)
+    # the harness's 3x honest norm bound admits 43 of the 50 poisons; eavesdrop injects once
+    assert {r.kind: (r.detected, r.injected) for r in reports} == {
+        **dict.fromkeys(attacks.ATTACK_KINDS, (50, 50)), "poison_update": (7, 50),
+        "eavesdrop": (1, 1),
+    }
+    assert hashlib.sha256(attacks.reports_to_json(reports).encode()).hexdigest() == (
+        "d6298e940ba7157997700ad15d54eeab26c5a20b1a347d5f5a3f70390584b236"
+    )
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["feedback-on", "feedback-off"])
