@@ -6,13 +6,15 @@ reflecting an envelope fails authentication. Receivers keep a seen-nonce set
 and a freshness window over the simulated clock.
 
 Each directed link holds its key's cipher and its encoded (sender, receiver)
-prefix of the associated data, both built with the link, and each tag computes
-its cipher nonce once: per message only its nonce, tag and AEAD call remain.
+prefix of the associated data, both built with the link, and each tag encodes
+its bytes and computes its cipher nonce once: per message only its nonce, tag
+and AEAD call remain. A sender's nonces can be drawn k at a time, so that a
+batch of messages is stamped in one pass; each message of the batch is still
+sealed and opened on its own, with every check.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import struct
 from dataclasses import dataclass, field
@@ -51,6 +53,22 @@ class UnknownPartyError(ChannelError):
     """No key registered for the claimed party."""
 
 
+class _computed_once:
+    """A lazily computed attribute: its first access stores the value in the
+    instance's ``__dict__``, which then shadows this non-data descriptor. That
+    is ``functools.cached_property`` without the lock it takes on each first
+    access under Python 3.11."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class FreshnessTag:
     nonce: bytes  # 128-bit, unique per sender
@@ -63,15 +81,21 @@ class FreshnessTag:
         if self.timestamp < 0 or self.round < 0:
             raise ValueError("timestamp and round must be non-negative")
 
-    @functools.cached_property
+    @_computed_once
     def cipher_nonce(self) -> bytes:
         """The 128-bit protocol nonce compressed into the cipher's 96-bit nonce,
         so that every distinct protocol nonce yields a distinct keystream;
         computed once, by the first seal or open of the tag."""
         return hashlib.sha256(self.nonce).digest()[:12]
 
-    def to_bytes(self) -> bytes:
+    @_computed_once
+    def _encoded(self) -> bytes:
         return self.nonce + struct.pack(">QQ", self.timestamp, self.round)
+
+    def to_bytes(self) -> bytes:
+        """The nonce, then timestamp and round as big-endian uint64; encoded by
+        the first call, which raises struct.error for a field out of range."""
+        return self._encoded
 
     @classmethod
     def from_bytes(cls, b: bytes, offset: int) -> tuple["FreshnessTag", int]:
@@ -134,10 +158,18 @@ class NonceSource:
         self._counter = 0
 
     def next(self) -> bytes:
-        h = self._prefix.copy()
-        h.update(enc_u64(self._counter))
-        self._counter += 1
-        return h.digest()[:NONCE_SIZE]
+        return self.take(1)[0]
+
+    def take(self, k: int) -> list[bytes]:
+        """The next k nonces, one per counter value in order: k calls of
+        next() draw the same."""
+        start, self._counter = self._counter, self._counter + k
+        out = []
+        for counter in range(start, start + k):
+            h = self._prefix.copy()
+            h.update(enc_u64(counter))
+            out.append(h.digest()[:NONCE_SIZE])
+        return out
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,10 @@ implementations) that agree on the field values produce identical bytes and
 therefore identical digests.
 
 The module also holds the one randomness rule of a round. A draw is keyed by
-a 64-bit seed from ``sub_seed``, and its stream is the SHAKE-128 (FIPS 202)
-output of ``enc_u64(seed)``, read as big-endian uint64 words. From the words:
+a 64-bit seed from ``sub_seed`` (``sub_seeds`` is its fleet form for a
+stream's per-node seeds, equal to it seed for seed), and its stream is the
+SHAKE-128 (FIPS 202) output of ``enc_u64(seed)``, read as big-endian uint64
+words. From the words:
 
 - a uniform in (0, 1] is (top 53 bits + 1)·2^-53 of one word
   (``uniforms``);
@@ -59,6 +61,16 @@ def enc_vec(v: np.ndarray) -> bytes:
     return enc_u32(arr.size) + arr.astype(">f8").tobytes()
 
 
+def enc_rows(m: np.ndarray) -> list[bytes]:
+    """``enc_vec`` of each row of a 2-D array, from one big-endian conversion."""
+    arr = np.asarray(m, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError(f"expected a 2-D array, got shape {arr.shape}")
+    n, d = arr.shape
+    raw, head, step = arr.astype(">f8").tobytes(), enc_u32(d), 8 * d
+    return [head + raw[i * step : (i + 1) * step] for i in range(n)]
+
+
 def dec_vec(b: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     """Inverse of enc_vec; returns (vector, next offset)."""
     (n,) = struct.unpack_from(">I", b, offset)
@@ -81,6 +93,18 @@ def sub_seed(*parts) -> int:
     every random stream of a run is keyed."""
     h = hashlib.sha256(":".join(str(p) for p in parts).encode()).digest()
     return int.from_bytes(h[:8], "big")
+
+
+def sub_seeds(prefix: tuple, lasts) -> list[int]:
+    """``sub_seed(*prefix, last)`` for each of lasts, in order: the shared
+    ':'-joined prefix is hashed once and each last part is hashed onto a copy."""
+    head = hashlib.sha256("".join(f"{p}:" for p in prefix).encode())
+    out = []
+    for last in lasts:
+        h = head.copy()
+        h.update(str(last).encode())
+        out.append(int.from_bytes(h.digest()[:8], "big"))
+    return out
 
 
 _U53 = 2.0**-53  # one step of a 53-bit uniform

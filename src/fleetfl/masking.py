@@ -60,7 +60,9 @@ from typing import Mapping
 import numpy as np
 
 from .channel import FreshnessTag
-from .encoding import dec_vec, enc_str, enc_u64, enc_vec, hash_vector, normals
+from .encoding import (
+    canonical_hash, dec_vec, enc_rows, enc_str, enc_u64, enc_vec, hash_vector, normals,
+)
 from .models import GradientUpdate
 
 
@@ -73,12 +75,8 @@ class MaskedUpdate:
     payload_hash: bytes
 
     def to_bytes(self) -> bytes:
-        return (
-            enc_str(self.node_id)
-            + enc_vec(self.payload)
-            + enc_u64(self.n_samples)
-            + self.freshness.to_bytes()
-            + self.payload_hash
+        return _update_bytes(
+            self.node_id, enc_vec(self.payload), self.n_samples, self.freshness, self.payload_hash
         )
 
     @staticmethod
@@ -104,6 +102,15 @@ class MaskedUpdate:
             freshness=freshness,
             payload_hash=digest,
         )
+
+
+def _update_bytes(node_id: str, payload_encoding: bytes, n_samples: int,
+                  freshness: FreshnessTag, payload_hash: bytes) -> bytes:
+    """A MaskedUpdate's canonical layout, given its payload's ``enc_vec`` bytes."""
+    return (
+        enc_str(node_id) + payload_encoding + enc_u64(n_samples) + freshness.to_bytes()
+        + payload_hash
+    )
 
 
 def half_degree(n: int, threat: float) -> int:
@@ -212,3 +219,16 @@ def apply_mask(
         freshness=freshness,
         payload_hash=hash_vector(payload),
     )
+
+
+def encode_updates(
+    node_ids: list[str], payloads: np.ndarray, n_samples: int, tags: list[FreshnessTag]
+) -> list[bytes]:
+    """Each node's MaskedUpdate bytes, for its row of the stacked masked
+    payloads and its tag, with the hash taken over the row's encoding: one
+    ``enc_rows`` pass for the fleet. Row k's bytes equal those of
+    ``apply_mask`` for node k."""
+    return [
+        _update_bytes(node, vec, n_samples, tag, canonical_hash(vec))
+        for node, vec, tag in zip(node_ids, enc_rows(payloads), tags)
+    ]

@@ -7,11 +7,16 @@ weighted local/global fusion. The simulator stacks every node's rows once, at
 construction, as ``(N, n, d)`` training and holdout arrays in node order;
 every round trains, validates and corrects from them as they are. Every block
 of the round is staged as it is made and the round commits them as one unit
-under one committee. No stage before the commit changes the models or the
-explanation records: only the commit installs them, so a round that misses
-quorum or fails before its commit leaves the chain, the budgets, the models
-and the records as they were. All randomness is derived from the config
-seed, so identical configs produce byte-identical artifacts.
+under one committee. Every message goes through one send path, ``_send``,
+which takes a batch of same-kind messages (a single message is a batch of
+one): it stamps the batch's tags in order, then seals and opens each message
+on its own, with every channel check, at the clock reading of its tag. The
+masked updates are encoded from one stacked array, a row per node. No stage
+before the commit changes the models or the explanation records: only the
+commit installs them, so a round that misses quorum or fails before its
+commit leaves the chain, the budgets, the models and the records as they
+were. All randomness is derived from the config seed, so identical configs
+produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -19,7 +24,9 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
@@ -28,11 +35,10 @@ from .channel import (
     Envelope, FreshnessTag, KeyRegistry, Link, NonceSource, UnknownPartyError, open_envelope, seal,
 )
 from .config import RunConfig
-from .encoding import canonical_hash, enc_u64, enc_vec, permutations, sub_seed
+from .encoding import canonical_hash, enc_u64, enc_vec, permutations, sub_seed, sub_seeds
 # evaluate, false_positive_rate and train_local are unused here but stay bound:
 # the benchmark's tracer patches them by name
 from .models import (  # noqa: F401
-    GradientUpdate,
     ModelParams,
     evaluate,
     false_positive_rate,
@@ -179,7 +185,7 @@ class Simulator:
 
     def _seeds(self, stream: str, r: int) -> list[int]:
         """Each node's seed for the named per-node stream of round r, in node order."""
-        return [sub_seed(self.cfg.seed, stream, r, node) for node in self.node_ids]
+        return sub_seeds((self.cfg.seed, stream, r), self.node_ids)
 
     def _train(self, V: np.ndarray, X: np.ndarray, y: np.ndarray, stream: str,
                r: int) -> np.ndarray:
@@ -188,11 +194,15 @@ class Simulator:
         t = self.cfg.train
         return train_fleet(V, X, y, t.lr, t.epochs, t.batch, self._seeds(stream, r), self.node_ids)
 
-    def _tag(self, party: str, rnd: int) -> FreshnessTag:
-        """The party's next nonce, stamped one clock tick later."""
-        nonce = self.nonce_sources[party].next()
-        self.clock += 1
-        return FreshnessTag(nonce=nonce, timestamp=self.clock, round=rnd)
+    def _stamp(self, senders: list[str], rnd: int) -> list[FreshnessTag]:
+        """Each sender's next nonce in order, each stamped one clock tick after
+        the one before it."""
+        draws = {s: iter(self.nonce_sources[s].take(k)) for s, k in Counter(senders).items()}
+        start, self.clock = self.clock, self.clock + len(senders)
+        return [
+            FreshnessTag(nonce=next(draws[s]), timestamp=start + i, round=rnd)
+            for i, s in enumerate(senders, 1)
+        ]
 
     def link(self, sender: str, receiver: str) -> tuple[Link, set[bytes]]:
         """The (sender, receiver) link under its pre-shared key and the receiver's
@@ -203,17 +213,28 @@ class Simulator:
         except KeyError:
             raise UnknownPartyError(f"no link from {sender} to {receiver}") from None
 
-    def _transmit(
-        self, trace: RoundTrace | None, tag: FreshnessTag, sender: str, receiver: str,
-        kind: str, payload: bytes,
-    ) -> bytes:
-        """Seal one message under the sender's tag, put it on the wire, and open
-        it at the receiver; returns the opened payload."""
-        link, seen = self.link(sender, receiver)
-        env = seal(link, tag, payload, used_nonces=self.sent_nonces[sender])
-        if trace is not None:
-            trace.messages.append(WireMessage(kind, env))
-        return open_envelope(link, env, self.rules.freshness_window, seen, self.clock)
+    def _send(
+        self, trace: RoundTrace | None, r: int, kind: str, routes: list[tuple[str, str]],
+        payloads: list[bytes], tags: list[FreshnessTag] | None = None,
+    ) -> list[bytes]:
+        """Send a batch of same-kind messages, payloads[i] from routes[i] =
+        (sender, receiver); returns the opened payloads in order. Unless given,
+        the batch's tags are stamped first, in order. Then each message is
+        sealed under its tag, put on the wire and opened at its receiver, one at
+        a time: message i of k at the clock reading its tag was stamped at,
+        the batch's tags being the last k stamped. The first check that fails
+        raises, and no later message of the batch is sealed."""
+        if tags is None:
+            tags = self._stamp([sender for sender, _ in routes], r)
+        window, first = self.rules.freshness_window, self.clock - len(tags) + 1
+        opened = []
+        for now, (sender, receiver), tag, payload in zip(count(first), routes, tags, payloads):
+            link, seen = self.link(sender, receiver)
+            env = seal(link, tag, payload, used_nonces=self.sent_nonces[sender])
+            if trace is not None:
+                trace.messages.append(WireMessage(kind, env))
+            opened.append(open_envelope(link, env, window, seen, now))
+        return opened
 
     def local_update_entries(
         self, r: int, updates: list[masking.MaskedUpdate], wires: list[bytes],
@@ -312,17 +333,12 @@ class Simulator:
             round_seed, ids, self.dim + 1, dict(zip(ids, strengths)), round=r,
             threat=self.cfg.threat_for_round(r),
         )
-        masked: dict[str, masking.MaskedUpdate] = {}
+        tags = self._stamp(ids, r)
+        masked = scaled + np.stack([masks[node] for node in ids])
+        wires = masking.encode_updates(ids, masked, self.train_y.shape[1], tags)
+        payloads = self._send(trace, r, "local_update", [(n, CLOUD_ID) for n in ids], wires, tags)
         received: list[masking.MaskedUpdate] = []
-        opened: dict[str, bytes] = {}
-        for node, grad in zip(ids, scaled):
-            tag = self._tag(node, r)
-            masked[node] = masking.apply_mask(
-                node, GradientUpdate(grad=grad, n_samples=self.train_y.shape[1]), masks[node], tag
-            )
-            payload = opened[node] = self._transmit(
-                trace, tag, node, CLOUD_ID, "local_update", masked[node].to_bytes()
-            )
+        for node, payload in zip(ids, payloads):
             # the cloud checks integrity (origin + hash beliefs), hashing the
             # payload's encoding as it sits in the bytes it received
             mu = masking.MaskedUpdate.from_bytes(payload)
@@ -333,8 +349,9 @@ class Simulator:
             received.append(mu)
         if trace is not None:
             trace.raw_updates = dict(zip(ids, scaled.copy()))
-            trace.masked = masked
-        return received, opened
+            # the updates as each node sent them
+            trace.masked = {node: masking.MaskedUpdate.from_bytes(w) for node, w in zip(ids, wires)}
+        return received, dict(zip(ids, payloads))
 
     def _admit(self, trace, r: int, received, opened, epsilons):
         """Ledger admission: forward the bytes the cloud opened for every kept
@@ -348,16 +365,13 @@ class Simulator:
         """
         cleaned, drops = aggregation.preprocess_updates(received, self.dim + 1)
         rejected: list[tuple[str, list[str]]] = [(n, [reason]) for n, reason in drops]
-        for mu in cleaned:
-            sent = opened[mu.node_id]
-            got = self._transmit(
-                trace, self._tag(CLOUD_ID, r), CLOUD_ID, LEDGER_ID, "ledger_log", sent
-            )
-            if got != sent:
+        sent = [opened[mu.node_id] for mu in cleaned]
+        logged = self._send(trace, r, "ledger_log", [(CLOUD_ID, LEDGER_ID)] * len(sent), sent)
+        for mu, wire, got in zip(cleaned, sent, logged):
+            if got != wire:
                 raise ProtocolViolation(f"logged update of {mu.node_id} corrupted in transit")
         entries = self.local_update_entries(
-            r, cleaned, [opened[mu.node_id] for mu in cleaned],
-            [epsilons[mu.node_id] for mu in cleaned],
+            r, cleaned, sent, [epsilons[mu.node_id] for mu in cleaned]
         )
         admitted = [(mu, meta, state) for mu, (meta, state) in zip(cleaned, entries)]
         for mu, meta, state in admitted:
@@ -390,18 +404,16 @@ class Simulator:
         (freshness verified at open)."""
         gbytes = params_bytes(g.params)
         self._log_to_ledger(trace, r, "global_model", CLOUD_ID, gbytes, g.params.version)
-        for node in self.node_ids:
-            got = self._transmit(
-                trace, self._tag(CLOUD_ID, r), CLOUD_ID, node, "global_distribution", gbytes
-            )
+        routes = [(CLOUD_ID, node) for node in self.node_ids]
+        for got in self._send(trace, r, "global_distribution", routes, [gbytes] * len(routes)):
             if got != gbytes:
                 raise ProtocolViolation("distributed global model corrupted in transit")
 
     def _log_to_ledger(
         self, trace, r: int, kind: str, actor: str, payload: bytes, model_version: int
     ) -> None:
-        tag = self._tag(CLOUD_ID, r)
-        got = self._transmit(trace, tag, CLOUD_ID, LEDGER_ID, "ledger_log", payload)
+        [tag] = self._stamp([CLOUD_ID], r)
+        [got] = self._send(trace, r, "ledger_log", [(CLOUD_ID, LEDGER_ID)], [payload], [tag])
         meta = ledger.BlockMeta(
             kind=kind, actor_id=actor, round=r, freshness=tag,
             epsilon_charged=0.0, model_version=model_version,
@@ -464,8 +476,8 @@ class Simulator:
                 base + feedback.integrate(corr.delta, g.delta, w), version=g.params.version
             )
             node_params[node] = integrated
-            payload = self._transmit(
-                trace, self._tag(node, r), node, CLOUD_ID, "feedback", params_bytes(integrated)
+            [payload] = self._send(
+                trace, r, "feedback", [(node, CLOUD_ID)], [params_bytes(integrated)]
             )
             self._log_to_ledger(trace, r, "feedback", node, payload, integrated.version)
             w_locals.append(w.w_local)

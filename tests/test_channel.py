@@ -221,3 +221,22 @@ def test_a_tag_computes_its_cipher_nonce_once_when_first_sealed(nonce_int, ts, r
     cached = vars(tag)["cipher_nonce"]
     assert cached == hashlib.sha256(tag.nonce).digest()[:12]
     assert tag.cipher_nonce is cached
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(0, 5), max_size=6))
+def test_a_k_nonce_draw_equals_k_calls_of_next(ks):
+    batched, single = channel.NonceSource("P", 1), channel.NonceSource("P", 1)
+    for k in ks:
+        assert batched.take(k) == [single.next() for _ in range(k)]
+    assert batched.next() == single.next()
+
+
+def test_a_tag_encodes_its_bytes_once():
+    tag = _tag(3, 9, 2)
+    assert "_encoded" not in vars(tag)
+    first = tag.to_bytes()
+    assert first == tag.nonce + enc_u64(9) + enc_u64(2)
+    assert tag.to_bytes() is first is vars(tag)["_encoded"]
+    # the cached values are not fields: equality and the tag's hash ignore them
+    assert tag == _tag(3, 9, 2) and hash(tag) == hash(_tag(3, 9, 2))

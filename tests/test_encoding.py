@@ -75,6 +75,32 @@ def test_sub_seed_is_the_first_8_bytes_of_the_joined_parts_digest():
     assert encoding.sub_seed(7, "holdout") != encoding.sub_seed("holdout", 7)
 
 
+PARTS = st.one_of(st.integers(-(2**70), 2**70), st.text(max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(PARTS, max_size=4).map(tuple), st.lists(PARTS, max_size=6))
+@example((7, "train", 3), ["node-0", "node-10", "node-2"])
+@example((), ["", 0])
+def test_sub_seeds_equal_sub_seed_of_each_last_part(prefix, lasts):
+    assert encoding.sub_seeds(prefix, lasts) == [encoding.sub_seed(*prefix, x) for x in lasts]
+
+
+@given(hnp.arrays(
+    dtype=np.float64,
+    shape=st.tuples(st.integers(0, 6), st.integers(0, 9)),
+    elements=st.floats(allow_nan=False, width=64),
+))
+def test_enc_rows_equal_enc_vec_of_each_row(m):
+    assert encoding.enc_rows(m) == [encoding.enc_vec(row) for row in m]
+
+
+def test_enc_rows_rejects_what_is_not_a_matrix():
+    for bad in (np.zeros(3), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="2-D"):
+            encoding.enc_rows(bad)
+
+
 def test_hash_vector_matches_manual_composition():
     v = np.array([1.5, -2.0])
     assert encoding.hash_vector(v) == hashlib.sha256(encoding.enc_vec(v)).digest()

@@ -254,6 +254,20 @@ def test_masked_update_wire_round_trip():
     np.testing.assert_array_equal(back.payload, mu.payload)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 2**32), st.integers(1, 500))
+def test_the_fleet_encoding_of_each_row_is_apply_masks(n, dim, seed, n_samples):
+    rng = np.random.default_rng(seed)
+    ids = [f"node-{i}" for i in range(n)]
+    updates, masks = rng.normal(size=(n, dim)), rng.normal(size=(n, dim)) * 1e3
+    tags = [FreshnessTag(nonce=bytes([i]) * 16, timestamp=seed + i, round=seed) for i in range(n)]
+    wires = masking.encode_updates(ids, updates + masks, n_samples, tags)
+    for k, node in enumerate(ids):
+        mu = masking.apply_mask(node, GradientUpdate(grad=updates[k], n_samples=n_samples),
+                                masks[k], tags[k])
+        assert wires[k] == mu.to_bytes()
+
+
 # -- the threat-sized mask graph ----------------------------------------------
 
 THREATS = st.floats(0.0, 1.0, allow_nan=False)

@@ -1,5 +1,6 @@
 """Round loop: determinism, ledger ordering, budget closure, abort behavior."""
 
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -359,6 +360,7 @@ def test_every_logged_explanation_is_the_one_validation_compared(monkeypatch):
     sim = Simulator(make_cfg(rounds=2, fleet={"n_nodes": 4}))
     reports, streams = [], []
     validate_fleet, sub_seed_ = feedback.validate_fleet, orchestrator.sub_seed
+    sub_seeds_ = orchestrator.sub_seeds
 
     def recorded_validation(*args, **kwargs):
         out = validate_fleet(*args, **kwargs)
@@ -372,10 +374,17 @@ def test_every_logged_explanation_is_the_one_validation_compared(monkeypatch):
         streams.append(parts[0] if parts else None)
         return sub_seed_(seed, *parts)
 
+    def recorded_streams(prefix, lasts):
+        # the per-node streams: (seed, stream, round) + each node
+        streams.append(prefix[1] if len(prefix) > 1 else None)
+        return sub_seeds_(prefix, lasts)
+
     monkeypatch.setattr(feedback, "validate_fleet", recorded_validation)
     monkeypatch.setattr(feedback, "explain", refused)
     monkeypatch.setattr(orchestrator, "sub_seed", recorded_stream)
+    monkeypatch.setattr(orchestrator, "sub_seeds", recorded_streams)
     sim.run()
+    assert {"train", "noise", "model2", "explain", "correct"} <= set(streams)
     assert "stability" not in streams
     assert len(sim.explanation_records) == len(reports) == 2 * len(sim.node_ids)
     for record, report in zip(sim.explanation_records, reports):
@@ -843,6 +852,113 @@ def test_the_wire_bytes_of_a_small_feedback_run_are_pinned():
     assert h.hexdigest() == "758c8a16e3490a2a3fb1557b3a52a3615d6355d73b0b498b2ab6489940c1d021"
 
 
+def test_the_wire_bytes_of_a_small_feedback_off_run_are_pinned():
+    # the path of the benchmark's feedback-off workload at 8 nodes and threat
+    # 0.1: each round's local updates, their ledger logs and the distributions
+    sim = Simulator(make_cfg(fleet={"n_nodes": 8}, feedback={"enabled": False},
+                             threat_schedule=0.1))
+    h = hashlib.sha256()
+    for r in range(2):
+        report, trace = sim.run_round(r, record=True)
+        assert not report.aborted
+        assert len(trace.messages) == 3 * 8 + 1
+        for m in trace.messages:
+            h.update(m.envelope.to_bytes())
+    assert h.hexdigest() == "5e45363a4150c14b0fd1c61da0b0377e1643b78cc97f3c9197c4dae2cc06c3ac"
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["feedback-on", "feedback-off"])
+def test_every_pipeline_message_goes_through_one_send_path(monkeypatch, enabled):
+    sim = Simulator(make_cfg(rounds=1, feedback={"enabled": enabled}))
+    send, batches = sim._send, []
+
+    def recorded(trace, r, kind, routes, payloads, tags=None):
+        batches.append((kind, len(routes)))
+        return send(trace, r, kind, routes, payloads, tags)
+
+    monkeypatch.setattr(sim, "_send", recorded)
+    _, trace = sim.run_round(0, record=True)
+    # each batch is one run of same-kind messages of the trace, in its order
+    assert [kind for kind, k in batches for _ in range(k)] == [m.kind for m in trace.messages]
+    n = len(NODES)
+    head = [("local_update", n), ("ledger_log", n), ("ledger_log", 1), ("global_distribution", n)]
+    tail = [("feedback", 1), ("ledger_log", 1)] * n if enabled else []
+    assert batches == head + tail
+
+
+def test_each_message_of_a_batch_is_opened_at_the_clock_reading_of_its_tag(monkeypatch):
+    # under a one-tick window, a batch opened at the clock of its last tag
+    # would find its first messages stale
+    sim = Simulator(make_cfg(rounds=1))
+    nows = []
+
+    def opening(link, env, window, seen, now):
+        nows.append(now)
+        return channel.open_envelope(link, env, window, seen, now)
+
+    monkeypatch.setattr(orchestrator, "open_envelope", opening)
+    sim.rules = dataclasses.replace(sim.rules, freshness_window=1)
+    payloads = [bytes([i]) for i in range(5)]
+    assert sim._send(None, 0, "ledger_log", [("cloud", "ledger")] * 5, payloads) == payloads
+    assert nows == [sim.clock - 4 + i for i in range(5)]
+
+
+def _wire_adversary(monkeypatch, fault, withheld):
+    """Swap the second envelope the pipeline seals for a faulty one on the
+    wire; returns the lists of envelopes sealed and opened."""
+    sealed, opened = [], []
+
+    def sealing(link, tag, payload, used_nonces=None):
+        env = channel.seal(link, tag, payload, used_nonces=used_nonces)
+        sealed.append(env)
+        if len(sealed) == 2:
+            if fault == "tampered":
+                env = channel.Envelope(env.sender, env.receiver, env.freshness,
+                                       bytes([env.ciphertext[0] ^ 1]) + env.ciphertext[1:],
+                                       env.auth_tag)
+            elif fault == "replayed":
+                env = sealed[0]
+            else:  # an envelope sealed earlier and held back past the window
+                env = withheld
+        return env
+
+    def opening(link, env, *args):
+        opened.append(env)
+        return channel.open_envelope(link, env, *args)
+
+    monkeypatch.setattr(orchestrator, "seal", sealing)
+    monkeypatch.setattr(orchestrator, "open_envelope", opening)
+    return sealed, opened
+
+
+@pytest.mark.parametrize("fault, error", [
+    ("tampered", channel.TamperedError),
+    ("replayed", channel.ReplayedError),
+    ("stale", channel.StaleError),
+])
+def test_a_faulty_envelope_fails_a_batch_as_it_fails_a_per_message_send(monkeypatch, fault, error):
+    routes, payloads = [("cloud", "ledger")] * 3, [b"first", b"second", b"third"]
+    outcomes = []
+    for batched in (True, False):
+        sim = Simulator(make_cfg(rounds=1))
+        link, _ = sim.link("cloud", "ledger")
+        withheld = channel.seal(link, sim._stamp(["cloud"], 0)[0], b"late",
+                                used_nonces=sim.sent_nonces["cloud"])
+        sim.clock += sim.rules.freshness_window + 1
+        with monkeypatch.context() as m:
+            sealed, opened = _wire_adversary(m, fault, withheld)
+            with pytest.raises(error):
+                if batched:
+                    sim._send(None, 0, "ledger_log", routes, payloads)
+                else:  # each message a batch of one
+                    for route, payload in zip(routes, payloads):
+                        sim._send(None, 0, "ledger_log", [route], [payload])
+        # the faulty second message fails: the third is neither sealed nor opened
+        assert len(sealed) == len(opened) == 2
+        outcomes.append((sim.sent_nonces, {pair: seen for pair, (_, seen) in sim.links.items()}))
+    assert outcomes[0] == outcomes[1]
+
+
 def test_a_round_builds_no_cipher(monkeypatch):
     # each link builds its cipher with the simulator; a seed no other test uses
     # keeps any cipher built elsewhere out of the count
@@ -919,17 +1035,24 @@ def test_admission_encodes_no_payload(monkeypatch):
     assert calls == []
 
 
-def test_the_cloud_encodes_each_update_twice_while_masking_and_sending(monkeypatch):
-    # the node encodes its payload once to hash it and once to send it; the
-    # cloud hashes the payload's encoding inside the bytes it received
+def test_the_cloud_encodes_the_updates_in_one_pass_while_masking_and_sending(monkeypatch):
+    # the fleet's masked payloads are encoded together, once, and each node's
+    # bytes and hash are built from its row; the cloud hashes the payload's
+    # encoding inside the bytes it received
     sim = Simulator(make_cfg(rounds=1))
-    calls, inside = [], []
-    enc_vec, mask_and_send = encoding.enc_vec, Simulator._mask_and_send
+    calls, row_calls, inside = [], [], []
+    enc_vec, enc_rows = encoding.enc_vec, encoding.enc_rows
+    mask_and_send = Simulator._mask_and_send
 
     def spy(v):
         if inside:
             calls.append(v)
         return enc_vec(v)
+
+    def rows_spy(m):
+        if inside:
+            row_calls.append(m)
+        return enc_rows(m)
 
     def sending(self, *args):
         inside.append(True)
@@ -940,10 +1063,13 @@ def test_the_cloud_encodes_each_update_twice_while_masking_and_sending(monkeypat
 
     for module in (encoding, masking, orchestrator, attacks):
         monkeypatch.setattr(module, "enc_vec", spy)
+    for module in (encoding, masking):
+        monkeypatch.setattr(module, "enc_rows", rows_spy)
     monkeypatch.setattr(Simulator, "_mask_and_send", sending)
     report, _ = sim.run_round(0)
     assert not report.aborted and report.blocks_appended > 0
-    assert len(calls) == 2 * len(NODES)
+    assert calls == []
+    assert [m.shape for m in row_calls] == [(len(NODES), sim.dim + 1)]
 
 
 def _benchmark_cfg(n_nodes, feedback, rounds, output_dir=None):
@@ -1027,16 +1153,20 @@ def test_each_local_update_is_decoded_once_a_round(monkeypatch, enabled):
 
 def test_a_logged_update_changed_on_the_ledger_leg_raises_protocol_violation(monkeypatch):
     sim = Simulator(make_cfg(rounds=1))
-    transmit = sim._transmit
+    send = sim._send
 
-    def one_byte_changed(trace, tag, sender, receiver, kind, payload):
-        got = transmit(trace, tag, sender, receiver, kind, payload)
-        if receiver == "ledger":
-            i = len(got) // 2
-            got = got[:i] + bytes([got[i] ^ 1]) + got[i + 1:]
-        return got
+    def changed(got):
+        i = len(got) // 2
+        return got[:i] + bytes([got[i] ^ 1]) + got[i + 1:]
 
-    monkeypatch.setattr(sim, "_transmit", one_byte_changed)
+    def one_byte_changed(trace, r, kind, routes, payloads, tags=None):
+        opened = send(trace, r, kind, routes, payloads, tags)
+        return [
+            changed(got) if receiver == "ledger" else got
+            for (_, receiver), got in zip(routes, opened)
+        ]
+
+    monkeypatch.setattr(sim, "_send", one_byte_changed)
     with pytest.raises(orchestrator.ProtocolViolation, match="node-0"):
         sim.run_round(0)
     assert len(sim.chain) == 1 and sim.pending == []
