@@ -71,13 +71,11 @@ class GradientUpdate:
 
 
 def _sigmoid(z):
+    """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so that exp never
+    overflows; e = e^-|z| is the exponential of either branch."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def predict(params: ModelParams, features: np.ndarray) -> float:

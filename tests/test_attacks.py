@@ -3,10 +3,13 @@
 import dataclasses
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 from conftest import make_cfg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetfl import attacks, ledger
 from fleetfl.orchestrator import RoundTrace, Simulator
@@ -163,3 +166,86 @@ def test_suite_never_appends_adversarial_blocks():
     assert len(sim.chain) == before
     assert ledger.export_chain(sim.chain) == chain_json
     assert [m.envelope.to_bytes() for m in trace.messages] == wire
+
+
+def _reference_leaks(wire, raw):
+    """The eavesdrop predicate as one bytes search per coordinate and byte order."""
+    return any(struct.pack(order, c) in wire for vec in raw for c in vec for order in (">d", "<d"))
+
+
+_coords = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    raw=st.lists(st.lists(_coords, max_size=6), max_size=4),
+    wire=st.binary(max_size=60),
+    plant=st.none() | st.tuples(st.integers(0, 23), st.integers(0, 7),
+                                st.sampled_from([">d", "<d"])),
+)
+def test_the_eavesdrop_scan_is_the_bytes_search(raw, wire, plant):
+    # plant: (coordinate, offset mod 8, byte order) of a coordinate put on the wire
+    raw = [np.array(v, dtype=np.float64) for v in raw]
+    coords = [c for v in raw for c in v]
+    if plant is not None and coords:
+        c, offset, order = plant
+        at = offset + 8 * (len(wire) // 16)
+        planted = struct.pack(order, coords[c % len(coords)])
+        wire = wire[:at].ljust(at, b"\xff") + planted + wire[at:]
+        assert _reference_leaks(wire, raw)
+    assert attacks._leaks(wire, raw) is _reference_leaks(wire, raw)
+
+
+@pytest.mark.parametrize("order", [">d", "<d"])
+def test_the_eavesdrop_scan_finds_a_coordinate_at_every_offset(order):
+    filler = bytes(range(1, 40))
+    for offset in range(16):
+        wire = filler[:offset] + struct.pack(order, -1.25) + filler[offset:]
+        assert attacks._leaks(wire, [np.array([3.5, -1.25])]), offset
+        assert not attacks._leaks(wire[:offset + 7] + wire[offset + 8:], [np.array([-1.25])])
+
+
+def test_the_eavesdrop_scan_on_short_and_empty_inputs():
+    zero = struct.pack("<d", 0.0)
+    assert not attacks._leaks(b"", [np.array([0.0])])
+    assert not attacks._leaks(zero[:7], [np.array([0.0])])
+    assert not attacks._leaks(zero * 4, [])
+    assert not attacks._leaks(zero * 4, [np.array([]), np.array([])])
+    assert attacks._leaks(zero, [np.array([0.0])])
+    # -0.0 is its own bit pattern: eight zero bytes do not carry it
+    assert not attacks._leaks(zero * 4, [np.array([-0.0])])
+    assert attacks._leaks(b"\x01" + struct.pack(">d", -0.0), [np.array([-0.0])])
+
+
+_BLOCK_FIELDS = ("prev_hash", "payload_hash", "block_hash", "meta", "attestations", "index")
+
+
+def test_a_tampered_block_copy_fails_at_its_index_and_leaves_the_live_chain(monkeypatch):
+    sim = Simulator(make_cfg(rounds=1))
+    sim.run_round(0, record=True)
+    live = list(sim.chain)
+    exported = ledger.export_chain(sim.chain)
+    verified = []
+    verify = ledger.verify_chain
+
+    def recording_verify(chain):
+        verified.append((chain, verify(chain)))
+        return verified[-1][1]
+
+    monkeypatch.setattr(ledger, "verify_chain", recording_verify)
+    seen = set()
+    for seed in range(400):
+        assert attacks._attack_tamper_block(sim, [seed]).detected == 1
+        ((tampered, bad),) = verified
+        verified.clear()
+        # one new block, with its own attestations list; every other block is shared
+        (i,) = [k for k, block in enumerate(tampered) if block is not live[k]]
+        new, orig = tampered[i], live[i]
+        assert new.attestations is not orig.attestations
+        (pick,) = [f for f in _BLOCK_FIELDS if getattr(new, f) != getattr(orig, f)]
+        assert bad == i, (seed, pick)
+        seen.add((pick, bool(orig.attestations)))
+        assert all(a is b for a, b in zip(sim.chain, live, strict=True))
+        assert ledger.export_chain(sim.chain) == exported
+    # every field, and attestations both flipped in place and appended to an empty list
+    assert seen >= {(f, False) for f in _BLOCK_FIELDS} | {("attestations", True)}

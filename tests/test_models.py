@@ -142,6 +142,41 @@ def test_train_fleet_names_a_diverging_node_that_is_not_the_first():
                            epochs=2, batch=2, seeds=[0, 1], names=["node-0", "node-1"])
 
 
+def _reference_sigmoid(z):
+    """The masked two-branch logistic, as written before the branch-free form."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+_SIGMOID_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 745.0, -745.0, 745.2, -745.2,
+                  -709.0, -720.5, -744.0, 5e-324, -5e-324, 1e-310, 36.8, 37.5, -36.8]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_SIGMOID_EDGES),
+                          st.floats(-745.5, -708.0),  # subnormal and smallest normal outputs
+                          st.floats(allow_nan=True, allow_infinity=True)), max_size=40),
+       st.booleans())
+def test_sigmoid_is_bit_identical_to_the_two_branch_form(values, scalar):
+    z = np.array(values[0] if scalar and values else values, dtype=np.float64)
+    got, want = models._sigmoid(z), _reference_sigmoid(z)
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)  # a NaN input gives NaN, its sign aside
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def test_sigmoid_outputs_below_the_smallest_normal_are_kept():
+    out = models._sigmoid(np.array([-709.0, -740.0, -745.0, -746.0]))
+    assert 0.0 < out[1] < out[0] < np.finfo(np.float64).tiny
+    assert out[2] == 5e-324 and out[3] == 0.0
+
+
 def test_predict_zero_model_is_half():
     params = models.ModelParams(np.zeros(3), 0.0)
     assert models.predict(params, np.array([1.0, -2.0, 3.0])) == 0.5
