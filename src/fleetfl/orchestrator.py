@@ -11,7 +11,12 @@ under one committee. Every message goes through one send path, ``_send``,
 which takes a batch of same-kind messages (a single message is a batch of
 one): it stamps the batch's tags in order, then seals and opens each message
 on its own, with every channel check, at the clock reading of its tag. The
-masked updates are encoded from one stacked array, a row per node. No stage
+masked updates are encoded from one stacked array, a row per node. The cloud
+forwards to the ledger once per batch, in one sealed ``ledger_log`` envelope
+of length-prefixed entries: the kept updates, the global model (a batch of
+one) and the fused models. The ledger checks each entry against what the
+cloud holds and stages one block per entry; a fused model's block takes the
+tag of its node's own message, and the global model's the envelope's. No stage
 before the commit changes the models or the explanation records: only the
 commit installs them, so a round that misses quorum or fails before its
 commit leaves the chain, the budgets, the models and the records as they
@@ -35,7 +40,7 @@ from .channel import (
     Envelope, FreshnessTag, KeyRegistry, Link, NonceSource, UnknownPartyError, open_envelope, seal,
 )
 from .config import RunConfig
-from .encoding import canonical_hash, enc_u64, enc_vec, permutations, sub_seed, sub_seeds
+from .encoding import canonical_hash, enc_bytes, enc_u64, enc_vec, permutations, sub_seed, sub_seeds
 # evaluate, false_positive_rate and train_local are unused here but stay bound:
 # the benchmark's tracer patches them by name
 from .models import (  # noqa: F401
@@ -355,9 +360,9 @@ class Simulator:
 
     def _admit(self, trace, r: int, received, opened, epsilons):
         """Ledger admission: forward the bytes the cloud opened for every kept
-        update to the ledger, which checks they arrived unchanged and so takes
-        the update the cloud decoded from them; then check and stage them all
-        at one clock reading.
+        update to the ledger as one batch, whose entries the ledger checks
+        arrived unchanged, so it takes the update the cloud decoded from each;
+        then check and stage them all at one clock reading.
 
         Returns (admitted updates, rejections, epsilon to charge per node at
         commit). Any rejection admits nothing: masks cannot cancel over a
@@ -365,14 +370,11 @@ class Simulator:
         """
         cleaned, drops = aggregation.preprocess_updates(received, self.dim + 1)
         rejected: list[tuple[str, list[str]]] = [(n, [reason]) for n, reason in drops]
-        sent = [opened[mu.node_id] for mu in cleaned]
-        logged = self._send(trace, r, "ledger_log", [(CLOUD_ID, LEDGER_ID)] * len(sent), sent)
-        for mu, wire, got in zip(cleaned, sent, logged):
-            if got != wire:
-                raise ProtocolViolation(f"logged update of {mu.node_id} corrupted in transit")
-        entries = self.local_update_entries(
-            r, cleaned, sent, [epsilons[mu.node_id] for mu in cleaned]
-        )
+        if not cleaned:
+            return [], rejected, {}
+        ids = [mu.node_id for mu in cleaned]
+        _, logged = self._forward(trace, r, ids, [opened[node] for node in ids])
+        entries = self.local_update_entries(r, cleaned, logged, [epsilons[n] for n in ids])
         admitted = [(mu, meta, state) for mu, (meta, state) in zip(cleaned, entries)]
         for mu, meta, state in admitted:
             result = ledger.stage_block(self.pending, mu.payload_hash, meta, self.rules, state)
@@ -403,28 +405,54 @@ class Simulator:
         """Stage the global model's block, then send the model to every node
         (freshness verified at open)."""
         gbytes = params_bytes(g.params)
-        self._log_to_ledger(trace, r, "global_model", CLOUD_ID, gbytes, g.params.version)
+        tag, logged = self._forward(trace, r, [CLOUD_ID], [gbytes])
+        self._stage_logged(r, "global_model", [CLOUD_ID], logged, [tag], g.params.version)
         routes = [(CLOUD_ID, node) for node in self.node_ids]
         for got in self._send(trace, r, "global_distribution", routes, [gbytes] * len(routes)):
             if got != gbytes:
                 raise ProtocolViolation("distributed global model corrupted in transit")
 
-    def _log_to_ledger(
-        self, trace, r: int, kind: str, actor: str, payload: bytes, model_version: int
-    ) -> None:
+    def _forward(
+        self, trace, r: int, actors: list[str], entries: list[bytes]
+    ) -> tuple[FreshnessTag, list[bytes]]:
+        """Forward entries[i], the bytes the cloud holds from actors[i], to the
+        ledger in one sealed ``ledger_log`` envelope whose payload is each entry
+        written with ``enc_bytes``. The ledger splits what it opened and checks
+        each entry against the cloud's: a framing error or a changed entry
+        raises ProtocolViolation naming its actor. Returns the envelope's tag
+        and the entries as the ledger split them."""
         [tag] = self._stamp([CLOUD_ID], r)
-        [got] = self._send(trace, r, "ledger_log", [(CLOUD_ID, LEDGER_ID)], [payload], [tag])
-        meta = ledger.BlockMeta(
-            kind=kind, actor_id=actor, round=r, freshness=tag,
-            epsilon_charged=0.0, model_version=model_version,
-        )
-        # the ledger hashes what it received: there is no sender's claim to re-check
+        batch = b"".join([enc_bytes(entry) for entry in entries])
+        [got] = self._send(trace, r, "ledger_log", [(CLOUD_ID, LEDGER_ID)], [batch], [tag])
+        # a prefix cut short or running past the end yields a short entry,
+        # which differs from the cloud's
+        logged, start = [], 0
+        for actor, entry in zip(actors, entries):
+            end = start + 4 + int.from_bytes(got[start : start + 4], "big")
+            logged.append(got[start + 4 : end])
+            if logged[-1] != entry:
+                raise ProtocolViolation(f"logged entry of {actor} corrupted in transit")
+            start = end
+        if start != len(got):
+            raise ProtocolViolation(f"logged batch does not end at the entry of {actors[-1]}")
+        return tag, logged
+
+    def _stage_logged(self, r: int, kind: str, actors: list[str], logged: list[bytes],
+                      tags: list[FreshnessTag], model_version: int) -> None:
+        """Stage a block of the given kind for each logged model, under its
+        actor's tag; the ledger hashes what it received, so there is no
+        sender's claim to re-check."""
         state = ledger.ValidationState(
             seen_nonces=self.contract_nonces, budget=self.budget, now=self.clock
         )
-        result = ledger.stage_block(self.pending, canonical_hash(got), meta, self.rules, state)
-        if not result.accepted:
-            raise ledger.ContractRejected(result.reasons)
+        for actor, got, tag in zip(actors, logged, tags):
+            meta = ledger.BlockMeta(
+                kind=kind, actor_id=actor, round=r, freshness=tag,
+                epsilon_charged=0.0, model_version=model_version,
+            )
+            result = ledger.stage_block(self.pending, canonical_hash(got), meta, self.rules, state)
+            if not result.accepted:
+                raise ledger.ContractRejected(result.reasons)
 
     def _feedback_phase(self, trace, r: int, g: aggregation.GlobalUpdate, V1: np.ndarray):
         """Dual-model validation and local correction of the whole fleet in one
@@ -465,22 +493,24 @@ class Simulator:
 
     def _integrate(self, trace, r: int, g: aggregation.GlobalUpdate, corrections, reports):
         """Fuse each node's correction, weighed by its gain and its report's explanation
-        stability, with the global delta onto the previous global model and submit the
-        result through the cloud, which stages its block; returns (node models, mean w_local)."""
-        base = self.global_params.as_vector()
+        stability, with the global delta onto the previous global model; each node
+        then sends its result to the cloud, which forwards them to the ledger as one
+        batch and stages each one's block under the tag of the node's own message.
+        Returns (node models, mean w_local)."""
+        ids, base = self.node_ids, self.global_params.as_vector()
         node_params, w_locals = {}, []
-        for node, corr, rep in zip(self.node_ids, corrections, reports):
+        for node, corr, rep in zip(ids, corrections, reports):
             w = feedback.compute_weights(corr.accuracy_gain, rep.explanation.stability,
                                          g.total_samples)
-            integrated = ModelParams.from_vector(
+            node_params[node] = ModelParams.from_vector(
                 base + feedback.integrate(corr.delta, g.delta, w), version=g.params.version
             )
-            node_params[node] = integrated
-            [payload] = self._send(
-                trace, r, "feedback", [(node, CLOUD_ID)], [params_bytes(integrated)]
-            )
-            self._log_to_ledger(trace, r, "feedback", node, payload, integrated.version)
             w_locals.append(w.w_local)
+        tags = self._stamp(ids, r)
+        payloads = self._send(trace, r, "feedback", [(node, CLOUD_ID) for node in ids],
+                              [params_bytes(node_params[node]) for node in ids], tags)
+        _, logged = self._forward(trace, r, ids, payloads)
+        self._stage_logged(r, "feedback", ids, logged, tags, g.params.version)
         return node_params, float(np.mean(w_locals))
 
     def _finish_round(self, r, rejected, charged, blocks, agreement, w_local) -> RoundReport:

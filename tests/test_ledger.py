@@ -331,6 +331,23 @@ def test_meta_bit_flip_in_block_17_reports_index_17():
         assert ledger.verify_chain(mutated) == 17
 
 
+def test_a_block_removed_and_the_suffix_rehashed_fails_at_the_removed_position():
+    # every later block is re-linked and re-hashed but keeps its old index, so
+    # the links and hashes all check out and only the index check sees the gap
+    sim = Simulator(make_cfg(rounds=2))
+    sim.run()
+    for k in range(1, len(sim.chain) - 1):
+        chain = sim.chain[:k]
+        for block in sim.chain[k + 1:]:
+            prev_hash = chain[-1].block_hash
+            chain.append(dataclasses.replace(
+                block, prev_hash=prev_hash, block_hash=ledger.compute_block_hash(
+                    block.index, prev_hash, block.payload_hash, block.meta, block.attestations
+                ),
+            ))
+        assert ledger.verify_chain(chain) == k
+
+
 def test_export_import_round_trip():
     chain = _build_chain(8)
     text = ledger.export_chain(chain)

@@ -22,10 +22,10 @@ from fleetfl.encoding import canonical_hash, enc_str, hash_vector, sub_seed
 from fleetfl.orchestrator import Simulator, run
 
 NODES = ["node-0", "node-1", "node-2"]
-# local updates in, their ledger logs plus the global model's, then distribution
+# local updates in, their one ledger batch and the global model's, then distribution
 WIRE_HEAD = (
     [("local_update", n, "cloud") for n in NODES]
-    + [("ledger_log", "cloud", "ledger")] * 4
+    + [("ledger_log", "cloud", "ledger")] * 2
     + [("global_distribution", "cloud", n) for n in NODES]
 )
 
@@ -103,11 +103,11 @@ def test_round_aborts_when_contract_rejects_everything():
 
 
 def test_admission_judges_every_update_at_one_clock_reading():
-    # all three ledger hops tick the clock before any check, so with a
-    # 3-tick window node-0's and node-1's updates are stale and node-2's is not
+    # the one ledger batch ticks the clock before any check, so with a
+    # 1-tick window node-0's and node-1's updates are stale and node-2's is not
     cfg = make_cfg(rounds=1, privacy={"eps_max": 4.0, "budget_cap": 500.0})
     sim = Simulator(cfg)
-    sim.rules.freshness_window = 3
+    sim.rules.freshness_window = 1
     [report], _ = sim.run()
     assert report.aborted
     assert report.rejected == [("node-0", ["stale"]), ("node-1", ["stale"])]
@@ -244,7 +244,7 @@ def test_small_feedback_run_bytes_are_pinned(tmp_path):
     }
     assert digests == {
         "metrics.jsonl": "b7314adbee16d000ec0ecbb99544a581c7a2c27de76bc80b1387342f7afa12e0",
-        "chain.json": "01bfe26402632aa98558322ad8d7121f9f147046dcd8bcff40914decc0495ecb",
+        "chain.json": "e8dc2e3724d4780ed19ea3a2ea633999e7849db9f5783d6e342db50bae1e81df",
         "explanations.jsonl": "a9d832e2b98784f48a5034053340c42aa85f5940e5c645677717a9ba907963bf",
     }
 
@@ -262,7 +262,7 @@ def test_small_feedback_off_run_bytes_are_pinned(tmp_path):
     }
     assert digests == {
         "metrics.jsonl": "666d77cd22e4698c762ce7e59ea08e23c301bdddb897f4e167f1f025065408c5",
-        "chain.json": "f3db7df7a8227973848a996e21ba9805db5209a36f6f65e84c261351f3ff4f63",
+        "chain.json": "3f935a78f799159e136345785678bbdd705e971554f12d652c5c515785ae4fd5",
     }
     assert (tmp_path / "explanations.jsonl").read_bytes() == b""
 
@@ -280,7 +280,7 @@ def test_small_global_dp_run_bytes_are_pinned(tmp_path):
     }
     assert digests == {
         "metrics.jsonl": "0d57caf9b1346758eb6e2017f9dba4bce7485011f1cd35667bfa8cab2ccc5f22",
-        "chain.json": "76f803357f9070bb894e6e8e45fd99dc45b6eecc47e50a130292a5377b0810f7",
+        "chain.json": "2fc830855bcee9edbc8a731218c0e97f1f7baf0dd64ebc75dbd2738f8fe019b7",
     }
 
 
@@ -294,7 +294,7 @@ def test_small_no_noise_run_bytes_are_pinned(tmp_path):
     }
     assert digests == {
         "metrics.jsonl": "1992cfd6cde589a91e14a9ab22253f179f867c7e08c8b4497e50be45eacf0d8c",
-        "chain.json": "2090525c3f479e03c27da4c4b24cc6114225e163624c4d9c3850dff73037750d",
+        "chain.json": "5ba3ed39d6a7e6ece2d1310060506886c771d78470eb55075c16d11a43aeccad",
     }
 
 
@@ -444,7 +444,7 @@ def test_artifacts_are_complete(tmp_path):
 @pytest.mark.parametrize(
     "overrides, tail",
     [
-        ({}, [m for n in NODES for m in (("feedback", n, "cloud"), ("ledger_log", "cloud", "ledger"))]),
+        ({}, [("feedback", n, "cloud") for n in NODES] + [("ledger_log", "cloud", "ledger")]),
         ({"feedback": {"enabled": False}}, []),
     ],
     ids=["node-site", "feedback-off"],
@@ -849,22 +849,23 @@ def test_the_wire_bytes_of_a_small_feedback_run_are_pinned():
         assert not report.aborted
         for m in trace.messages:
             h.update(enc_str(m.kind) + m.envelope.to_bytes())
-    assert h.hexdigest() == "758c8a16e3490a2a3fb1557b3a52a3615d6355d73b0b498b2ab6489940c1d021"
+    assert h.hexdigest() == "e33ec4842c10ba1ce3632ca6fa2e101d4fd2baa52d8aeadf6f4a92e8f7980442"
 
 
 def test_the_wire_bytes_of_a_small_feedback_off_run_are_pinned():
     # the path of the benchmark's feedback-off workload at 8 nodes and threat
-    # 0.1: each round's local updates, their ledger logs and the distributions
+    # 0.1: each round's local updates, their one ledger batch, the global
+    # model's ledger log and the distributions
     sim = Simulator(make_cfg(fleet={"n_nodes": 8}, feedback={"enabled": False},
                              threat_schedule=0.1))
     h = hashlib.sha256()
     for r in range(2):
         report, trace = sim.run_round(r, record=True)
         assert not report.aborted
-        assert len(trace.messages) == 3 * 8 + 1
+        assert len(trace.messages) == 2 * 8 + 2
         for m in trace.messages:
             h.update(m.envelope.to_bytes())
-    assert h.hexdigest() == "5e45363a4150c14b0fd1c61da0b0377e1643b78cc97f3c9197c4dae2cc06c3ac"
+    assert h.hexdigest() == "b78ebde28c7680876f3c3e26a45e83d3fba50c5732b95e5e8e8865ab341a8b46"
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["feedback-on", "feedback-off"])
@@ -881,8 +882,8 @@ def test_every_pipeline_message_goes_through_one_send_path(monkeypatch, enabled)
     # each batch is one run of same-kind messages of the trace, in its order
     assert [kind for kind, k in batches for _ in range(k)] == [m.kind for m in trace.messages]
     n = len(NODES)
-    head = [("local_update", n), ("ledger_log", n), ("ledger_log", 1), ("global_distribution", n)]
-    tail = [("feedback", 1), ("ledger_log", 1)] * n if enabled else []
+    head = [("local_update", n), ("ledger_log", 1), ("ledger_log", 1), ("global_distribution", n)]
+    tail = [("feedback", n), ("ledger_log", 1)] if enabled else []
     assert batches == head + tail
 
 
@@ -1004,8 +1005,9 @@ def test_the_ledger_logs_the_bytes_the_cloud_opened():
                                      sim.clock)
 
     opened = {m.envelope.sender: plaintext(m) for m in trace.messages if m.kind == "local_update"}
-    logged = [plaintext(m) for m in trace.messages if m.kind == "ledger_log"][: len(NODES)]
-    assert {masking.MaskedUpdate.from_bytes(b).node_id: b for b in logged} == opened
+    # the first ledger log is one batch: each update's bytes, length-prefixed, in node order
+    batch = plaintext(next(m for m in trace.messages if m.kind == "ledger_log"))
+    assert batch == b"".join(encoding.enc_bytes(opened[n]) for n in NODES)
 
 
 def test_admission_encodes_no_payload(monkeypatch):
@@ -1097,7 +1099,7 @@ def test_the_fleet256_benchmark_run_keeps_its_artifact_bytes(tmp_path):
     digests = _artifact_digests(_benchmark_cfg(256, False, 2, str(tmp_path)))
     assert digests == {
         "metrics.jsonl": "672236cf5278d44b0e5edcaedb0ab9b75b4ac6a48a1e137b7b4aaa6a6c627dbf",
-        "chain.json": "4d41a241412ae3afa853667aca2d61c478c05af3ba29e81f9a1f24544aafa2f3",
+        "chain.json": "220e0fd7ba1c2aa761632f71d3313fc4caacb9998858a4acc0fdbc2400fdbbfb",
         "explanations.jsonl": hashlib.sha256(b"").hexdigest(),
     }
 
@@ -1108,7 +1110,7 @@ def test_the_fleet64_feedback_benchmark_run_keeps_its_artifact_bytes(tmp_path):
     digests = _artifact_digests(_benchmark_cfg(64, True, 2, str(tmp_path)))
     assert digests == {
         "metrics.jsonl": "74be091100f785fe53782a3a02383bffb437782f8d5413a2ea49042866f9b78c",
-        "chain.json": "95009dbfb0de99b0b4cde64b37838b217aedccf235f9630cb71b76ecf0b465f3",
+        "chain.json": "0a8ece5bb3cc78265ab3d9e816f880431682af7ce2f4ab408250feca6badc2e5",
         "explanations.jsonl": "0f62bd65f69b5ed65347fd9098c76b73a25b3b83e6792d8f18b61be44547f03b",
     }
 
@@ -1117,7 +1119,7 @@ def test_the_attack_fleet16_benchmark_run_and_suite_keep_their_bytes(tmp_path):
     digests = _artifact_digests(_benchmark_cfg(16, True, 4, str(tmp_path)))
     assert digests == {
         "metrics.jsonl": "10003b745468d2b2ed0582efff2443055bfd16e66bedabb64c38107aa8c991ec",
-        "chain.json": "b17339700f296c49e57a7b1e026d4a9e70d3f1ea0c50c2c0996d1c70fe6b5222",
+        "chain.json": "825cf21f916816656b86a131ff8e4eab27e8d7458d74659854bed8277cce7d6b",
         "explanations.jsonl": "f561669a90b1261bf34f5088e9aa5c46a73a85d06e9eb52eff2da8696ae2e493",
     }
     # the benchmark's 50 injection seeds per kind at seed 5
@@ -1130,7 +1132,7 @@ def test_the_attack_fleet16_benchmark_run_and_suite_keep_their_bytes(tmp_path):
         "eavesdrop": (1, 1),
     }
     assert hashlib.sha256(attacks.reports_to_json(reports).encode()).hexdigest() == (
-        "d6298e940ba7157997700ad15d54eeab26c5a20b1a347d5f5a3f70390584b236"
+        "0607cad2cb117e98e29049e16478cb3c876251c26d11b770c69d03adba033d8d"
     )
 
 
@@ -1156,7 +1158,9 @@ def test_a_logged_update_changed_on_the_ledger_leg_raises_protocol_violation(mon
     send = sim._send
 
     def changed(got):
-        i = len(got) // 2
+        # the middle byte of node-0's entry, the batch's first: the batch's
+        # own middle byte lies in node-1's entry
+        i = 4 + int.from_bytes(got[:4], "big") // 2
         return got[:i] + bytes([got[i] ^ 1]) + got[i + 1:]
 
     def one_byte_changed(trace, r, kind, routes, payloads, tags=None):
@@ -1171,3 +1175,66 @@ def test_a_logged_update_changed_on_the_ledger_leg_raises_protocol_violation(mon
         sim.run_round(0)
     assert len(sim.chain) == 1 and sim.pending == []
     assert all(sim.budget.spent_for(n) == 0.0 for n in NODES)
+
+
+# each takes the batch the ledger opened and the entries the cloud sent in it
+MALFORMED_BATCHES = {
+    "cut-prefix": (lambda got, entries: got[:2], 0),
+    "prefix-past-end": (lambda got, entries: len(got).to_bytes(4, "big") + got[4:], 0),
+    "trailing-byte": (lambda got, entries: got + b"\x00", -1),
+    "one-more": (lambda got, entries: got + encoding.enc_bytes(entries[0]), -1),
+    "one-fewer": (lambda got, entries: got[: len(got) - 4 - len(entries[-1])], -1),
+}
+
+
+@pytest.mark.parametrize("forward, actors", [
+    (0, NODES), (1, ["cloud"]), (2, NODES),
+], ids=["updates", "global-model", "fused-models"])
+@pytest.mark.parametrize("malformed", sorted(MALFORMED_BATCHES))
+def test_a_malformed_ledger_batch_raises_protocol_violation_and_stages_nothing(
+    monkeypatch, forward, actors, malformed
+):
+    malform, named = MALFORMED_BATCHES[malformed]
+    sim = Simulator(make_cfg(rounds=1))
+    forward_, send, sent, staged = sim._forward, sim._send, [], []
+
+    def recording(trace, r, ids, entries):
+        sent.append(entries)
+        return forward_(trace, r, ids, entries)
+
+    def malforming(trace, r, kind, routes, payloads, tags=None):
+        opened = send(trace, r, kind, routes, payloads, tags)
+        if kind != "ledger_log" or len(sent) - 1 != forward:
+            return opened
+        staged.append(len(sim.pending))
+        return [malform(opened[0], sent[-1])]
+
+    monkeypatch.setattr(sim, "_forward", recording)
+    monkeypatch.setattr(sim, "_send", malforming)
+    with pytest.raises(orchestrator.ProtocolViolation, match=actors[named]):
+        sim.run_round(0)
+    # no block of the malformed batch was staged, and nothing was committed
+    assert staged and len(sim.pending) == staged[0]
+    assert len(sim.chain) == 1
+    assert all(sim.budget.spent_for(n) == 0.0 for n in NODES)
+
+def test_each_logged_block_takes_its_payload_hash_and_tag_from_what_its_sender_sent():
+    sim = Simulator(make_cfg(rounds=1))
+    report, trace = sim.run_round(0, record=True)
+    assert not report.aborted
+    blocks = sim.chain[1:]
+    feedback_tags = {m.envelope.sender: m.envelope.freshness
+                     for m in trace.messages if m.kind == "feedback"}
+    fused = [b for b in blocks if b.meta.kind == "feedback"]
+    assert [b.meta.actor_id for b in fused] == NODES
+    for b in fused:
+        node = b.meta.actor_id
+        assert b.payload_hash == canonical_hash(orchestrator.params_bytes(sim.node_params[node]))
+        assert b.meta.freshness == feedback_tags[node]
+    # the updates' batch, the global model's and the fused models' batch
+    logs = [m.envelope for m in trace.messages if m.kind == "ledger_log"]
+    assert len(logs) == 3
+    [global_block] = [b for b in blocks if b.meta.kind == "global_model"]
+    assert global_block.meta.freshness == logs[1].freshness
+    nonces = [b.meta.freshness.nonce for b in sim.chain]
+    assert len(set(nonces)) == len(nonces)
