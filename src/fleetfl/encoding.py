@@ -20,7 +20,8 @@ words. From the words:
   sqrt(-2 ln u1)·cos(2π u2) (``normals``);
 - a permutation of n items is the stable argsort of n words, and the j-th of
   a run of permutations sorts words j·n .. (j + 1)·n − 1, so a shorter run is
-  a prefix of a longer one (``permutations``).
+  a prefix of a longer one (``permutations``; ``stable_argsort`` sorts by
+  introsort unless some row holds a tie).
 
 Each form takes a list of seeds and draws every stream in one SHAKE pass per
 seed and one stacked transform; row i equals the draw of seed i alone.
@@ -135,8 +136,21 @@ def normals(words: np.ndarray) -> np.ndarray:
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
+def stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, axis=-1, kind="stable")``, taken by introsort when no
+    row holds two equal keys: the order of distinct keys is unique, so any sort
+    gives it. Keys with a tie in any row are sorted stably."""
+    n = keys.shape[-1]
+    order = np.argsort(keys, axis=-1)
+    # each row's keys in sorted order, gathered from the flat keys in one take
+    flat = order.reshape(-1, n) + (np.arange(order.size // n) * n)[:, None]
+    ranked = keys.reshape(-1).take(flat)
+    if np.any(ranked[:, 1:] == ranked[:, :-1]):
+        return np.argsort(keys, axis=-1, kind="stable")
+    return order
+
+
 def permutations(seeds, count: int, n: int) -> np.ndarray:
     """count permutations of range(n) from each seed's stream, the j-th the
     stable argsort of words j·n .. (j + 1)·n − 1: (len(seeds), count, n)."""
-    keys = streams(seeds, count * n).reshape(len(seeds), count, n)
-    return np.argsort(keys, axis=2, kind="stable")
+    return stable_argsort(streams(seeds, count * n).reshape(len(seeds), count, n))

@@ -5,15 +5,19 @@ set); Model 2 validates predictions and explanation consistency; disagreements
 drive a local SGD correction, and the correction delta is fused with the
 global delta as w_local * x + w_global * y.
 
-Validation and correction each have a fleet form that takes N models stacked
-as (N, d + 1) and their rows as (N, n, d), as the simulator holds them; the
-one-model functions are those forms at N = 1, so a fleet pass equals N
-one-model calls bit for bit.
+Validation, correction and fusion each have a fleet form that takes N models
+or deltas stacked as (N, d + 1) and their rows as (N, n, d), as the simulator
+holds them; the one-model functions (``validate_predictions``,
+``local_correction``, ``compute_weights`` with ``integrate``) are those forms
+at N = 1, so a fleet pass equals N one-model calls bit for bit.
 ``explain`` is the shared attribution kernel at N = 1. Each pass draws from
 one stream per node: validation's sample i swaps in distinct rows of the
 node's own validation rows, read from permutation i of its stream, and its
 report carries Model 1's explanation of the first sample, made from
-permutation 0, which is ``explain``'s draw.
+permutation 0, which is ``explain``'s draw. Permutation importance is
+model-agnostic: the perturbed inputs depend on the rows and the draw alone,
+so validation builds them once and scores them under both models, and only
+Model 1's spread, which its stability needs, is computed.
 """
 
 from __future__ import annotations
@@ -109,31 +113,46 @@ def _rows(seeds, n: int, background_size: int, n_repeats: int, dim: int) -> np.n
     return permutations(seeds, n, background_size)[:, :, window]
 
 
-def _attribute(
-    V: np.ndarray, samples: np.ndarray, background: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Permutation importance of each model's samples: feature j of sample i is
-    swapped in from background row rows[k, i, r, j] in repeat r, and every
-    perturbation is scored in one stacked prediction.
+def _perturb(samples: np.ndarray, background: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Every perturbation of each model's samples: feature j of sample i swapped
+    in from background row rows[k, i, r, j] in repeat r. It depends only on the
+    rows and the draw, not on a model, so one set serves every model scored on it.
 
-    V (N, d + 1), samples (N, n, d), background (N, B, d), rows (N, n, R, d)
-    -> predictions (N, n), attributions (N, n, d), the mean |prediction
-    change| over repeats, and stability (N, n), one minus the mean spread over
-    repeats relative to the mean attribution, clipped to [0, 1].
+    samples (N, n, d), background (N, B, d), rows (N, n, R, d) -> (N, n, R, d, d),
+    perturbation [k, i, r, j] being sample i with feature j swapped.
     """
     n_models, n, n_repeats, dim = rows.shape
-    base = models.predict_fleet(V, samples)
     perturbed = np.broadcast_to(
         samples[:, :, None, None, :], (n_models, n, n_repeats, dim, dim)
     ).copy()
-    j = np.arange(dim)
-    perturbed[..., j, j] = background[np.arange(n_models)[:, None, None, None], rows, j]
+    # feature j of row b of model k sits at (k·B + b)·d + j of the flat background
+    flat = (np.arange(n_models)[:, None, None, None] * background.shape[1] + rows) * dim
+    swapped = background.reshape(-1).take(flat + np.arange(dim))
+    perturbed.reshape(n_models, n, n_repeats, dim * dim)[..., :: dim + 1] = swapped
+    return perturbed
+
+
+def _attribute(
+    V: np.ndarray, samples: np.ndarray, perturbed: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each model's predictions of its samples and the |prediction change| of
+    every perturbation, all scored in one stacked prediction.
+
+    V (N, d + 1), samples (N, n, d), perturbed (N, n, R, d, d) from ``_perturb``
+    -> predictions (N, n) and changes (N, n, R, d); a sample's attributions are
+    its changes' mean over repeats.
+    """
+    n_models, n, n_repeats, dim, _ = perturbed.shape
+    base = models.predict_fleet(V, samples)
     preds = models.predict_fleet(V, perturbed.reshape(n_models, -1, dim))
-    diffs = np.abs(base[:, :, None, None] - preds.reshape(n_models, n, n_repeats, dim))
-    attributions = diffs.mean(axis=2)
-    spread = diffs.std(axis=2).mean(axis=2)
-    stability = np.clip(1.0 - spread / (attributions.mean(axis=2) + _EPS), 0.0, 1.0)
-    return base, attributions, stability
+    return base, np.abs(base[:, :, None, None] - preds.reshape(n_models, n, n_repeats, dim))
+
+
+def _stability(changes: np.ndarray, attributions: np.ndarray) -> np.ndarray:
+    """One minus each sample's mean spread of its changes over repeats relative
+    to its mean attribution, clipped to [0, 1]: (N, n)."""
+    spread = changes.std(axis=2).mean(axis=2)
+    return np.clip(1.0 - spread / (attributions.mean(axis=2) + _EPS), 0.0, 1.0)
 
 
 def explain(
@@ -158,8 +177,11 @@ def explain(
     if sample.shape != (dim,) or background.shape[1] != dim:
         raise ValueError("feature dimension mismatch")
     _check_seeds([seed], 1, n_repeats)
+    sample = sample[None, None]
     rows = _rows([seed], 1, len(background), n_repeats, dim)
-    _, attributions, stability = _attribute(V, sample[None, None], background[None], rows)
+    _, changes = _attribute(V, sample, _perturb(sample, background[None], rows))
+    attributions = changes.mean(axis=2)
+    stability = _stability(changes, attributions)
     return Explanation(attributions=attributions[0, 0], stability=float(stability[0, 0]))
 
 
@@ -173,11 +195,14 @@ def validate_fleet(
     """Model 2 checks Model 1 on N nodes at once: V1 and V2 (N, d + 1), X (N, n, d).
 
     Node k's background is X[k]: sample i swaps in rows from permutation i
-    of the n rows, the first n permutations of its seed's stream, shared by
-    both models. Each report carries Model 1's explanation of sample 0
-    against X[k]: the permutations are prefix-stable, so permutation 0 is the
-    draw ``explain`` makes with the same seed, and the two agree up to the
-    rounding of their stacked predictions. Each report equals
+    of the n rows, the first n permutations of its seed's stream. The
+    perturbation set is built once from those rows and scored under Model 1
+    and Model 2; only Model 1's spread is computed, for its stability. Each
+    report carries Model 1's explanation of sample 0 against X[k]: the
+    permutations are prefix-stable, so permutation 0 is the draw ``explain``
+    makes with the same seed, and the two agree up to the rounding of their
+    stacked predictions. The reports' counts, flagged lists and stabilities
+    are read from fleet arrays, and each report equals
     ``validate_predictions`` of that node alone, bit for bit.
     """
     V1 = np.asarray(V1, dtype=np.float64)
@@ -196,20 +221,30 @@ def validate_fleet(
     _check_seeds(seeds, len(V1), n_repeats)
 
     _, n, dim = X.shape
-    rows = _rows(seeds, n, n, n_repeats, dim)
-    p1, attr1, stability1 = _attribute(V1, X, X, rows)
-    p2, attr2, _ = _attribute(V2, X, X, rows)
+    perturbed = _perturb(X, X, _rows(seeds, n, n, n_repeats, dim))
+    p1, changes1 = _attribute(V1, X, perturbed)
+    p2, changes2 = _attribute(V2, X, perturbed)
+    attr1, attr2 = changes1.mean(axis=2), changes2.mean(axis=2)
     same_pred = (p1 >= 0.5) == (p2 >= 0.5)
     # each model's top feature is the argmax of its attributions; ties go to the lowest index
     same_top = np.argmax(attr1, axis=2) == np.argmax(attr2, axis=2)
+    flags = ~(same_pred & same_top)
+    # node k's flagged samples are flagged[ends[k - 1]:ends[k]]
+    flagged = np.nonzero(flags)[1].tolist()
+    ends = np.cumsum(np.count_nonzero(flags, axis=1)).tolist()
+    # only sample 0's stability is reported
+    stabilities = _stability(changes1[:, :1], attr1[:, :1])[:, 0].tolist()
     return [
         ValidationReport(
-            agreement_rate=int(agree.sum()) / n,
-            flagged=np.flatnonzero(~(agree & top)).tolist(),
-            explanation_consistency=int(top.sum()) / n,
-            explanation=Explanation(attributions=attr[0], stability=float(stability[0])),
+            agreement_rate=agree / n,
+            flagged=flagged[start:end],
+            explanation_consistency=top / n,
+            explanation=Explanation(attributions=attr[0], stability=stability),
         )
-        for agree, top, attr, stability in zip(same_pred, same_top, attr1, stability1)
+        for agree, top, start, end, attr, stability in zip(
+            same_pred.sum(axis=1).tolist(), same_top.sum(axis=1).tolist(), [0, *ends], ends,
+            attr1, stabilities,
+        )
     ]
 
 
@@ -297,21 +332,58 @@ def local_correction(
     )[0]
 
 
+def _weights(gains: np.ndarray, stabilities: np.ndarray, total_samples: int) -> np.ndarray:
+    """The fusion rule: each node's w_local from its local score, its accuracy
+    gain floored at 0 times its explanation stability, against the global
+    score, the data volume log1p(total_samples) / log1p(N_REF) > 0, clamped to
+    [W_MIN, 1 - W_MIN]: (N,)."""
+    if total_samples < 1:
+        raise ValueError("total_samples must be positive")
+    score_local = np.maximum(gains, 0.0) * stabilities
+    score_global = math.log1p(total_samples) / math.log1p(N_REF)
+    return np.minimum(np.maximum(score_local / (score_local + score_global), W_MIN), 1.0 - W_MIN)
+
+
+def fuse_fleet(
+    X: np.ndarray,
+    y: np.ndarray,
+    gains: Sequence[float],
+    stabilities: Sequence[float],
+    total_samples: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fusion of N nodes in one pass: each node's local feedback delta X[k],
+    (N, d + 1), with the global delta y, (d + 1,), weighed by its accuracy
+    gain and explanation stability against the round's data volume. Returns
+    the fused deltas (N, d + 1) and each node's w_local (N,); w_global is
+    1 - w_local. Row k equals ``integrate`` of that node's
+    ``compute_weights``, bit for bit: both weigh each element by one multiply
+    and add.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1:] != y.shape:
+        raise ValueError("dimension mismatch between local and global updates")
+    gains = np.asarray(gains, dtype=np.float64)
+    stabilities = np.asarray(stabilities, dtype=np.float64)
+    if not gains.shape == stabilities.shape == X.shape[:1]:
+        raise ValueError("need one gain and one stability per node")
+    w_local = _weights(gains, stabilities, total_samples)[:, None]
+    return w_local * X + (1.0 - w_local) * y, w_local[:, 0]
+
+
 def compute_weights(
     accuracy_gain: float, explanation_stability: float, total_samples: int
 ) -> IntegrationWeights:
-    """Convex fusion weights: the local score rewards measured accuracy gain and
-    explanation stability, the global score rewards data volume."""
-    if total_samples < 1:
-        raise ValueError("total_samples must be positive")
-    score_local = max(0.0, accuracy_gain) * explanation_stability
-    score_global = math.log1p(total_samples) / math.log1p(N_REF)  # > 0
-    w_local = min(max(score_local / (score_local + score_global), W_MIN), 1.0 - W_MIN)
+    """Convex fusion weights of one node: ``fuse_fleet``'s rule at N = 1."""
+    [w_local] = _weights(
+        np.array([accuracy_gain]), np.array([explanation_stability]), total_samples
+    ).tolist()
     return IntegrationWeights(w_local=w_local, w_global=1.0 - w_local)
 
 
 def integrate(x: np.ndarray, y: np.ndarray, w: IntegrationWeights) -> np.ndarray:
-    """Weighted fusion of the local feedback delta x and the global delta y."""
+    """Weighted fusion of the local feedback delta x and the global delta y;
+    ``fuse_fleet`` blends N nodes the same way."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:

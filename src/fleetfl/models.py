@@ -13,7 +13,9 @@ model keeps its own seeded batch order, every epoch order drawn by
 ``gradient`` are its one-model calls. ``predict_fleet`` scores N stacked
 models on their own rows in one product, bit for bit as ``predict_batch``.
 ``score_fleet`` scores N stacked models on one shared sample set in one
-product; ``evaluate`` and ``false_positive_rate`` are its one-model calls.
+product: every model's accuracy and false-positive rate, and the log-loss of
+the first model only, which is the one loss a round reports; ``evaluate``
+and ``false_positive_rate`` are its one-model calls.
 """
 
 from __future__ import annotations
@@ -184,10 +186,11 @@ def train_local(
 
 def score_fleet(
     V: np.ndarray, X: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(accuracy at threshold 0.5, mean binary log-loss, false-positive rate) of
-    N stacked models V (N, d + 1), bias last, on one shared sample set X (h, d)
-    with labels y (h,); each is an (N,) array.
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """(accuracy at threshold 0.5, false-positive rate) of N stacked models
+    V (N, d + 1), bias last, on one shared sample set X (h, d) with labels
+    y (h,), each an (N,) array, and the mean binary log-loss of V[0] alone:
+    (accuracy, loss of V[0], false-positive rate).
 
     X is broadcast to every model as a view, so all N are scored in one stacked
     product. The false-positive rate is the fraction of negatives predicted
@@ -202,7 +205,7 @@ def score_fleet(
     z = _margins(V, np.broadcast_to(X, (len(V), *X.shape)))
     positive = _sigmoid(z) >= 0.5
     acc = np.mean(positive.astype(np.int64) == y, axis=1)
-    loss = _losses(z, y)
+    [loss] = _losses(z[:1], y).tolist()
     neg = y == 0
     n_neg = int(np.count_nonzero(neg))
     fpr = np.count_nonzero(positive & neg, axis=1) / n_neg if n_neg else np.zeros(len(V))
@@ -212,7 +215,7 @@ def score_fleet(
 def evaluate(params: ModelParams, X: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """(accuracy at threshold 0.5, mean binary log-loss)."""
     acc, loss, _ = score_fleet(params.as_vector()[None], X, y)
-    return float(acc[0]), float(loss[0])
+    return float(acc[0]), loss
 
 
 def false_positive_rate(params: ModelParams, X: np.ndarray, y: np.ndarray) -> float:

@@ -493,34 +493,35 @@ class Simulator:
 
     def _integrate(self, trace, r: int, g: aggregation.GlobalUpdate, corrections, reports):
         """Fuse each node's correction, weighed by its gain and its report's explanation
-        stability, with the global delta onto the previous global model; each node
-        then sends its result to the cloud, which forwards them to the ledger as one
-        batch and stages each one's block under the tag of the node's own message.
+        stability, with the global delta onto the previous global model, the whole fleet
+        in one ``feedback.fuse_fleet`` pass; each node then sends its result to the
+        cloud, which forwards them to the ledger as one batch and stages each one's
+        block under the tag of the node's own message.
         Returns (node models, mean w_local)."""
-        ids, base = self.node_ids, self.global_params.as_vector()
-        node_params, w_locals = {}, []
-        for node, corr, rep in zip(ids, corrections, reports):
-            w = feedback.compute_weights(corr.accuracy_gain, rep.explanation.stability,
-                                         g.total_samples)
-            node_params[node] = ModelParams.from_vector(
-                base + feedback.integrate(corr.delta, g.delta, w), version=g.params.version
-            )
-            w_locals.append(w.w_local)
+        ids, version = self.node_ids, g.params.version
+        fused, w_local = feedback.fuse_fleet(
+            np.array([corr.delta for corr in corrections]), g.delta,
+            [corr.accuracy_gain for corr in corrections],
+            [rep.explanation.stability for rep in reports], g.total_samples,
+        )
+        V = self.global_params.as_vector() + fused
+        node_params = {node: ModelParams.from_vector(v, version=version) for node, v in zip(ids, V)}
         tags = self._stamp(ids, r)
         payloads = self._send(trace, r, "feedback", [(node, CLOUD_ID) for node in ids],
                               [params_bytes(node_params[node]) for node in ids], tags)
         _, logged = self._forward(trace, r, ids, payloads)
-        self._stage_logged(r, "feedback", ids, logged, tags, g.params.version)
-        return node_params, float(np.mean(w_locals))
+        self._stage_logged(r, "feedback", ids, logged, tags, version)
+        return node_params, float(np.mean(w_local))
 
     def _finish_round(self, r, rejected, charged, blocks, agreement, w_local) -> RoundReport:
-        # (accuracy, loss, fpr) on the holdout of every distinct model object in
-        # one stacked pass: without feedback every node holds the global one
+        # (accuracy, fpr) on the holdout of every distinct model object in one
+        # stacked pass, the global model first and the only one whose loss is
+        # reported: without feedback every node holds the global one
         distinct = {id(p): p for p in (self.global_params, *self.node_params.values())}
         V = np.stack([p.as_vector() for p in distinct.values()])
-        accs, losses, fprs = score_fleet(V, self.holdout_X, self.holdout_y)
-        scores = dict(zip(distinct, zip(accs.tolist(), losses.tolist(), fprs.tolist())))
-        acc, loss, fpr_g = scores[id(self.global_params)]
+        accs, loss, fprs = score_fleet(V, self.holdout_X, self.holdout_y)
+        scores = dict(zip(distinct, zip(accs.tolist(), fprs.tolist())))
+        acc, fpr_g = scores[id(self.global_params)]
         node_scores = [scores[id(self.node_params[node])] for node in self.node_ids]
         return RoundReport(
             round=r,
@@ -534,7 +535,7 @@ class Simulator:
             rejected=rejected,
             agreement_rate_mean=agreement,
             fpr_global=fpr_g,
-            fpr_integrated=float(np.mean([s[2] for s in node_scores])),
+            fpr_integrated=float(np.mean([s[1] for s in node_scores])),
             integrated_accuracy_mean=float(np.mean([s[0] for s in node_scores])),
             w_local_mean=w_local,
             w_global_mean=1.0 - w_local,

@@ -169,3 +169,20 @@ def test_permutations_equal_the_scalar_reference(seeds, count, n):
     assert got.shape == (len(seeds), count, n)
     for perms, seed in zip(got, seeds):
         assert perms.tolist() == ref_permutations(seed, count, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(1, 3), st.integers(1, 60),
+       st.integers(0, 8))
+def test_stable_argsort_equals_the_stable_sort_with_forced_ties(data, a, b, n, n_ties):
+    # distinct keys, then n_ties of them overwritten by another key of their row:
+    # keys take introsort until a tie sends them back to the stable sort
+    keys = data.draw(hnp.arrays(np.uint64, (a, b, n), elements=st.integers(0, 2**64 - 1),
+                                unique=True))
+    for _ in range(n_ties if n > 1 else 0):
+        row = (data.draw(st.integers(0, a - 1)), data.draw(st.integers(0, b - 1)))
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        keys[row][j] = keys[row][i]
+    got = encoding.stable_argsort(keys)
+    assert got.shape == keys.shape
+    np.testing.assert_array_equal(got, np.argsort(keys, axis=-1, kind="stable"))

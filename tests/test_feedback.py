@@ -204,15 +204,15 @@ def test_batched_validation_matches_the_scalar_loop(case):
 
 
 def _rows_seen(call):
-    """call()'s result and the rows argument of every ``feedback._attribute``
-    call it makes."""
-    seen, attribute = [], feedback._attribute
+    """call()'s result and the rows argument of every ``feedback._perturb``
+    call it makes: one per perturbation set, which every model scores."""
+    seen, perturb = [], feedback._perturb
 
-    def recorded(V, samples, background, rows):
+    def recorded(samples, background, rows):
         seen.append(rows)
-        return attribute(V, samples, background, rows)
+        return perturb(samples, background, rows)
 
-    with mock.patch.object(feedback, "_attribute", recorded):
+    with mock.patch.object(feedback, "_perturb", recorded):
         return call(), seen
 
 
@@ -225,7 +225,7 @@ def test_one_block_draw_equals_sequential_row_draws(n, repeats, dim, seed):
     # i of the stream read on from sample i - 1's
     X = np.zeros((n, dim))
     V = np.zeros((1, dim + 1))
-    _, (block, _) = _rows_seen(lambda: feedback.validate_fleet(V, V, X[None], repeats, [seed]))
+    _, [block] = _rows_seen(lambda: feedback.validate_fleet(V, V, X[None], repeats, [seed]))
     perms = ref_permutations(seed, n, n)
     np.testing.assert_array_equal(block[0], [_window(p, repeats, dim) for p in perms])
 
@@ -259,7 +259,7 @@ def test_explain_at_full_background_is_the_exact_mean(dim, b, extra, repeats, se
     # validation at any repeat count: each (sample, feature) draws
     # min(repeats, B) distinct rows, and sample 0's are explain's
     V = np.concatenate([w, [bias]])[None]
-    _, (block, _) = _rows_seen(lambda: feedback.validate_fleet(V, V, X[None], repeats, [seed]))
+    _, [block] = _rows_seen(lambda: feedback.validate_fleet(V, V, X[None], repeats, [seed]))
     _, [explained] = _rows_seen(lambda: feedback.explain(params, X[0], X, repeats, seed))
     assert block.shape == (1, b, min(repeats, b), dim)
     assert all(len(set(block[0, i, :, j])) == min(repeats, b)
@@ -523,3 +523,83 @@ def test_integration_weights_must_be_convex():
         feedback.IntegrationWeights(0.5, 0.6)
     with pytest.raises(ValueError):
         feedback.IntegrationWeights(-0.1, 1.1)
+
+
+def _fusion_oracle(x, y, gain, stability, total_samples):
+    """One node's fused delta and w_local, the rule written out in Python floats."""
+    score_local = max(0.0, gain) * stability
+    score_global = math.log1p(total_samples) / math.log1p(feedback.N_REF)
+    w_local = min(max(score_local / (score_local + score_global), feedback.W_MIN),
+                  1.0 - feedback.W_MIN)
+    return [w_local * a + (1.0 - w_local) * b for a, b in zip(x, y)], w_local
+
+
+@st.composite
+def fusion_cases(draw):
+    """(local deltas (N, d + 1), global delta, gains, stabilities, total samples)."""
+    n_nodes, width = draw(st.integers(1, 6)), draw(st.integers(2, 6))
+    floats = st.floats(-1e3, 1e3)
+    X = draw(st.lists(st.lists(floats, min_size=width, max_size=width),
+                      min_size=n_nodes, max_size=n_nodes))
+    y = draw(st.lists(floats, min_size=width, max_size=width))
+    # accuracy gains lie in [-1, 1]; larger ones reach the 1 - W_MIN cap
+    gains = draw(st.lists(st.floats(-1.0, 20.0), min_size=n_nodes, max_size=n_nodes))
+    stabilities = draw(st.lists(st.floats(0.0, 1.0), min_size=n_nodes, max_size=n_nodes))
+    return np.array(X), np.array(y), gains, stabilities, draw(st.integers(1, 10**6))
+
+
+def _fusion_example(gains, stabilities, total_samples, width=3):
+    rng = np.random.default_rng(len(gains))
+    return (rng.normal(size=(len(gains), width)), rng.normal(size=width), gains, stabilities,
+            total_samples)
+
+
+# one node; a gain <= 0, floored at W_MIN; a gain of 10 over 2 samples, capped
+# at 1 - W_MIN; four nodes whose weights differ, from the floor to the cap
+FUSION_EXAMPLES = [
+    _fusion_example([0.5], [0.5], 100),
+    _fusion_example([-0.25], [1.0], 100),
+    _fusion_example([10.0], [1.0], 2),
+    _fusion_example([-0.1, 0.0, 0.3, 10.0], [1.0, 1.0, 0.7, 1.0], 9),
+]
+
+
+def _with_examples(test):
+    for case in FUSION_EXAMPLES:
+        test = example(case=case)(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None)
+@given(fusion_cases())
+@_with_examples
+def test_fleet_fusion_equals_the_written_out_rule_bit_for_bit(case):
+    X, y, gains, stabilities, total_samples = case
+    fused, w_local = feedback.fuse_fleet(X, y, gains, stabilities, total_samples)
+    assert fused.shape == X.shape and w_local.shape == (len(X),)
+    for k, x in enumerate(X):
+        want, w_want = _fusion_oracle(x.tolist(), y.tolist(), gains[k], stabilities[k],
+                                      total_samples)
+        assert fused[k].tolist() == want
+        assert w_local[k] == w_want
+        # the one-node calls are the pass at N = 1
+        w = feedback.compute_weights(gains[k], stabilities[k], total_samples)
+        assert (w.w_local, w.w_global) == (w_want, 1.0 - w_want)
+        assert feedback.integrate(x, y, w).tolist() == want
+
+
+def test_the_fusion_examples_reach_both_clamps_and_differing_weights():
+    weights = [feedback.fuse_fleet(*case)[1].tolist() for case in FUSION_EXAMPLES]
+    w_min, w_max = feedback.W_MIN, 1.0 - feedback.W_MIN
+    assert weights[1] == [w_min] and weights[2] == [w_max]
+    assert weights[3][:2] == [w_min, w_min] and weights[3][3] == w_max
+    assert w_min < weights[0][0] < w_max and w_min < weights[3][2] < w_max
+
+
+def test_fleet_fusion_rejects_mismatched_inputs():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        feedback.fuse_fleet(np.zeros((2, 3)), np.zeros(2), [0.1, 0.1], [1.0, 1.0], 10)
+    with pytest.raises(ValueError, match="one gain and one stability per node"):
+        feedback.fuse_fleet(np.zeros((2, 3)), np.zeros(3), [0.1], [1.0, 1.0], 10)
+    with pytest.raises(ValueError, match="total_samples must be positive"):
+        feedback.fuse_fleet(np.zeros((2, 3)), np.zeros(3), [0.1, 0.1], [1.0, 1.0], 0)

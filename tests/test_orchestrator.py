@@ -184,19 +184,19 @@ def test_fusion_matches_a_hand_recomputed_oracle(monkeypatch, n_nodes, seed):
         seed=seed, rounds=1, fleet={"n_nodes": n_nodes}, feedback={"max_validation_samples": 20},
     ))
     corrections, global_deltas = [], []
-    correct_fleet, integrate = feedback.correct_fleet, feedback.integrate
+    correct_fleet, fuse_fleet = feedback.correct_fleet, feedback.fuse_fleet
 
     def recorded_correction(*args, **kwargs):
         out = correct_fleet(*args, **kwargs)
         corrections.extend(out)
         return out
 
-    def recorded_integrate(x, y, w):
+    def recorded_fusion(X, y, *args):
         global_deltas.append(np.array(y, dtype=np.float64))
-        return integrate(x, y, w)
+        return fuse_fleet(X, y, *args)
 
     monkeypatch.setattr(feedback, "correct_fleet", recorded_correction)
-    monkeypatch.setattr(feedback, "integrate", recorded_integrate)
+    monkeypatch.setattr(feedback, "fuse_fleet", recorded_fusion)
     prev = sim.global_params.as_vector()
     report, _ = sim.run_round(0)
     assert not report.aborted
@@ -507,7 +507,8 @@ def test_benchmark_tracer_bindings_exist():
     for name in ("validate_predictions", "explain", "local_correction"):
         assert calls[f"feedback.{name}"] == 0
     assert calls["models.train_local"] == 0
-    assert calls["feedback.compute_weights"] == calls["feedback.integrate"] == 3  # one per node
+    # fusion is one fleet pass too: its weights and blend go through neither name
+    assert calls["feedback.compute_weights"] == calls["feedback.integrate"] == 0
     assert calls["channel.seal"] > 0 and calls["channel.open"] > 0
     assert orchestrator.seal is channel.seal  # restored on exit
     tracer = tracing.Tracer()
@@ -1074,10 +1075,10 @@ def test_the_cloud_encodes_the_updates_in_one_pass_while_masking_and_sending(mon
     assert [m.shape for m in row_calls] == [(len(NODES), sim.dim + 1)]
 
 
-def _benchmark_cfg(n_nodes, feedback, rounds, output_dir=None):
-    """A benchmark workload's config at seed 5, built here on its own."""
+def _benchmark_cfg(n_nodes, feedback, rounds, output_dir=None, seed=5):
+    """A benchmark workload's config at the seed, 5 unless given, built here on its own."""
     return config.from_dict({
-        "seed": 5,
+        "seed": seed,
         "rounds": rounds,
         "fleet": {"n_nodes": n_nodes, "samples_per_node": 100, "feature_dim": 8,
                   "heterogeneity": 0.3},
@@ -1133,6 +1134,45 @@ def test_the_attack_fleet16_benchmark_run_and_suite_keep_their_bytes(tmp_path):
     }
     assert hashlib.sha256(attacks.reports_to_json(reports).encode()).hexdigest() == (
         "0607cad2cb117e98e29049e16478cb3c876251c26d11b770c69d03adba033d8d"
+    )
+
+
+# the benchmark's held-out seed: a change tuned on seed 5 must keep these bytes too
+HELD_OUT_DIGESTS = {
+    "fleet256-nofeedback": ((256, False, 2), {
+        "metrics.jsonl": "7ad35e0535f7e11d49594f5461e3d91d72c7e0582d3a2669d26c2967aa69f1ad",
+        "chain.json": "7ac59de2bda7b37f13649744d6b2be0a159692d66f6ad182a597f1c69a7f0cdd",
+        "explanations.jsonl": hashlib.sha256(b"").hexdigest(),
+    }),
+    "fleet64-feedback": ((64, True, 2), {
+        "metrics.jsonl": "d41a0f835df23d7b3dfea31c1ca2405a1de68e80e671ef0e5ac475726497d759",
+        "chain.json": "62403a3f345040f0d57b8b693c1f9eecf79cf130ed72fba9f48292dd2533e187",
+        "explanations.jsonl": "1fc71086a1d77990ee4c1b8d647d5b1abaf5968789756294a60ceb3a767af0a8",
+    }),
+    "attack-fleet16": ((16, True, 4), {
+        "metrics.jsonl": "35893f15752535028abae69fb8ba6033af99df3d7c315ab50e1cced78bf9135c",
+        "chain.json": "e75165f8c46379e3a3cf5216796199ea72041083f876384851d95db666d6771f",
+        "explanations.jsonl": "067610f0b15d71d334f972d285e7ef1d10fb218fbdb417f5643053c22abc7d51",
+    }),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(HELD_OUT_DIGESTS))
+def test_the_benchmark_runs_keep_their_artifact_bytes_at_the_held_out_seed(tmp_path, workload):
+    shape, want = HELD_OUT_DIGESTS[workload]
+    assert _artifact_digests(_benchmark_cfg(*shape, str(tmp_path), seed=7919)) == want
+
+
+def test_the_attack_suite_keeps_its_bytes_at_the_held_out_seed():
+    seeds = [int.from_bytes(hashlib.sha256(f"attack:7919:{i}".encode()).digest()[:4], "big")
+             for i in range(50)]
+    reports = attacks.run_attack_suite(_benchmark_cfg(16, True, 4, seed=7919), seeds)
+    assert {r.kind: (r.detected, r.injected) for r in reports} == {
+        **dict.fromkeys(attacks.ATTACK_KINDS, (50, 50)), "poison_update": (40, 50),
+        "eavesdrop": (1, 1),
+    }
+    assert hashlib.sha256(attacks.reports_to_json(reports).encode()).hexdigest() == (
+        "27f723ddb368d4729be4dd1f5536bf138f0fa35f21910cd6b020e66714d6469b"
     )
 
 
