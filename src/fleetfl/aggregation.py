@@ -4,6 +4,12 @@ The aggregator only ever touches MaskedUpdate payloads; sample weighting is
 realized by sender-side scaling (each node submits n_k times its update), so
 the masked sum divided by the total sample count is exactly the
 sample-weighted FedAvg delta without any individual update being exposed.
+
+``preprocess_updates`` checks every payload of the right dimension for
+finiteness in one pass over their stack, and ``smpc_sum`` adds the stack with
+one ``np.add.reduce`` from 0.0, row by row in node-id order as a loop over the
+updates adds them; a single column, which numpy would sum pairwise, is added
+in that loop.
 """
 
 from __future__ import annotations
@@ -40,20 +46,31 @@ class GlobalUpdate:
 def preprocess_updates(
     admitted: list[MaskedUpdate], dim: int
 ) -> tuple[list[MaskedUpdate], list[tuple[str, str]]]:
-    """Drop non-finite or wrong-dimension payloads; keep node-id order."""
+    """Drop non-finite or wrong-dimension payloads; keep node-id order. The
+    payloads of the right dimension are checked for finiteness in one pass
+    over their stack."""
+    ordered = sorted(admitted, key=lambda u: u.node_id)
+    fits = [upd.payload.shape == (dim,) for upd in ordered]
+    stacked = np.array([upd.payload for upd, ok in zip(ordered, fits) if ok]).reshape(-1, dim)
+    finite = iter(np.isfinite(stacked).all(axis=1).tolist())
     cleaned, report = [], []
-    for upd in sorted(admitted, key=lambda u: u.node_id):
-        if upd.payload.shape != (dim,):
+    for upd, ok in zip(ordered, fits):
+        if not ok:
             report.append((upd.node_id, f"dimension {upd.payload.shape[0]} != {dim}"))
-        elif not np.all(np.isfinite(upd.payload)):
-            report.append((upd.node_id, "non-finite payload"))
-        else:
+        elif next(finite):
             cleaned.append(upd)
+        else:
+            report.append((upd.node_id, "non-finite payload"))
     return cleaned, report
 
 
 def smpc_sum(masked: list[MaskedUpdate], participants: list[str]) -> np.ndarray:
-    """Coordinate-wise sum of masked payloads; masks cancel only over the full roster."""
+    """Coordinate-wise sum of masked payloads; masks cancel only over the full roster.
+
+    The payloads are added from 0.0 in node-id order, one row at a time: one
+    ``np.add.reduce`` down their stack, which adds rows of more than one
+    coordinate row by row. A single column it would sum pairwise, so that one
+    is added in a loop."""
     if not masked:
         raise AggregationAbort("no masked updates to sum")
     got = sorted(u.node_id for u in masked)
@@ -61,9 +78,12 @@ def smpc_sum(masked: list[MaskedUpdate], participants: list[str]) -> np.ndarray:
         raise ParticipantMismatch(
             f"masked set {got} does not match round roster {sorted(participants)}"
         )
-    total = np.zeros_like(masked[0].payload)
-    for upd in sorted(masked, key=lambda u: u.node_id):
-        total = total + upd.payload
+    stacked = np.array([upd.payload for upd in sorted(masked, key=lambda u: u.node_id)])
+    if stacked[0].size > 1:
+        return np.add.reduce(stacked, axis=0, initial=0.0)
+    total = np.zeros_like(stacked[0])
+    for row in stacked:
+        total = total + row
     return total
 
 

@@ -40,28 +40,41 @@ derive_masks draws the pairs in blocks of whole nodes, in roster order, each
 of at most BLOCK_PAIRS = 512 pairs or else of one node: one SHAKE pass, one
 normal transform and one strength product per block. A block subtracts its
 rows from the later nodes' masks in pair order, then adds each of its nodes'
-own rows, summed by the same ``sum(axis=0)`` over that node's slice of the
-block. Every float addition so happens in the order of a loop over one node at
-a time, and the masks are bit-identical to that loop's. A block's transient
-arrays take under 1 KB a pair at dim 9, so the peak is that of
-max(512, n − 1) pairs, not of every pair: at 256 nodes and dim 9, tracemalloc
-stays under 1 MB at θ = 0.1 and at θ = 1, about 0.26 MB of which is the mask
-graph itself.
+own rows. Consecutive nodes of a block with equal later-neighbour counts form
+a run, and a run of g nodes with c rows each is summed by one
+``reshape(g, c, dim).sum(axis=1)``, which adds each node's rows as a
+``sum(axis=0)`` over that node's slice does. On a sparse graph nearly every
+node has h later neighbours, so a block is a few runs. Every float addition
+so happens in the order of a loop over one node at a time, and the masks are
+bit-identical to that loop's. The graph, its blocks and their runs depend
+only on (n, h): they are built by a fleet's first call and kept in a bounded
+cache. A block's transient arrays take under 1 KB a pair at dim 9, so the
+peak is that of max(512, n − 1) pairs, not of every pair: at 256 nodes and
+dim 9, tracemalloc stays under 1 MB at θ = 0.1 and at θ = 1, about 0.26 MB of
+which is the graph's later-neighbour array.
+
+A MaskedUpdate's bytes are its node id, its payload's ``enc_vec``, its sample
+count, its freshness tag and its payload hash, and nothing else: bytes that
+run past or stop short of that layout are a ValueError. ``decode_updates``
+decodes a batch of them with one ``frombuffer`` over every payload;
+``MaskedUpdate.from_bytes`` is its one-update form.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import math
 import struct
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .channel import FreshnessTag
+from .channel import NONCE_SIZE, FreshnessTag
 from .encoding import (
-    canonical_hash, dec_vec, enc_rows, enc_str, enc_u64, enc_vec, hash_vector, normals,
+    DIGEST_SIZE, canonical_hash, enc_rows, enc_str, enc_u64, enc_vec, hash_vector, normals,
 )
 from .models import GradientUpdate
 
@@ -82,26 +95,71 @@ class MaskedUpdate:
     @staticmethod
     def payload_encoding(b: bytes) -> bytes:
         """The ``enc_vec`` bytes of the payload inside the update's encoding b,
-        sliced out without decoding."""
-        (nlen,) = struct.unpack_from(">I", b, 0)
-        (n,) = struct.unpack_from(">I", b, 4 + nlen)
-        return b[4 + nlen : 8 + nlen + 8 * n]
+        sliced out without decoding; ValueError unless the layout fills b."""
+        off, n = _vector_span(b)
+        return b[off : off + 4 + 8 * n]
 
     @classmethod
     def from_bytes(cls, b: bytes) -> "MaskedUpdate":
-        (nlen,) = struct.unpack_from(">I", b, 0)
-        node_id = b[4 : 4 + nlen].decode("utf-8")
-        payload, off = dec_vec(b, 4 + nlen)
-        (n_samples,) = struct.unpack_from(">Q", b, off)
-        freshness, off = FreshnessTag.from_bytes(b, off + 8)
-        digest = b[off : off + 32]
-        return cls(
-            node_id=node_id,
-            payload=payload,
-            n_samples=n_samples,
-            freshness=freshness,
-            payload_hash=digest,
-        )
+        """The update ``to_bytes`` wrote as b; ValueError unless its layout
+        fills b exactly."""
+        off, n = _vector_span(b)
+        payload = np.frombuffer(b, dtype=">f8", count=n, offset=off + 4).astype(np.float64)
+        return _decoded(b, off, n, payload)
+
+
+_U32 = struct.Struct(">I")
+# what follows the payload: n_samples, the tag's nonce, timestamp and round, the payload hash
+_TAIL = struct.Struct(f">Q{NONCE_SIZE}sQQ{DIGEST_SIZE}s")
+
+
+def _vector_span(b: bytes) -> tuple[int, int]:
+    """(offset, coordinate count) of the payload's ``enc_vec`` inside a
+    MaskedUpdate's bytes b. Raises ValueError unless the layout those counts
+    give fills b exactly."""
+    try:
+        (nlen,) = _U32.unpack_from(b, 0)
+        (n,) = _U32.unpack_from(b, 4 + nlen)
+    except struct.error:
+        raise ValueError(f"{len(b)} bytes stop short of a masked update's layout") from None
+    size = 8 + nlen + 8 * n + _TAIL.size
+    if len(b) != size:
+        side = "run past" if len(b) > size else "stop short of"
+        raise ValueError(f"{len(b)} bytes {side} a masked update's layout of {size}")
+    return 4 + nlen, n
+
+
+def _decoded(b: bytes, off: int, n: int, payload: np.ndarray) -> MaskedUpdate:
+    """The update in b whose payload, decoded as given, has n coordinates at off."""
+    n_samples, nonce, timestamp, rnd, digest = _TAIL.unpack_from(b, off + 4 + 8 * n)
+    return MaskedUpdate(
+        node_id=b[4:off].decode("utf-8"),
+        payload=payload,
+        n_samples=n_samples,
+        freshness=FreshnessTag(nonce=nonce, timestamp=timestamp, round=rnd),
+        payload_hash=digest,
+    )
+
+
+def decode_updates(blobs: list[bytes], senders: list[str]) -> list[MaskedUpdate]:
+    """``MaskedUpdate.from_bytes`` of each of blobs, with every payload read by
+    one ``frombuffer`` over their joined coordinates; each payload is its own
+    slice of that array. senders only label the blobs: one whose layout does
+    not fill it exactly raises ValueError naming its sender."""
+    spans = []
+    for b, sender in zip(blobs, senders):
+        try:
+            spans.append(_vector_span(b))
+        except ValueError as e:
+            raise ValueError(f"update from {sender}: {e}") from None
+    coords = np.frombuffer(
+        b"".join([b[off + 4 : off + 4 + 8 * n] for b, (off, n) in zip(blobs, spans)]), dtype=">f8"
+    ).astype(np.float64)
+    ends = np.cumsum([n for _, n in spans]).tolist()
+    return [
+        _decoded(b, off, n, coords[end - n : end])
+        for b, (off, n), end in zip(blobs, spans, ends)
+    ]
 
 
 def _update_bytes(node_id: str, payload_encoding: bytes, n_samples: int,
@@ -148,6 +206,32 @@ def _blocks(counts: list[int]):
         start = stop
 
 
+class _Block(NamedTuple):
+    start: int  # the block's first node
+    counts: tuple[int, ...]  # each of its nodes' later-neighbour count
+    later: np.ndarray  # its pairs' later nodes, in pair order (read-only)
+    runs: list[tuple[int, int]]  # (nodes, count) of each run of equal counts, in order
+
+
+@functools.lru_cache(maxsize=16)
+def _plan(n: int, h: int, block_pairs: int) -> tuple[_Block, ...]:
+    """The blocks of the mask graph of n nodes and half-degree h, each with its
+    runs of consecutive nodes whose later-neighbour counts are equal. The graph
+    depends on (n, h) alone, so the plan is built on first use and kept;
+    block_pairs, the BLOCK_PAIRS it is split under, keys it too."""
+    graph = mask_graph(n, h)[:-1]
+    sizes = [len(later) for later in graph]
+    later = np.concatenate(graph) if graph else np.zeros(0, dtype=np.intp)
+    later.flags.writeable = False  # every later call reads the cached array
+    plan, lo = [], 0
+    for a, b in _blocks(sizes):
+        hi = lo + sum(sizes[a:b])
+        runs = [(len(list(run)), c) for c, run in itertools.groupby(sizes[a:b])]
+        plan.append(_Block(a, tuple(sizes[a:b]), later[lo:hi], runs))
+        lo = hi
+    return tuple(plan)
+
+
 def derive_masks(
     round_seed: int,
     participants: list[str],
@@ -186,13 +270,11 @@ def derive_masks(
     # pairs × dim, whose size would show in the process's peak memory. Each
     # node's mask is its earlier neighbours' rows subtracted in roster order,
     # then its own rows summed as that loop sums them and added: the additions
-    # of a loop over one node at a time, in that loop's order
-    graph = mask_graph(n, h)[:-1]
-    sizes = [len(later) for later in graph]
-    for a, b in _blocks(sizes):
-        counts = sizes[a:b]
-        I = np.repeat(np.arange(a, b), counts)
-        J = np.concatenate(graph[a:b])
+    # of a loop over one node at a time, in that loop's order. A run of g nodes
+    # with c rows each is summed as one (g, c, dim) array along its c axis,
+    # which adds each node's rows as a sum over that node's own slice does
+    for a, counts, J, runs in _plan(n, h, BLOCK_PAIRS):
+        I = np.repeat(np.arange(a, a + len(counts)), counts)
         stream = b"".join([
             hashlib.shake_128(keys[i] + ids[j]).digest(nbytes)
             for i, j in zip(I.tolist(), J.tolist())
@@ -200,8 +282,11 @@ def derive_masks(
         rows = normals(np.frombuffer(stream, dtype=">u8").reshape(len(J), 2, dim))
         rows *= np.maximum(s[I], s[J])[:, None]
         np.subtract.at(masks, J, rows)
-        starts = np.cumsum(counts) - counts
-        masks[a:b] += np.stack([rows[o : o + k].sum(axis=0) for o, k in zip(starts, counts)])
+        own, o = [], 0
+        for g, c in runs:
+            own.append(rows[o : o + g * c].reshape(g, c, dim).sum(axis=1))
+            o += g * c
+        masks[a : a + len(counts)] += np.concatenate(own)
     return dict(zip(participants, masks))
 
 

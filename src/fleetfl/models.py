@@ -3,7 +3,10 @@
 The update leaving a node is a cumulative parameter delta (trained params
 minus starting params, bias last) and its sample count, which compose cleanly
 with clipping, noising, masking, and sample-weighted averaging. Training keeps
-no loss trace: its per-epoch loss pass only raises ``TrainingDivergedError``.
+no loss trace: its per-epoch loss pass only raises ``TrainingDivergedError``,
+and it is skipped when the epoch's margins bound every loss below overflow
+(labels in [0, 1], every margin finite and n·(max|z| + ln 2) under half the
+largest double), since the loss is then finite.
 
 Training is fleet-stacked: ``train_fleet`` steps N start models, stacked as
 ``(N, d + 1)``, on their ``(N, n, d)`` rows together, one gathered batch and
@@ -20,6 +23,7 @@ and ``false_positive_rate`` are its one-model calls.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -114,6 +118,21 @@ def _losses(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.mean(np.logaddexp(0.0, z) - y * z, axis=1)
 
 
+# a row sum of loss terms below this is finite with room for every rounding:
+# half the largest double
+_LOSS_SUM_LIMIT = float(np.finfo(np.float64).max) / 2
+
+
+def _losses_bounded(z: np.ndarray, labels_in_unit: bool) -> bool:
+    """Whether every model's mean loss over its margins z (N, n) is surely
+    finite without computing it. With each label in [0, 1], a row's term
+    logaddexp(0, z) − y·z lies in [0, |z| + ln 2], so the sum of n terms stays
+    below n·(max|z| + ln 2). Non-finite margins fail the bound, since NaN and
+    inf compare false or large."""
+    n = z.shape[1]
+    return labels_in_unit and bool(np.abs(z).max() <= _LOSS_SUM_LIMIT / n - math.log(2))
+
+
 def _gradients(V: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Analytic mean log-loss gradient of each stacked model, bias last: (N, d + 1)."""
     r = _sigmoid(_margins(V, X)) - y
@@ -154,6 +173,7 @@ def train_fleet(
     n = y.shape[1]
     rows = np.arange(len(V))[:, None]
     orders = permutations(seeds, epochs, n)
+    labels_in_unit = n > 0 and bool(np.all((y >= 0) & (y <= 1)))
     cur = V
     for epoch in range(1, epochs + 1):
         order = orders[:, epoch - 1]
@@ -162,7 +182,10 @@ def train_fleet(
             cur = cur - lr * _gradients(cur, X[rows, idx], y[rows, idx])
             if not np.all(np.isfinite(cur)):
                 raise ValueError("model parameters must be finite")
-        bad = np.flatnonzero(~np.isfinite(_losses(_margins(cur, X), y)))
+        z = _margins(cur, X)
+        if _losses_bounded(z, labels_in_unit):
+            continue
+        bad = np.flatnonzero(~np.isfinite(_losses(z, y)))
         if bad.size:
             raise TrainingDivergedError(
                 f"non-finite loss on node {names[bad[0]]} after epoch {epoch}"

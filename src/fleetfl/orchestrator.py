@@ -342,20 +342,22 @@ class Simulator:
         masked = scaled + np.stack([masks[node] for node in ids])
         wires = masking.encode_updates(ids, masked, self.train_y.shape[1], tags)
         payloads = self._send(trace, r, "local_update", [(n, CLOUD_ID) for n in ids], wires, tags)
-        received: list[masking.MaskedUpdate] = []
-        for node, payload in zip(ids, payloads):
-            # the cloud checks integrity (origin + hash beliefs), hashing the
-            # payload's encoding as it sits in the bytes it received
-            mu = masking.MaskedUpdate.from_bytes(payload)
+        # the cloud decodes every update in one pass, a layout that does not fill
+        # its bytes being a violation, then checks each one's integrity (origin +
+        # hash beliefs), hashing the payload's encoding as it sits in those bytes
+        try:
+            received = masking.decode_updates(payloads, ids)
+        except ValueError as e:
+            raise ProtocolViolation(str(e)) from None
+        for node, payload, mu in zip(ids, payloads, received):
             if canonical_hash(masking.MaskedUpdate.payload_encoding(payload)) != mu.payload_hash:
                 raise ProtocolViolation(f"payload hash mismatch from {mu.node_id}")
             if mu.node_id != node:
                 raise ProtocolViolation("update origin does not match envelope sender")
-            received.append(mu)
         if trace is not None:
             trace.raw_updates = dict(zip(ids, scaled.copy()))
             # the updates as each node sent them
-            trace.masked = {node: masking.MaskedUpdate.from_bytes(w) for node, w in zip(ids, wires)}
+            trace.masked = dict(zip(ids, masking.decode_updates(wires, ids)))
         return received, dict(zip(ids, payloads))
 
     def _admit(self, trace, r: int, received, opened, epsilons):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fleetfl import aggregation, encoding, masking, privacy, telemetry
 from fleetfl.channel import FreshnessTag
@@ -94,6 +96,84 @@ def test_smpc_sum_roster_mismatch_aborts():
         aggregation.smpc_sum(ups, ["A", "B", "C"])
     with pytest.raises(aggregation.AggregationAbort):
         aggregation.smpc_sum([], [])
+
+
+# -- the stacked passes against the per-update loops they replaced ---------------
+
+
+def _sequential_sum(masked):
+    """smpc_sum's addition as written before the stacked reduce: 0.0 plus each
+    payload in node-id order, one at a time."""
+    ordered = sorted(masked, key=lambda u: u.node_id)
+    total = np.zeros_like(ordered[0].payload)
+    for upd in ordered:
+        total = total + upd.payload
+    return total
+
+
+def _per_update_preprocess(admitted, dim):
+    """preprocess_updates as written before its one finiteness pass."""
+    cleaned, report = [], []
+    for upd in sorted(admitted, key=lambda u: u.node_id):
+        if upd.payload.shape != (dim,):
+            report.append((upd.node_id, f"dimension {upd.payload.shape[0]} != {dim}"))
+        elif not np.all(np.isfinite(upd.payload)):
+            report.append((upd.node_id, "non-finite payload"))
+        else:
+            cleaned.append(upd)
+    return cleaned, report
+
+
+# finite coordinates whose sums over 40 rows cannot overflow, signed zeros and
+# subnormals among them
+COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]),
+    st.floats(-1e300, 1e300, allow_subnormal=True),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.data())
+@example(1, None)
+def test_smpc_sum_is_bit_identical_to_the_sequential_loop(dim, data):
+    if data is None:  # one column: signed zeros, then a one that the tiny rows after
+        # it do not move one at a time, but would move summed pairwise among themselves
+        rows = [[-0.0]] * 3 + [[1.0]] + [[1e-16]] * 20
+    else:
+        rows = data.draw(st.lists(st.lists(COORDS, min_size=dim, max_size=dim),
+                                  min_size=1, max_size=40))
+    ups = [_masked(f"n{k:02d}", row) for k, row in enumerate(rows)][::-1]
+    got = aggregation.smpc_sum(ups, [u.node_id for u in ups])
+    ref = _sequential_sum(ups)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_a_sum_of_negative_zeros_is_positive_zero_as_the_loop_gives_it():
+    for dim in (1, 3):
+        ups = [_masked(f"n{k}", [-0.0] * dim) for k in range(4)]
+        got = aggregation.smpc_sum(ups, [u.node_id for u in ups])
+        assert got.tobytes() == np.zeros(dim).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.lists(
+        st.tuples(st.integers(0, 8), st.lists(st.sampled_from([1.0, -0.0, np.nan, np.inf,
+                                                               -np.inf, 2.5]), max_size=8)),
+        max_size=12,
+    ),
+)
+def test_preprocess_is_the_per_update_loop(dim, specs):
+    ups = []
+    for k, (size, values) in enumerate(specs):
+        row = (values + [0.5] * size)[:size]
+        ups.append(_masked(f"n{(7 * k) % 13:02d}-{k}", row))
+    got_clean, got_report = aggregation.preprocess_updates(ups, dim)
+    ref_clean, ref_report = _per_update_preprocess(ups, dim)
+    assert [u.node_id for u in got_clean] == [u.node_id for u in ref_clean]
+    assert got_report == ref_report
 
 
 def test_fedavg_single_update_is_identity_weighting():

@@ -534,3 +534,162 @@ def test_masked_update_bytes_survive_a_decode_and_re_encode(
         + nonce + enc_u64(ts) + enc_u64(rnd) + digest
     )
     assert masking.MaskedUpdate.from_bytes(b).to_bytes() == b
+
+
+# -- the cached plan against the blocked loop it replaced --------------------------
+
+
+def _blocked_masks(round_seed, participants, dim, strength, round=0, threat=1.0):
+    """derive_masks as drawn before its plan was cached: the mask graph rebuilt
+    on each call and each node's own rows summed on their own, in blocks of
+    whole nodes. Kept as the reference whose float additions the cached plan
+    must repeat exactly."""
+    if isinstance(strength, dict):
+        s = np.array([float(strength[p]) for p in participants])
+    else:
+        s = np.full(len(participants), float(strength))
+    n = len(participants)
+    h = masking.half_degree(n, threat)
+    if 2 * h < n - 1:
+        s = s * math.sqrt((n - 1) / (2 * h))
+    prefix = enc_u64(round_seed & 0xFFFFFFFFFFFFFFFF) + enc_u64(round)
+    ids = [enc_str(p) for p in participants]
+    keys = [prefix + x for x in ids]
+    nbytes = 16 * dim
+    masks = np.zeros((n, dim))
+    graph = masking.mask_graph(n, h)[:-1]
+    sizes = [len(later) for later in graph]
+    for a, b in masking._blocks(sizes):
+        counts = sizes[a:b]
+        I = np.repeat(np.arange(a, b), counts)
+        J = np.concatenate(graph[a:b])
+        stream = b"".join([
+            hashlib.shake_128(keys[i] + ids[j]).digest(nbytes)
+            for i, j in zip(I.tolist(), J.tolist())
+        ])
+        rows = normals(np.frombuffer(stream, dtype=">u8").reshape(len(J), 2, dim))
+        rows *= np.maximum(s[I], s[J])[:, None]
+        np.subtract.at(masks, J, rows)
+        starts = np.cumsum(counts) - counts
+        masks[a:b] += np.stack([rows[o : o + k].sum(axis=0) for o, k in zip(starts, counts)])
+    return dict(zip(participants, masks))
+
+
+PLAN_THREATS = st.sampled_from([0.0, 0.1, 0.5, 1.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(-(2**63), 2**70),
+    st.integers(0, 2**20),
+    st.integers(1, 300),
+    st.integers(1, 12),
+    st.one_of(st.floats(0.01, 100.0), st.lists(st.floats(0.01, 100.0), min_size=1)),
+    PLAN_THREATS,
+)
+@example(1, 0, 1, 1, 1.0, 0.0)
+@example(2, 1, 2, 1, [2.0, 0.5], 1.0)
+@example(3, 2, 300, 1, 1.5, 0.1)  # h = 15: nodes of 15 rows, which one column sums pairwise
+@example(4, 3, 300, 12, [0.5, 1.0, 3.0], 0.5)
+@example(5, 4, 256, 9, 2.0, 1.0)
+def test_cached_plan_masks_are_bit_identical_to_the_blocked_loop(
+    seed, rnd, n, dim, strength, threat
+):
+    participants = [f"v{i}" for i in range(n)]
+    if isinstance(strength, list):  # cycled over the roster
+        strength = {p: strength[i % len(strength)] for i, p in enumerate(participants)}
+    got = masking.derive_masks(seed, participants, dim, strength, round=rnd, threat=threat)
+    ref = _blocked_masks(seed, participants, dim, strength, round=rnd, threat=threat)
+    assert _same_bytes(got, ref, participants)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.integers(2, 120),
+    st.integers(1, 9),
+    st.lists(st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0]), min_size=2, max_size=6),
+)
+@example(7, 120, 9, [0.1, 1.0, 0.1, 0.5])
+def test_a_threat_schedule_that_changes_h_between_rounds_keeps_every_round_exact(
+    seed, n, dim, schedule
+):
+    participants = [f"node-{i}" for i in range(n)]
+    strength = {p: 0.5 + 0.25 * (i % 7) for i, p in enumerate(participants)}
+    for rnd, threat in enumerate(schedule):
+        got = masking.derive_masks(seed, participants, dim, strength, round=rnd, threat=threat)
+        ref = _blocked_masks(seed, participants, dim, strength, round=rnd, threat=threat)
+        assert _same_bytes(got, ref, participants)
+    assert masking._plan.cache_info().currsize <= masking._plan.cache_info().maxsize
+
+
+def test_a_plan_is_built_once_per_graph_and_block_bound():
+    masking._plan.cache_clear()
+    roster = [f"node-{i}" for i in range(64)]
+    for rnd in range(3):
+        masking.derive_masks(rnd, roster, 4, 1.0, round=rnd, threat=0.1)
+    masking.derive_masks(0, roster, 4, 1.0, threat=1.0)
+    assert masking._plan.cache_info().misses == 2
+    with mock.patch.object(masking, "BLOCK_PAIRS", 1):
+        masking.derive_masks(0, roster, 4, 1.0, threat=1.0)
+    assert masking._plan.cache_info().misses == 3
+
+
+# -- the stacked decode against per-message from_bytes -----------------------------
+
+
+def _update_bytes(node_id, words, n_samples, nonce, ts, rnd, digest):
+    return (
+        enc_str(node_id) + enc_u32(len(words)) + b"".join(words) + enc_u64(n_samples)
+        + nonce + enc_u64(ts) + enc_u64(rnd) + digest
+    )
+
+
+UPDATES = st.tuples(
+    st.text(max_size=12),
+    st.lists(WORDS, max_size=12),
+    st.integers(0, 2**64 - 1),
+    st.binary(min_size=16, max_size=16),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**64 - 1),
+    st.binary(min_size=32, max_size=32),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(UPDATES, max_size=20))
+@example([])
+@example([("a", [struct.pack(">d", x) for x in SPECIAL], 3, bytes(16), 1, 0, bytes(32)),
+          ("", [], 0, bytes(16), 0, 0, bytes(32))])
+def test_the_stacked_decode_equals_per_message_from_bytes(updates):
+    blobs = [_update_bytes(*u) for u in updates]
+    got = masking.decode_updates(blobs, [f"s{k}" for k in range(len(blobs))])
+    assert len(got) == len(blobs)
+    for mu, b in zip(got, blobs):
+        ref = masking.MaskedUpdate.from_bytes(b)
+        assert (mu.node_id, mu.n_samples, mu.freshness, mu.payload_hash) == (
+            ref.node_id, ref.n_samples, ref.freshness, ref.payload_hash
+        )
+        assert mu.payload.dtype == ref.payload.dtype and mu.payload.shape == ref.payload.shape
+        assert mu.payload.tobytes() == ref.payload.tobytes()
+        assert mu.to_bytes() == b
+
+
+@pytest.mark.parametrize("extra", [b"\x00", b"junk"])
+def test_bytes_past_the_layout_are_a_value_error(extra):
+    b = _update_bytes("node-0", [struct.pack(">d", 1.5)] * 3, 7, bytes(16), 1, 0, bytes(32))
+    with pytest.raises(ValueError, match="run past"):
+        masking.MaskedUpdate.from_bytes(b + extra)
+    with pytest.raises(ValueError, match="run past"):
+        masking.MaskedUpdate.payload_encoding(b + extra)
+    with pytest.raises(ValueError, match="update from node-0: .* run past"):
+        masking.decode_updates([b + extra], ["node-0"])
+
+
+def test_bytes_short_of_the_layout_are_a_value_error():
+    b = _update_bytes("node-0", [struct.pack(">d", 1.5)] * 3, 7, bytes(16), 1, 0, bytes(32))
+    for cut in range(len(b)):
+        with pytest.raises(ValueError, match="stop short of"):
+            masking.MaskedUpdate.from_bytes(b[:cut])
+        with pytest.raises(ValueError, match="update from node-1: .* stop short of"):
+            masking.decode_updates([b, b[:cut]], ["node-0", "node-1"])

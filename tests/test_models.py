@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import ref_permutations
 from fleetfl import models, telemetry
@@ -140,6 +141,50 @@ def test_train_fleet_names_a_diverging_node_that_is_not_the_first():
     ):
         models.train_fleet(np.zeros((2, 3)), X, np.ones((2, 4), dtype=np.int64), lr=0.5,
                            epochs=2, batch=2, seeds=[0, 1], names=["node-0", "node-1"])
+
+
+# margins up to the largest doubles, NaN and both infinities
+MARGINS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e308, -1e308, 8e307, -8e307]),
+    st.floats(-1e308, 1e308),
+    st.floats(-1e3, 1e3),
+)
+LABELS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _margins_and_labels(draw):
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 80)))
+    return draw(hnp.arrays(np.float64, shape, elements=MARGINS)), draw(
+        hnp.arrays(np.float64, shape, elements=LABELS)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_margins_and_labels())
+@example((np.full((1, 3), 8e307), np.zeros((1, 3))))  # each term finite, their sum 2.4e308
+@example((np.array([[-4e307, 1e3], [2e307, 1.0]]), np.array([[1.0, 0.0], [0.0, 1.0]])))
+@example((np.array([[math.nan, 0.0]]), np.array([[0.0, 1.0]])))
+@example((np.array([[math.inf], [0.0]]), np.array([[0.0], [1.0]])))
+def test_a_skipped_divergence_check_has_finite_losses(margins_and_labels):
+    z, y = margins_and_labels
+    if models._losses_bounded(z, True):
+        assert np.all(np.isfinite(models._losses(z, y)))
+    assert not models._losses_bounded(z, False)
+
+
+def test_the_bound_skips_the_check_on_ordinary_margins():
+    z = np.linspace(-40.0, 40.0, 70).reshape(1, 70)
+    assert models._losses_bounded(np.repeat(z, 256, axis=0), True)
+
+
+def test_labels_outside_the_unit_interval_always_take_the_exact_check():
+    # one step takes the bias to -10 and the label is -1e308: the term -y·z
+    # overflows, while the margin stays small
+    with np.errstate(all="ignore"), pytest.raises(models.TrainingDivergedError):
+        models.train_fleet(np.zeros((1, 2)), np.full((1, 1, 1), 1e-12),
+                           np.full((1, 1), -1e308), lr=1e-307, epochs=1, batch=1,
+                           seeds=[0], names=["node-0"])
 
 
 def _reference_sigmoid(z):

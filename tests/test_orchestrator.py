@@ -1180,13 +1180,13 @@ def test_the_attack_suite_keeps_its_bytes_at_the_held_out_seed():
 def test_each_local_update_is_decoded_once_a_round(monkeypatch, enabled):
     sim = Simulator(make_cfg(rounds=2, feedback={"enabled": enabled}))
     decoded = []
-    from_bytes = masking.MaskedUpdate.from_bytes
+    decode_updates = masking.decode_updates
 
-    def counted(b):
-        decoded.append(b)
-        return from_bytes(b)
+    def counted(blobs, senders):
+        decoded.extend(blobs)
+        return decode_updates(blobs, senders)
 
-    monkeypatch.setattr(masking.MaskedUpdate, "from_bytes", staticmethod(counted))
+    monkeypatch.setattr(masking, "decode_updates", counted)
     for r in range(2):
         report, _ = sim.run_round(r)
         assert not report.aborted
@@ -1215,6 +1215,40 @@ def test_a_logged_update_changed_on_the_ledger_leg_raises_protocol_violation(mon
         sim.run_round(0)
     assert len(sim.chain) == 1 and sim.pending == []
     assert all(sim.budget.spent_for(n) == 0.0 for n in NODES)
+
+
+@pytest.mark.parametrize(
+    "change, side",
+    [(lambda b: b + b"\x00", "run past"), (lambda b: b[:-1], "stop short of")],
+    ids=["one-byte-past", "one-byte-short"],
+)
+def test_a_local_update_that_does_not_fill_its_layout_raises_protocol_violation(
+    monkeypatch, change, side
+):
+    sim = Simulator(make_cfg(rounds=1))
+    send = sim._send
+
+    def node_0_update_changed(trace, r, kind, routes, payloads, tags=None):
+        opened = send(trace, r, kind, routes, payloads, tags)
+        return [
+            change(got) if kind == "local_update" and sender == "node-0" else got
+            for (sender, _), got in zip(routes, opened)
+        ]
+
+    monkeypatch.setattr(sim, "_send", node_0_update_changed)
+    with pytest.raises(orchestrator.ProtocolViolation, match=f"update from node-0: .* {side}"):
+        sim.run_round(0)
+    assert len(sim.chain) == 1 and sim.pending == []
+    assert all(sim.budget.spent_for(n) == 0.0 for n in NODES)
+    assert sim.global_params.version == 0
+
+
+def test_the_mask_plan_is_built_by_the_first_round_not_by_construction():
+    masking._plan.cache_clear()
+    sim = Simulator(make_cfg(rounds=1, fleet={"n_nodes": 12}))
+    assert masking._plan.cache_info().currsize == 0
+    sim.run_round(0)
+    assert masking._plan.cache_info().currsize == 1
 
 
 # each takes the batch the ledger opened and the entries the cloud sent in it
