@@ -2,22 +2,24 @@
 
 Model 1 predicts and explains (permutation importance against a background
 set); Model 2 validates predictions and explanation consistency; disagreements
-drive a local SGD correction, and the correction delta is fused with the
-global delta as w_local * x + w_global * y.
+flag the rows a local full-batch correction descends on, and the correction
+delta is fused with the global delta as w_local * x + w_global * y.
 
 Validation, correction and fusion each have a fleet form that takes N models
 or deltas stacked as (N, d + 1) and their rows as (N, n, d), as the simulator
 holds them; the one-model functions (``validate_predictions``,
 ``local_correction``, ``compute_weights`` with ``integrate``) are those forms
 at N = 1, so a fleet pass equals N one-model calls bit for bit.
-``explain`` is the shared attribution kernel at N = 1. Each pass draws from
-one stream per node: validation's sample i swaps in distinct rows of the
-node's own validation rows, read from permutation i of its stream, and its
-report carries Model 1's explanation of the first sample, made from
-permutation 0, which is ``explain``'s draw. Permutation importance is
-model-agnostic: the perturbed inputs depend on the rows and the draw alone,
-so validation builds them once and scores them under both models, and only
-Model 1's spread, which its stability needs, is computed.
+``explain`` is the shared attribution kernel at N = 1. Validation draws from
+one stream per node: its sample i swaps in distinct rows of the node's own
+validation rows, read from permutation i of its stream, and its report
+carries Model 1's explanation of the first sample, made from permutation 0,
+which is ``explain``'s draw. Permutation importance is model-agnostic: the
+perturbed inputs depend on the rows and the draw alone, so validation builds
+them once and scores them under both models, and only Model 1's spread,
+which its stability needs, is computed. The correction draws nothing: every
+node descends on the same validation rows, its unflagged rows masked out,
+in one pass whatever its flagged count.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ from . import models
 from .encoding import permutations
 # evaluate, predict and train_local are unused here but stay bound: the
 # benchmark's tracer patches them by name
-from .models import ModelParams, evaluate, predict, train_fleet, train_local  # noqa: F401
+from .models import ModelParams, evaluate, predict, train_local  # noqa: F401
 
 _EPS = 1e-12
-# the local correction: full-batch SGD steps on the flagged rows
+# the local correction: full-batch gradient steps on the flagged rows
 CORRECTION_LR = 0.1
 CORRECTION_STEPS = 5
 # fusion: w_local stays within [W_MIN, 1 - W_MIN]; N_REF samples score 1 globally
@@ -94,6 +96,18 @@ def _check_models(V: np.ndarray) -> None:
         raise ValueError("models must be an (N, d + 1) stack, bias last")
     if not np.all(np.isfinite(V)):
         raise ValueError("model parameters must be finite")
+
+
+def _check_rows(X, V: np.ndarray) -> np.ndarray:
+    """Each model's rows as one (N, n, d) float64 array, n > 0, every value finite."""
+    X = _stack(X, "validation rows")
+    if X.ndim != 3 or X.shape[0] != len(V) or X.shape[2] != V.shape[1] - 1:
+        raise ValueError("X must be one 2-D array per model, with one column per model feature")
+    if X.shape[1] == 0:
+        raise ValueError("empty sample list")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("X must be finite")
+    return X
 
 
 def _check_seeds(seeds, n_models: int, n_repeats: int) -> None:
@@ -211,13 +225,7 @@ def validate_fleet(
     _check_models(V2)
     if V1.shape != V2.shape:
         raise ValueError("models must share a dimension")
-    X = _stack(X, "validation rows")
-    if X.ndim != 3 or X.shape[0] != len(V1) or X.shape[2] != V1.shape[1] - 1:
-        raise ValueError("X must be one 2-D array per model, with one column per model feature")
-    if X.shape[1] == 0:
-        raise ValueError("empty sample list")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("X must be finite")
+    X = _check_rows(X, V1)
     _check_seeds(seeds, len(V1), n_repeats)
 
     _, n, dim = X.shape
@@ -265,70 +273,66 @@ def validate_predictions(
 
 def correct_fleet(
     V: np.ndarray,
-    flagged_X: Sequence[np.ndarray],
-    flagged_y: Sequence[np.ndarray],
+    X: np.ndarray,
+    y: np.ndarray,
+    flags: np.ndarray,
     holdout_X: np.ndarray,
     holdout_y: np.ndarray,
     lr: float,
     steps: int,
-    seeds: Sequence[int],
+    names: Sequence[str],
 ) -> list[FeedbackUpdate]:
-    """Full-batch SGD of each of N stacked models V (N, d + 1) on its own flagged
-    rows, with its gain measured on its own holdout rows (N, h, d).
+    """Full-batch gradient descent of each of N stacked models V (N, d + 1) on
+    its own flagged rows, X (N, n, d) and y (N, n) where flags (N, n) is set,
+    with its gain measured on its own holdout rows (N, h, d).
 
-    The flagged sets may differ in size: nodes with equal counts train in one
-    ``train_fleet`` call on their stacked rows, so each delta equals
-    ``local_correction`` of that node alone, bit for bit. A node with no flagged
-    rows gets a zero delta and gain.
-    Every node is scored before and after in one stacked prediction.
+    Every node steps in one masked pass (``models.train_masked``), whatever its
+    flagged count, so each delta equals ``local_correction`` of that node
+    alone, bit for bit; unflagged rows change nothing, and a node with no flagged row gets a zero delta and gain. names label the
+    nodes in a ``TrainingDivergedError``. Every node is scored before and after
+    in one stacked prediction.
     """
     V = np.asarray(V, dtype=np.float64)
     _check_models(V)
     n_models = len(V)
+    X = _check_rows(X, V)
+    y = np.asarray(y)
+    flags = np.asarray(flags, dtype=bool)
     holdout_X = _stack(holdout_X, "holdout rows")
     holdout_y = np.asarray(holdout_y)
-    if not len(flagged_X) == len(flagged_y) == len(seeds) == n_models:
-        raise ValueError("need flagged rows and a seed per model")
+    if not y.shape == flags.shape == X.shape[:2] or len(names) != n_models:
+        raise ValueError("need (N, n) labels and flags and a name per model")
     if (holdout_X.ndim != 3 or holdout_X.shape[0] != n_models
             or holdout_X.shape[2] != V.shape[1] - 1 or holdout_y.shape != holdout_X.shape[:2]):
         raise ValueError("holdout rows must be (N, h, d) with (N, h) labels")
     if holdout_X.shape[1] == 0:
         raise ValueError("cannot evaluate on an empty sample list")
 
-    groups: dict[int, list[int]] = {}
-    for k, y in enumerate(flagged_y):
-        if len(y):
-            groups.setdefault(len(y), []).append(k)
-    deltas = np.zeros_like(V)
-    for count, ks in groups.items():
-        deltas[ks] = train_fleet(
-            V[ks], _stack([flagged_X[k] for k in ks], "flagged rows"),
-            np.array([flagged_y[k] for k in ks]), lr, steps, count, [seeds[k] for k in ks],
-            [f"correction-{k}" for k in ks],
-        )
+    deltas = models.train_masked(V, X, y, flags, lr, steps, names)
     # accuracy at threshold 0.5 of every model before and after its correction
     p = models.predict_fleet(np.concatenate([V, V + deltas]),
                              np.concatenate([holdout_X, holdout_X]))
     acc = np.mean((p >= 0.5).astype(np.int64) == np.concatenate([holdout_y, holdout_y]), axis=1)
     gains = acc[n_models:] - acc[:n_models]
-    return [FeedbackUpdate(delta=delta, accuracy_gain=float(gain))
-            for delta, gain in zip(deltas, gains)]
+    return [FeedbackUpdate(delta=delta, accuracy_gain=gain)
+            for delta, gain in zip(deltas, gains.tolist())]
 
 
 def local_correction(
     model1: ModelParams,
-    flagged_X: np.ndarray,
-    flagged_y: np.ndarray,
+    X: np.ndarray,
+    y: np.ndarray,
+    flags: np.ndarray,
     holdout_X: np.ndarray,
     holdout_y: np.ndarray,
     lr: float,
     steps: int,
-    seed: int,
+    name: str,
 ) -> FeedbackUpdate:
-    """Full-batch SGD on the flagged subset only; gain is measured on the held-out split."""
+    """Full-batch gradient descent on the flagged rows of X only; gain is
+    measured on the held-out split. ``correct_fleet`` at N = 1."""
     return correct_fleet(
-        model1.as_vector()[None], [flagged_X], [flagged_y], [holdout_X], [holdout_y], lr, steps,
-        [seed],
+        model1.as_vector()[None], [X], [y], [flags], [holdout_X], [holdout_y], lr, steps, [name],
     )[0]
 
 

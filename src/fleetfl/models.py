@@ -13,8 +13,10 @@ Training is fleet-stacked: ``train_fleet`` steps N start models, stacked as
 one stacked gradient per step, and returns their ``(N, d + 1)`` deltas; each
 model keeps its own seeded batch order, every epoch order drawn by
 ``encoding.permutations`` in one stacked argsort. ``train_local`` and
-``gradient`` are its one-model calls. ``predict_fleet`` scores N stacked
-models on their own rows in one product, bit for bit as ``predict_batch``.
+``gradient`` are its one-model calls. ``train_masked`` is full-batch
+descent of N stacked models, each on the rows its mask marks, and draws
+nothing. ``predict_fleet`` scores N stacked models on their own rows in one
+product, bit for bit as ``predict_batch``.
 ``score_fleet`` scores N stacked models on one shared sample set in one
 product: every model's accuracy and false-positive rate, and the log-loss of
 the first model only, which is the one loss a round reports; ``evaluate``
@@ -133,6 +135,17 @@ def _losses_bounded(z: np.ndarray, labels_in_unit: bool) -> bool:
     return labels_in_unit and bool(np.abs(z).max() <= _LOSS_SUM_LIMIT / n - math.log(2))
 
 
+def _check_losses(z: np.ndarray, y: np.ndarray, labels_in_unit: bool, names: Sequence[str],
+                  after: str) -> None:
+    """Raise ``TrainingDivergedError`` naming the first model whose mean loss
+    over its margins z (N, n) is not finite; the loss is not computed when the
+    margins bound it."""
+    if not _losses_bounded(z, labels_in_unit):
+        bad = np.flatnonzero(~np.isfinite(_losses(z, y)))
+        if bad.size:
+            raise TrainingDivergedError(f"non-finite loss on node {names[bad[0]]} after {after}")
+
+
 def _gradients(V: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Analytic mean log-loss gradient of each stacked model, bias last: (N, d + 1)."""
     r = _sigmoid(_margins(V, X)) - y
@@ -182,14 +195,45 @@ def train_fleet(
             cur = cur - lr * _gradients(cur, X[rows, idx], y[rows, idx])
             if not np.all(np.isfinite(cur)):
                 raise ValueError("model parameters must be finite")
-        z = _margins(cur, X)
-        if _losses_bounded(z, labels_in_unit):
-            continue
-        bad = np.flatnonzero(~np.isfinite(_losses(z, y)))
-        if bad.size:
-            raise TrainingDivergedError(
-                f"non-finite loss on node {names[bad[0]]} after epoch {epoch}"
-            )
+        _check_losses(_margins(cur, X), y, labels_in_unit, names, f"epoch {epoch}")
+    return cur - V
+
+
+def train_masked(
+    V: np.ndarray,
+    X: np.ndarray,
+    y: np.ndarray,
+    mask: np.ndarray,
+    lr: float,
+    steps: int,
+    names: Sequence[str],
+) -> np.ndarray:
+    """Full-batch gradient descent of N stacked models V (N, d + 1), bias last,
+    each on those of its rows X (N, n, d), all finite, that mask (N, n) marks,
+    with labels y (N, n); returns each model's cumulative delta, (N, d + 1).
+
+    A step zeroes the residuals r of unmarked rows and divides [X 1]ᵀr by the
+    model's marked count, so unmarked rows add exact zeros and a model with no
+    marked row keeps a zero delta. Every step checks that the parameters are
+    finite; a non-finite mean loss over the marked rows raises
+    ``TrainingDivergedError`` naming the first model that diverged.
+    """
+    if lr <= 0 or steps < 1:
+        raise ValueError("lr and steps must be positive")
+    X1 = np.concatenate([X, np.ones((*X.shape[:2], 1))], axis=2)
+    counts = np.maximum(np.count_nonzero(mask, axis=1), 1)[:, None]
+    # unmarked rows enter the loss check as margin 0 and label 0: a finite term
+    y = np.where(mask, y, 0)
+    labels_in_unit = bool(np.all((y >= 0) & (y <= 1)))
+    cur = V
+    z = _margins(cur, X)
+    for step in range(1, steps + 1):
+        r = np.where(mask, _sigmoid(z) - y, 0.0)
+        cur = cur - lr * (np.matmul(r[:, None, :], X1)[:, 0] / counts)
+        if not np.all(np.isfinite(cur)):
+            raise ValueError("model parameters must be finite")
+        z = np.where(mask, _margins(cur, X), 0.0)
+        _check_losses(z, y, labels_in_unit, names, f"step {step}")
     return cur - V
 
 

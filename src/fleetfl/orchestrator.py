@@ -481,12 +481,12 @@ class Simulator:
             "attributions": [float(a) for a in rep.explanation.attributions],
             "stability": rep.explanation.stability,
         } for node, rep in zip(ids, reports)]
+        flags = np.zeros(val_y.shape, dtype=bool)
+        flags[[k for k, rep in enumerate(reports) for _ in rep.flagged],
+              [i for rep in reports for i in rep.flagged]] = True
         corrections = feedback.correct_fleet(
-            V1, [x[rep.flagged] for x, rep in zip(val_X, reports)],
-            [y[rep.flagged] for y, rep in zip(val_y, reports)],
-            self.hold_X, self.hold_y,
-            lr=feedback.CORRECTION_LR, steps=feedback.CORRECTION_STEPS,
-            seeds=self._seeds("correct", r),
+            V1, val_X, val_y, flags, self.hold_X, self.hold_y,
+            lr=feedback.CORRECTION_LR, steps=feedback.CORRECTION_STEPS, names=ids,
         )
 
         agreement = float(np.mean([rep.agreement_rate for rep in reports]))

@@ -1,6 +1,7 @@
 """Dual-model validation, explanations, corrections, and weighted fusion."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,14 @@ from hypothesis import strategies as st
 
 from conftest import ref_permutations
 from fleetfl import feedback
-from fleetfl.models import ModelParams, evaluate, predict, predict_batch, train_local
+from fleetfl.models import (
+    ModelParams,
+    TrainingDivergedError,
+    evaluate,
+    predict,
+    predict_batch,
+    train_local,
+)
 from fleetfl.telemetry import NodePartition
 
 
@@ -288,9 +296,10 @@ def test_explain_with_fewer_repeats_than_rows_averages_to_the_exact_mean():
 
 def test_empty_flagged_set_gives_zero_correction():
     m = ModelParams(np.array([1.0, 2.0]), 0.0)
+    X = np.random.default_rng(0).normal(size=(4, 2))
     out = feedback.local_correction(
-        m, np.zeros((0, 2)), np.zeros(0), np.ones((3, 2)), np.ones(3, dtype=np.int64),
-        lr=0.1, steps=5, seed=0,
+        m, X, np.ones(4), np.zeros(4, dtype=bool), np.ones((3, 2)), np.ones(3, dtype=np.int64),
+        lr=0.1, steps=5, name="node-0",
     )
     np.testing.assert_array_equal(out.delta, np.zeros(3))
     assert out.accuracy_gain == 0.0
@@ -301,7 +310,9 @@ def test_correction_on_whole_set_matches_train_local():
     X = rng.normal(size=(12, 3))
     y = rng.integers(0, 2, size=12).astype(np.int64)
     m = ModelParams(rng.normal(size=3) * 0.1, 0.0)
-    out = feedback.local_correction(m, X, y, X, y, lr=0.2, steps=4, seed=9)
+    out = feedback.local_correction(m, X, y, np.ones(12, dtype=bool), X, y, lr=0.2, steps=4,
+                                    name="node-0")
+    # one full-batch step per epoch: the batch order only reorders its sums
     direct = train_local(m, NodePartition("correction", X, y), lr=0.2, epochs=4, batch=12, seed=9)
     np.testing.assert_allclose(out.delta, direct.grad, atol=1e-12)
 
@@ -313,7 +324,8 @@ def test_correction_gain_is_measured_on_holdout():
     hold_X = rng.normal(size=(40, 2))
     hold_y = (hold_X[:, 0] > 0).astype(np.int64)
     m = ModelParams.zeros(2)
-    out = feedback.local_correction(m, X[:5], y[:5], hold_X, hold_y, lr=0.5, steps=10, seed=1)
+    out = feedback.local_correction(m, X, y, np.arange(20) < 5, hold_X, hold_y, lr=0.5, steps=10,
+                                    name="node-0")
     before, _ = evaluate(m, hold_X, hold_y)
     after, _ = evaluate(
         ModelParams.from_vector(m.as_vector() + out.delta), hold_X, hold_y
@@ -357,7 +369,9 @@ def _node_explain(params, sample, background, n_repeats, seed):
 
 
 def _node_correction(m, X, y, hold_X, hold_y, lr, steps, seed):
-    """One node's correction: (delta, holdout accuracy gain)."""
+    """One node's correction as seeded mini-batch SGD on its flagged rows X, y
+    alone, one full batch per epoch: (delta, holdout accuracy gain). The masked
+    full-batch descent must match it up to the order of its sums."""
     if len(y) == 0:
         return np.zeros(m.dim + 1), 0.0
     upd = train_local(m, NodePartition("correction", X, y), lr=lr, epochs=steps, batch=len(y),
@@ -391,17 +405,16 @@ def test_fleet_passes_equal_per_node_calls_bit_for_bit(case):
     y = rng.integers(0, 2, size=(n_models, n))
     hold_X = rng.normal(size=(n_models, 7, dim))
     hold_y = rng.integers(0, 2, size=(n_models, 7))
-    picks = [np.sort(rng.permutation(n)[:c]) for c in counts]
+    flags = _flags(rng, n, counts)
     seeds = [int(s) for s in rng.integers(0, 2**63, size=n_models)]
+    names = [f"node-{k}" for k in range(n_models)]
     m1 = [ModelParams.from_vector(v) for v in V1]
     m2 = [ModelParams.from_vector(v) for v in V2]
 
     reports = feedback.validate_fleet(V1, V2, X, repeats, seeds)
     expls = [feedback.explain(m, x[0], x, repeats, s) for m, x, s in zip(m1, X, seeds)]
-    corrections = feedback.correct_fleet(
-        V1, [x[i] for x, i in zip(X, picks)], [t[i] for t, i in zip(y, picks)], hold_X, hold_y,
-        lr=0.3, steps=3, seeds=seeds,
-    )
+    corrections = feedback.correct_fleet(V1, X, y, flags, hold_X, hold_y, lr=0.3, steps=3,
+                                         names=names)
     for k in range(n_models):
         agreement, flagged, consistency = _node_validate(m1[k], m2[k], X[k], repeats, seeds[k])
         assert reports[k].flagged == flagged
@@ -415,19 +428,113 @@ def test_fleet_passes_equal_per_node_calls_bit_for_bit(case):
         np.testing.assert_allclose(reports[k].explanation.attributions, attributions,
                                    rtol=0, atol=1e-12)
         assert abs(reports[k].explanation.stability - stab) <= 1e-12
-        delta, gain = _node_correction(m1[k], X[k][picks[k]], y[k][picks[k]], hold_X[k],
-                                       hold_y[k], 0.3, 3, seeds[k])
-        assert np.array_equal(corrections[k].delta, delta)
-        assert corrections[k].accuracy_gain == gain
         # the one-node forms are the fleet forms at N = 1
         one = feedback.validate_predictions(m1[k], m2[k], X[k], repeats, seeds[k])
         assert (one.flagged, one.agreement_rate) == (flagged, agreement)
         assert np.array_equal(one.explanation.attributions, reports[k].explanation.attributions)
         assert one.explanation.stability == reports[k].explanation.stability
-        assert np.array_equal(feedback.local_correction(
-            m1[k], X[k][picks[k]], y[k][picks[k]], hold_X[k], hold_y[k], lr=0.3, steps=3,
-            seed=seeds[k],
-        ).delta, delta)
+        alone = feedback.local_correction(m1[k], X[k], y[k], flags[k], hold_X[k], hold_y[k],
+                                          lr=0.3, steps=3, name=names[k])
+        assert np.array_equal(alone.delta, corrections[k].delta)
+        assert alone.accuracy_gain == corrections[k].accuracy_gain
+
+
+def _flags(rng, n, counts):
+    """(N, n) flags with counts[k] of node k's n rows set, at random rows."""
+    flags = np.zeros((len(counts), n), dtype=bool)
+    for k, count in enumerate(counts):
+        flags[k, rng.permutation(n)[:count]] = True
+    return flags
+
+
+@st.composite
+def _corrections(draw):
+    n_models, n, dim = draw(st.integers(1, 6)), draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    counts = draw(st.lists(st.integers(0, n), min_size=n_models, max_size=n_models))
+    return n_models, n, dim, counts, draw(st.integers(0, 2**32))
+
+
+def _correct(case, **changed):
+    """A fleet correction case at lr 0.3 and 3 steps, its inputs drawn from the
+    case's seed: (inputs, corrections). changed replaces named inputs."""
+    n_models, n, dim, counts, seed = case
+    rng = np.random.default_rng(seed)
+    inputs = {
+        "V": rng.normal(size=(n_models, dim + 1)),
+        "X": rng.normal(size=(n_models, n, dim)),
+        "y": rng.integers(0, 2, size=(n_models, n)),
+        "flags": _flags(rng, n, counts),
+        "holdout_X": rng.normal(size=(n_models, 7, dim)),
+        "holdout_y": rng.integers(0, 2, size=(n_models, 7)),
+    }
+    inputs.update({key: f(inputs) for key, f in changed.items()})
+    names = [f"node-{k}" for k in range(n_models)]
+    return inputs, feedback.correct_fleet(**inputs, lr=0.3, steps=3, names=names)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_corrections())
+@example((3, 4, 2, [0, 0, 0], 1))  # no flagged row anywhere
+@example((3, 4, 2, [4, 4, 4], 2))  # every row flagged
+@example((5, 6, 4, [3, 0, 6, 3, 1], 3))  # unequal flagged counts
+def test_the_masked_correction_is_seeded_sgd_on_the_flagged_rows_up_to_sum_order(case):
+    inputs, corrections = _correct(case)
+    flags = inputs["flags"]
+    for k, corr in enumerate(corrections):
+        rows = flags[k]
+        delta, gain = _node_correction(
+            ModelParams.from_vector(inputs["V"][k]), inputs["X"][k][rows], inputs["y"][k][rows],
+            inputs["holdout_X"][k], inputs["holdout_y"][k], 0.3, 3, seed=k,
+        )
+        np.testing.assert_allclose(corr.delta, delta, rtol=0, atol=1e-12)
+        assert corr.accuracy_gain == gain
+        if not rows.any():  # exact zeros, not merely small ones
+            assert np.all(corr.delta == 0.0) and corr.accuracy_gain == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(_corrections(), st.sampled_from([1e-3, 1.0, 1e3, 1e100]), st.integers(0, 2**32))
+@example((3, 4, 2, [0, 0, 0], 1), 1e3, 0)  # no flagged row anywhere
+@example((3, 4, 2, [4, 4, 4], 2), 1e3, 0)  # every row flagged: nothing to replace
+@example((5, 6, 4, [3, 0, 6, 3, 1], 3), 1e100, 0)  # unequal flagged counts
+def test_unflagged_rows_do_not_change_a_correction(case, scale, other_seed):
+    # a node's unflagged rows and labels replaced by other finite values
+    rng = np.random.default_rng(other_seed)
+    inputs, corrections = _correct(case)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, replaced = _correct(
+            case,
+            X=lambda v: np.where(v["flags"][..., None], v["X"],
+                                 rng.normal(scale=scale, size=v["X"].shape)),
+            y=lambda v: np.where(v["flags"], v["y"], 1 - v["y"]),
+        )
+    for before, after in zip(corrections, replaced):
+        assert before.delta.tobytes() == after.delta.tobytes()
+        assert before.accuracy_gain == after.accuracy_gain
+
+
+def test_the_divergence_check_reads_only_flagged_rows():
+    # w = (1, 0): the rows whose first feature is 5e307 have finite margins
+    # past the loss bound, and four of their loss terms overflow a sum; the
+    # other rows' first feature is 0, so descent on them leaves w[0] at 1
+    V = np.array([[1.0, 0.0, 0.0]])
+    X = np.zeros((1, 8, 2))
+    X[0, :, 1] = np.linspace(-1.0, 1.0, 8)
+    X[0, 4:, 0] = 5e307
+    y = np.array([[1, 0, 1, 0, 0, 0, 0, 0]])
+    hold_X, hold_y = np.zeros((1, 3, 2)), np.ones((1, 3), dtype=np.int64)
+    small = np.arange(8) < 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        [out] = feedback.correct_fleet(V, X, y, small[None], hold_X, hold_y, lr=0.3, steps=3,
+                                       names=["node-7"])
+    assert out.delta[0] == 0.0 and np.all(np.isfinite(out.delta))
+    # flagged, one such row diverges: its step overflows its margin
+    with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError,
+                                                  match="on node node-7 after step 1"):
+        feedback.correct_fleet(V, X, y, (np.arange(8) == 4)[None], hold_X, hold_y, lr=0.3,
+                               steps=3, names=["node-7"])
 
 
 def test_fleet_passes_reject_rows_of_unequal_shape():
@@ -435,9 +542,13 @@ def test_fleet_passes_reject_rows_of_unequal_shape():
     ragged = [np.zeros((3, 2)), np.zeros((4, 2))]
     with pytest.raises(ValueError, match="one shape"):
         feedback.validate_fleet(V, V, ragged, 2, [0, 1])
+    labels, flags = [np.zeros(3), np.zeros(4)], [np.ones(3, dtype=bool), np.ones(4, dtype=bool)]
     with pytest.raises(ValueError, match="one shape"):
-        feedback.correct_fleet(V, [np.zeros((1, 2))] * 2, [np.zeros(1)] * 2, ragged,
-                               [np.zeros(3), np.zeros(4)], lr=0.1, steps=1, seeds=[0, 1])
+        feedback.correct_fleet(V, ragged, labels, flags, np.zeros((2, 3, 2)), np.zeros((2, 3)),
+                               lr=0.1, steps=1, names=["node-0", "node-1"])
+    with pytest.raises(ValueError, match="one shape"):
+        feedback.correct_fleet(V, np.zeros((2, 3, 2)), np.zeros((2, 3)), np.ones((2, 3), bool),
+                               ragged, labels, lr=0.1, steps=1, names=["node-0", "node-1"])
     with pytest.raises(ValueError, match="one seed per model"):
         feedback.validate_fleet(V, V, np.zeros((2, 3, 2)), 2, [0])
 

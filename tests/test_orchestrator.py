@@ -384,8 +384,9 @@ def test_every_logged_explanation_is_the_one_validation_compared(monkeypatch):
     monkeypatch.setattr(orchestrator, "sub_seed", recorded_stream)
     monkeypatch.setattr(orchestrator, "sub_seeds", recorded_streams)
     sim.run()
-    assert {"train", "noise", "model2", "explain", "correct"} <= set(streams)
-    assert "stability" not in streams
+    assert {"train", "noise", "model2", "explain"} <= set(streams)
+    # the correction is full-batch descent: it draws nothing
+    assert "correct" not in streams and "stability" not in streams
     assert len(sim.explanation_records) == len(reports) == 2 * len(sim.node_ids)
     for record, report in zip(sim.explanation_records, reports):
         assert record["sample"] == 0
@@ -527,18 +528,28 @@ def test_divergence_names_the_node_that_diverged_when_it_is_not_the_first():
         sim._train_and_privatise(0)
 
 
-@pytest.mark.parametrize("rows", ["train_X", "hold_X"], ids=["local", "model2"])
-def test_a_diverging_node_is_named_and_leaves_the_round_state_as_it_was(rows):
-    # train_X diverges in local training (Model 1), hold_X in Model 2's training
-    sim = Simulator(make_cfg(rounds=1, privacy={"eps_max": 8.0, "budget_cap": 500.0}))
-    getattr(sim, rows)[sim.node_ids.index("node-1")] = 1e200
+@pytest.mark.parametrize("stage", ["local", "model2", "correction"])
+def test_a_diverging_node_is_named_and_leaves_the_round_state_as_it_was(monkeypatch, stage):
+    # node-1's training rows diverge in local training (Model 1) and its holdout
+    # rows in Model 2's training. Its validation rows, scaled huge, diverge in
+    # the correction under a rate the other nodes' rows take in their stride;
+    # at seed 1 node-1 has flagged rows
+    sim = Simulator(make_cfg(seed=1, rounds=1, privacy={"eps_max": 8.0, "budget_cap": 500.0}))
+    k = sim.node_ids.index("node-1")
+    if stage == "correction":
+        sim.train_X[k, : sim.cfg.feedback.max_validation_samples] *= 1e100
+        monkeypatch.setattr(feedback, "CORRECTION_LR", 1e150)
+    else:
+        {"local": sim.train_X, "model2": sim.hold_X}[stage][k] = 1e200
     global_params, node_params = sim.global_params, dict(sim.node_params)
     with np.errstate(all="ignore"), pytest.raises(
-        models.TrainingDivergedError, match="on node node-1 after epoch 1"
+        models.TrainingDivergedError,
+        match=f"on node node-1 after {'step' if stage == 'correction' else 'epoch'} 1",
     ):
         sim.run_round(0)
-    # Model 2 trains after the local updates and the global model are staged
-    assert len(sim.pending) == (len(sim.node_ids) + 1 if rows == "hold_X" else 0)
+    # Model 2 and the correction run after the local updates and the global
+    # model are staged
+    assert len(sim.pending) == (0 if stage == "local" else len(sim.node_ids) + 1)
     assert len(sim.chain) == 1
     assert all(sim.budget.spent_for(n) == 0.0 for n in sim.node_ids)
     assert sim.global_params is global_params
@@ -1111,8 +1122,8 @@ def test_the_fleet64_feedback_benchmark_run_keeps_its_artifact_bytes(tmp_path):
     digests = _artifact_digests(_benchmark_cfg(64, True, 2, str(tmp_path)))
     assert digests == {
         "metrics.jsonl": "74be091100f785fe53782a3a02383bffb437782f8d5413a2ea49042866f9b78c",
-        "chain.json": "0a8ece5bb3cc78265ab3d9e816f880431682af7ce2f4ab408250feca6badc2e5",
-        "explanations.jsonl": "0f62bd65f69b5ed65347fd9098c76b73a25b3b83e6792d8f18b61be44547f03b",
+        "chain.json": "9823e0720e7563bc06dd07b5e5e0df67b106ee5da470c30d5914c742174e4229",
+        "explanations.jsonl": "915e88659ec1d21a3f73570be064069444a500af94dd1e08bd20856dd8631271",
     }
 
 
@@ -1120,7 +1131,7 @@ def test_the_attack_fleet16_benchmark_run_and_suite_keep_their_bytes(tmp_path):
     digests = _artifact_digests(_benchmark_cfg(16, True, 4, str(tmp_path)))
     assert digests == {
         "metrics.jsonl": "10003b745468d2b2ed0582efff2443055bfd16e66bedabb64c38107aa8c991ec",
-        "chain.json": "825cf21f916816656b86a131ff8e4eab27e8d7458d74659854bed8277cce7d6b",
+        "chain.json": "f5c6832b6205fac5c65ceb344cc4b1fa61ab2c4305cd66cf166854e7e39898d4",
         "explanations.jsonl": "f561669a90b1261bf34f5088e9aa5c46a73a85d06e9eb52eff2da8696ae2e493",
     }
     # the benchmark's 50 injection seeds per kind at seed 5
@@ -1146,13 +1157,13 @@ HELD_OUT_DIGESTS = {
     }),
     "fleet64-feedback": ((64, True, 2), {
         "metrics.jsonl": "d41a0f835df23d7b3dfea31c1ca2405a1de68e80e671ef0e5ac475726497d759",
-        "chain.json": "62403a3f345040f0d57b8b693c1f9eecf79cf130ed72fba9f48292dd2533e187",
-        "explanations.jsonl": "1fc71086a1d77990ee4c1b8d647d5b1abaf5968789756294a60ceb3a767af0a8",
+        "chain.json": "45f41e7ad59b9074857f763c0fb8db02c1502e8331fdceeefdfe678e9ddd9d5d",
+        "explanations.jsonl": "307b02e48e30755c902fffafe5ec78036dd9e558cd0708ebd32e951c2aa4d746",
     }),
     "attack-fleet16": ((16, True, 4), {
         "metrics.jsonl": "35893f15752535028abae69fb8ba6033af99df3d7c315ab50e1cced78bf9135c",
-        "chain.json": "e75165f8c46379e3a3cf5216796199ea72041083f876384851d95db666d6771f",
-        "explanations.jsonl": "067610f0b15d71d334f972d285e7ef1d10fb218fbdb417f5643053c22abc7d51",
+        "chain.json": "d8322d7e78e3314a75597256636b62be1dee64a599f8782df822ef7701349a20",
+        "explanations.jsonl": "9521bcf64e8839e7593e305e33a03ce99c0efe2d33ae94dd73802c60dd1cae8d",
     }),
 }
 
